@@ -276,10 +276,6 @@ class ToleranceSchedule:
         coeff = 1.0 if self.gamma_coeff is None else self.gamma_coeff
         return coeff * d
 
-    def alpha(self, eps_n: float, *alphabet_sizes: int) -> float:
-        """Entropy-continuity slack for a measured deviation eps_n."""
-        return alpha_n(eps_n, *alphabet_sizes)
-
 
 def alpha_n(eps_n: float, *alphabet_sizes: int) -> float:
     """Entropy-continuity slack -3 e log2(e * prod sizes); 0 at e = 0."""

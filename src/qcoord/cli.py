@@ -51,6 +51,7 @@ from .protocol import (
     simulate_two_node,
 )
 from .quantum import QuantumError
+from .sampling import GridTooLarge
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -120,20 +121,18 @@ def _built(cfg: dict):
     return ens, ext
 
 
-def _rate_rows(cfg: dict, chash: str) -> list:
-    ens, ext = _built(cfg)
-    if ext.kind == "two-node":
-        value = two_node_rate(ext)
-        return [[chash, ext.kind, repr(value), "", ""]]
+def _rate_cells(ext) -> list:
+    """The rate, r12 and r23 cells of a validated extension's row."""
     if ext.kind == "cascade":
         pt = cascade_rate_point(ext)
-        return [[chash, ext.kind, "", repr(pt.r12), repr(pt.r23)]]
-    value = isolated_rate(ext)
-    return [[chash, ext.kind, repr(value), "", ""]]
+        return ["", repr(pt.r12), repr(pt.r23)]
+    value = two_node_rate(ext) if ext.kind == "two-node" else isolated_rate(ext)
+    return [repr(value), "", ""]
 
 
 def cmd_rate(cfg, out_dir, opts) -> list:
-    rows = _rate_rows(cfg, config_hash(cfg))
+    _, ext = _built(cfg)
+    rows = [[config_hash(cfg), ext.kind] + _rate_cells(ext)]
     path = os.path.join(out_dir, "rate.csv")
     write_csv_atomic(path, ["config_hash", "kind", "rate", "r12", "r23"],
                      rows)
@@ -147,9 +146,9 @@ def cmd_rate(cfg, out_dir, opts) -> list:
     return [path]
 
 
-def cmd_optimize(cfg, out_dir, opts) -> list:
-    resolved = resolve_family(cfg)
-    ens = build_ensemble(resolved)
+def _optimized(cfg: dict):
+    """Run the config's ``optimize`` block; returns (kind, feasible result)."""
+    ens = build_ensemble(resolve_family(cfg))
     block = cfg.get("optimize", {})
     kind = block.get("kind", "two-node")
     res = optimize(ens, kind=kind,
@@ -158,11 +157,18 @@ def cmd_optimize(cfg, out_dir, opts) -> list:
                    max_iters=int(block.get("max_iters", 10_000)))
     if not res.feasible:
         raise InfeasibleFailure(res.message)
-    chash = config_hash(cfg)
-    rows = [[chash, kind, repr(res.value), res.iterations,
-             repr(res.max_residual),
-             repr(res.rate_point.r12) if res.rate_point else "",
-             repr(res.rate_point.r23) if res.rate_point else ""]]
+    return kind, res
+
+
+def _corner_cells(res) -> list:
+    pt = res.rate_point
+    return [repr(pt.r12), repr(pt.r23)] if pt else ["", ""]
+
+
+def cmd_optimize(cfg, out_dir, opts) -> list:
+    kind, res = _optimized(cfg)
+    rows = [[config_hash(cfg), kind, repr(res.value), res.iterations,
+             repr(res.max_residual)] + _corner_cells(res)]
     path = os.path.join(out_dir, "optimize.csv")
     write_csv_atomic(path, ["config_hash", "kind", "value", "iterations",
                             "max_residual", "r12", "r23"], rows)
@@ -265,7 +271,7 @@ def cmd_derandomize(cfg, out_dir, opts) -> list:
         num_seeds=int(block.get("num_seeds", 10)),
         epsilon=float(block.get("epsilon", 0.1)),
         seed=int(block["seed"]), delta=float(block["delta"]),
-        engine=block["engine"], **kwargs)
+        engine=block["engine"], threads=opts.threads, **kwargs)
     rows = [[chash, n, rate, s, repr(float(d)),
              1 if i == report.best_index else 0]
             for i, (s, d) in enumerate(zip(report.seeds, report.distances))]
@@ -320,29 +326,11 @@ def cmd_sweep(cfg, out_dir, opts) -> list:
         sub = apply_sweep_value(cfg, path_keys, value)
         sub["command"] = inner_cmd
         if inner_cmd == "rate":
-            ens, ext = _built(sub)
-            if ext.kind == "two-node":
-                rows.append([chash, repr(float(value)),
-                             repr(two_node_rate(ext)), "", ""])
-            elif ext.kind == "cascade":
-                pt = cascade_rate_point(ext)
-                rows.append([chash, repr(float(value)), "",
-                             repr(pt.r12), repr(pt.r23)])
-            else:
-                rows.append([chash, repr(float(value)),
-                             repr(isolated_rate(ext)), "", ""])
+            cells = _rate_cells(_built(sub)[1])
         else:
-            resolved = resolve_family(sub)
-            ens = build_ensemble(resolved)
-            ob = sub.get("optimize", {})
-            res = optimize(ens, kind=ob.get("kind", "two-node"),
-                           max_merge_order=int(ob.get("max_merge_order", 3)),
-                           lam=float(ob.get("lambda", 0.0)))
-            if not res.feasible:
-                raise InfeasibleFailure(res.message)
-            rows.append([chash, repr(float(value)), repr(res.value),
-                         repr(res.rate_point.r12) if res.rate_point else "",
-                         repr(res.rate_point.r23) if res.rate_point else ""])
+            _, res = _optimized(sub)
+            cells = [repr(res.value)] + _corner_cells(res)
+        rows.append([chash, repr(float(value))] + cells)
     path = os.path.join(out_dir, "sweep.csv")
     write_csv_atomic(path, ["config_hash", "value", "rate", "r12", "r23"],
                      rows)
@@ -408,7 +396,7 @@ def main(argv=None) -> int:
     except InfeasibleFailure as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (MemoryCapError,) as exc:
+    except (MemoryCapError, GridTooLarge) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ProtocolError as exc:

@@ -39,6 +39,7 @@ from .quantum import (
 
 KINDS = ("two-node", "cascade", "isolated")
 VALIDATION_TOL = 1e-9
+_TRIVIAL_C = DensityOperator([[1.0]])
 
 
 class CoordinationError(ValueError):
@@ -177,27 +178,28 @@ class Extension:
             raise ExtensionNotValidated(
                 "run validate_extension against the target ensemble first")
 
+    def as_cascade(self):
+        """(label joint with axes X, Y, Z as an array, C atoms).
+
+        A two-node extension is the cascade with a trivial relay: a single
+        Z symbol whose C atom is the 1-dimensional state [[1]].
+        """
+        if self.kind == "two-node":
+            return self.joint.table[:, :, None], (_TRIVIAL_C,)
+        return self.joint.table, self.atoms_c
+
     def conditional_rest(self, x_index: int) -> np.ndarray:
-        """Sum_y[,z] p(y[,z]|x) * atomsB^y [x atomsC^z] as a raw matrix."""
-        t = self.joint.table
+        """Sum_{y,z} p(y,z|x) * atomsB^y x atomsC^z as a raw matrix."""
+        t, atoms_c = self.as_cascade()
         px = t.reshape(t.shape[0], -1).sum(axis=1)
         if px[x_index] <= 0:
             raise CoordinationError(f"source symbol {x_index} has zero mass")
-        if self.kind == "two-node":
-            cond = t[x_index] / px[x_index]
-            return sum(
-                c * b.matrix for c, b in zip(cond, self.atoms_b) if c > 0
-            )
         cond = t[x_index] / px[x_index]
-        dim_b = self.atoms_b[0].dim
-        dim_c = self.atoms_c[0].dim
-        out = np.zeros((dim_b * dim_c, dim_b * dim_c), dtype=complex)
-        for yi in range(cond.shape[0]):
-            for zi in range(cond.shape[1]):
-                c = cond[yi, zi]
-                if c > 0:
-                    out += c * np.kron(self.atoms_b[yi].matrix,
-                                       self.atoms_c[zi].matrix)
+        dim = self.atoms_b[0].dim * atoms_c[0].dim
+        out = np.zeros((dim, dim), dtype=complex)
+        for yi, zi in zip(*np.nonzero(cond)):
+            out += cond[yi, zi] * np.kron(self.atoms_b[yi].matrix,
+                                          atoms_c[zi].matrix)
         return out
 
     def ac_marginal(self) -> np.ndarray:

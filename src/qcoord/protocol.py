@@ -1,8 +1,16 @@
 """Finite-blocklength simulation of the random-binning coordination scheme.
 
+Every run is simulated as a cascade: Alice describes a label pair (Y, Z),
+Bob recovers the relay label Z and then his own label Y, and forwards the
+relay bin index to Charlie, who recovers Z by the same rule.  The two-node
+network is the cascade with a trivial relay: a single Z symbol, a
+1-dimensional C register and a relay codebook of one codeword in one bin
+(see ``Extension.as_cascade``).  ``simulate_two_node`` and
+``simulate_cascade`` are thin wrappers around one core.
+
 Two interchangeable engines produce statistically identical trials:
 
-* ``explicit`` — materializes the codebook (i.i.d. codewords, one uniform
+* ``explicit`` — materializes the codebooks (i.i.d. codewords, one uniform
   bin index per codeword) and runs the literal typicality scans.  Capped:
   ``2^ceil(n*R0) * n`` stored symbols must stay below ``MEMORY_CAP``.
 * ``sampled`` — draws each trial from the exact outcome distribution of
@@ -10,14 +18,15 @@ Two interchangeable engines produce statistically identical trials:
   blocklengths (where the codebook is astronomically large) tractable.
   A fresh codebook is implicitly drawn per trial, which matches the
   shared-randomness average the derandomization argument operates on.
+  It supports the trivial relay (single Z symbol) only.
 
 Encoding and decoding follow the scheme exactly: the encoder picks the
-smallest jointly typical codeword index at the encode radius (2 delta)
-and falls back to index 0 when none exists; the decoder picks the
-smallest index in the announced bin that is typical at the decode radius
-(8 delta), falling back to 0.  An atypical source sequence (radius
-delta) triggers an arbitrary transmission, fixed to bin 0 for
-reproducibility.  All indices are 0-based.
+lexicographically smallest jointly typical codeword index pair at the
+encode radius (2 delta) and falls back to (0, 0) when none exists; each
+decoder picks the smallest index in the announced bin that is typical at
+the decode radius (8 delta), falling back to 0.  An atypical source
+sequence (radius delta) triggers an arbitrary transmission, fixed to bin
+0 for reproducibility.  All indices are 0-based.
 """
 
 from __future__ import annotations
@@ -26,11 +35,12 @@ import math
 import random as _pyrandom
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .classical import Alphabet, JointPmf, ToleranceSchedule, alpha_n
+from .classical import (Alphabet, JointPmf, ToleranceSchedule, alpha_n,
+                        mutual_information)
 from .coordination import CoordinationError, CqEnsemble, Extension
 from .quantum import DensityOperator, trace_norm_distance
 from . import sampling
@@ -143,14 +153,15 @@ def build_codebook(params: CodebookParams, p_u: np.ndarray,
     return Codebook(params, codewords, bins, params.num_bins)
 
 
-def _first_typical(codewords: np.ndarray, ctx_seq: np.ndarray, num_ctx: int,
-                   p_ctx_u: np.ndarray, radius: float,
-                   bins: Optional[np.ndarray] = None,
-                   bin_value: Optional[int] = None,
-                   chunk: int = 4096) -> Optional[int]:
-    """Smallest index whose joint type with ``ctx_seq`` is within ``radius``.
+def _typical_rows(codewords: np.ndarray, ctx_seq: np.ndarray, num_ctx: int,
+                  p_ctx_u: np.ndarray, radius: float,
+                  bins: Optional[np.ndarray] = None,
+                  bin_value: Optional[int] = None, chunk: int = 4096):
+    """Ascending indices whose joint type with ``ctx_seq`` is within ``radius``.
 
-    With ``bins``/``bin_value`` the search is restricted to one bin.
+    With ``bins``/``bin_value`` the search is restricted to one bin.  Rows
+    are scanned chunk by chunk, so a caller that stops early scans no
+    further than it needs.
     """
     l0, n = codewords.shape
     num_u = p_ctx_u.shape[-1]
@@ -159,22 +170,25 @@ def _first_typical(codewords: np.ndarray, ctx_seq: np.ndarray, num_ctx: int,
     target = p_ctx_u.reshape(num_ctx, num_u)
     for start in range(0, l0, chunk):
         rows = codewords[start:start + chunk]
+        sel = None
         if bins is not None:
             sel = np.flatnonzero(bins[start:start + chunk] == bin_value)
             if sel.size == 0:
                 continue
             rows = rows[sel]
-        else:
-            sel = None
         counts = np.empty((rows.shape[0], num_ctx, num_u))
         for u in range(num_u):
             counts[:, :, u] = (rows == u).astype(float) @ onehot
         tv = 0.5 * np.abs(counts / n - target[None]).sum(axis=(1, 2))
-        hits = np.flatnonzero(tv < radius)
-        if hits.size:
-            h = int(hits[0])
-            return start + (int(sel[h]) if sel is not None else h)
-    return None
+        for h in np.flatnonzero(tv < radius):
+            yield start + int(h if sel is None else sel[h])
+
+
+def _first_typical(codewords, ctx_seq, num_ctx, p_ctx_u, radius,
+                   bins=None, bin_value=None) -> Optional[int]:
+    """Smallest index whose joint type with ``ctx_seq`` is within ``radius``."""
+    return next(_typical_rows(codewords, ctx_seq, num_ctx, p_ctx_u, radius,
+                              bins, bin_value), None)
 
 
 def encode_generic(cb: Codebook, target_joint: np.ndarray, radius: float,
@@ -232,6 +246,23 @@ def decode_generic(cb: Codebook, target_joint: np.ndarray, radius: float,
     return int(ell), False
 
 
+def _first_typical_pair(y_cws, z_cws, x_seq, p_xyz, radius):
+    """Lexicographically first (l1, l2) with (x, y(l1), z(l2)) jointly typical.
+
+    Rows whose (x, y) marginal type already violates the radius cannot host
+    a hit (marginal TV <= joint TV), so the relay scan runs on the others
+    only, in order.
+    """
+    num_x, num_y, num_z = p_xyz.shape
+    flat = p_xyz.reshape(num_x * num_y, num_z)
+    for l1 in _typical_rows(y_cws, x_seq, num_x, p_xyz.sum(axis=2), radius):
+        ctx = x_seq.astype(np.int64) * num_y + y_cws[l1]
+        l2 = _first_typical(z_cws, ctx, num_x * num_y, flat, radius)
+        if l2 is not None:
+            return l1, l2
+    return None
+
+
 @dataclass
 class SimulationTrace:
     """One protocol run: sequences, indices, averaged state, distances."""
@@ -279,73 +310,58 @@ class SimulationTrace:
         return out
 
 
-def _two_node_tables(target: CqEnsemble, ext: Extension):
-    p_joint = ext.joint.table
+_RELAY_FIELDS = ("rate23", "c_label_seq", "bar_z_seq", "ell2", "m23",
+                 "ell_hat2", "ell_tilde2", "index_match")
+
+
+class _Tables(NamedTuple):
+    """Per-run constants of the three-label (X, Y, Z) problem."""
+
+    p_xyz: np.ndarray   # label joint, axes (X, Y, Z)
+    k: np.ndarray       # k[x, y, z] = A_x (x) B_y (x) C_z
+    t: np.ndarray       # t[x] = A_x (x) eta_x, eta_x = sum p(y,z|x) B_y (x) C_z
+    omega: np.ndarray   # target state sum_x p(x) t[x]
+
+
+def _tables(target: CqEnsemble, ext: Extension) -> _Tables:
+    p_xyz, atoms_c = ext.as_cascade()
+    px = p_xyz.sum(axis=(1, 2))
     a_mats = [a.matrix for a in ext.atoms_a]
-    b_mats = [b.matrix for b in ext.atoms_b]
-    px = p_joint.sum(axis=1)
-    etas = []
-    for xi in range(p_joint.shape[0]):
-        cond = p_joint[xi] / px[xi] if px[xi] > 0 else p_joint[xi]
-        etas.append(sum(c * b for c, b in zip(cond, b_mats)))
-    omega = sum(
-        target.source.table[xi] * np.kron(a_mats[xi], etas[xi])
-        for xi in range(p_joint.shape[0]))
-    return p_joint, a_mats, b_mats, etas, omega
+    k = np.array([[[np.kron(np.kron(a, b.matrix), c.matrix)
+                    for c in atoms_c] for b in ext.atoms_b] for a in a_mats])
+    dim_rest = k.shape[-1] // a_mats[0].shape[0]
+    etas = [ext.conditional_rest(xi) if px[xi] > 0
+            else np.zeros((dim_rest, dim_rest), dtype=complex)
+            for xi in range(px.size)]
+    t = np.array([np.kron(a, eta) for a, eta in zip(a_mats, etas)])
+    omega = sum(target.source.table[xi] * t[xi] for xi in range(px.size))
+    return _Tables(p_xyz, k, t, omega)
 
 
-def _finish_two_node_trace(counts, x_seq, u_seq, tables, gamma, n,
-                           meta) -> SimulationTrace:
-    p_joint, a_mats, b_mats, etas, omega = tables
-    freq = counts / n
-    dim = a_mats[0].shape[0] * b_mats[0].shape[0]
-    rho = np.zeros((dim, dim), dtype=complex)
-    for a in range(freq.shape[0]):
-        for u in range(freq.shape[1]):
-            if freq[a, u] > 0:
-                rho += freq[a, u] * np.kron(a_mats[a], b_mats[u])
-    px_hat = freq.sum(axis=1)
-    tau = sum(px_hat[a] * np.kron(a_mats[a], etas[a])
-              for a in range(freq.shape[0]))
-    d_target = trace_norm_distance(rho, omega)
-    d_tau = trace_norm_distance(rho, tau)
-    g_typ = bool(0.5 * np.abs(freq - p_joint).sum() < gamma)
-    bound_ok = bool(d_tau <= gamma) if g_typ else None
-    return SimulationTrace(
-        n=n, seed=meta["seed"], trial=meta["trial"], engine=meta["engine"],
-        x_seq=x_seq, b_label_seq=u_seq, ell=meta["ell"], m12=meta["m12"],
-        ell_hat=meta["ell_hat"], x_typical=meta["x_typical"],
-        encoder_fallback=meta["enc_fb"], decoder_fallback=meta["dec_fb"],
-        joint_counts=counts, avg_state=DensityOperator(rho),
-        distance_to_target=d_target, distance_to_tau=d_tau,
-        gamma_radius=gamma, gamma_typical=g_typ, block_bound_ok=bound_ok,
-        rate=meta["rate"], codeword_rate=meta["r0"])
-
-
-def default_codeword_rate(ext: Extension, delta: float,
-                          gamma_coeff: Optional[float] = None) -> float:
-    """Covering-rate default R0 = I(X;labels) + 2 gamma(delta)."""
-    from .classical import mutual_information
-    names = ext.joint.names
-    mi = mutual_information(ext.joint, [names[0]], list(names[1:]))
-    if gamma_coeff is None:
-        gamma_coeff = float(np.prod([v.size for v in ext.joint.variables]))
-    return mi + 2.0 * gamma_coeff * delta
+def _mixture(weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Sum of ``weights[cell] * blocks[cell]`` over nonzero cells, C order."""
+    out = np.zeros(blocks.shape[-2:], dtype=complex)
+    for cell in zip(*np.nonzero(weights)):
+        out += weights[cell] * blocks[cell]
+    return out
 
 
 def _resolve_schedule(ext, delta, gamma_coeff,
                       schedule: Optional[ToleranceSchedule]):
-    """(delta, multipliers, gamma) from an explicit schedule or defaults."""
+    """(delta, multipliers, gamma); keyword defaults build the schedule."""
     if schedule is None:
-        if gamma_coeff is None:
-            gamma_coeff = float(np.prod([v.size
-                                         for v in ext.joint.variables]))
-        return delta, (1.0, 2.0, 8.0), gamma_coeff * delta
-    sched = schedule
-    if sched.gamma_coeff is None and sched.gamma_of_delta is None:
-        sched = sched.with_alphabet_sizes(
+        schedule = ToleranceSchedule(delta, gamma_coeff=gamma_coeff)
+    if schedule.gamma_coeff is None and schedule.gamma_of_delta is None:
+        schedule = schedule.with_alphabet_sizes(
             *[v.size for v in ext.joint.variables])
-    return sched.delta, sched.multipliers, sched.gamma()
+    return schedule.delta, schedule.multipliers, schedule.gamma()
+
+
+def _auto_engine(engine: str, symbols: int) -> str:
+    """``auto`` is explicit when the codebooks hold few enough symbols."""
+    if engine != "auto":
+        return engine
+    return "explicit" if symbols <= EXPLICIT_AUTO_BUDGET else "sampled"
 
 
 def simulate_two_node(target: CqEnsemble, ext: Extension, n: int,
@@ -358,11 +374,13 @@ def simulate_two_node(target: CqEnsemble, ext: Extension, n: int,
                       threads: int = 0) -> list:
     """Monte Carlo runs of the two-node scheme; one trace per trial.
 
-    ``engine="auto"`` materializes the codebook when it is small enough to
-    scan and otherwise samples trials from the exact outcome distribution.
-    A ``schedule`` overrides ``delta``/``gamma_coeff`` and supplies the
-    typicality radius multipliers.  Identical (seed, params) reproduce
-    identical traces bit for bit.
+    Runs the cascade core with a trivial relay (rate 0, one relay
+    codeword) and returns two-node traces: 2-D ``joint_counts`` and no
+    relay fields.  ``engine="auto"`` materializes the codebook when it is
+    small enough to scan and otherwise samples trials from the exact
+    outcome distribution.  A ``schedule`` overrides ``delta``/``gamma_coeff``
+    and supplies the typicality radius multipliers.  Identical
+    (seed, params) reproduce identical traces bit for bit.
     """
     ext.require_validated()
     if ext.kind != "two-node":
@@ -371,132 +389,21 @@ def simulate_two_node(target: CqEnsemble, ext: Extension, n: int,
         raise ProtocolError("n and trials must be positive")
     delta, mults, gamma = _resolve_schedule(ext, delta, gamma_coeff, schedule)
     if codeword_rate is None:
-        from .classical import mutual_information
-        names = ext.joint.names
-        codeword_rate = (mutual_information(ext.joint, [names[0]],
-                                            list(names[1:]))
-                         + 2.0 * gamma)
-    params = CodebookParams(n=n, bin_rate=rate, codeword_rate=codeword_rate,
-                            delta=delta, seed=seed)
-    tables = _two_node_tables(target, ext)
-    if engine == "auto":
-        engine = ("explicit"
-                  if params.num_codewords * n <= EXPLICIT_AUTO_BUDGET
-                  else "sampled")
-    if engine == "explicit":
-        codebook = build_codebook(params, tables[0].sum(axis=0), role=0)
-        runner = lambda t: _explicit_two_node_trial(
-            codebook, tables, gamma, params, t, mults)
-    elif engine == "sampled":
-        runner = lambda t: _sampled_two_node_trial(tables, gamma, params, t,
-                                                   mults)
-    else:
-        raise ProtocolError(f"unknown engine {engine!r}")
-    return _run_trials(runner, trials, threads)
-
-
-def _run_trials(runner, trials: int, threads: int) -> list:
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(runner, range(trials)))
-    return [runner(t) for t in range(trials)]
-
-
-def _explicit_two_node_trial(cb: Codebook, tables, gamma, params,
-                             trial: int, mults=(1.0, 2.0, 8.0)
-                             ) -> SimulationTrace:
-    p_joint = tables[0]
-    px = p_joint.sum(axis=1)
-    p_u = p_joint.sum(axis=0)
-    n = params.n
-    rng = _rng(params.seed, _KEY_TRIAL, trial, 0)
-    x_seq = sampling.sample_iid(rng, px, n)
-    x_counts = np.bincount(x_seq, minlength=px.size)
-    x_typical = bool(0.5 * np.abs(x_counts / n - px).sum()
-                     < mults[0] * params.delta)
-    if x_typical:
-        ell, m12, enc_fb = encode_generic(cb, p_joint,
-                                          mults[1] * params.delta, x_seq)
-    else:
-        ell, m12, enc_fb = 0, 0, True
-    ell_hat, dec_fb = decode_generic(cb, p_u, mults[2] * params.delta, m12)
-    u_seq = cb.codewords[ell_hat]
-    counts = np.zeros_like(p_joint)
-    np.add.at(counts, (x_seq, u_seq), 1.0)
-    meta = dict(seed=params.seed, trial=trial, engine="explicit",
-                ell=ell, m12=m12, ell_hat=ell_hat, x_typical=x_typical,
-                enc_fb=enc_fb or not x_typical, dec_fb=dec_fb,
-                rate=params.bin_rate, r0=params.codeword_rate)
-    return _finish_two_node_trace(counts, x_seq, u_seq, tables, gamma, n,
-                                  meta)
-
-
-def _sampled_two_node_trial(tables, gamma, params, trial: int,
-                            mults=(1.0, 2.0, 8.0)) -> SimulationTrace:
-    p_joint = tables[0]
-    rng = _rng(params.seed, _KEY_TRIAL, trial, 0)
-    bin_rng = _bigint_rng(params.seed, _KEY_TRIAL, trial, 1)
-    raw = sampling.sample_two_node_trial(
-        rng, bin_rng, p_joint, params.n, params.delta,
-        params.num_codewords, params.num_bins,
-        source_mult=mults[0], encode_mult=mults[1], decode_mult=mults[2])
-    meta = dict(seed=params.seed, trial=trial, engine="sampled",
-                ell=raw.ell, m12=raw.m12, ell_hat=raw.ell_hat,
-                x_typical=raw.x_typical,
-                enc_fb=raw.encoder_fallback or not raw.x_typical,
-                dec_fb=raw.decoder_fallback,
-                rate=params.bin_rate, r0=params.codeword_rate)
-    return _finish_two_node_trace(raw.counts.astype(float), raw.x_seq,
-                                  raw.u_seq, tables, gamma, params.n, meta)
-
-
-# ----------------------------------------------------------------------
-# cascade
-# ----------------------------------------------------------------------
-
-def _cascade_tables(target: CqEnsemble, ext: Extension):
-    p_xyz = ext.joint.table
-    a_mats = [a.matrix for a in ext.atoms_a]
-    b_mats = [b.matrix for b in ext.atoms_b]
-    c_mats = [c.matrix for c in ext.atoms_c]
-    px = p_xyz.sum(axis=(1, 2))
-    etas = []
-    for xi in range(p_xyz.shape[0]):
-        cond = p_xyz[xi] / px[xi] if px[xi] > 0 else p_xyz[xi]
-        eta = 0
-        for yi in range(cond.shape[0]):
-            for zi in range(cond.shape[1]):
-                if cond[yi, zi] > 0:
-                    eta = eta + cond[yi, zi] * np.kron(b_mats[yi], c_mats[zi])
-        etas.append(eta)
-    omega = sum(target.source.table[xi] * np.kron(a_mats[xi], etas[xi])
-                for xi in range(p_xyz.shape[0]))
-    return p_xyz, a_mats, b_mats, c_mats, etas, omega
-
-
-def _first_typical_pair(y_cws, z_cws, x_seq, p_xyz, radius):
-    """Lexicographically first (l1, l2) with (x, y(l1), z(l2)) jointly typical.
-
-    Rows whose (x, y) marginal type already violates the radius cannot host
-    a hit (marginal TV <= joint TV) and are skipped without changing order.
-    """
-    n = x_seq.size
-    num_x, num_y, num_z = p_xyz.shape
-    onehot_x = np.zeros((n, num_x))
-    onehot_x[np.arange(n), x_seq] = 1.0
-    p_xy = p_xyz.sum(axis=2)
-    counts_xy = np.empty((y_cws.shape[0], num_x, num_y))
-    for y in range(num_y):
-        counts_xy[:, :, y] = (y_cws == y).astype(float) @ onehot_x
-    tv_xy = 0.5 * np.abs(counts_xy / n - p_xy[None]).sum(axis=(1, 2))
-    candidate_rows = np.flatnonzero(tv_xy < radius)
-    flat = p_xyz.reshape(num_x * num_y, num_z)
-    for l1 in candidate_rows:
-        ctx = x_seq.astype(np.int64) * num_y + y_cws[l1]
-        l2 = _first_typical(z_cws, ctx, num_x * num_y, flat, radius)
-        if l2 is not None:
-            return int(l1), int(l2)
-    return None
+        x, y = ext.joint.names
+        codeword_rate = mutual_information(ext.joint, [x], [y]) + 2.0 * gamma
+    params_y = CodebookParams(n=n, bin_rate=rate, codeword_rate=codeword_rate,
+                              delta=delta, seed=seed)
+    params_z = CodebookParams(n=n, bin_rate=0.0, codeword_rate=0.0,
+                              delta=delta, seed=seed)
+    # the one-codeword relay codebook is not charged to the auto budget
+    engine = _auto_engine(engine, params_y.num_codewords * n)
+    traces = _simulate(target, ext, params_y, params_z, rate, 0.0, mults,
+                       gamma, engine, trials, threads)
+    for t in traces:  # a copy, since a view would keep its 3-D base alive
+        t.joint_counts = t.joint_counts[:, :, 0].copy()
+        for field in _RELAY_FIELDS:
+            setattr(t, field, None)
+    return traces
 
 
 def simulate_cascade(target: CqEnsemble, ext: Extension, n: int,
@@ -521,164 +428,135 @@ def simulate_cascade(target: CqEnsemble, ext: Extension, n: int,
     if rate12 < rate23:
         raise ProtocolError("rate12 must be at least rate23 (rate splitting)")
     delta, mults, gamma = _resolve_schedule(ext, delta, gamma_coeff, schedule)
-    from .classical import mutual_information
-    names = ext.joint.names
+    x, y, z = ext.joint.names
     if codeword_rate_z is None:
-        codeword_rate_z = (
-            mutual_information(ext.joint, [names[0]], [names[2]])
-            + 2.0 * gamma)
+        codeword_rate_z = mutual_information(ext.joint, [x], [z]) + 2.0 * gamma
     if codeword_rate_y is None:
-        codeword_rate_y = (
-            mutual_information(ext.joint, [names[0], names[2]], [names[1]])
-            + 2.0 * gamma)
-    tables = _cascade_tables(target, ext)
-    num_z_labels = tables[0].shape[2]
+        codeword_rate_y = (mutual_information(ext.joint, [x, z], [y])
+                           + 2.0 * gamma)
     params_y = CodebookParams(n=n, bin_rate=rate12 - rate23,
                               codeword_rate=codeword_rate_y,
                               delta=delta, seed=seed)
     params_z = CodebookParams(n=n, bin_rate=rate23,
                               codeword_rate=codeword_rate_z,
                               delta=delta, seed=seed)
-    if engine == "auto":
-        cost = (params_y.num_codewords + params_z.num_codewords) * n
-        engine = "explicit" if cost <= EXPLICIT_AUTO_BUDGET else "sampled"
-    if engine == "sampled" and num_z_labels != 1:
-        raise ProtocolError(
-            "the sampled engine supports cascade only with a degenerate "
-            "relay label (single Z symbol); use the explicit engine")
+    engine = _auto_engine(
+        engine, (params_y.num_codewords + params_z.num_codewords) * n)
+    return _simulate(target, ext, params_y, params_z, rate12, rate23, mults,
+                     gamma, engine, trials, threads)
+
+
+def _simulate(target, ext, params_y, params_z, rate12, rate23, mults, gamma,
+              engine, trials, threads) -> list:
+    """The one simulation core: ``trials`` cascade traces of one code."""
+    tables = _tables(target, ext)
+    p_xyz = tables.p_xyz
     if engine == "explicit":
-        p_xyz = tables[0]
         cb_y = build_codebook(params_y, p_xyz.sum(axis=(0, 2)), role=0)
         cb_z = build_codebook(params_z, p_xyz.sum(axis=(0, 1)), role=1)
-        runner = lambda t: _explicit_cascade_trial(
-            cb_y, cb_z, tables, gamma, params_y, params_z, t,
-            rate12, rate23, mults)
+        marginals = (p_xyz.sum(axis=(1, 2)), p_xyz.sum(axis=(0, 1)),
+                     p_xyz.sum(axis=0).T.copy())
+        outcome = lambda t: _explicit_trial(cb_y, cb_z, p_xyz, marginals,
+                                            mults, t)
     elif engine == "sampled":
-        runner = lambda t: _sampled_cascade_degenerate_trial(
-            tables, gamma, params_y, params_z, t, rate12, rate23, mults)
+        if p_xyz.shape[2] != 1:
+            raise ProtocolError(
+                "the sampled engine supports cascade only with a degenerate "
+                "relay label (single Z symbol); use the explicit engine")
+        outcome = lambda t: _sampled_trial(p_xyz, params_y, params_z, mults,
+                                           t)
     else:
         raise ProtocolError(f"unknown engine {engine!r}")
+    fixed = dict(n=params_y.n, seed=params_y.seed, engine=engine,
+                 rate=rate12, codeword_rate=params_y.codeword_rate,
+                 rate23=rate23)
+
+    def runner(trial: int) -> SimulationTrace:
+        counts, fields = outcome(trial)
+        return _finish_trace(counts, tables, gamma, trial=trial, **fixed,
+                             **fields)
     return _run_trials(runner, trials, threads)
 
 
-def _finish_cascade_trace(counts3, x_seq, y_seq, z_seq, bar_z_seq, tables,
-                          gamma, n, meta) -> SimulationTrace:
-    p_xyz, a_mats, b_mats, c_mats, etas, omega = tables
-    freq = counts3 / n
-    da, db, dc = (a_mats[0].shape[0], b_mats[0].shape[0], c_mats[0].shape[0])
-    rho = np.zeros((da * db * dc, da * db * dc), dtype=complex)
-    for a in range(freq.shape[0]):
-        for y in range(freq.shape[1]):
-            for z in range(freq.shape[2]):
-                if freq[a, y, z] > 0:
-                    rho += freq[a, y, z] * np.kron(
-                        np.kron(a_mats[a], b_mats[y]), c_mats[z])
-    px_hat = freq.sum(axis=(1, 2))
-    tau = sum(px_hat[a] * np.kron(a_mats[a], etas[a])
-              for a in range(freq.shape[0]))
-    d_target = trace_norm_distance(rho, omega)
-    d_tau = trace_norm_distance(rho, tau)
-    g_typ = bool(0.5 * np.abs(freq - p_xyz).sum() < gamma)
-    bound_ok = bool(d_tau <= gamma) if g_typ else None
-    return SimulationTrace(
-        n=n, seed=meta["seed"], trial=meta["trial"], engine=meta["engine"],
-        x_seq=x_seq, b_label_seq=y_seq, ell=meta["ell"], m12=meta["m12"],
-        ell_hat=meta["ell_hat"], x_typical=meta["x_typical"],
-        encoder_fallback=meta["enc_fb"], decoder_fallback=meta["dec_fb"],
-        joint_counts=counts3, avg_state=DensityOperator(rho),
-        distance_to_target=d_target, distance_to_tau=d_tau,
-        gamma_radius=gamma, gamma_typical=g_typ, block_bound_ok=bound_ok,
-        rate=meta["rate"], codeword_rate=meta["r0"],
-        rate23=meta["rate23"], c_label_seq=z_seq, bar_z_seq=bar_z_seq,
-        ell2=meta["ell2"], m23=meta["m23"], ell_hat2=meta["ell_hat2"],
-        ell_tilde2=meta["ell_tilde2"], index_match=meta["index_match"])
+def _run_trials(runner, trials: int, threads: int) -> list:
+    if threads and threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(runner, range(trials)))
+    return [runner(t) for t in range(trials)]
 
 
-def _explicit_cascade_trial(cb_y: Codebook, cb_z: Codebook, tables, gamma,
-                            params_y, params_z, trial, rate12, rate23,
-                            mults=(1.0, 2.0, 8.0)) -> SimulationTrace:
-    p_xyz = tables[0]
-    px = p_xyz.sum(axis=(1, 2))
-    p_z = p_xyz.sum(axis=(0, 1))
-    p_yz = p_xyz.sum(axis=0)
-    n = params_y.n
-    rng = _rng(params_y.seed, _KEY_TRIAL, trial, 0)
+def _explicit_trial(cb_y: Codebook, cb_z: Codebook, p_xyz, marginals,
+                    mults, trial: int):
+    px, p_z, p_zy = marginals
+    n, delta = cb_y.params.n, cb_y.params.delta
+    rng = _rng(cb_y.params.seed, _KEY_TRIAL, trial, 0)
     x_seq = sampling.sample_iid(rng, px, n)
     x_counts = np.bincount(x_seq, minlength=px.size)
     x_typical = bool(0.5 * np.abs(x_counts / n - px).sum()
-                     < mults[0] * params_y.delta)
-    enc_fb = False
+                     < mults[0] * delta)
+    ell, ell2, m12, m23, enc_fb = 0, 0, 0, 0, True
     if x_typical:
         pair = _first_typical_pair(cb_y.codewords, cb_z.codewords, x_seq,
-                                   p_xyz, mults[1] * params_y.delta)
-        if pair is None:
-            ell, ell2, enc_fb = 0, 0, True
-        else:
-            ell, ell2 = pair
-        m12 = int(cb_y.bins[ell])
-        m23_msg = int(cb_z.bins[ell2])
-    else:
-        ell, ell2, enc_fb = 0, 0, True
-        m12, m23_msg = 0, 0
-    # Bob stage (i): recover the relay codeword, forward its bin message
-    ell_hat2, dec_fb2 = decode_generic(cb_z, p_z, mults[2] * params_z.delta,
-                                       m23_msg)
-    bar_z_seq = cb_z.codewords[ell_hat2]
+                                   p_xyz, mults[1] * delta)
+        if pair is not None:
+            (ell, ell2), enc_fb = pair, False
+        m12, m23 = int(cb_y.bins[ell]), int(cb_z.bins[ell2])
+    # Bob stage (i) recovers the relay codeword; Charlie runs the same pure
+    # rule on the forwarded message, so one call serves both
+    ell_hat2, dec_fb2 = decode_generic(cb_z, p_z, mults[2] * delta, m23)
+    z_seq = cb_z.codewords[ell_hat2]
     # Bob stage (ii): recover his own codeword against the relay context
-    p_zy = p_yz.T.copy()
-    ell_hat, dec_fb = decode_generic(cb_y, p_zy, mults[2] * params_y.delta,
-                                     m12, y_seq=bar_z_seq)
+    ell_hat, dec_fb = decode_generic(cb_y, p_zy, mults[2] * delta, m12,
+                                     y_seq=z_seq)
     y_seq = cb_y.codewords[ell_hat]
-    # Charlie runs the same recovery rule on the forwarded message
-    ell_tilde2, dec_fb3 = decode_generic(cb_z, p_z, mults[2] * params_z.delta,
-                                         m23_msg)
-    z_seq = cb_z.codewords[ell_tilde2]
-    counts3 = np.zeros_like(p_xyz)
-    np.add.at(counts3, (x_seq, y_seq, z_seq), 1.0)
-    meta = dict(seed=params_y.seed, trial=trial, engine="explicit",
-                ell=ell, m12=m12, ell_hat=ell_hat,
-                x_typical=x_typical, enc_fb=enc_fb or not x_typical,
-                dec_fb=dec_fb or dec_fb2 or dec_fb3,
-                rate=rate12, r0=params_y.codeword_rate, rate23=rate23,
-                ell2=ell2, m23=m23_msg, ell_hat2=ell_hat2,
-                ell_tilde2=ell_tilde2,
-                index_match=bool(ell_hat2 == ell_tilde2))
-    return _finish_cascade_trace(counts3, x_seq, y_seq, z_seq, bar_z_seq,
-                                 tables, gamma, n, meta)
+    _, num_y, num_z = p_xyz.shape
+    cells = (x_seq.astype(np.int64) * num_y + y_seq) * num_z + z_seq
+    counts = np.bincount(cells, minlength=p_xyz.size).reshape(p_xyz.shape)
+    return counts.astype(float), dict(
+        x_seq=x_seq, b_label_seq=y_seq, c_label_seq=z_seq, bar_z_seq=z_seq,
+        ell=ell, m12=m12, ell_hat=ell_hat, x_typical=x_typical,
+        encoder_fallback=enc_fb, decoder_fallback=dec_fb or dec_fb2,
+        ell2=ell2, m23=m23, ell_hat2=ell_hat2, ell_tilde2=ell_hat2,
+        index_match=True)
 
 
-def _sampled_cascade_degenerate_trial(tables, gamma, params_y, params_z,
-                                      trial, rate12, rate23,
-                                      mults=(1.0, 2.0, 8.0)
-                                      ) -> SimulationTrace:
-    """Degenerate relay: the Z label is constant, so the Y side is exactly
-    the two-node trial; the relay draws live on separate streams."""
-    p_xyz = tables[0]
-    p_xy = p_xyz[:, :, 0]
-    rng = _rng(params_y.seed, _KEY_TRIAL, trial, 0)
-    bin_rng = _bigint_rng(params_y.seed, _KEY_TRIAL, trial, 1)
+def _sampled_trial(p_xyz, params_y, params_z, mults, trial: int):
+    """Trivial relay: the Z label is constant, so the Y side is exactly
+    the two-node trial; the relay bin message lives on its own stream."""
+    n, seed = params_y.n, params_y.seed
+    rng = _rng(seed, _KEY_TRIAL, trial, 0)
+    bin_rng = _bigint_rng(seed, _KEY_TRIAL, trial, 1)
     raw = sampling.sample_two_node_trial(
-        rng, bin_rng, p_xy, params_y.n, params_y.delta,
+        rng, bin_rng, p_xyz[:, :, 0], n, params_y.delta,
         params_y.num_codewords, params_y.num_bins,
         source_mult=mults[0], encode_mult=mults[1], decode_mult=mults[2])
-    aux_bins = _bigint_rng(params_y.seed, _KEY_TRIAL, trial, 3)
+    m23 = 0
     if raw.x_typical:
-        m23_msg = aux_bins.randrange(params_z.num_bins)
-    else:
-        m23_msg = 0
-    n = params_y.n
+        m23 = _bigint_rng(seed, _KEY_TRIAL, trial, 3).randrange(
+            params_z.num_bins)
     z_seq = np.zeros(n, dtype=np.int8)
-    counts3 = raw.counts.astype(float)[:, :, None]
-    meta = dict(seed=params_y.seed, trial=trial, engine="sampled",
-                ell=raw.ell, m12=raw.m12, ell_hat=raw.ell_hat,
-                x_typical=raw.x_typical,
-                enc_fb=raw.encoder_fallback or not raw.x_typical,
-                dec_fb=raw.decoder_fallback,
-                rate=rate12, r0=params_y.codeword_rate, rate23=rate23,
-                ell2=0, m23=m23_msg, ell_hat2=0, ell_tilde2=0,
-                index_match=True)
-    return _finish_cascade_trace(counts3, raw.x_seq, raw.u_seq, z_seq,
-                                 z_seq, tables, gamma, n, meta)
+    return raw.counts.astype(float)[:, :, None], dict(
+        x_seq=raw.x_seq, b_label_seq=raw.u_seq, c_label_seq=z_seq,
+        bar_z_seq=z_seq, ell=raw.ell, m12=raw.m12, ell_hat=raw.ell_hat,
+        x_typical=raw.x_typical,
+        encoder_fallback=raw.encoder_fallback or not raw.x_typical,
+        decoder_fallback=raw.decoder_fallback, ell2=0, m23=m23, ell_hat2=0,
+        ell_tilde2=0, index_match=True)
+
+
+def _finish_trace(counts, tables: _Tables, gamma, **fields) -> SimulationTrace:
+    """Averaged state, distances and the block-bound check of one trial."""
+    freq = counts / fields["n"]
+    rho = _mixture(freq, tables.k)
+    px_hat = freq.sum(axis=(1, 2))
+    tau = sum(px_hat[a] * tables.t[a] for a in range(freq.shape[0]))
+    d_tau = trace_norm_distance(rho, tau)
+    g_typ = bool(0.5 * np.abs(freq - tables.p_xyz).sum() < gamma)
+    return SimulationTrace(
+        joint_counts=counts, avg_state=DensityOperator(rho),
+        distance_to_target=trace_norm_distance(rho, tables.omega),
+        distance_to_tau=d_tau, gamma_radius=gamma, gamma_typical=g_typ,
+        block_bound_ok=bool(d_tau <= gamma) if g_typ else None, **fields)
 
 
 # ----------------------------------------------------------------------
@@ -785,65 +663,35 @@ def converse_check(traces: Sequence[SimulationTrace], target: CqEnsemble,
     """
     if not traces:
         raise ProtocolError("converse_check needs at least one trace")
-    from .classical import mutual_information
+    if ext.kind != "two-node" and rate23 is None:
+        raise ProtocolError("cascade converse needs rate23")
+    tables = _tables(target, ext)
     counts = np.mean([t.joint_counts for t in traces], axis=0)
-    n = traces[0].n
-    freq = counts / n
-    cascade = freq.ndim == 3
-    a_mats = [a.matrix for a in ext.atoms_a]
-    b_diag = np.array([np.real(np.diag(b.matrix)) for b in ext.atoms_b])
+    freq = counts.reshape(tables.p_xyz.shape) / traces[0].n
     px = target.source.table
     num_x = freq.shape[0]
-    dim_b = b_diag.shape[1]
-
-    if not cascade:
-        p_joint, a_mats2, b_mats, etas, _ = _two_node_tables(target, ext)
-        eps = 0.0
-        for a in range(num_x):
-            block = sum(freq[a, u] * np.kron(a_mats[a], b_mats[u])
-                        for u in range(freq.shape[1]))
-            eps += trace_norm_distance(block, px[a] * np.kron(a_mats[a],
-                                                              etas[a]))
-        alpha = alpha_n(eps, num_x, dim_b)
-        slack_alpha = max(alpha, 0.0)
-        meas = np.einsum("xu,ub->xb", freq, b_diag)
-        x_alpha = Alphabet("X", [f"x{i}" for i in range(num_x)])
-        y_alpha = Alphabet("Yb", [f"b{i}" for i in range(dim_b)])
-        meas_pmf = JointPmf([x_alpha, y_alpha], meas / meas.sum())
-        mi = mutual_information(meas_pmf, ["X"], ["Yb"])
-        iq = [ConverseInequality("I(X;Y) <= R + alpha + slack",
-                                 mi, rate, slack_alpha + slack)]
-        return ConverseReport(iq, eps, alpha, meas_pmf)
-
-    if rate23 is None:
-        raise ProtocolError("cascade converse needs rate23")
-    c_diag = np.array([np.real(np.diag(c.matrix)) for c in ext.atoms_c])
-    dim_c = c_diag.shape[1]
-    _, a_mats2, b_mats, c_mats, etas, _ = _cascade_tables(target, ext)
-    eps = 0.0
-    for a in range(num_x):
-        block = np.zeros_like(np.kron(np.kron(a_mats[a], b_mats[0]),
-                                      c_mats[0]))
-        for y in range(freq.shape[1]):
-            for z in range(freq.shape[2]):
-                if freq[a, y, z] > 0:
-                    block = block + freq[a, y, z] * np.kron(
-                        np.kron(a_mats[a], b_mats[y]), c_mats[z])
-        eps += trace_norm_distance(block,
-                                   px[a] * np.kron(a_mats[a], etas[a]))
+    eps = sum(trace_norm_distance(_mixture(freq[a], tables.k[a]),
+                                  px[a] * tables.t[a])
+              for a in range(num_x))
+    _, atoms_c = ext.as_cascade()
+    b_diag = np.array([np.real(np.diag(b.matrix)) for b in ext.atoms_b])
+    c_diag = np.array([np.real(np.diag(c.matrix)) for c in atoms_c])
+    dim_b, dim_c = b_diag.shape[1], c_diag.shape[1]
     alpha = alpha_n(eps, num_x, dim_b, dim_c)
-    slack_alpha = max(alpha, 0.0)
+    bounded = max(alpha, 0.0) + slack
     meas = np.einsum("xyz,yb,zc->xbc", freq, b_diag, c_diag)
-    x_alpha = Alphabet("X", [f"x{i}" for i in range(num_x)])
-    yb = Alphabet("Yb", [f"b{i}" for i in range(dim_b)])
-    zc = Alphabet("Zc", [f"c{i}" for i in range(dim_c)])
-    meas_pmf = JointPmf([x_alpha, yb, zc], meas / meas.sum())
-    iq = [
-        ConverseInequality("I(X;YZ) <= R12 + alpha + slack",
-                           mutual_information(meas_pmf, ["X"], ["Yb", "Zc"]),
-                           rate, slack_alpha + slack),
-        ConverseInequality("I(X;Z) <= R23 + alpha + slack",
-                           mutual_information(meas_pmf, ["X"], ["Zc"]),
-                           rate23, slack_alpha + slack),
-    ]
+    axes = [Alphabet("X", [f"x{i}" for i in range(num_x)]),
+            Alphabet("Yb", [f"b{i}" for i in range(dim_b)]),
+            Alphabet("Zc", [f"c{i}" for i in range(dim_c)])]
+    if ext.kind == "two-node":
+        # the trivial relay adds no measured label and no second link
+        meas_pmf = JointPmf(axes[:2], meas[:, :, 0] / meas.sum())
+        links = [("I(X;Y) <= R + alpha + slack", ["Yb"], rate)]
+    else:
+        meas_pmf = JointPmf(axes, meas / meas.sum())
+        links = [("I(X;YZ) <= R12 + alpha + slack", ["Yb", "Zc"], rate),
+                 ("I(X;Z) <= R23 + alpha + slack", ["Zc"], rate23)]
+    iq = [ConverseInequality(name, mutual_information(meas_pmf, ["X"], labels),
+                             bound, bounded)
+          for name, labels, bound in links]
     return ConverseReport(iq, eps, alpha, meas_pmf)

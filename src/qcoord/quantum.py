@@ -97,9 +97,6 @@ class DensityOperator:
         v[index] = 1.0
         return cls.pure(v, label)
 
-    def close_to(self, other: "DensityOperator", tol: float = 1e-9) -> bool:
-        return self.dim == other.dim and trace_distance(self, other) <= tol
-
     def __repr__(self):
         return f"DensityOperator(dim={self.dim}, label={self.label!r})"
 

@@ -19,7 +19,8 @@ joint-type grid (per-source-symbol count compositions); this is exact,
 not an asymptotic approximation.  Bins are drawn independently per
 codeword index.  The grid is feasible for small label alphabets only
 (the criterion runs use binary labels); larger products raise
-GridTooLarge and callers fall back to the explicit engine.
+GridTooLarge, which the CLI reports as a resource error (exit 5).  Pick
+``engine="explicit"`` or smaller alphabets or blocklengths instead.
 """
 
 from __future__ import annotations
@@ -215,7 +216,6 @@ class SampledTrial:
     ell_hat: int
     encoder_fallback: bool
     decoder_fallback: bool
-    decode_correct: bool
 
 
 def sample_two_node_trial(rng: np.random.Generator, bin_rng,
@@ -267,7 +267,7 @@ def sample_two_node_trial(rng: np.random.Generator, bin_rng,
                     cls = mask_ne_nd if mask_ne_nd.any() else not_e
                     ell_hat, dec_fb = 0, True
             return _finish(rng, x_seq, x_typical, ell, m12, ell_hat,
-                           encoder_fallback, dec_fb, False, grid, cls)
+                           encoder_fallback, dec_fb, grid, cls)
         ell = fails
         encoder_fallback = False
         m12 = bin_rng.randrange(num_bins)
@@ -279,9 +279,9 @@ def sample_two_node_trial(rng: np.random.Generator, bin_rng,
         if g is not None and g < ell:
             # an earlier codeword in the same bin looked typical first
             return _finish(rng, x_seq, x_typical, ell, m12, g,
-                           False, False, False, grid, mask_ne_d)
+                           False, False, grid, mask_ne_d)
         return _finish(rng, x_seq, x_typical, ell, m12, ell,
-                       False, False, True, grid, grid.mask_e)
+                       False, False, grid, grid.mask_e)
 
     # atypical source sequence: arbitrary transmission on bin 0
     ell, m12 = 0, 0
@@ -290,7 +290,7 @@ def sample_two_node_trial(rng: np.random.Generator, bin_rng,
     g = geometric_failures(rng.random(), log_r)
     if g is not None and g < num_codewords:
         return _finish(rng, x_seq, x_typical, ell, m12, g,
-                       True, False, False, grid, grid.mask_d)
+                       True, False, grid, grid.mask_d)
     p_d = math.exp(log_d) if math.isfinite(log_d) else 0.0
     inv_m = 1.0 / num_bins if num_bins < 2 ** 52 else 0.0
     p_d0 = p_d * (1 - inv_m) / (1 - p_d * inv_m) if p_d * inv_m < 1 else 1.0
@@ -300,15 +300,14 @@ def sample_two_node_trial(rng: np.random.Generator, bin_rng,
     else:
         cls = not_d
     return _finish(rng, x_seq, x_typical, ell, m12, 0,
-                   True, True, False, grid, cls)
+                   True, True, grid, cls)
 
 
 def _finish(rng, x_seq, x_typical, ell, m12, ell_hat, enc_fb, dec_fb,
-            correct, grid, cls_mask) -> SampledTrial:
+            grid, cls_mask) -> SampledTrial:
     counts = grid.sample_counts(rng, cls_mask)
     u_seq = arrange_within_rows(rng, x_seq, counts)
     return SampledTrial(
         x_seq=x_seq, u_seq=u_seq, counts=counts, x_typical=x_typical,
         ell=int(ell), m12=int(m12), ell_hat=int(ell_hat),
-        encoder_fallback=bool(enc_fb), decoder_fallback=bool(dec_fb),
-        decode_correct=bool(correct))
+        encoder_fallback=bool(enc_fb), decoder_fallback=bool(dec_fb))

@@ -356,3 +356,66 @@ class TestPhaseFlipBlocks:
     def test_rejects_bad_probability(self):
         with pytest.raises(ConfigError):
             phase_flip_blocks(1.5)
+
+
+class TestCliCommandsAgree:
+    def test_sweep_honours_optimize_max_iters(self, tmp_path):
+        # a truncated solve (max_iters=5) stops short of the converged value,
+        # so a sweep that dropped max_iters would report a different number
+        cfg = json.loads(open(config_path("example1_optimize.json")).read())
+        cfg["optimize"]["max_iters"] = 5
+        path = tmp_path / "optimize.json"
+        path.write_text(json.dumps(cfg))
+        sweep = dict(cfg, command="sweep",
+                     sweep={"path": ["optimize", "max_merge_order"],
+                            "values": [cfg["optimize"]["max_merge_order"]],
+                            "command": "optimize"})
+        sweep_path = tmp_path / "sweep.json"
+        sweep_path.write_text(json.dumps(sweep))
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main(["--config", str(path), "--out", str(out1),
+                     "--quiet"]) == EXIT_OK
+        assert main(["--config", str(sweep_path), "--out", str(out2),
+                     "--quiet"]) == EXIT_OK
+        optimized = read_csv(out1 / "optimize.csv").splitlines()[1]
+        swept = read_csv(out2 / "sweep.csv").splitlines()[1]
+        assert swept.split(",")[2] == optimized.split(",")[2]
+
+    def test_derandomize_threads_do_not_change_output(self, tmp_path,
+                                                      monkeypatch):
+        from qcoord import cli
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("threads"))
+            return real(*args, **kwargs)
+        real = cli.derandomize
+        monkeypatch.setattr(cli, "derandomize", spy)
+        cfg = json.loads(open(config_path("example1_derandomize.json")).read())
+        cfg["simulate"].update(n_grid=[200], trials=6, engine="sampled")
+        cfg["derandomize"]["num_seeds"] = 3
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out1, out2 = tmp_path / "t1", tmp_path / "t4"
+        for out, threads in ((out1, "1"), (out2, "4")):
+            assert main(["--config", str(path), "--out", str(out),
+                         "--threads", threads, "--quiet"]) == EXIT_OK
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["threads"] == int(threads)
+        assert seen == [1, 4]
+        for name in ("derandomize.csv", "derandomize_summary.csv"):
+            assert read_csv(out1 / name) == read_csv(out2 / name)
+
+    def test_over_budget_type_grid_is_a_resource_error(self, tmp_path,
+                                                       capsys):
+        # the three-symbol copy target at n=400 needs a ~5e11-cell grid
+        cfg = json.loads(
+            open(config_path("example1_decomposition_a.json")).read())
+        cfg["command"] = "simulate"
+        cfg["simulate"] = {"n_grid": [400], "rates": [1.6], "trials": 2,
+                           "delta": 0.02, "seed": 0, "engine": "auto"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == EXIT_RESOURCE
+        assert "type grid" in capsys.readouterr().err

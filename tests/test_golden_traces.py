@@ -19,23 +19,17 @@ import sys
 import numpy as np
 import pytest
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-
-from qcoord.classical import Alphabet, JointPmf, pmf_from_assignments  # noqa: E402
-from qcoord.coordination import (  # noqa: E402
-    CqEnsemble,
-    Extension,
-    validate_extension,
-)
-from qcoord.protocol import (  # noqa: E402
+from qcoord.classical import Alphabet, JointPmf, pmf_from_assignments
+from qcoord.coordination import CqEnsemble, Extension, validate_extension
+from qcoord.protocol import (
     converse_check,
     derandomize,
     simulate_cascade,
     simulate_two_node,
 )
-from qcoord.quantum import tensor  # noqa: E402
+from qcoord.quantum import tensor
 
-from conftest import ETA, KET0, KET1, KETP, cascade_flip_pair  # noqa: E402
+from conftest import ETA, KET0, KET1, KETP, cascade_flip_pair
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "golden")
