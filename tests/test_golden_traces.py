@@ -5,7 +5,8 @@ integer, boolean, string and sequence fields (indices, bins, fallbacks,
 seeds, counts) must match exactly, float fields (distances, rates, the
 averaged state, converse values) to ``FLOAT_TOL``.  The pins cover both
 engines on the two-node network, ``derandomize``, an explicit cascade and
-a sampled isolated-node run, plus ``converse_check`` on each.
+a sampled isolated-node run, the sampled three-symbol copy target, plus
+``converse_check`` on each.
 
 Regenerate only for an intended change of behaviour, and record why:
 
@@ -57,6 +58,22 @@ def example1():
     return ens, ext
 
 
+def three_symbol():
+    """The same qubit pair with p_X = (1/2, 1/4, 1/4) and the copy Y = X."""
+    x = Alphabet("X", ["x0", "x1", "x2"])
+    y = Alphabet("Y", ["y0", "y1", "y2"])
+    ens = CqEnsemble(
+        JointPmf([x], [0.5, 0.25, 0.25]),
+        [tensor(KET0, KET0), tensor(KET1, KET0), tensor(KET1, KETP)],
+        {"A": 2, "B": 2})
+    joint = pmf_from_assignments([x, y], {
+        ("x0", "y0"): 0.5, ("x1", "y1"): 0.25, ("x2", "y2"): 0.25})
+    ext = Extension(joint, [KET0, KET1, KET1], [KET0, KET0, KETP],
+                    kind="two-node")
+    assert validate_extension(ext, ens).passed
+    return ens, ext
+
+
 def isolated_pair():
     """The pair of ``TestIsolatedNodeSimulation``: C holds a fixed |+>."""
     x = Alphabet("X", ["x0", "x1"])
@@ -90,6 +107,16 @@ def _two_node_sampled():
                                seed=5, delta=0.02, engine="sampled")
     return {"traces": [traces],
             "converse": [converse_check(traces, ens, ext, rate=0.46)]}
+
+
+def _three_symbol_sampled():
+    # three-row type grids of about 1e6 cells; a third of the sources are
+    # atypical, so both the encode class and the whole-grid class are drawn
+    ens, ext = three_symbol()
+    traces = simulate_two_node(ens, ext, n=40, rate=1.6, trials=24,
+                               seed=7, delta=0.1, engine="sampled")
+    return {"traces": [traces],
+            "converse": [converse_check(traces, ens, ext, rate=1.6)]}
 
 
 def _derandomize():
@@ -134,6 +161,7 @@ RUNS = {f"two_node_explicit_n{n}": (lambda n=n: _two_node_explicit(n))
         for n in range(2, 7)}
 RUNS.update({
     "two_node_sampled_n800": _two_node_sampled,
+    "three_symbol_sampled_n40": _three_symbol_sampled,
     "derandomize_3x10": _derandomize,
     "cascade_flip_explicit_n32": _cascade_explicit,
     "isolated_sampled_n400": _isolated_sampled,
