@@ -20,7 +20,12 @@ import sys
 import numpy as np
 import pytest
 
-from qcoord.classical import Alphabet, JointPmf, pmf_from_assignments
+from qcoord.classical import (
+    Alphabet,
+    JointPmf,
+    ToleranceSchedule,
+    pmf_from_assignments,
+)
 from qcoord.coordination import CqEnsemble, Extension, validate_extension
 from qcoord.protocol import (
     converse_check,
@@ -109,6 +114,38 @@ def _two_node_sampled():
             "converse": [converse_check(traces, ens, ext, rate=0.46)]}
 
 
+def _sampled_confusion():
+    # typical sources whose first jointly typical codeword loses to an
+    # earlier codeword in its bin (few bins)
+    ens, ext = example1()
+    traces = simulate_two_node(ens, ext, n=200, rate=0.1, trials=30, seed=3,
+                               delta=0.02, engine="sampled")
+    return {"traces": [traces],
+            "converse": [converse_check(traces, ens, ext, rate=0.1)]}
+
+
+def _sampled_fallbacks():
+    # few codewords and a tight decode radius: encoder fallbacks with and
+    # without an in-bin candidate, and atypical sources on both classes
+    ens, ext = example1()
+    traces = simulate_two_node(
+        ens, ext, n=30, rate=0.05, trials=60, seed=3, engine="sampled",
+        codeword_rate=0.05, schedule=ToleranceSchedule(0.05, (1.0, 2.0, 2.2)))
+    return {"traces": [traces],
+            "converse": [converse_check(traces, ens, ext, rate=0.05)]}
+
+
+def _three_symbol_fallbacks():
+    # few codewords: atypical sources lose the race, and the decode radius
+    # covers the whole grid, so the not-decodable class falls back to it
+    ens, ext = three_symbol()
+    traces = simulate_two_node(ens, ext, n=12, rate=0.3, trials=40, seed=3,
+                               delta=0.1, engine="sampled",
+                               codeword_rate=0.3)
+    return {"traces": [traces],
+            "converse": [converse_check(traces, ens, ext, rate=0.3)]}
+
+
 def _three_symbol_sampled():
     # three-row type grids of about 1e6 cells; a third of the sources are
     # atypical, so both the encode class and the whole-grid class are drawn
@@ -162,6 +199,9 @@ RUNS = {f"two_node_explicit_n{n}": (lambda n=n: _two_node_explicit(n))
 RUNS.update({
     "two_node_sampled_n800": _two_node_sampled,
     "three_symbol_sampled_n40": _three_symbol_sampled,
+    "three_symbol_sampled_fallbacks_n12": _three_symbol_fallbacks,
+    "two_node_sampled_confusion_n200": _sampled_confusion,
+    "two_node_sampled_fallbacks_n30": _sampled_fallbacks,
     "derandomize_3x10": _derandomize,
     "cascade_flip_explicit_n32": _cascade_explicit,
     "isolated_sampled_n400": _isolated_sampled,
