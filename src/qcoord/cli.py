@@ -157,6 +157,10 @@ def _optimized(cfg: dict):
                    max_iters=int(block.get("max_iters", 10_000)))
     if not res.feasible:
         raise InfeasibleFailure(res.message)
+    if res.vertices_truncated:
+        print("warning: vertex enumeration stopped at its support limit; "
+              "the optimizer started from a partial vertex list",
+              file=sys.stderr)
     return kind, res
 
 

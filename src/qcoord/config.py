@@ -134,21 +134,33 @@ def phase_flip_blocks(p: float) -> dict:
     return {"ensemble": ensemble, "extension": extension}
 
 
+def _need(block, key: str, path: str):
+    """``block[key]``, or a ConfigError naming the missing ``path.key``."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{path} must be a JSON object")
+    if key not in block:
+        raise ConfigError(f"{path}.{key} is missing")
+    return block[key]
+
+
 def build_ensemble(cfg: dict) -> CqEnsemble:
     block = cfg.get("ensemble")
     if block is None:
         raise ConfigError("config has no ensemble block")
-    regs = block["registers"]
-    src = block["source"]
-    alpha = Alphabet(src.get("variable", "X"), src["symbols"])
-    source = JointPmf([alpha], np.asarray(src["probs"], dtype=float))
-    dims = [int(regs[r]) for r in regs]
+    regs = _need(block, "registers", "ensemble")
+    src = _need(block, "source", "ensemble")
+    symbols = _need(src, "symbols", "ensemble.source")
+    alpha = Alphabet(src.get("variable", "X"), symbols)
+    source = JointPmf([alpha], np.asarray(
+        _need(src, "probs", "ensemble.source"), dtype=float))
     states = []
-    for entry in block["states"]:
+    for i, entry in enumerate(_need(block, "states", "ensemble")):
         if "full" in entry:
             mat = matrix_from_literal(entry["full"])
         else:
-            parts = [matrix_from_literal(entry[r]) for r in regs]
+            parts = [matrix_from_literal(_need(entry, r,
+                                               f"ensemble.states[{i}]"))
+                     for r in regs]
             mat = parts[0]
             for part in parts[1:]:
                 mat = np.kron(mat, part)
@@ -179,23 +191,25 @@ def build_extension(cfg: dict, ensemble: CqEnsemble) -> Extension:
     if block is None:
         raise ConfigError("config has no extension block")
     kind = block.get("kind", "two-node")
-    labels = block["labels"]
+    labels = _need(block, "labels", "extension")
     x_alpha = ensemble.x_alphabet
-    variables = [x_alpha, Alphabet("Y", labels["Y"])]
-    if kind != "two-node":
-        variables.append(Alphabet("Z", labels["Z"]))
-    joint = JointPmf(variables, _joint_table(block["joint"], variables))
+    names = ["Y"] if kind == "two-node" else ["Y", "Z"]
+    variables = [x_alpha] + [Alphabet(v, _need(labels, v, "extension.labels"))
+                             for v in names]
+    joint = JointPmf(variables,
+                     _joint_table(_need(block, "joint", "extension"),
+                                  variables))
     if "atoms_a" in block:
         atoms_a = [DensityOperator(matrix_from_literal(m))
                    for m in block["atoms_a"]]
     else:
         atoms_a = [ensemble.a_part(i) for i in range(x_alpha.size)]
     atoms_b = [DensityOperator(matrix_from_literal(m))
-               for m in block["atoms_b"]]
+               for m in _need(block, "atoms_b", "extension")]
     atoms_c = None
     if kind != "two-node":
         atoms_c = [DensityOperator(matrix_from_literal(m))
-                   for m in block["atoms_c"]]
+                   for m in _need(block, "atoms_c", "extension")]
     try:
         return Extension(joint, atoms_a, atoms_b, atoms_c, kind=kind)
     except CoordinationError as exc:

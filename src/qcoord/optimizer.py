@@ -48,6 +48,7 @@ OBJ_TOL = 1e-9
 MAX_ITERS = 10_000
 DEDUP_TOL = 1e-9
 RESULT_VALIDATION_TOL = 1e-6
+MAX_SUPPORTS = 4096     # candidate supports tried per vertex enumeration
 
 _LOG2 = np.log(2.0)
 
@@ -82,6 +83,9 @@ class OptimizerResult:
     message: str = ""
     candidates: list = field(default_factory=list)
     certified_empty: bool = False
+    # vertex enumeration for the starting points stopped at its support
+    # limit, so the deterministic extra starts came from a partial list
+    vertices_truncated: bool = False
 
 
 def _dedup_atoms(atoms, provenance, tol=DEDUP_TOL):
@@ -208,8 +212,12 @@ def _feasible_point(a: np.ndarray, b: np.ndarray):
 
 
 def _polytope_vertices(a: np.ndarray, b: np.ndarray, tol=1e-9,
-                       max_supports: int = 4096):
-    """Basic feasible solutions of {Ap = b, p >= 0} (tiny systems only)."""
+                       max_supports: int = MAX_SUPPORTS):
+    """Basic feasible solutions of {Ap = b, p >= 0} (tiny systems only).
+
+    Returns ``(vertices, truncated)``; ``truncated`` says the scan stopped
+    after ``max_supports`` candidate supports, so the list may be partial.
+    """
     m = a.shape[1]
     rank = int(np.linalg.matrix_rank(a, tol=1e-10))
     verts = []
@@ -218,7 +226,7 @@ def _polytope_vertices(a: np.ndarray, b: np.ndarray, tol=1e-9,
         for cols in itertools.combinations(range(m), size):
             tried += 1
             if tried > max_supports:
-                return verts
+                return verts, True
             sub = a[:, cols]
             sol, *_ = np.linalg.lstsq(sub, b, rcond=None)
             if np.any(sol < -tol):
@@ -228,7 +236,7 @@ def _polytope_vertices(a: np.ndarray, b: np.ndarray, tol=1e-9,
             if np.linalg.norm(a @ full - b) <= max(tol, 1e-9):
                 if not any(np.max(np.abs(full - v)) < 1e-9 for v in verts):
                     verts.append(full)
-    return verts
+    return verts, False
 
 
 def _project_affine(a: np.ndarray, b: np.ndarray, p: np.ndarray,
@@ -459,12 +467,14 @@ def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
 
     systems, starts, residuals = [], [], []
     vertex_lists = []
+    truncated = False
     for i in range(nx):
         a, b = _feasibility_system(label_mats, etas[i])
         p0, resid = _feasible_point(a, b)
         systems.append((a, b))
         residuals.append(resid)
-        verts = _polytope_vertices(a, b)
+        verts, cut = _polytope_vertices(a, b)
+        truncated = truncated or cut
         vertex_lists.append(verts)
         if verts:
             starts.append(np.mean(verts, axis=0))
@@ -475,7 +485,7 @@ def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
         return OptimizerResult(
             feasible=False, value=np.inf, extension=None, conditional=None,
             iterations=0, objective_trace=[], max_residual=max_resid,
-            atoms=atoms,
+            atoms=atoms, vertices_truncated=truncated,
             message="atom set infeasible for this target "
                     f"(max residual {max_resid:.3e})")
 
@@ -510,7 +520,7 @@ def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
         return OptimizerResult(
             feasible=False, value=np.inf, extension=None, conditional=table,
             iterations=iters, objective_trace=trace, max_residual=final_resid,
-            atoms=atoms,
+            atoms=atoms, vertices_truncated=truncated,
             message="solution failed validation:\n" + str(report))
     rate_point = cascade_rate_point(ext) if kind == "cascade" else None
     value_bits = (two_node_rate(ext) if kind == "two-node"
@@ -518,7 +528,8 @@ def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
     return OptimizerResult(
         feasible=True, value=float(value_bits), extension=ext,
         conditional=table, iterations=iters, objective_trace=trace,
-        max_residual=final_resid, atoms=atoms, rate_point=rate_point)
+        max_residual=final_resid, atoms=atoms, rate_point=rate_point,
+        vertices_truncated=truncated)
 
 
 def _build_extension(target, atoms, kind, table) -> Extension:
@@ -594,12 +605,14 @@ def _minimize_isolated(target, atoms, feas_tol, obj_tol, max_iters):
             feasible=False, value=np.inf, extension=None, conditional=table,
             iterations=two.iterations, objective_trace=two.objective_trace,
             max_residual=max(two.max_residual, resid_c), atoms=full_atoms,
+            vertices_truncated=two.vertices_truncated,
             message="solution failed validation:\n" + str(report))
     return OptimizerResult(
         feasible=True, value=isolated_rate(ext), extension=ext,
         conditional=table, iterations=two.iterations,
         objective_trace=two.objective_trace,
-        max_residual=max(two.max_residual, resid_c), atoms=full_atoms)
+        max_residual=max(two.max_residual, resid_c), atoms=full_atoms,
+        vertices_truncated=two.vertices_truncated)
 
 
 def _as_two_node_target(target: CqEnsemble) -> CqEnsemble:

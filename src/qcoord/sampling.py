@@ -21,11 +21,27 @@ codeword index.  The grid is feasible for small label alphabets only
 (the criterion runs use binary labels); larger products raise
 GridTooLarge, which the CLI reports as a resource error (exit 5).  Pick
 ``engine="explicit"`` or smaller alphabets or blocklengths instead.
+
+A grid depends only on ``(x_counts, p_joint, encode_radius,
+decode_radius)``, not on the seed, the trial or the rates, and few source
+types recur across trials.  A process-wide, thread-safe LRU cache keeps
+one compact ``ClassSummary`` per such key: the four class log-probs a
+trial reads and the encode class's sampling table (flat cell indices and
+cumulative weights, about 1k cells at n=800).  The cache holds no grids
+and is bounded by ``SUMMARY_CACHE_BYTES`` (8 MiB) of summaries; a miss
+builds the grid once, checks that its total log-mass is 0 within
+``LOG_MASS_TOL`` and stores the summary.  A trial whose codeword falls in
+the encode class touches no grid; the rarer classes (in-bin confusion,
+encoder fallback, atypical source) rebuild the grid on demand.  Cached or
+rebuilt, every draw sees the same floats in the same order, so a fixed
+seed reproduces its trial bit for bit whatever the cache holds.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -34,10 +50,17 @@ import numpy as np
 from scipy.special import gammaln
 
 GRID_BUDGET = 4_000_000
+SUMMARY_CACHE_BYTES = 8 * 2 ** 20
+SUMMARY_OVERHEAD = 1024   # bytes charged per summary besides its table
+LOG_MASS_TOL = 1e-9
 
 
 class GridTooLarge(ValueError):
     """Joint-type grid exceeds the enumeration budget for these alphabets."""
+
+
+class GridMassError(ArithmeticError):
+    """A type grid's cell probabilities do not sum to one."""
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
@@ -71,11 +94,49 @@ def _row_cache(n_a: int, num_u: int, pu_key: tuple):
 
 
 def _logsumexp(values: np.ndarray) -> float:
-    finite = values[np.isfinite(values)]
-    if finite.size == 0:
+    """Over the finite entries; works in place on ``values``, a copy."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        values = values[finite]
+    if values.size == 0:
         return -math.inf
-    m = finite.max()
-    return float(m + math.log(np.exp(finite - m).sum()))
+    m = values.max()
+    values -= m
+    return float(m + math.log(np.exp(values, out=values).sum()))
+
+
+def _outer_sum(vectors) -> np.ndarray:
+    """``out[i, j, ...] = v0[i] + v1[j] + ...``, flattened in grid order."""
+    out = vectors[0] + 0
+    for v in vectors[1:]:
+        out = np.add.outer(out, v)
+    return out.ravel()
+
+
+def _class_table(logp: np.ndarray, mask: np.ndarray):
+    """Flat cell indices of a class and their cumulative weights."""
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        raise ValueError("cannot sample from an empty typicality class")
+    lp = logp[idx]
+    m = lp.max()
+    if not np.isfinite(m):
+        raise ValueError("typicality class has zero probability")
+    lp -= m   # in place: a class may span the whole grid
+    np.exp(lp, out=lp)
+    return idx, np.cumsum(lp, out=lp)
+
+
+def _draw_counts(rng: np.random.Generator, table, rows, shape) -> np.ndarray:
+    """Joint counts of one cell drawn from a class table (one uniform)."""
+    idx, c = table
+    k = np.searchsorted(c, rng.random() * c[-1], side="right")
+    pick = idx[int(k.clip(0, idx.size - 1))]
+    cell = np.unravel_index(pick, shape)
+    counts = np.zeros((len(rows), rows[0][0].shape[1]), dtype=np.int64)
+    for a, (comps, _) in enumerate(rows):
+        counts[a] = comps[cell[a]]
+    return counts
 
 
 class TypeGrid:
@@ -93,7 +154,7 @@ class TypeGrid:
         self.x_counts = np.asarray(x_counts, dtype=np.int64)
         self.p_joint = np.asarray(p_joint, dtype=float)
         self.num_x, self.num_u = self.p_joint.shape
-        self.n = int(self.x_counts.sum())
+        self.n = n = int(self.x_counts.sum())
         self.p_u = self.p_joint.sum(axis=0)
         sizes = []
         for n_a in self.x_counts:
@@ -109,29 +170,25 @@ class TypeGrid:
         pu_key = tuple(float(v) for v in self.p_u)
         self.rows = [_row_cache(int(n_a), self.num_u, pu_key)
                      for n_a in self.x_counts]
+        comps = [c for c, _ in self.rows]
 
-        logp = np.zeros(self.shape)
-        tv_joint = np.zeros(self.shape)
-        for a, (comps, lp) in enumerate(self.rows):
-            bshape = [1] * self.num_x
-            bshape[a] = comps.shape[0]
-            dev = np.abs(comps / self.n - self.p_joint[a]).sum(axis=1)
-            logp = logp + lp.reshape(bshape)
-            tv_joint = tv_joint + dev.reshape(bshape)
-        tv_joint = 0.5 * tv_joint
-        marg_dev = np.zeros(self.shape)
+        # log-probabilities and joint deviations are sums of per-row terms
+        self.logp = _outer_sum([lp for _, lp in self.rows])
+        tv_joint = _outer_sum([np.abs(c / n - self.p_joint[a]).sum(axis=1)
+                               for a, c in enumerate(comps)])
+        tv_joint *= 0.5
+        self.mask_e = tv_joint < encode_radius
+        del tv_joint
+        # the marginal test reads only the column sums: look each one up
+        # in a table of |s/n - p_u| over s = 0..n, one symbol at a time
+        small = np.int16 if n <= np.iinfo(np.int16).max else np.int32
+        tv_marg = np.zeros(self.logp.size)
         for u in range(self.num_u):
-            m_u = np.zeros(self.shape)
-            for a, (comps, _) in enumerate(self.rows):
-                bshape = [1] * self.num_x
-                bshape[a] = comps.shape[0]
-                m_u = m_u + comps[:, u].reshape(bshape)
-            marg_dev = marg_dev + np.abs(m_u / self.n - self.p_u[u])
-        tv_marg = 0.5 * marg_dev
-
-        self.logp = logp.ravel()
-        self.mask_e = (tv_joint < encode_radius).ravel()
-        self.mask_d = (tv_marg < decode_radius).ravel()
+            col = _outer_sum([c[:, u].astype(small) for c in comps])
+            tv_marg += np.abs(np.arange(n + 1) / n - self.p_u[u])[col]
+            del col
+        tv_marg *= 0.5
+        self.mask_d = tv_marg < decode_radius
 
     def log_prob(self, mask: np.ndarray) -> float:
         return _logsumexp(self.logp[mask])
@@ -139,21 +196,142 @@ class TypeGrid:
     def sample_counts(self, rng: np.random.Generator,
                       mask: np.ndarray) -> np.ndarray:
         """Draw a cell from the grid conditioned on ``mask``; returns counts."""
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            raise ValueError("cannot sample from an empty typicality class")
-        lp = self.logp[idx]
-        m = lp.max()
-        if not np.isfinite(m):
-            raise ValueError("typicality class has zero probability")
-        w = np.exp(lp - m)
-        c = np.cumsum(w)
-        pick = idx[int(np.searchsorted(c, rng.random() * c[-1], side="right").clip(0, idx.size - 1))]
-        cell = np.unravel_index(pick, self.shape)
-        counts = np.zeros((self.num_x, self.num_u), dtype=np.int64)
-        for a, (comps, _) in enumerate(self.rows):
-            counts[a] = comps[cell[a]]
-        return counts
+        return _draw_counts(rng, _class_table(self.logp, mask), self.rows,
+                            self.shape)
+
+    def class_mask(self, cls: str) -> np.ndarray:
+        """Mask of a named class of a trial (see ``sample_two_node_trial``).
+
+        ``ne_nd`` falls back to ``ne`` and ``nd`` to ``d`` when empty.
+        """
+        if cls == "ne_d":
+            return self.mask_d & ~self.mask_e
+        if cls == "ne_nd":
+            not_e = ~self.mask_e
+            mask = ~self.mask_d & not_e
+            return mask if mask.any() else not_e
+        if cls == "d":
+            return self.mask_d
+        if cls == "nd":
+            mask = ~self.mask_d
+            return mask if mask.any() else self.mask_d
+        raise ValueError(f"unknown typicality class {cls!r}")
+
+
+@dataclass(frozen=True)
+class ClassSummary:
+    """What a trial reads of one grid: class log-probs and the encode
+    class's sampling table, without the grid itself."""
+
+    log_e: float      # jointly typical codeword
+    log_ne: float     # not jointly typical
+    log_ne_d: float   # not jointly typical, marginally typical
+    log_d: float      # marginally typical
+    encode_table: Optional[tuple]   # (flat indices, cumulative weights)
+    rows: tuple
+    shape: tuple
+
+    @property
+    def nbytes(self) -> int:
+        table = self.encode_table or ()
+        return SUMMARY_OVERHEAD + sum(a.nbytes for a in table)
+
+    def sample_encode(self, rng: np.random.Generator) -> np.ndarray:
+        return _draw_counts(rng, self.encode_table, self.rows, self.shape)
+
+
+def _summarize(grid: TypeGrid) -> ClassSummary:
+    """The summary of ``grid``, after checking its total log-mass is 0."""
+    not_e = ~grid.mask_e
+    log_e = grid.log_prob(grid.mask_e)
+    log_ne = grid.log_prob(not_e)
+    total = float(np.logaddexp(log_e, log_ne))
+    if not abs(total) <= LOG_MASS_TOL:
+        raise GridMassError(
+            f"type grid for x counts {grid.x_counts.tolist()} has total "
+            f"log-mass {total!r}, not 0 within {LOG_MASS_TOL}")
+    encode_table = None
+    if math.isfinite(log_e):
+        idx, c = _class_table(grid.logp, grid.mask_e)
+        # flat indices fit int32: a grid has at most GRID_BUDGET cells
+        encode_table = (idx.astype(np.int32), c)
+    return ClassSummary(
+        log_e=log_e, log_ne=log_ne,
+        log_ne_d=grid.log_prob(grid.mask_d & not_e),
+        log_d=grid.log_prob(grid.mask_d), encode_table=encode_table,
+        rows=tuple(grid.rows), shape=grid.shape)
+
+
+CacheInfo = namedtuple("CacheInfo", "hits misses entries nbytes budget")
+
+
+class _SummaryCache:
+    """Least-recently-used summaries, bounded by their total bytes."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self._lock = threading.Lock()
+        self._entries = OrderedDict()
+        self._bytes = 0
+        self._hits = self._misses = 0
+
+    def get(self, key) -> Optional[ClassSummary]:
+        with self._lock:
+            summary = self._entries.get(key)
+            if summary is None:
+                self._misses += 1
+            else:
+                self._hits += 1
+                self._entries.move_to_end(key)
+            return summary
+
+    def put(self, key, summary: ClassSummary) -> None:
+        with self._lock:
+            if key in self._entries:
+                return
+            self._entries[key] = summary
+            self._bytes += summary.nbytes
+            while self._bytes > self.budget and len(self._entries) > 1:
+                _, old = self._entries.popitem(last=False)
+                self._bytes -= old.nbytes
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._bytes = self._hits = self._misses = 0
+
+    def info(self) -> CacheInfo:
+        with self._lock:
+            return CacheInfo(self._hits, self._misses, len(self._entries),
+                             self._bytes, self.budget)
+
+
+_SUMMARIES = _SummaryCache(SUMMARY_CACHE_BYTES)
+
+
+def class_summary(x_counts, p_joint: np.ndarray, encode_radius: float,
+                  decode_radius: float):
+    """``(summary, grid)`` of one key: ``grid`` is the grid a miss built,
+    for the trial to reuse, and ``None`` on a hit."""
+    p_joint = np.asarray(p_joint, dtype=float)
+    key = (tuple(int(v) for v in x_counts), p_joint.shape,
+           p_joint.tobytes(), float(encode_radius), float(decode_radius))
+    summary = _SUMMARIES.get(key)
+    if summary is not None:
+        return summary, None
+    grid = TypeGrid(x_counts, p_joint, encode_radius, decode_radius)
+    summary = _summarize(grid)
+    _SUMMARIES.put(key, summary)
+    return summary, grid
+
+
+def clear_summary_cache() -> None:
+    _SUMMARIES.clear()
+
+
+def summary_cache_info() -> CacheInfo:
+    """Hits and misses since the last clear, live entries and their bytes."""
+    return _SUMMARIES.info()
 
 
 def geometric_failures(u: float, log_p: float) -> Optional[int]:
@@ -229,6 +407,12 @@ def sample_two_node_trial(rng: np.random.Generator, bin_rng,
     ``rng`` drives all continuous draws; ``bin_rng`` (a ``random.Random``)
     supplies uniform bin indices, which may exceed 2^64.  The draw order
     is fixed so that a given seed reproduces the trial bit for bit.
+
+    The sent codeword's joint type is drawn from one class of the grid:
+    ``e`` (jointly typical, read from the cached summary), ``ne_d`` (not
+    jointly but marginally typical), ``ne_nd`` (neither), ``d``
+    (marginally typical) or ``nd`` (not); all but ``e`` rebuild the grid
+    unless this trial's lookup just built it.
     """
     px = p_joint.sum(axis=1)
     x_seq = sample_iid(rng, px, n)
@@ -236,40 +420,39 @@ def sample_two_node_trial(rng: np.random.Generator, bin_rng,
     tv_x = 0.5 * np.abs(x_counts / n - px).sum()
     x_typical = bool(tv_x < source_mult * delta)
 
-    grid = TypeGrid(x_counts, p_joint,
-                    encode_radius=encode_mult * delta,
-                    decode_radius=decode_mult * delta)
-    not_e = ~grid.mask_e
-    mask_ne_d = grid.mask_d & not_e
-    mask_ne_nd = ~grid.mask_d & not_e
+    radii = (encode_mult * delta, decode_mult * delta)
+    summary, grid = class_summary(x_counts, p_joint, *radii)
     log_m = math.log(num_bins)
 
+    def finish(ell, m12, ell_hat, enc_fb, dec_fb, cls) -> SampledTrial:
+        if cls == "e":
+            counts = summary.sample_encode(rng)
+        else:
+            g = grid if grid is not None else TypeGrid(x_counts, p_joint,
+                                                       *radii)
+            counts = g.sample_counts(rng, g.class_mask(cls))
+        u_seq = arrange_within_rows(rng, x_seq, counts)
+        return SampledTrial(
+            x_seq=x_seq, u_seq=u_seq, counts=counts, x_typical=x_typical,
+            ell=int(ell), m12=int(m12), ell_hat=int(ell_hat),
+            encoder_fallback=bool(enc_fb), decoder_fallback=bool(dec_fb))
+
     if x_typical:
-        log_e = grid.log_prob(grid.mask_e)
-        log_ne = grid.log_prob(not_e)
-        log_ne_d = grid.log_prob(mask_ne_d)
-        fails = geometric_failures(rng.random(), log_e)
+        log_ne, log_ne_d = summary.log_ne, summary.log_ne_d
+        fails = geometric_failures(rng.random(), summary.log_e)
         if fails is None or fails >= num_codewords:
             # no jointly typical codeword: send the first one
-            ell = 0
-            encoder_fallback = True
             m12 = bin_rng.randrange(num_bins)
             p_d_given_ne = (math.exp(log_ne_d - log_ne)
                             if math.isfinite(log_ne_d) else 0.0)
             if rng.random() < p_d_given_ne:
-                ell_hat, cls, dec_fb = 0, mask_ne_d, False
-            else:
-                log_r = log_ne_d - log_ne - log_m
-                g = geometric_failures(rng.random(), log_r)
-                if g is not None and g < num_codewords - 1:
-                    ell_hat, cls, dec_fb = 1 + g, mask_ne_d, False
-                else:
-                    cls = mask_ne_nd if mask_ne_nd.any() else not_e
-                    ell_hat, dec_fb = 0, True
-            return _finish(rng, x_seq, x_typical, ell, m12, ell_hat,
-                           encoder_fallback, dec_fb, grid, cls)
+                return finish(0, m12, 0, True, False, "ne_d")
+            log_r = log_ne_d - log_ne - log_m
+            g = geometric_failures(rng.random(), log_r)
+            if g is not None and g < num_codewords - 1:
+                return finish(0, m12, 1 + g, True, False, "ne_d")
+            return finish(0, m12, 0, True, True, "ne_nd")
         ell = fails
-        encoder_fallback = False
         m12 = bin_rng.randrange(num_bins)
         if ell > 0 and math.isfinite(log_ne_d):
             log_r = log_ne_d - log_ne - log_m
@@ -278,36 +461,15 @@ def sample_two_node_trial(rng: np.random.Generator, bin_rng,
             g = None
         if g is not None and g < ell:
             # an earlier codeword in the same bin looked typical first
-            return _finish(rng, x_seq, x_typical, ell, m12, g,
-                           False, False, grid, mask_ne_d)
-        return _finish(rng, x_seq, x_typical, ell, m12, ell,
-                       False, False, grid, grid.mask_e)
+            return finish(ell, m12, g, False, False, "ne_d")
+        return finish(ell, m12, ell, False, False, "e")
 
     # atypical source sequence: arbitrary transmission on bin 0
-    ell, m12 = 0, 0
-    log_d = grid.log_prob(grid.mask_d)
-    log_r = log_d - log_m
-    g = geometric_failures(rng.random(), log_r)
+    log_d = summary.log_d
+    g = geometric_failures(rng.random(), log_d - log_m)
     if g is not None and g < num_codewords:
-        return _finish(rng, x_seq, x_typical, ell, m12, g,
-                       True, False, grid, grid.mask_d)
+        return finish(0, 0, g, True, False, "d")
     p_d = math.exp(log_d) if math.isfinite(log_d) else 0.0
     inv_m = 1.0 / num_bins if num_bins < 2 ** 52 else 0.0
     p_d0 = p_d * (1 - inv_m) / (1 - p_d * inv_m) if p_d * inv_m < 1 else 1.0
-    not_d = ~grid.mask_d
-    if rng.random() < p_d0 or not not_d.any():
-        cls = grid.mask_d
-    else:
-        cls = not_d
-    return _finish(rng, x_seq, x_typical, ell, m12, 0,
-                   True, True, grid, cls)
-
-
-def _finish(rng, x_seq, x_typical, ell, m12, ell_hat, enc_fb, dec_fb,
-            grid, cls_mask) -> SampledTrial:
-    counts = grid.sample_counts(rng, cls_mask)
-    u_seq = arrange_within_rows(rng, x_seq, counts)
-    return SampledTrial(
-        x_seq=x_seq, u_seq=u_seq, counts=counts, x_typical=x_typical,
-        ell=int(ell), m12=int(m12), ell_hat=int(ell_hat),
-        encoder_fallback=bool(enc_fb), decoder_fallback=bool(dec_fb))
+    return finish(0, 0, 0, True, True, "d" if rng.random() < p_d0 else "nd")

@@ -419,3 +419,29 @@ class TestCliCommandsAgree:
         assert main(["--config", str(path), "--out", str(tmp_path / "out"),
                      "--quiet"]) == EXIT_RESOURCE
         assert "type grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", [
+    ("ensemble", "registers"),
+    ("ensemble", "source"),
+    ("ensemble", "source", "symbols"),
+    ("ensemble", "source", "probs"),
+    ("ensemble", "states"),
+    ("extension", "labels"),
+    ("extension", "joint"),
+    ("extension", "atoms_b"),
+], ids=".".join)
+def test_missing_config_key_is_a_config_error(tmp_path, capsys, path):
+    cfg = json.loads(open(config_path("example1_simulate.json")).read())
+    block = cfg
+    for key in path[:-1]:
+        block = block[key]
+    del block[path[-1]]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_PARSE
+    assert f"config error: {'.'.join(path)} is missing" in \
+        capsys.readouterr().err
+    assert not (out / "manifest.json").exists()

@@ -130,6 +130,34 @@ class TestMinimizeConditional:
         assert np.array_equal(r1.conditional, r2.conditional)
 
 
+    def test_vertex_enumeration_truncation_is_reported(self,
+                                                       example1_pair):
+        # complex qubit atoms give a rank-4 system, so m atoms give
+        # sum_{k<=4} C(m, k) candidate supports: 2,516 at m=16 and 6,195
+        # at m=20, against the limit of 4,096
+        ens, _ = example1_pair
+        angles = np.linspace(0.0, np.pi, 18, endpoint=False)[1:]
+        extra = tuple(DensityOperator.pure(
+            [np.cos(t / 2), np.exp(3j * t) * np.sin(t / 2)]) for t in angles)
+
+        def truncated(atoms_b):
+            atoms = AtomCandidateSet(atoms_b=atoms_b,
+                                     provenance_b=("user",) * len(atoms_b))
+            res = minimize_conditional(ens, atoms, kind="two-node",
+                                       max_iters=20)
+            assert res.feasible
+            return res.vertices_truncated
+
+        assert not truncated((KET0, KETP))
+        assert not truncated((KET0, KETP, KET1) + extra[:13])   # 16 atoms
+        assert truncated((KET0, KETP, KET1) + extra)            # 20 atoms
+
+    def test_shipped_optimize_runs_are_not_truncated(self, example1_pair):
+        ens, _ = example1_pair
+        res = optimize(ens, kind="two-node")
+        assert res.feasible and not res.vertices_truncated
+
+
 class TestOptimizePipeline:
     def test_example1_full_pipeline(self, example1_pair):
         ens, _ = example1_pair
