@@ -33,6 +33,7 @@ from .config import (
     config_hash,
     load_config,
     resolve_family,
+    setting,
 )
 from .coordination import (
     CoordinationError,
@@ -149,19 +150,17 @@ def cmd_rate(cfg, out_dir, opts) -> list:
 def _optimized(cfg: dict):
     """Run the config's ``optimize`` block; returns (kind, feasible result)."""
     ens = build_ensemble(resolve_family(cfg))
-    block = cfg.get("optimize", {})
-    kind = block.get("kind", "two-node")
-    res = optimize(ens, kind=kind,
-                   max_merge_order=int(block.get("max_merge_order", 3)),
-                   lam=float(block.get("lambda", 0.0)),
-                   max_iters=int(block.get("max_iters", 10_000)))
+    block = setting(cfg, "optimize", "object", "", {})
+    res = optimize(ens, **_given(block, "optimize", (
+        ("kind", "kind", "str"), ("max_merge_order", "max_merge_order", "int"),
+        ("lambda", "lam", "number"), ("max_iters", "max_iters", "int"))))
     if not res.feasible:
         raise InfeasibleFailure(res.message)
     if res.vertices_truncated:
         print("warning: vertex enumeration stopped at its support limit; "
               "the optimizer started from a partial vertex list",
               file=sys.stderr)
-    return kind, res
+    return res.extension.kind, res
 
 
 def _corner_cells(res) -> list:
@@ -179,55 +178,74 @@ def cmd_optimize(cfg, out_dir, opts) -> list:
     return [path]
 
 
-def _sim_block(cfg: dict, opts) -> dict:
-    block = dict(cfg.get("simulate", {}))
-    for key in ("derandomize", "converse"):
-        if cfg.get("command") == key:
-            block.update(cfg.get(key, {}))
-    if opts.seed is not None:
-        block["seed"] = opts.seed
-    block.setdefault("seed", 0)
-    block.setdefault("delta", 0.02)
-    block.setdefault("trials", 100)
-    block.setdefault("engine", "auto")
-    return block
+def _given(block: dict, path: str, spec) -> dict:
+    """Keyword arguments for the settings of ``spec`` that ``block`` sets.
+
+    ``spec`` holds (config key, keyword, kind) triples; a key the config
+    leaves out is not forwarded, so the library default applies.
+    """
+    return {kw: setting(block, key, kind, path)
+            for key, kw, kind in spec if key in block}
+
+
+def _sim_setting(cfg: dict):
+    """Typed getter over the ``simulate`` block, where the command's own
+    ``derandomize`` or ``converse`` block overrides it key by key."""
+    names = ["simulate"]
+    if cfg["command"] in ("derandomize", "converse"):
+        names.append(cfg["command"])
+    blocks = [(name, setting(cfg, name, "object", "", {})) for name in names]
+
+    def get(key, kind, default=None):
+        for name, block in reversed(blocks):
+            if key in block:
+                return setting(block, key, kind, name)
+        return default
+    return get
+
+
+def _sim_args(get, opts, codeword_keys):
+    """(n grid, rates, keywords shared by every simulate call)."""
+    kwargs = dict(trials=get("trials", "int", 100),
+                  seed=get("seed", "int", 0) if opts.seed is None
+                  else opts.seed, threads=opts.threads)
+    keys = [("delta", "number"), ("engine", "str"), ("gamma_coeff", "number?")]
+    for key, kind in keys + [(k, "number?") for k in codeword_keys]:
+        value = get(key, kind)
+        if value is not None:
+            kwargs[key] = value
+    return (get("n_grid", "int[]", [200]), get("rates", "number[]", [0.5]),
+            kwargs)
 
 
 def _run_cells(cfg, opts):
     ens, ext = _built(cfg)
-    block = _sim_block(cfg, opts)
-    n_grid = block.get("n_grid", [200])
-    rates = block.get("rates", [0.5])
-    rates23 = block.get("rates23")
+    two_node = ext.kind == "two-node"
+    get = _sim_setting(cfg)
+    n_grid, rates, kwargs = _sim_args(
+        get, opts, ["codeword_rate"] if two_node
+        else ["codeword_rate_y", "codeword_rate_z"])
+    rates23 = None if two_node else get("rates23", "number[]?")
+    if rates23 and len(rates23) < len(rates):
+        raise ConfigError("rates23 needs one entry per rate")
     cells = []
     for n in n_grid:
         for idx, rate in enumerate(rates):
-            kwargs = dict(
-                n=int(n), rate=float(rate), trials=int(block["trials"]),
-                seed=int(block["seed"]), delta=float(block["delta"]),
-                engine=block["engine"], threads=opts.threads)
-            if block.get("gamma_coeff") is not None:
-                kwargs["gamma_coeff"] = float(block["gamma_coeff"])
-            if ext.kind == "two-node":
-                if block.get("codeword_rate") is not None:
-                    kwargs["codeword_rate"] = float(block["codeword_rate"])
-                traces = simulate_two_node(ens, ext, **kwargs)
+            if two_node:
+                traces = simulate_two_node(ens, ext, n=n, rate=rate,
+                                           **kwargs)
                 r23 = None
             else:
-                r23 = float(rates23[idx]) if rates23 else 0.0
-                kwargs.pop("rate")
-                for key in ("codeword_rate_y", "codeword_rate_z"):
-                    if block.get(key) is not None:
-                        kwargs[key] = float(block[key])
-                traces = simulate_cascade(
-                    ens, ext, rate12=float(rate), rate23=r23, **kwargs)
-            cells.append((int(n), float(rate), r23, traces))
-    return ens, ext, block, cells
+                r23 = rates23[idx] if rates23 else 0.0
+                traces = simulate_cascade(ens, ext, n=n, rate12=rate,
+                                          rate23=r23, **kwargs)
+            cells.append((n, rate, r23, traces))
+    return ens, ext, cells
 
 
 def cmd_simulate(cfg, out_dir, opts) -> list:
     chash = config_hash(cfg)
-    ens, ext, block, cells = _run_cells(cfg, opts)
+    ens, ext, cells = _run_cells(cfg, opts)
     rows, summary = [], []
     for n, rate, r23, traces in cells:
         dists = [t.distance_to_target for t in traces]
@@ -264,18 +282,14 @@ def cmd_simulate(cfg, out_dir, opts) -> list:
 def cmd_derandomize(cfg, out_dir, opts) -> list:
     chash = config_hash(cfg)
     ens, ext = _built(cfg)
-    block = _sim_block(cfg, opts)
-    n = int(block.get("n_grid", [200])[0])
-    rate = float(block.get("rates", [0.5])[0])
-    kwargs = {}
-    if block.get("codeword_rate") is not None:
-        kwargs["codeword_rate"] = float(block["codeword_rate"])
+    get = _sim_setting(cfg)
+    n_grid, rates, kwargs = _sim_args(get, opts, ["codeword_rate"])
+    if not n_grid or not rates:
+        raise ConfigError("derandomize needs a nonempty n_grid and rates")
+    n, rate = n_grid[0], rates[0]
     report = derandomize(
-        ens, ext, n=n, rate=rate, trials=int(block["trials"]),
-        num_seeds=int(block.get("num_seeds", 10)),
-        epsilon=float(block.get("epsilon", 0.1)),
-        seed=int(block["seed"]), delta=float(block["delta"]),
-        engine=block["engine"], threads=opts.threads, **kwargs)
+        ens, ext, n=n, rate=rate, num_seeds=get("num_seeds", "int", 10),
+        epsilon=get("epsilon", "number", 0.1), **kwargs)
     rows = [[chash, n, rate, s, repr(float(d)),
              1 if i == report.best_index else 0]
             for i, (s, d) in enumerate(zip(report.seeds, report.distances))]
@@ -297,17 +311,18 @@ def cmd_derandomize(cfg, out_dir, opts) -> list:
 
 def cmd_converse(cfg, out_dir, opts) -> list:
     chash = config_hash(cfg)
-    ens, ext, block, cells = _run_cells(cfg, opts)
-    slack = float(cfg.get("converse", {}).get("slack", 0.02))
+    ens, ext, cells = _run_cells(cfg, opts)
+    slack = _given(setting(cfg, "converse", "object", "", {}), "converse",
+                   [("slack", "slack", "number")])
     rows = []
     for n, rate, r23, traces in cells:
         report = converse_check(traces, ens, ext, rate=rate, rate23=r23,
-                                slack=slack)
+                                **slack)
         for iq in report.inequalities:
             rows.append([chash, n, rate, r23, iq.name,
                          repr(iq.information_bits), repr(iq.rate_bound),
-                         repr(report.alpha), repr(slack), repr(iq.margin),
-                         iq.passed])
+                         repr(report.alpha), repr(report.slack),
+                         repr(iq.margin), iq.passed])
     path = os.path.join(out_dir, "converse.csv")
     write_csv_atomic(path, ["config_hash", "n", "rate", "rate23",
                             "inequality", "information_bits", "rate_bound",
@@ -316,17 +331,15 @@ def cmd_converse(cfg, out_dir, opts) -> list:
 
 
 def cmd_sweep(cfg, out_dir, opts) -> list:
-    block = cfg.get("sweep")
-    if not block:
-        raise ConfigError("sweep command needs a sweep block")
-    path_keys = block["path"]
-    values = block["values"]
-    inner_cmd = block.get("command", "rate")
+    block = setting(cfg, "sweep", "object", "")
+    path_keys = setting(block, "path", "list", "sweep")
+    setting(block, "values", "number[]", "sweep")
+    inner_cmd = setting(block, "command", "str", "sweep", "rate")
     if inner_cmd not in ("rate", "optimize"):
         raise ConfigError("sweep supports the rate and optimize commands")
     chash = config_hash(cfg)
     rows = []
-    for value in values:
+    for value in block["values"]:
         sub = apply_sweep_value(cfg, path_keys, value)
         sub["command"] = inner_cmd
         if inner_cmd == "rate":

@@ -91,10 +91,10 @@ def resolve_family(cfg: dict) -> dict:
     if "family" not in cfg:
         return cfg
     fam = cfg["family"]
-    name = fam.get("name")
+    name = setting(fam, "name", "str", "family", None)
     if name == "phase_flip":
         out = copy.deepcopy(cfg)
-        blocks = phase_flip_blocks(float(fam["p"]))
+        blocks = phase_flip_blocks(setting(fam, "p", "number", "family"))
         out.update(blocks)
         out.pop("family")
         return out
@@ -137,36 +137,88 @@ def phase_flip_blocks(p: float) -> dict:
 def _need(block, key: str, path: str):
     """``block[key]``, or a ConfigError naming the missing ``path.key``."""
     if not isinstance(block, dict):
-        raise ConfigError(f"{path} must be a JSON object")
+        raise ConfigError(f"{path or 'config'} must be a JSON object")
     if key not in block:
-        raise ConfigError(f"{path}.{key} is missing")
+        raise ConfigError(f"{_join(path, key)} is missing")
     return block[key]
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+_KINDS = {"int": ("an integer", int), "number": ("a number", (int, float)),
+          "str": ("a string", str), "list": ("a list", list),
+          "object": ("a JSON object", dict)}
+_ABSENT = object()
+
+
+def setting(block, key: str, kind: str, path: str, default=_ABSENT):
+    """``block[key]`` checked to be of ``kind``; ``default`` when absent.
+
+    ``kind`` names an entry of ``_KINDS`` (numbers come back as floats); a
+    ``[]`` suffix asks for a list of that kind and a ``?`` suffix accepts
+    null, returned as None.  A value of another kind, or a missing key
+    without a default, raises a ConfigError naming ``path.key``.
+    """
+    if default is not _ABSENT and isinstance(block, dict) \
+            and key not in block:
+        return default
+    value = _need(block, key, path)
+    where = _join(path, key)
+    if kind.endswith("?"):
+        if value is None:
+            return None
+        kind = kind[:-1]
+    if kind.endswith("[]"):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, not {value!r}")
+        return [_typed(v, kind[:-2], f"{where}[{i}]")
+                for i, v in enumerate(value)]
+    return _typed(value, kind, where)
+
+
+def _typed(value, kind: str, where: str):
+    name, types = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{where} must be {name}, not {value!r}")
+    return float(value) if kind == "number" else value
+
+
+def _matrix(literal, where: str) -> np.ndarray:
+    """A matrix literal (nested [re, im] pairs), or a ConfigError."""
+    try:
+        return matrix_from_literal(literal)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} is not a matrix literal of "
+                          "[re, im] pairs") from None
 
 
 def build_ensemble(cfg: dict) -> CqEnsemble:
     block = cfg.get("ensemble")
     if block is None:
         raise ConfigError("config has no ensemble block")
-    regs = _need(block, "registers", "ensemble")
-    src = _need(block, "source", "ensemble")
-    symbols = _need(src, "symbols", "ensemble.source")
-    alpha = Alphabet(src.get("variable", "X"), symbols)
+    regs = setting(block, "registers", "object", "ensemble")
+    dims = {r: setting(regs, r, "int", "ensemble.registers") for r in regs}
+    src = setting(block, "source", "object", "ensemble")
+    alpha = Alphabet(setting(src, "variable", "str", "ensemble.source", "X"),
+                     setting(src, "symbols", "list", "ensemble.source"))
     source = JointPmf([alpha], np.asarray(
-        _need(src, "probs", "ensemble.source"), dtype=float))
+        setting(src, "probs", "number[]", "ensemble.source"), dtype=float))
     states = []
-    for i, entry in enumerate(_need(block, "states", "ensemble")):
-        if "full" in entry:
-            mat = matrix_from_literal(entry["full"])
+    for i, entry in enumerate(setting(block, "states", "list", "ensemble")):
+        where = f"ensemble.states[{i}]"
+        if isinstance(entry, dict) and "full" in entry:
+            mat = _matrix(entry["full"], f"{where}.full")
         else:
-            parts = [matrix_from_literal(_need(entry, r,
-                                               f"ensemble.states[{i}]"))
+            parts = [_matrix(_need(entry, r, where), f"{where}.{r}")
                      for r in regs]
             mat = parts[0]
             for part in parts[1:]:
                 mat = np.kron(mat, part)
         states.append(DensityOperator(mat))
     try:
-        return CqEnsemble(source, states, {r: int(regs[r]) for r in regs})
+        return CqEnsemble(source, states, dims)
     except CoordinationError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -190,26 +242,28 @@ def build_extension(cfg: dict, ensemble: CqEnsemble) -> Extension:
     block = cfg.get("extension")
     if block is None:
         raise ConfigError("config has no extension block")
-    kind = block.get("kind", "two-node")
-    labels = _need(block, "labels", "extension")
+    kind = setting(block, "kind", "str", "extension", "two-node")
+    labels = setting(block, "labels", "object", "extension")
     x_alpha = ensemble.x_alphabet
     names = ["Y"] if kind == "two-node" else ["Y", "Z"]
-    variables = [x_alpha] + [Alphabet(v, _need(labels, v, "extension.labels"))
-                             for v in names]
+    variables = [x_alpha] + [
+        Alphabet(v, setting(labels, v, "list", "extension.labels"))
+        for v in names]
     joint = JointPmf(variables,
                      _joint_table(_need(block, "joint", "extension"),
                                   variables))
+
+    def atoms(key):
+        return [DensityOperator(_matrix(m, f"extension.{key}[{i}]"))
+                for i, m in enumerate(setting(block, key, "list",
+                                              "extension"))]
+
     if "atoms_a" in block:
-        atoms_a = [DensityOperator(matrix_from_literal(m))
-                   for m in block["atoms_a"]]
+        atoms_a = atoms("atoms_a")
     else:
         atoms_a = [ensemble.a_part(i) for i in range(x_alpha.size)]
-    atoms_b = [DensityOperator(matrix_from_literal(m))
-               for m in _need(block, "atoms_b", "extension")]
-    atoms_c = None
-    if kind != "two-node":
-        atoms_c = [DensityOperator(matrix_from_literal(m))
-                   for m in _need(block, "atoms_c", "extension")]
+    atoms_b = atoms("atoms_b")
+    atoms_c = atoms("atoms_c") if kind != "two-node" else None
     try:
         return Extension(joint, atoms_a, atoms_b, atoms_c, kind=kind)
     except CoordinationError as exc:
@@ -249,11 +303,15 @@ def apply_sweep_value(cfg: dict, path, value) -> dict:
     """Deep-copy the config with the value at ``path`` replaced."""
     out = copy.deepcopy(cfg)
     node = out
-    for key in path[:-1]:
-        node = node[key] if isinstance(node, dict) else node[int(key)]
-    last = path[-1]
-    if isinstance(node, dict):
-        node[last] = value
-    else:
-        node[int(last)] = value
+    try:
+        for key in path[:-1]:
+            node = node[key] if isinstance(node, dict) else node[int(key)]
+        last = path[-1]
+        if isinstance(node, dict):
+            node[last] = value
+        else:
+            node[int(last)] = value
+    except (KeyError, IndexError, TypeError, ValueError):
+        raise ConfigError(f"sweep.path {path!r} does not name a config "
+                          "entry") from None
     return out

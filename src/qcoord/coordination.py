@@ -14,7 +14,9 @@ requires the A and C marginals of the extension to be in product form).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,6 +50,25 @@ class CoordinationError(ValueError):
 
 class ExtensionNotValidated(RuntimeError):
     """Raised when a rate is requested for an extension never validated."""
+
+
+def mixture(weights, blocks) -> np.ndarray:
+    """Sum of ``weights[cell] * blocks[cell]`` over nonzero cells, C order;
+    ``blocks`` has the shape of ``weights`` plus two matrix axes."""
+    weights, blocks = np.asarray(weights), np.asarray(blocks)
+    out = np.zeros(blocks.shape[-2:], dtype=complex)
+    for cell in zip(*np.nonzero(weights)):
+        out += weights[cell] * blocks[cell]
+    return out
+
+
+def kron_table(*atom_lists) -> np.ndarray:
+    """``t[i, j, k] = (M_i (x) M_j) (x) M_k``, one axis per atom list of
+    DensityOperators or raw matrices, folded left."""
+    mats = [[getattr(a, "matrix", a) for a in atoms] for atoms in atom_lists]
+    blocks = [reduce(np.kron, cell) for cell in itertools.product(*mats)]
+    return np.array(blocks).reshape(
+        tuple(len(m) for m in mats) + blocks[0].shape)
 
 
 class CqEnsemble:
@@ -109,9 +130,8 @@ class CqEnsemble:
         )
 
     def average_state(self) -> DensityOperator:
-        px = self.source.table
-        avg = sum(p * s.matrix for p, s in zip(px, self.states))
-        return DensityOperator(avg)
+        return DensityOperator(mixture(self.source.table,
+                                       [s.matrix for s in self.states]))
 
     def conditional_part(self, x_index: int, register: str) -> DensityOperator:
         pos = self.registers.index(register)
@@ -194,28 +214,15 @@ class Extension:
         px = t.reshape(t.shape[0], -1).sum(axis=1)
         if px[x_index] <= 0:
             raise CoordinationError(f"source symbol {x_index} has zero mass")
-        cond = t[x_index] / px[x_index]
-        dim = self.atoms_b[0].dim * atoms_c[0].dim
-        out = np.zeros((dim, dim), dtype=complex)
-        for yi, zi in zip(*np.nonzero(cond)):
-            out += cond[yi, zi] * np.kron(self.atoms_b[yi].matrix,
-                                          atoms_c[zi].matrix)
-        return out
+        return mixture(t[x_index] / px[x_index],
+                       kron_table(self.atoms_b, atoms_c))
 
     def ac_marginal(self) -> np.ndarray:
         """Sum_{x,z} p(x,z) atomsA^x x atomsC^z as a raw matrix."""
         if self.kind == "two-node":
             raise CoordinationError("AC marginal needs a Z variable")
-        pxz = self.joint.table.sum(axis=1)
-        da = self.atoms_a[0].dim
-        dc = self.atoms_c[0].dim
-        out = np.zeros((da * dc, da * dc), dtype=complex)
-        for xi in range(pxz.shape[0]):
-            for zi in range(pxz.shape[1]):
-                if pxz[xi, zi] > 0:
-                    out += pxz[xi, zi] * np.kron(self.atoms_a[xi].matrix,
-                                                 self.atoms_c[zi].matrix)
-        return out
+        return mixture(self.joint.table.sum(axis=1),
+                       kron_table(self.atoms_a, self.atoms_c))
 
 
 @dataclass(frozen=True)
@@ -298,8 +305,8 @@ def validate_extension(ext: Extension, target: CqEnsemble,
         ac = ext.ac_marginal()
         pz = ext.joint.table.sum(axis=(0, 1))
         pxm = ext.joint.table.sum(axis=(1, 2))
-        sigma_a = sum(p * a.matrix for p, a in zip(pxm, ext.atoms_a))
-        sigma_c = sum(p * c.matrix for p, c in zip(pz, ext.atoms_c))
+        sigma_a = mixture(pxm, kron_table(ext.atoms_a))
+        sigma_c = mixture(pz, kron_table(ext.atoms_c))
         dev_ac = trace_norm_distance(ac, np.kron(sigma_a, sigma_c))
         checks.append(ConstraintCheck("sigma_AC = sigma_A x sigma_C",
                                       dev_ac, tol))

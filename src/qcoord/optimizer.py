@@ -38,6 +38,8 @@ from .coordination import (
     RatePoint,
     cascade_rate_point,
     isolated_rate,
+    kron_table,
+    mixture,
     two_node_rate,
     validate_extension,
 )
@@ -141,9 +143,8 @@ def _propose_for_register(conditionals, weights, max_merge_order):
             w = np.array([weights[i] for i in subset], dtype=float)
             if w.sum() <= 0:
                 continue
-            w = w / w.sum()
-            merged = sum(wi * conditionals[i].matrix
-                         for wi, i in zip(w, subset))
+            merged = mixture(w / w.sum(),
+                             [conditionals[i].matrix for i in subset])
             atoms.append(DensityOperator(merged))
             prov.append("merged")
     pures = [a for a, p in zip(atoms, prov) if p == "spectral"]
@@ -456,8 +457,8 @@ def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
             raise CoordinationError("cascade kind needs an A,B,C target")
         if atoms.atoms_c is None:
             raise CoordinationError("cascade optimization needs C atoms")
-        label_mats = [np.kron(b.matrix, c.matrix)
-                      for b in atoms.atoms_b for c in atoms.atoms_c]
+        bc = kron_table(atoms.atoms_b, atoms.atoms_c)
+        label_mats = list(bc.reshape(-1, *bc.shape[2:]))
         nz = len(atoms.atoms_c)
         z_map = np.zeros((len(label_mats), nz))
         for yi in range(len(atoms.atoms_b)):
@@ -562,7 +563,6 @@ def _minimize_isolated(target, atoms, feas_tol, obj_tol, max_iters):
     conds_c = [target.conditional_part(i, "C") for i in range(nx)]
     base_c = conds_c[0]
     dev_c = max(trace_norm_distance(c.matrix, base_c.matrix) for c in conds_c)
-    dims = target.dims_list
     prod_dev = max(
         trace_norm_distance(
             np.kron(target.conditional_part(i, "B").matrix, conds_c[i].matrix),

@@ -20,13 +20,14 @@ Two interchangeable engines produce statistically identical trials:
   shared-randomness average the derandomization argument operates on.
   It supports the trivial relay (single Z symbol) only.
 
-Encoding and decoding follow the scheme exactly: the encoder picks the
-lexicographically smallest jointly typical codeword index pair at the
-encode radius (2 delta) and falls back to (0, 0) when none exists; each
-decoder picks the smallest index in the announced bin that is typical at
-the decode radius (8 delta), falling back to 0.  An atypical source
-sequence (radius delta) triggers an arbitrary transmission, fixed to bin
-0 for reproducibility.  All indices are 0-based.
+Both engines read one ``ToleranceSchedule`` radius triple (source,
+encode, decode), by default (delta, 2 delta, 8 delta); the sampled one
+passes it to ``sampling.sample_two_node_trial`` as ``radii``.  The
+encoder picks the lexicographically smallest jointly typical codeword
+index pair at the encode radius, falling back to (0, 0); each decoder
+picks the smallest in-bin index typical at the decode radius, falling
+back to 0.  An atypical source sequence triggers an arbitrary
+transmission, fixed to bin 0 for reproducibility.  Indices are 0-based.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ import numpy as np
 
 from .classical import (Alphabet, JointPmf, ToleranceSchedule, alpha_n,
                         mutual_information)
-from .coordination import CoordinationError, CqEnsemble, Extension
+from .coordination import (CoordinationError, CqEnsemble, Extension,
+                           kron_table, mixture)
 from .quantum import DensityOperator, trace_norm_distance
 from . import sampling
 
@@ -156,7 +158,7 @@ def build_codebook(params: CodebookParams, p_u: np.ndarray,
 def _typical_rows(codewords: np.ndarray, ctx_seq: np.ndarray, num_ctx: int,
                   p_ctx_u: np.ndarray, radius: float,
                   bins: Optional[np.ndarray] = None,
-                  bin_value: Optional[int] = None, chunk: int = 4096):
+                  bin_value: Optional[int] = None):
     """Ascending indices whose joint type with ``ctx_seq`` is within ``radius``.
 
     With ``bins``/``bin_value`` the search is restricted to one bin.  Rows
@@ -165,6 +167,7 @@ def _typical_rows(codewords: np.ndarray, ctx_seq: np.ndarray, num_ctx: int,
     """
     l0, n = codewords.shape
     num_u = p_ctx_u.shape[-1]
+    chunk = 4096
     onehot = np.zeros((n, num_ctx))
     onehot[np.arange(n), ctx_seq] = 1.0
     target = p_ctx_u.reshape(num_ctx, num_u)
@@ -192,54 +195,35 @@ def _first_typical(codewords, ctx_seq, num_ctx, p_ctx_u, radius,
 
 
 def encode_generic(cb: Codebook, target_joint: np.ndarray, radius: float,
-                   x_seq: np.ndarray, y_seq: Optional[np.ndarray] = None):
-    """Generic encoder: smallest codeword jointly typical with the context.
+                   x_seq: np.ndarray):
+    """Generic encoder: smallest codeword jointly typical with ``x_seq``.
 
-    ``target_joint`` has axes (X[, Y], U).  Returns (ell, bin message,
-    fallback flag); fallback sends the first codeword's bin.
+    ``target_joint`` has axes (X, U).  Returns (ell, bin message, fallback
+    flag); fallback sends the first codeword's bin.
     """
     t = np.asarray(target_joint, dtype=float)
-    if y_seq is not None:
-        num_x, num_y, num_u = t.shape
-        ctx = np.asarray(x_seq) * num_y + np.asarray(y_seq)
-        flat = t.reshape(num_x * num_y, num_u)
-        num_ctx = num_x * num_y
-    else:
-        num_ctx = t.shape[0]
-        ctx = np.asarray(x_seq)
-        flat = t
-    ell = _first_typical(cb.codewords, ctx, num_ctx, flat, radius)
+    ell = _first_typical(cb.codewords, np.asarray(x_seq), t.shape[0], t,
+                         radius)
     if ell is None:
         return 0, int(cb.bins[0]), True
     return int(ell), int(cb.bins[ell]), False
 
 
 def decode_generic(cb: Codebook, target_joint: np.ndarray, radius: float,
-                   m12: int, y_seq: Optional[np.ndarray] = None,
-                   z_seq: Optional[np.ndarray] = None):
-    """Generic decoder: smallest in-bin codeword typical with (y^n, z^n).
+                   m12: int, y_seq: Optional[np.ndarray] = None):
+    """Generic decoder: smallest in-bin codeword typical with ``y_seq``.
 
-    ``target_joint`` has axes ([Y, ][Z, ]U) matching the provided context
-    sequences; with no context the check reduces to the codeword marginal.
-    Returns (ell_hat, fallback flag).
+    ``target_joint`` has axes ([Y, ]U) matching the context; with no
+    context the check reduces to the codeword marginal.  Returns
+    (ell_hat, fallback flag).
     """
     t = np.asarray(target_joint, dtype=float)
-    seqs = [s for s in (y_seq, z_seq) if s is not None]
-    n = cb.codewords.shape[1]
-    if not seqs:
-        ctx = np.zeros(n, dtype=np.int64)
+    if y_seq is None:
+        ctx = np.zeros(cb.codewords.shape[1], dtype=np.int64)
         flat = t.reshape(1, -1)
-        num_ctx = 1
-    elif len(seqs) == 1:
-        ctx = np.asarray(seqs[0])
-        flat = t
-        num_ctx = t.shape[0]
     else:
-        num_y, num_z = t.shape[0], t.shape[1]
-        ctx = np.asarray(seqs[0]) * num_z + np.asarray(seqs[1])
-        flat = t.reshape(num_y * num_z, t.shape[2])
-        num_ctx = num_y * num_z
-    ell = _first_typical(cb.codewords, ctx, num_ctx, flat, radius,
+        ctx, flat = np.asarray(y_seq), t
+    ell = _first_typical(cb.codewords, ctx, flat.shape[0], flat, radius,
                          bins=cb.bins, bin_value=m12)
     if ell is None:
         return 0, True
@@ -326,35 +310,25 @@ class _Tables(NamedTuple):
 def _tables(target: CqEnsemble, ext: Extension) -> _Tables:
     p_xyz, atoms_c = ext.as_cascade()
     px = p_xyz.sum(axis=(1, 2))
-    a_mats = [a.matrix for a in ext.atoms_a]
-    k = np.array([[[np.kron(np.kron(a, b.matrix), c.matrix)
-                    for c in atoms_c] for b in ext.atoms_b] for a in a_mats])
-    dim_rest = k.shape[-1] // a_mats[0].shape[0]
-    etas = [ext.conditional_rest(xi) if px[xi] > 0
-            else np.zeros((dim_rest, dim_rest), dtype=complex)
-            for xi in range(px.size)]
-    t = np.array([np.kron(a, eta) for a, eta in zip(a_mats, etas)])
-    omega = sum(target.source.table[xi] * t[xi] for xi in range(px.size))
-    return _Tables(p_xyz, k, t, omega)
-
-
-def _mixture(weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Sum of ``weights[cell] * blocks[cell]`` over nonzero cells, C order."""
-    out = np.zeros(blocks.shape[-2:], dtype=complex)
-    for cell in zip(*np.nonzero(weights)):
-        out += weights[cell] * blocks[cell]
-    return out
+    k = kron_table(ext.atoms_a, ext.atoms_b, atoms_c)
+    t = np.array([np.kron(a.matrix, ext.conditional_rest(xi)) if px[xi] > 0
+                  else np.zeros_like(k[xi, 0, 0])
+                  for xi, a in enumerate(ext.atoms_a)])
+    return _Tables(p_xyz, k, t, mixture(target.source.table, t))
 
 
 def _resolve_schedule(ext, delta, gamma_coeff,
                       schedule: Optional[ToleranceSchedule]):
-    """(delta, multipliers, gamma); keyword defaults build the schedule."""
+    """(delta, (source, encode, decode) radii, gamma) of the schedule,
+    which the keyword defaults build when none is given."""
     if schedule is None:
         schedule = ToleranceSchedule(delta, gamma_coeff=gamma_coeff)
     if schedule.gamma_coeff is None and schedule.gamma_of_delta is None:
         schedule = schedule.with_alphabet_sizes(
             *[v.size for v in ext.joint.variables])
-    return schedule.delta, schedule.multipliers, schedule.gamma()
+    radii = (schedule.source_radius, schedule.encode_radius,
+             schedule.decode_radius)
+    return schedule.delta, radii, schedule.gamma()
 
 
 def _auto_engine(engine: str, symbols: int) -> str:
@@ -379,15 +353,12 @@ def simulate_two_node(target: CqEnsemble, ext: Extension, n: int,
     relay fields.  ``engine="auto"`` materializes the codebook when it is
     small enough to scan and otherwise samples trials from the exact
     outcome distribution.  A ``schedule`` overrides ``delta``/``gamma_coeff``
-    and supplies the typicality radius multipliers.  Identical
+    and supplies the typicality radii.  Identical
     (seed, params) reproduce identical traces bit for bit.
     """
-    ext.require_validated()
     if ext.kind != "two-node":
         raise CoordinationError("simulate_two_node needs a two-node extension")
-    if n < 1 or trials < 1:
-        raise ProtocolError("n and trials must be positive")
-    delta, mults, gamma = _resolve_schedule(ext, delta, gamma_coeff, schedule)
+    delta, radii, gamma = _resolve_schedule(ext, delta, gamma_coeff, schedule)
     if codeword_rate is None:
         x, y = ext.joint.names
         codeword_rate = mutual_information(ext.joint, [x], [y]) + 2.0 * gamma
@@ -397,7 +368,7 @@ def simulate_two_node(target: CqEnsemble, ext: Extension, n: int,
                               delta=delta, seed=seed)
     # the one-codeword relay codebook is not charged to the auto budget
     engine = _auto_engine(engine, params_y.num_codewords * n)
-    traces = _simulate(target, ext, params_y, params_z, rate, 0.0, mults,
+    traces = _simulate(target, ext, params_y, params_z, rate, 0.0, radii,
                        gamma, engine, trials, threads)
     for t in traces:  # a copy, since a view would keep its 3-D base alive
         t.joint_counts = t.joint_counts[:, :, 0].copy()
@@ -422,12 +393,11 @@ def simulate_cascade(target: CqEnsemble, ext: Extension, n: int,
     engine supports the degenerate relay (single Z label) only; richer
     cascades use the explicit engine.
     """
-    ext.require_validated()
     if ext.kind not in ("cascade", "isolated"):
         raise CoordinationError("simulate_cascade needs a cascade extension")
     if rate12 < rate23:
         raise ProtocolError("rate12 must be at least rate23 (rate splitting)")
-    delta, mults, gamma = _resolve_schedule(ext, delta, gamma_coeff, schedule)
+    delta, radii, gamma = _resolve_schedule(ext, delta, gamma_coeff, schedule)
     x, y, z = ext.joint.names
     if codeword_rate_z is None:
         codeword_rate_z = mutual_information(ext.joint, [x], [z]) + 2.0 * gamma
@@ -442,13 +412,16 @@ def simulate_cascade(target: CqEnsemble, ext: Extension, n: int,
                               delta=delta, seed=seed)
     engine = _auto_engine(
         engine, (params_y.num_codewords + params_z.num_codewords) * n)
-    return _simulate(target, ext, params_y, params_z, rate12, rate23, mults,
+    return _simulate(target, ext, params_y, params_z, rate12, rate23, radii,
                      gamma, engine, trials, threads)
 
 
-def _simulate(target, ext, params_y, params_z, rate12, rate23, mults, gamma,
+def _simulate(target, ext, params_y, params_z, rate12, rate23, radii, gamma,
               engine, trials, threads) -> list:
     """The one simulation core: ``trials`` cascade traces of one code."""
+    ext.require_validated()
+    if params_y.n < 1 or trials < 1:
+        raise ProtocolError("n and trials must be positive")
     tables = _tables(target, ext)
     p_xyz = tables.p_xyz
     if engine == "explicit":
@@ -457,13 +430,13 @@ def _simulate(target, ext, params_y, params_z, rate12, rate23, mults, gamma,
         marginals = (p_xyz.sum(axis=(1, 2)), p_xyz.sum(axis=(0, 1)),
                      p_xyz.sum(axis=0).T.copy())
         outcome = lambda t: _explicit_trial(cb_y, cb_z, p_xyz, marginals,
-                                            mults, t)
+                                            radii, t)
     elif engine == "sampled":
         if p_xyz.shape[2] != 1:
             raise ProtocolError(
                 "the sampled engine supports cascade only with a degenerate "
                 "relay label (single Z symbol); use the explicit engine")
-        outcome = lambda t: _sampled_trial(p_xyz, params_y, params_z, mults,
+        outcome = lambda t: _sampled_trial(p_xyz, params_y, params_z, radii,
                                            t)
     else:
         raise ProtocolError(f"unknown engine {engine!r}")
@@ -486,27 +459,27 @@ def _run_trials(runner, trials: int, threads: int) -> list:
 
 
 def _explicit_trial(cb_y: Codebook, cb_z: Codebook, p_xyz, marginals,
-                    mults, trial: int):
+                    radii, trial: int):
     px, p_z, p_zy = marginals
-    n, delta = cb_y.params.n, cb_y.params.delta
+    source_radius, encode_radius, decode_radius = radii
+    n = cb_y.params.n
     rng = _rng(cb_y.params.seed, _KEY_TRIAL, trial, 0)
     x_seq = sampling.sample_iid(rng, px, n)
     x_counts = np.bincount(x_seq, minlength=px.size)
-    x_typical = bool(0.5 * np.abs(x_counts / n - px).sum()
-                     < mults[0] * delta)
+    x_typical = bool(0.5 * np.abs(x_counts / n - px).sum() < source_radius)
     ell, ell2, m12, m23, enc_fb = 0, 0, 0, 0, True
     if x_typical:
         pair = _first_typical_pair(cb_y.codewords, cb_z.codewords, x_seq,
-                                   p_xyz, mults[1] * delta)
+                                   p_xyz, encode_radius)
         if pair is not None:
             (ell, ell2), enc_fb = pair, False
         m12, m23 = int(cb_y.bins[ell]), int(cb_z.bins[ell2])
     # Bob stage (i) recovers the relay codeword; Charlie runs the same pure
     # rule on the forwarded message, so one call serves both
-    ell_hat2, dec_fb2 = decode_generic(cb_z, p_z, mults[2] * delta, m23)
+    ell_hat2, dec_fb2 = decode_generic(cb_z, p_z, decode_radius, m23)
     z_seq = cb_z.codewords[ell_hat2]
     # Bob stage (ii): recover his own codeword against the relay context
-    ell_hat, dec_fb = decode_generic(cb_y, p_zy, mults[2] * delta, m12,
+    ell_hat, dec_fb = decode_generic(cb_y, p_zy, decode_radius, m12,
                                      y_seq=z_seq)
     y_seq = cb_y.codewords[ell_hat]
     _, num_y, num_z = p_xyz.shape
@@ -520,36 +493,28 @@ def _explicit_trial(cb_y: Codebook, cb_z: Codebook, p_xyz, marginals,
         index_match=True)
 
 
-def _sampled_trial(p_xyz, params_y, params_z, mults, trial: int):
+def _sampled_trial(p_xyz, params_y, params_z, radii, trial: int):
     """Trivial relay: the Z label is constant, so the Y side is exactly
     the two-node trial; the relay bin message lives on its own stream."""
     n, seed = params_y.n, params_y.seed
     rng = _rng(seed, _KEY_TRIAL, trial, 0)
     bin_rng = _bigint_rng(seed, _KEY_TRIAL, trial, 1)
-    raw = sampling.sample_two_node_trial(
-        rng, bin_rng, p_xyz[:, :, 0], n, params_y.delta,
-        params_y.num_codewords, params_y.num_bins,
-        source_mult=mults[0], encode_mult=mults[1], decode_mult=mults[2])
-    m23 = 0
-    if raw.x_typical:
-        m23 = _bigint_rng(seed, _KEY_TRIAL, trial, 3).randrange(
-            params_z.num_bins)
+    counts, fields = sampling.sample_two_node_trial(
+        rng, bin_rng, p_xyz[:, :, 0], n, radii, params_y.num_codewords,
+        params_y.num_bins)
+    m23 = (_bigint_rng(seed, _KEY_TRIAL, trial, 3).randrange(params_z.num_bins)
+           if fields["x_typical"] else 0)
     z_seq = np.zeros(n, dtype=np.int8)
-    return raw.counts.astype(float)[:, :, None], dict(
-        x_seq=raw.x_seq, b_label_seq=raw.u_seq, c_label_seq=z_seq,
-        bar_z_seq=z_seq, ell=raw.ell, m12=raw.m12, ell_hat=raw.ell_hat,
-        x_typical=raw.x_typical,
-        encoder_fallback=raw.encoder_fallback or not raw.x_typical,
-        decoder_fallback=raw.decoder_fallback, ell2=0, m23=m23, ell_hat2=0,
-        ell_tilde2=0, index_match=True)
+    return counts.astype(float)[:, :, None], dict(
+        fields, c_label_seq=z_seq, bar_z_seq=z_seq, ell2=0, m23=m23,
+        ell_hat2=0, ell_tilde2=0, index_match=True)
 
 
 def _finish_trace(counts, tables: _Tables, gamma, **fields) -> SimulationTrace:
     """Averaged state, distances and the block-bound check of one trial."""
     freq = counts / fields["n"]
-    rho = _mixture(freq, tables.k)
-    px_hat = freq.sum(axis=(1, 2))
-    tau = sum(px_hat[a] * tables.t[a] for a in range(freq.shape[0]))
+    rho = mixture(freq, tables.k)
+    tau = mixture(freq.sum(axis=(1, 2)), tables.t)
     d_tau = trace_norm_distance(rho, tau)
     g_typ = bool(0.5 * np.abs(freq - tables.p_xyz).sum() < gamma)
     return SimulationTrace(
@@ -640,6 +605,7 @@ class ConverseReport:
     eps_n: float
     alpha: float
     measured: JointPmf
+    slack: float
 
     @property
     def passed(self) -> bool:
@@ -670,7 +636,7 @@ def converse_check(traces: Sequence[SimulationTrace], target: CqEnsemble,
     freq = counts.reshape(tables.p_xyz.shape) / traces[0].n
     px = target.source.table
     num_x = freq.shape[0]
-    eps = sum(trace_norm_distance(_mixture(freq[a], tables.k[a]),
+    eps = sum(trace_norm_distance(mixture(freq[a], tables.k[a]),
                                   px[a] * tables.t[a])
               for a in range(num_x))
     _, atoms_c = ext.as_cascade()
@@ -694,4 +660,4 @@ def converse_check(traces: Sequence[SimulationTrace], target: CqEnsemble,
     iq = [ConverseInequality(name, mutual_information(meas_pmf, ["X"], labels),
                              bound, bounded)
           for name, labels, bound in links]
-    return ConverseReport(iq, eps, alpha, meas_pmf)
+    return ConverseReport(iq, eps, alpha, meas_pmf, slack)

@@ -114,8 +114,11 @@ def _outer_sum(vectors) -> np.ndarray:
 
 
 def _class_table(logp: np.ndarray, mask: np.ndarray):
-    """Flat cell indices of a class and their cumulative weights."""
-    idx = np.flatnonzero(mask)
+    """Flat cell indices of a class and their cumulative weights.
+
+    Indices are int32 (a grid has at most GRID_BUDGET cells), so a class
+    spanning a whole grid holds 12 bytes per cell, not 16."""
+    idx = np.flatnonzero(mask).astype(np.int32)
     if idx.size == 0:
         raise ValueError("cannot sample from an empty typicality class")
     lp = logp[idx]
@@ -250,11 +253,8 @@ def _summarize(grid: TypeGrid) -> ClassSummary:
         raise GridMassError(
             f"type grid for x counts {grid.x_counts.tolist()} has total "
             f"log-mass {total!r}, not 0 within {LOG_MASS_TOL}")
-    encode_table = None
-    if math.isfinite(log_e):
-        idx, c = _class_table(grid.logp, grid.mask_e)
-        # flat indices fit int32: a grid has at most GRID_BUDGET cells
-        encode_table = (idx.astype(np.int32), c)
+    encode_table = (_class_table(grid.logp, grid.mask_e)
+                    if math.isfinite(log_e) else None)
     return ClassSummary(
         log_e=log_e, log_ne=log_ne,
         log_ne_d=grid.log_prob(grid.mask_d & not_e),
@@ -381,32 +381,17 @@ def arrange_within_rows(rng: np.random.Generator, x_seq: np.ndarray,
     return u_seq
 
 
-@dataclass
-class SampledTrial:
-    """Raw outcome of one lazily sampled protocol trial."""
-
-    x_seq: np.ndarray
-    u_seq: np.ndarray
-    counts: np.ndarray  # joint (|X|, |U|) counts of (x_seq, u_seq)
-    x_typical: bool
-    ell: int
-    m12: int
-    ell_hat: int
-    encoder_fallback: bool
-    decoder_fallback: bool
-
-
 def sample_two_node_trial(rng: np.random.Generator, bin_rng,
-                          p_joint: np.ndarray, n: int, delta: float,
-                          num_codewords: int, num_bins: int,
-                          source_mult: float = 1.0,
-                          encode_mult: float = 2.0,
-                          decode_mult: float = 8.0) -> SampledTrial:
+                          p_joint: np.ndarray, n: int, radii: tuple,
+                          num_codewords: int, num_bins: int):
     """One trial of the two-node scheme, sampled from its exact distribution.
 
-    ``rng`` drives all continuous draws; ``bin_rng`` (a ``random.Random``)
-    supplies uniform bin indices, which may exceed 2^64.  The draw order
-    is fixed so that a given seed reproduces the trial bit for bit.
+    ``radii`` is a ``ToleranceSchedule``'s (source, encode, decode)
+    triple.  ``rng`` drives all continuous draws; ``bin_rng`` (a
+    ``random.Random``) supplies uniform bin indices, which may exceed
+    2^64.  The draw order is fixed so that a given seed reproduces the
+    trial bit for bit.  Returns ``(counts, fields)``: the (|X|, |U|) joint
+    counts and the Y-side trace fields keyed by their names.
 
     The sent codeword's joint type is drawn from one class of the grid:
     ``e`` (jointly typical, read from the cached summary), ``ne_d`` (not
@@ -417,24 +402,23 @@ def sample_two_node_trial(rng: np.random.Generator, bin_rng,
     px = p_joint.sum(axis=1)
     x_seq = sample_iid(rng, px, n)
     x_counts = np.bincount(x_seq, minlength=p_joint.shape[0]).astype(np.int64)
-    tv_x = 0.5 * np.abs(x_counts / n - px).sum()
-    x_typical = bool(tv_x < source_mult * delta)
+    source_radius, *grid_radii = radii
+    x_typical = bool(0.5 * np.abs(x_counts / n - px).sum() < source_radius)
 
-    radii = (encode_mult * delta, decode_mult * delta)
-    summary, grid = class_summary(x_counts, p_joint, *radii)
+    summary, grid = class_summary(x_counts, p_joint, *grid_radii)
     log_m = math.log(num_bins)
 
-    def finish(ell, m12, ell_hat, enc_fb, dec_fb, cls) -> SampledTrial:
+    def finish(ell, m12, ell_hat, enc_fb, dec_fb, cls):
         if cls == "e":
             counts = summary.sample_encode(rng)
         else:
             g = grid if grid is not None else TypeGrid(x_counts, p_joint,
-                                                       *radii)
+                                                       *grid_radii)
             counts = g.sample_counts(rng, g.class_mask(cls))
         u_seq = arrange_within_rows(rng, x_seq, counts)
-        return SampledTrial(
-            x_seq=x_seq, u_seq=u_seq, counts=counts, x_typical=x_typical,
-            ell=int(ell), m12=int(m12), ell_hat=int(ell_hat),
+        return counts, dict(
+            x_seq=x_seq, b_label_seq=u_seq, ell=int(ell), m12=int(m12),
+            ell_hat=int(ell_hat), x_typical=x_typical,
             encoder_fallback=bool(enc_fb), decoder_fallback=bool(dec_fb))
 
     if x_typical:

@@ -445,3 +445,69 @@ def test_missing_config_key_is_a_config_error(tmp_path, capsys, path):
     assert f"config error: {'.'.join(path)} is missing" in \
         capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("name,path,value", [
+    ("example1_simulate.json", ("ensemble", "registers"), 5),
+    ("example1_simulate.json", ("ensemble", "states", 0), {"A": 5}),
+    ("example1_simulate.json", ("simulate", "trials"), "x"),
+    ("example1_simulate.json", ("simulate", "n_grid"), 5),
+    ("example1_simulate.json", ("simulate", "delta"), None),
+    ("example1_optimize.json", ("optimize", "max_iters"), "x"),
+    ("example1_derandomize.json", ("derandomize", "num_seeds"), "many"),
+    ("phase_flip_sweep.json", ("sweep", "values"), 3),
+], ids=["registers", "states", "trials", "n_grid", "delta", "max_iters",
+        "num_seeds", "sweep_values"])
+def test_wrong_typed_config_value_is_a_config_error(tmp_path, capsys, name,
+                                                    path, value):
+    cfg = json.loads(open(config_path(name)).read())
+    block = cfg
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    where = ".".join(path[:2]) + "".join(f"[{k}]" for k in path[2:])
+    assert f"config error: {where}" in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("name,command,block,message", [
+    ("cascade_flip.json", "simulate",
+     {"simulate": {"n_grid": [8], "rates": [1.0, 1.2], "rates23": [0.5],
+                   "trials": 1}},
+     "rates23 needs one entry per rate"),
+    ("example1_derandomize.json", "derandomize",
+     {"simulate": {"n_grid": [], "trials": 1}},
+     "derandomize needs a nonempty n_grid and rates"),
+    ("phase_flip_sweep.json", "sweep",
+     {"sweep": {"path": ["family", "q", "r"], "values": [0.1]}},
+     "does not name a config entry"),
+], ids=["rates23", "derandomize_n_grid", "sweep_path"])
+def test_unusable_config_value_is_a_config_error(tmp_path, capsys, name,
+                                                 command, block, message):
+    cfg = json.loads(open(config_path(name)).read())
+    cfg.update(block, command=command)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == EXIT_PARSE
+    assert message in capsys.readouterr().err
+
+
+def test_cascade_simulate_without_trials_is_a_validation_error(tmp_path,
+                                                               capsys):
+    cfg = json.loads(open(config_path("cascade_flip.json")).read())
+    cfg["command"] = "simulate"
+    cfg["simulate"] = {"n_grid": [8], "rates": [1.0], "rates23": [0.5],
+                       "trials": 0, "delta": 0.2, "engine": "explicit",
+                       "codeword_rate_y": 0.5, "codeword_rate_z": 0.5}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == EXIT_VALIDATION
+    assert "trials must be positive" in capsys.readouterr().err

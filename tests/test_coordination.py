@@ -11,7 +11,9 @@ from qcoord.coordination import (
     cascade_rate_point,
     extension_target,
     isolated_rate,
+    kron_table,
     measurement_statistics,
+    mixture,
     two_node_rate,
     validate_extension,
 )
@@ -35,6 +37,31 @@ from oracles import binary_entropy, random_density
 
 PAULI_Z = HermitianObservable(np.diag([1.0, -1.0]).astype(complex))
 PAULI_X = HermitianObservable(np.array([[0, 1], [1, 0]], dtype=complex))
+
+
+class TestMixtureHelpers:
+    def test_kron_table_folds_left_over_every_cell(self):
+        rng = np.random.default_rng(4)
+        lists = [[rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                  for _ in range(k)] for d, k in ((2, 3), (3, 2), (2, 2))]
+        table = kron_table(*lists)
+        assert table.shape == (3, 2, 2, 12, 12)
+        for i, a in enumerate(lists[0]):
+            for j, b in enumerate(lists[1]):
+                for k, c in enumerate(lists[2]):
+                    want = np.kron(np.kron(a, b), c)
+                    assert np.array_equal(table[i, j, k], want)
+
+    def test_kron_table_reads_density_operators(self):
+        table = kron_table([KET0, KET1])
+        assert np.array_equal(table[1], KET1.matrix)
+
+    def test_mixture_skips_zero_weights_in_c_order(self):
+        blocks = np.array([[[[np.inf]], [[1.0]]], [[[2.0]], [[4.0]]]])
+        weights = np.array([[0.0, 0.5], [0.25, 0.25]])
+        out = mixture(weights, blocks)
+        assert out.dtype == complex
+        assert out[0, 0] == (0.5 * 1.0 + 0.25 * 2.0) + 0.25 * 4.0
 
 
 class TestValidation:

@@ -419,6 +419,21 @@ class TestCascadeSimulation:
             simulate_cascade(ens3, ext3, n=20, rate12=0.1, rate23=0.5,
                              trials=1, seed=0, delta=0.1)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_is_a_protocol_error(self, example1_pair, trials):
+        # both wrappers share one core, so both refuse an empty run
+        ens3, ext3 = degenerate_z_cascade(example1_pair)
+        with pytest.raises(ProtocolError, match="trials must be positive"):
+            simulate_cascade(ens3, ext3, n=8, rate12=0.5, rate23=0.0,
+                             trials=trials, seed=0, delta=0.2,
+                             engine="explicit", codeword_rate_y=0.5,
+                             codeword_rate_z=0.0)
+        ens2, ext2 = example1_pair
+        with pytest.raises(ProtocolError, match="trials must be positive"):
+            simulate_two_node(ens2, ext2, n=8, rate=0.5, trials=trials,
+                              seed=0, delta=0.2, engine="explicit",
+                              codeword_rate=0.5)
+
 
 class TestDerandomize:
     def test_single_seed(self, example1_pair):
