@@ -333,6 +333,8 @@ def cmd_converse(cfg, out_dir, opts) -> list:
 def cmd_sweep(cfg, out_dir, opts) -> list:
     block = setting(cfg, "sweep", "object", "")
     path_keys = setting(block, "path", "list", "sweep")
+    # checked as numbers, but substituted as written, so that a sweep over
+    # an integer setting such as max_merge_order stays integral
     setting(block, "values", "number[]", "sweep")
     inner_cmd = setting(block, "command", "str", "sweep", "rate")
     if inner_cmd not in ("rate", "optimize"):

@@ -230,12 +230,20 @@ def _joint_table(spec, variables) -> np.ndarray:
     """
     if isinstance(spec, list) and spec and isinstance(spec[0], dict):
         table = np.zeros(tuple(v.size for v in variables))
-        for entry in spec:
-            idx = tuple(v.index(s)
-                        for v, s in zip(variables, entry["symbols"]))
-            table[idx] += float(entry["p"])
+        for i, entry in enumerate(spec):
+            where = f"extension.joint[{i}]"
+            symbols = setting(entry, "symbols", "list", where)
+            if len(symbols) != len(variables):
+                raise ConfigError(f"{where}.symbols needs one symbol per "
+                                  "variable")
+            idx = tuple(v.index(s) for v, s in zip(variables, symbols))
+            table[idx] += setting(entry, "p", "number", where)
         return table
-    return np.asarray(spec, dtype=float)
+    try:
+        return np.asarray(spec, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError("extension.joint is not a nested list of "
+                          "probabilities") from None
 
 
 def build_extension(cfg: dict, ensemble: CqEnsemble) -> Extension:

@@ -487,7 +487,20 @@ def test_wrong_typed_config_value_is_a_config_error(tmp_path, capsys, name,
     ("phase_flip_sweep.json", "sweep",
      {"sweep": {"path": ["family", "q", "r"], "values": [0.1]}},
      "does not name a config entry"),
-], ids=["rates23", "derandomize_n_grid", "sweep_path"])
+    ("example1_decomposition_b.json", "rate",
+     {"extension": {"labels": {"Y": ["y0", "y+"]}, "atoms_b": [],
+                    "joint": [{"symbols": ["x0", "y0"]}]}},
+     "extension.joint[0].p is missing"),
+    ("example1_decomposition_b.json", "rate",
+     {"extension": {"labels": {"Y": ["y0", "y+"]}, "atoms_b": [],
+                    "joint": [{"symbols": ["x0"], "p": 1.0}]}},
+     "extension.joint[0].symbols needs one symbol per variable"),
+    ("example1_decomposition_b.json", "rate",
+     {"extension": {"labels": {"Y": ["y0", "y+"]}, "atoms_b": [],
+                    "joint": [["a", "b"], ["c", "d"]]}},
+     "extension.joint is not a nested list of probabilities"),
+], ids=["rates23", "derandomize_n_grid", "sweep_path", "sparse_joint_p",
+        "sparse_joint_symbols", "joint_strings"])
 def test_unusable_config_value_is_a_config_error(tmp_path, capsys, name,
                                                  command, block, message):
     cfg = json.loads(open(config_path(name)).read())
