@@ -5,8 +5,11 @@ integer, boolean, string and sequence fields (indices, bins, fallbacks,
 seeds, counts) must match exactly, float fields (distances, rates, the
 averaged state, converse values) to ``FLOAT_TOL``.  The pins cover both
 engines on the two-node network, ``derandomize``, an explicit cascade and
-a sampled isolated-node run, the sampled three-symbol copy target, plus
-``converse_check`` on each.
+a sampled isolated-node run, the sampled and explicit three-symbol copy
+target, plus ``converse_check`` on each.  The explicit pins include runs
+long enough to cross the engine's trial and codeword chunks: the
+benchmark's cascade at 60 trials and two-node n=6 at 1,000 trials on three
+threads.
 
 Regenerate only for an intended change of behaviour, and record why:
 
@@ -106,6 +109,27 @@ def _two_node_explicit(n):
             "converse": [converse_check(traces, ens, ext, rate=2.0 / n)]}
 
 
+def _two_node_explicit_threads():
+    # criterion 9's parameters over 1,000 trials on three threads
+    ens, ext = example1()
+    traces = simulate_two_node(ens, ext, n=6, rate=2.0 / 6, trials=1000,
+                               seed=9, delta=0.2, engine="explicit",
+                               codeword_rate=3.0 / 6, threads=3)
+    return {"traces": [traces],
+            "converse": [converse_check(traces, ens, ext, rate=2.0 / 6)]}
+
+
+def _three_symbol_explicit():
+    # 64 codewords: about half the sources are typical, a fifth of those
+    # find no jointly typical codeword
+    ens, ext = three_symbol()
+    traces = simulate_two_node(ens, ext, n=8, rate=0.5, trials=200, seed=4,
+                               delta=0.15, engine="explicit",
+                               codeword_rate=0.75)
+    return {"traces": [traces],
+            "converse": [converse_check(traces, ens, ext, rate=0.5)]}
+
+
 def _two_node_sampled():
     ens, ext = example1()
     traces = simulate_two_node(ens, ext, n=800, rate=0.46, trials=20,
@@ -184,6 +208,18 @@ def _cascade_explicit():
                                         rate23=0.9)]}
 
 
+def _cascade_explicit_benchmark():
+    # the benchmark's cascade: 4,096 label and 1,024 relay codewords
+    ens, ext = cascade_flip_pair(0.1)
+    traces = simulate_cascade(ens, ext, n=32, rate12=1.9, rate23=0.9,
+                              trials=60, seed=11, delta=0.1,
+                              engine="explicit", codeword_rate_y=0.35,
+                              codeword_rate_z=0.3)
+    return {"traces": [traces],
+            "converse": [converse_check(traces, ens, ext, rate=1.9,
+                                        rate23=0.9)]}
+
+
 def _isolated_sampled():
     ens, ext = isolated_pair()
     traces = simulate_cascade(ens, ext, n=400, rate12=1.2, rate23=0.0,
@@ -204,6 +240,9 @@ RUNS.update({
     "two_node_sampled_fallbacks_n30": _sampled_fallbacks,
     "derandomize_3x10": _derandomize,
     "cascade_flip_explicit_n32": _cascade_explicit,
+    "cascade_flip_explicit_n32_t60": _cascade_explicit_benchmark,
+    "two_node_explicit_n6_t1000_threads3": _two_node_explicit_threads,
+    "three_symbol_explicit_n8": _three_symbol_explicit,
     "isolated_sampled_n400": _isolated_sampled,
 })
 
