@@ -398,7 +398,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--threads", type=int, default=0,
-                        help="worker threads for trials (0 = auto)")
+                        help="worker threads for sampled-engine trials "
+                             "(0 = auto)")
     parser.add_argument("--quiet", action="store_true")
     opts = parser.parse_args(argv)
     if opts.threads == 0:

@@ -53,12 +53,18 @@ class ExtensionNotValidated(RuntimeError):
 
 
 def mixture(weights, blocks) -> np.ndarray:
-    """Sum of ``weights[cell] * blocks[cell]`` over nonzero cells, C order;
-    ``blocks`` has the shape of ``weights`` plus two matrix axes."""
+    """Sum of ``weights[..., cell] * blocks[cell]`` over the cells in C
+    order; ``blocks`` has the cell axes plus two matrix axes, ``weights``
+    the cell axes after any leading (batch) axes.  Cells whose weight is
+    zero in every batch row are skipped, and elsewhere a zero weight adds
+    +-0, so each row sums exactly as it would alone."""
     weights, blocks = np.asarray(weights), np.asarray(blocks)
-    out = np.zeros(blocks.shape[-2:], dtype=complex)
-    for cell in zip(*np.nonzero(weights)):
-        out += weights[cell] * blocks[cell]
+    lead = weights.shape[:weights.ndim - blocks.ndim + 2]
+    weights = weights.reshape(lead + (-1,))
+    blocks = blocks.reshape((-1,) + blocks.shape[-2:])
+    out = np.zeros(lead + blocks.shape[1:], dtype=complex)
+    for cell in np.flatnonzero(weights.reshape(-1, len(blocks)).any(axis=0)):
+        out += weights[..., cell, None, None] * blocks[cell]
     return out
 
 

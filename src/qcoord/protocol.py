@@ -13,12 +13,17 @@ Two interchangeable engines produce statistically identical trials:
 * ``explicit`` — materializes the codebooks (i.i.d. codewords, one uniform
   bin index per codeword) and runs the literal typicality scans.  Capped:
   ``2^ceil(n*R0) * n`` stored symbols must stay below ``MEMORY_CAP``.
+  Each trial draws its source from its own seed stream; a chunk of trials
+  then shares every scan (exact 0/1 matrix-product joint types) and one
+  stacked finish.  Trial chunks and codeword blocks are sized by
+  ``CHUNK_CELLS``; the traces do not depend on it.
 * ``sampled`` — draws each trial from the exact outcome distribution of
   the scheme (see ``sampling``); this is what makes achievable-rate
   blocklengths (where the codebook is astronomically large) tractable.
   A fresh codebook is implicitly drawn per trial, which matches the
   shared-randomness average the derandomization argument operates on.
-  It supports the trivial relay (single Z symbol) only.
+  It supports the trivial relay (single Z symbol) only; ``threads``
+  draws its trials in parallel without changing them.
 
 Both engines read one ``ToleranceSchedule`` radius triple (source,
 encode, decode), by default (delta, 2 delta, 8 delta); the sampled one
@@ -44,11 +49,15 @@ from .classical import (Alphabet, JointPmf, ToleranceSchedule, alpha_n,
                         mutual_information)
 from .coordination import (CoordinationError, CqEnsemble, Extension,
                            kron_table, mixture)
-from .quantum import DensityOperator, trace_norm_distance
+from .quantum import (DensityOperator, trace_norm_distance,
+                      trusted_density, validated_states)
 from . import sampling
 
 MEMORY_CAP = 2 ** 30
 EXPLICIT_AUTO_BUDGET = 2 ** 22
+# float64 cells one block of the explicit engine may hold: a scan block's
+# joint-type counts, or a trial chunk's source draws and stacked states
+CHUNK_CELLS = 2 ** 16
 _KEY_CODEBOOK, _KEY_BINS, _KEY_TRIAL = 1, 2, 3
 
 
@@ -155,43 +164,72 @@ def build_codebook(params: CodebookParams, p_u: np.ndarray,
     return Codebook(params, codewords, bins, params.num_bins)
 
 
-def _typical_rows(codewords: np.ndarray, ctx_seq: np.ndarray, num_ctx: int,
-                  p_ctx_u: np.ndarray, radius: float,
-                  bins: Optional[np.ndarray] = None,
-                  bin_value: Optional[int] = None):
-    """Ascending indices whose joint type with ``ctx_seq`` is within ``radius``.
+def _type_distance(ctx: np.ndarray, rows: np.ndarray, target) -> np.ndarray:
+    """(S, R) TV between the joint type of each (ctx[s], rows[r]) and
+    ``target`` (C, U): exact 0/1 matrix-product counts, each pair's
+    distance summed over its own C-ordered (C, U) block."""
+    (num_s, n), (num_c, num_u) = ctx.shape, target.shape
+    a = (ctx[:, None] == np.arange(num_c)[:, None]).reshape(-1, n)
+    b = (rows[:, None] == np.arange(num_u)[:, None]).reshape(-1, n)
+    counts = (a.astype(float) @ b.T.astype(float)).reshape(
+        num_s, num_c, len(rows), num_u).transpose(0, 2, 1, 3).copy()
+    counts /= n
+    counts -= target
+    return 0.5 * np.abs(counts, out=counts).sum(axis=(2, 3))
 
-    With ``bins``/``bin_value`` the search is restricted to one bin.  Rows
-    are scanned chunk by chunk, so a caller that stops early scans no
-    further than it needs.
-    """
-    l0, n = codewords.shape
-    num_u = p_ctx_u.shape[-1]
-    chunk = 4096
-    onehot = np.zeros((n, num_ctx))
-    onehot[np.arange(n), ctx_seq] = 1.0
-    target = p_ctx_u.reshape(num_ctx, num_u)
-    for start in range(0, l0, chunk):
-        rows = codewords[start:start + chunk]
-        sel = None
+
+def _first_rows(rows, ctx, target, radius, bins=None, wanted=None):
+    """Per context row: the smallest codeword index whose joint type with
+    it is within ``radius``, -1 if none; with ``bins``, among the codewords
+    in bin ``wanted[s]`` only.  Codewords are scanned block by block, and a
+    context leaves the scan once it has found its index."""
+    first, start = np.full(len(ctx), -1), 0
+    while start < len(rows) and np.any(first < 0):
+        act = np.flatnonzero(first < 0)
+        stop = start + max(1, CHUNK_CELLS // (act.size * target.size))
+        cols = np.arange(start, min(stop, len(rows)))
+        ok = np.ones((act.size, cols.size), dtype=bool)
         if bins is not None:
-            sel = np.flatnonzero(bins[start:start + chunk] == bin_value)
-            if sel.size == 0:
-                continue
-            rows = rows[sel]
-        counts = np.empty((rows.shape[0], num_ctx, num_u))
-        for u in range(num_u):
-            counts[:, :, u] = (rows == u).astype(float) @ onehot
-        tv = 0.5 * np.abs(counts / n - target[None]).sum(axis=(1, 2))
-        for h in np.flatnonzero(tv < radius):
-            yield start + int(h if sel is None else sel[h])
+            ok = bins[cols] == wanted[act, None]
+            cols, ok = cols[ok.any(axis=0)], ok[:, ok.any(axis=0)]
+        if cols.size:
+            ok &= _type_distance(ctx[act], rows[cols], target) < radius
+            has = ok.any(axis=1)
+            first[act[has]] = cols[ok[has].argmax(axis=1)]
+        start = stop
+    return first
 
 
-def _first_typical(codewords, ctx_seq, num_ctx, p_ctx_u, radius,
-                   bins=None, bin_value=None) -> Optional[int]:
-    """Smallest index whose joint type with ``ctx_seq`` is within ``radius``."""
-    return next(_typical_rows(codewords, ctx_seq, num_ctx, p_ctx_u, radius,
-                              bins, bin_value), None)
+def _pair_search(y_cws, z_cws, x, p_xyz, radius):
+    """Per source row of ``x``: the lexicographically first (l1, l2) with
+    (x, y(l1), z(l2)) jointly typical, or (-1, -1).
+
+    A Y codeword whose (x, y) marginal type already violates the radius
+    cannot host a hit (marginal TV <= joint TV), so each block of Y
+    codewords gets the marginal test once, and the relay scan runs round
+    by round over each source's typical rows in ascending order until the
+    source has found its pair.
+    """
+    num_x, num_y, num_z = p_xyz.shape
+    p_xy, flat = p_xyz.sum(axis=2), p_xyz.reshape(num_x * num_y, num_z)
+    l1, l2 = np.full((2, len(x)), -1)
+    start = 0
+    while start < len(y_cws) and np.any(l2 < 0):
+        act = np.flatnonzero(l2 < 0)
+        stop = start + max(1, CHUNK_CELLS // (act.size * p_xy.size))
+        typical = _type_distance(x[act], y_cws[start:stop], p_xy) < radius
+        while typical.any():
+            has = np.flatnonzero(typical.any(axis=1))
+            rows = typical[has].argmax(axis=1)
+            typical[has, rows] = False
+            ctx = x[act[has]].astype(np.int64) * num_y + y_cws[start + rows]
+            found = _first_rows(z_cws, ctx, flat, radius)
+            hit = found >= 0
+            l1[act[has[hit]]] = start + rows[hit]
+            l2[act[has[hit]]] = found[hit]
+            typical[has[hit]] = False
+        start = stop
+    return l1, l2
 
 
 def encode_generic(cb: Codebook, target_joint: np.ndarray, radius: float,
@@ -202,11 +240,11 @@ def encode_generic(cb: Codebook, target_joint: np.ndarray, radius: float,
     flag); fallback sends the first codeword's bin.
     """
     t = np.asarray(target_joint, dtype=float)
-    ell = _first_typical(cb.codewords, np.asarray(x_seq), t.shape[0], t,
-                         radius)
-    if ell is None:
+    ell = int(_first_rows(cb.codewords, np.asarray(x_seq)[None], t,
+                          radius)[0])
+    if ell < 0:
         return 0, int(cb.bins[0]), True
-    return int(ell), int(cb.bins[ell]), False
+    return ell, int(cb.bins[ell]), False
 
 
 def decode_generic(cb: Codebook, target_joint: np.ndarray, radius: float,
@@ -223,28 +261,18 @@ def decode_generic(cb: Codebook, target_joint: np.ndarray, radius: float,
         flat = t.reshape(1, -1)
     else:
         ctx, flat = np.asarray(y_seq), t
-    ell = _first_typical(cb.codewords, ctx, flat.shape[0], flat, radius,
-                         bins=cb.bins, bin_value=m12)
-    if ell is None:
+    ell = int(_first_rows(cb.codewords, ctx[None], flat, radius, cb.bins,
+                          np.array([m12]))[0])
+    if ell < 0:
         return 0, True
-    return int(ell), False
+    return ell, False
 
 
 def _first_typical_pair(y_cws, z_cws, x_seq, p_xyz, radius):
-    """Lexicographically first (l1, l2) with (x, y(l1), z(l2)) jointly typical.
-
-    Rows whose (x, y) marginal type already violates the radius cannot host
-    a hit (marginal TV <= joint TV), so the relay scan runs on the others
-    only, in order.
-    """
-    num_x, num_y, num_z = p_xyz.shape
-    flat = p_xyz.reshape(num_x * num_y, num_z)
-    for l1 in _typical_rows(y_cws, x_seq, num_x, p_xyz.sum(axis=2), radius):
-        ctx = x_seq.astype(np.int64) * num_y + y_cws[l1]
-        l2 = _first_typical(z_cws, ctx, num_x * num_y, flat, radius)
-        if l2 is not None:
-            return l1, l2
-    return None
+    """``_pair_search`` on one source sequence: (l1, l2) or None."""
+    l1, l2 = _pair_search(y_cws, z_cws, np.asarray(x_seq)[None], p_xyz,
+                          radius)
+    return None if l2[0] < 0 else (int(l1[0]), int(l2[0]))
 
 
 @dataclass
@@ -418,79 +446,98 @@ def simulate_cascade(target: CqEnsemble, ext: Extension, n: int,
 
 def _simulate(target, ext, params_y, params_z, rate12, rate23, radii, gamma,
               engine, trials, threads) -> list:
-    """The one simulation core: ``trials`` cascade traces of one code."""
+    """The one simulation core: ``trials`` cascade traces of one code,
+    drawn and finished chunk by chunk."""
     ext.require_validated()
-    if params_y.n < 1 or trials < 1:
+    n = params_y.n
+    if n < 1 or trials < 1:
         raise ProtocolError("n and trials must be positive")
     tables = _tables(target, ext)
     p_xyz = tables.p_xyz
     if engine == "explicit":
         cb_y = build_codebook(params_y, p_xyz.sum(axis=(0, 2)), role=0)
         cb_z = build_codebook(params_z, p_xyz.sum(axis=(0, 1)), role=1)
-        marginals = (p_xyz.sum(axis=(1, 2)), p_xyz.sum(axis=(0, 1)),
-                     p_xyz.sum(axis=0).T.copy())
-        outcome = lambda t: _explicit_trial(cb_y, cb_z, p_xyz, marginals,
-                                            radii, t)
+        outcomes = lambda chunk: _explicit_chunk(cb_y, cb_z, p_xyz, radii,
+                                                 chunk)
     elif engine == "sampled":
         if p_xyz.shape[2] != 1:
             raise ProtocolError(
                 "the sampled engine supports cascade only with a degenerate "
                 "relay label (single Z symbol); use the explicit engine")
-        outcome = lambda t: _sampled_trial(p_xyz, params_y, params_z, radii,
-                                           t)
+        draw = lambda t: _sampled_trial(p_xyz, params_y, params_z, radii, t)
+        outcomes = lambda chunk: _sampled_chunk(draw, chunk, threads)
     else:
         raise ProtocolError(f"unknown engine {engine!r}")
-    fixed = dict(n=params_y.n, seed=params_y.seed, engine=engine,
-                 rate=rate12, codeword_rate=params_y.codeword_rate,
-                 rate23=rate23)
+    fixed = dict(n=n, seed=params_y.seed, engine=engine, rate=rate12,
+                 codeword_rate=params_y.codeword_rate, rate23=rate23,
+                 gamma_radius=gamma)
+    # per trial, a chunk holds n source draws and about 16 dim^2 cells of
+    # stacked states and their temporaries
+    step = max(1, CHUNK_CELLS // max(n, 16 * tables.k.shape[-1] ** 2))
+    traces = []
+    for first in range(0, trials, step):
+        chunk = range(first, min(first + step, trials))
+        traces += _finish(*outcomes(chunk), tables, chunk, fixed)
+    return traces
 
-    def runner(trial: int) -> SimulationTrace:
-        counts, fields = outcome(trial)
-        return _finish_trace(counts, tables, gamma, trial=trial, **fixed,
-                             **fields)
-    return _run_trials(runner, trials, threads)
 
-
-def _run_trials(runner, trials: int, threads: int) -> list:
+def _sampled_chunk(draw, chunk, threads: int):
+    """Stacked counts and field lists of per-trial draws, made on
+    ``threads`` threads when more than one."""
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(runner, range(trials)))
-    return [runner(t) for t in range(trials)]
+            done = list(pool.map(draw, chunk))
+    else:
+        done = [draw(t) for t in chunk]
+    return (np.stack([counts for counts, _ in done]),
+            {key: [f[key] for _, f in done] for key in done[0][1]})
 
 
-def _explicit_trial(cb_y: Codebook, cb_z: Codebook, p_xyz, marginals,
-                    radii, trial: int):
-    px, p_z, p_zy = marginals
+def _explicit_chunk(cb_y: Codebook, cb_z: Codebook, p_xyz, radii, chunk):
+    """Label counts (T, X, Y, Z) and trace fields of a chunk of explicit
+    trials, every scan shared by the chunk."""
     source_radius, encode_radius, decode_radius = radii
-    n = cb_y.params.n
-    rng = _rng(cb_y.params.seed, _KEY_TRIAL, trial, 0)
-    x_seq = sampling.sample_iid(rng, px, n)
-    x_counts = np.bincount(x_seq, minlength=px.size)
-    x_typical = bool(0.5 * np.abs(x_counts / n - px).sum() < source_radius)
-    ell, ell2, m12, m23, enc_fb = 0, 0, 0, 0, True
-    if x_typical:
-        pair = _first_typical_pair(cb_y.codewords, cb_z.codewords, x_seq,
-                                   p_xyz, encode_radius)
-        if pair is not None:
-            (ell, ell2), enc_fb = pair, False
-        m12, m23 = int(cb_y.bins[ell]), int(cb_z.bins[ell2])
-    # Bob stage (i) recovers the relay codeword; Charlie runs the same pure
-    # rule on the forwarded message, so one call serves both
-    ell_hat2, dec_fb2 = decode_generic(cb_z, p_z, decode_radius, m23)
-    z_seq = cb_z.codewords[ell_hat2]
-    # Bob stage (ii): recover his own codeword against the relay context
-    ell_hat, dec_fb = decode_generic(cb_y, p_zy, decode_radius, m12,
-                                     y_seq=z_seq)
-    y_seq = cb_y.codewords[ell_hat]
-    _, num_y, num_z = p_xyz.shape
-    cells = (x_seq.astype(np.int64) * num_y + y_seq) * num_z + z_seq
-    counts = np.bincount(cells, minlength=p_xyz.size).reshape(p_xyz.shape)
-    return counts.astype(float), dict(
-        x_seq=x_seq, b_label_seq=y_seq, c_label_seq=z_seq, bar_z_seq=z_seq,
-        ell=ell, m12=m12, ell_hat=ell_hat, x_typical=x_typical,
-        encoder_fallback=enc_fb, decoder_fallback=dec_fb or dec_fb2,
-        ell2=ell2, m23=m23, ell_hat2=ell_hat2, ell_tilde2=ell_hat2,
-        index_match=True)
+    num_x, num_y, num_z = p_xyz.shape
+    n, seed, size = cb_y.params.n, cb_y.params.seed, len(chunk)
+    px = p_xyz.sum(axis=(1, 2))
+    cum = np.cumsum(px)  # each trial's source draw is sampling.sample_iid's
+    cum[-1] = 1.0
+    x = np.searchsorted(cum, np.stack(
+        [_rng(seed, _KEY_TRIAL, t, 0).random(n) for t in chunk]),
+        side="right").astype(np.int8)
+    zero = np.zeros((size, n), dtype=np.int8)
+    x_typical = _type_distance(zero[:1], x, px[None])[0] < source_radius
+    ell, ell2 = np.full((2, size), -1)
+    src = np.flatnonzero(x_typical)
+    ell[src], ell2[src] = _pair_search(cb_y.codewords, cb_z.codewords,
+                                       x[src], p_xyz, encode_radius)
+    enc_fb = ell2 < 0
+    ell[enc_fb] = ell2[enc_fb] = 0
+    m12 = np.where(x_typical, cb_y.bins[ell], 0)
+    m23 = np.where(x_typical, cb_z.bins[ell2], 0)
+    # Bob's stage (i) recovers the relay codeword from its bin alone, and
+    # Charlie runs the same rule on the forwarded message
+    ell_hat2 = _first_rows(cb_z.codewords, zero, p_xyz.sum(axis=(0, 1))[None],
+                           decode_radius, cb_z.bins, m23)
+    z = cb_z.codewords[np.maximum(ell_hat2, 0)]
+    # Bob's stage (ii): his own codeword against the relay context
+    ell_hat = _first_rows(cb_y.codewords, z, p_xyz.sum(axis=0).T,
+                          decode_radius, cb_y.bins, m12)
+    dec_fb = (ell_hat < 0) | (ell_hat2 < 0)
+    ell_hat, ell_hat2 = np.maximum(ell_hat, 0), np.maximum(ell_hat2, 0)
+    cells = (x.astype(np.int64) * num_y + cb_y.codewords[ell_hat]) * num_z \
+        + z + p_xyz.size * np.arange(size)[:, None]
+    counts = np.bincount(cells.ravel(), minlength=size * p_xyz.size)
+    y_seqs = [cb_y.codewords[i] for i in ell_hat.tolist()]
+    z_seqs = [cb_z.codewords[i] for i in ell_hat2.tolist()]
+    return counts.reshape((size,) + p_xyz.shape).astype(float), dict(
+        x_seq=list(x), b_label_seq=y_seqs, c_label_seq=z_seqs,
+        bar_z_seq=z_seqs, ell=ell.tolist(),
+        m12=m12.tolist(), ell_hat=ell_hat.tolist(),
+        x_typical=x_typical.tolist(), encoder_fallback=enc_fb.tolist(),
+        decoder_fallback=dec_fb.tolist(), ell2=ell2.tolist(),
+        m23=m23.tolist(), ell_hat2=ell_hat2.tolist(),
+        ell_tilde2=ell_hat2.tolist(), index_match=[True] * size)
 
 
 def _sampled_trial(p_xyz, params_y, params_z, radii, trial: int):
@@ -510,18 +557,26 @@ def _sampled_trial(p_xyz, params_y, params_z, radii, trial: int):
         ell_hat2=0, ell_tilde2=0, index_match=True)
 
 
-def _finish_trace(counts, tables: _Tables, gamma, **fields) -> SimulationTrace:
-    """Averaged state, distances and the block-bound check of one trial."""
-    freq = counts / fields["n"]
+def _finish(counts, fields, tables: _Tables, chunk, fixed) -> list:
+    """Averaged states, distances and block-bound checks of a trial chunk:
+    rho and tau are batched ``mixture``s, and the states' validation and
+    both trace distances share one ``eigvalsh`` call."""
+    freq = counts / fixed["n"]
     rho = mixture(freq, tables.k)
-    tau = mixture(freq.sum(axis=(1, 2)), tables.t)
-    d_tau = trace_norm_distance(rho, tau)
-    g_typ = bool(0.5 * np.abs(freq - tables.p_xyz).sum() < gamma)
-    return SimulationTrace(
-        joint_counts=counts, avg_state=DensityOperator(rho),
-        distance_to_target=trace_norm_distance(rho, tables.omega),
-        distance_to_tau=d_tau, gamma_radius=gamma, gamma_typical=g_typ,
-        block_bound_ok=bool(d_tau <= gamma) if g_typ else None, **fields)
+    tau = mixture(freq.sum(axis=(2, 3)), tables.t)
+    states, eig = validated_states(rho, rho - tau, rho - tables.omega)
+    d_tau, d_target = (0.5 * np.abs(eig).sum(axis=-1)).tolist()
+    gamma = fixed["gamma_radius"]
+    g_typ = (0.5 * np.abs(freq - tables.p_xyz).sum(axis=(1, 2, 3))
+             < gamma).tolist()
+    return [SimulationTrace(
+        trial=trial, joint_counts=counts[i],
+        avg_state=trusted_density(states[i]),
+        distance_to_target=d_target[i], distance_to_tau=d_tau[i],
+        gamma_typical=g_typ[i],
+        block_bound_ok=bool(d_tau[i] <= gamma) if g_typ[i] else None,
+        **fixed, **{key: column[i] for key, column in fields.items()})
+        for i, trial in enumerate(chunk)]
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Density operators, Hermitian observables and POVMs are stored as plain
 numpy complex arrays (row-major).  Every constructor validates its
 invariants (Hermiticity, unit trace, positivity) against explicit numeric
-tolerances, so downstream code can assume well-formed states.
+tolerances, so downstream code can assume well-formed states.  The
+density-operator checks also run on whole stacks (``validated_states``),
+which is how the simulation validates a chunk of per-trial states at once.
 
 Matrix literal format (shared with the JSON configs): nested arrays of
 [re, im] pairs, row-major.  E.g. the mixture 1/2|0><0| + 1/2|+><+| is
@@ -35,8 +37,44 @@ def _as_complex_matrix(m) -> np.ndarray:
 
 
 def _check_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> None:
-    if np.max(np.abs(a - a.conj().T)) > tol:
+    """Raise unless every matrix of the stack ``a`` (..., d, d) is
+    Hermitian."""
+    if np.max(np.abs(a - a.conj().swapaxes(-1, -2))) > tol:
         raise QuantumError("matrix is not Hermitian within tolerance")
+
+
+def validated_states(matrices, *others):
+    """``DensityOperator``'s checks on a stack of matrices (..., d, d).
+
+    Each matrix must be Hermitian with unit trace; it is symmetrised,
+    divided by its trace and must have no eigenvalue below ``-TOL_PSD``.
+    Every stack in ``others`` (same shape, Hermitian) rides along in the
+    one ``eigvalsh`` call.  Returns the read-only states and the ascending
+    eigenvalues of each of ``others``.
+    """
+    a = np.asarray(matrices, dtype=complex)
+    _check_hermitian(a)
+    a = 0.5 * (a + a.conj().swapaxes(-1, -2))
+    tr = np.trace(a, axis1=-2, axis2=-1).real
+    off = np.abs(tr - 1.0) > TOL_TRACE
+    if np.any(off):
+        raise QuantumError(f"trace {float(tr[off].flat[0])} deviates from 1 "
+                           "beyond tolerance")
+    a = a / tr[..., None, None]
+    w = np.linalg.eigvalsh(np.stack((a,) + others))
+    if np.any(w[0][..., 0] < -TOL_PSD):
+        raise QuantumError("matrix has a negative eigenvalue beyond tolerance")
+    a.setflags(write=False)
+    return a, w[1:]
+
+
+def trusted_density(matrix: np.ndarray, label: str = "") -> DensityOperator:
+    """A ``DensityOperator`` around a read-only matrix that
+    ``validated_states`` has already checked, without checking it again."""
+    state = object.__new__(DensityOperator)
+    object.__setattr__(state, "matrix", matrix)
+    object.__setattr__(state, "label", label)
+    return state
 
 
 class DensityOperator:
@@ -52,15 +90,7 @@ class DensityOperator:
         a = _as_complex_matrix(matrix)
         if a.shape[0] > MAX_DIM:
             raise QuantumError(f"dimension {a.shape[0]} exceeds maximum {MAX_DIM}")
-        _check_hermitian(a)
-        a = 0.5 * (a + a.conj().T)
-        tr = float(a.trace().real)
-        if abs(tr - 1.0) > TOL_TRACE:
-            raise QuantumError(f"trace {tr} deviates from 1 beyond tolerance")
-        a = a / tr
-        if np.linalg.eigvalsh(a)[0] < -TOL_PSD:
-            raise QuantumError("matrix has a negative eigenvalue beyond tolerance")
-        a.setflags(write=False)
+        a, _ = validated_states(a)
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "label", label)
 

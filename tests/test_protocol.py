@@ -639,6 +639,128 @@ class TestCascadeTrialMatchesReference:
             assert np.array_equal(trace.b_label_seq, cb_y.codewords[lh1])
             assert np.array_equal(trace.c_label_seq, cb_z.codewords[lh2])
 
+    # two-node runs that reach every branch of the reference: hits,
+    # encoder fallbacks, atypical sources, in-bin confusion and (with the
+    # tight decode radius) decoder fallbacks.  A chunk constant of 1 puts
+    # every trial and every codeword in a block of its own; at 600 two
+    # trials share a chunk and the 128 three-symbol codewords span blocks.
+    TWO_NODE = dict(n=10, rate=0.3, codeword_rate=0.4, delta=0.1,
+                    multipliers=(1.0, 2.0, 2.2), trials=40, seed=21)
+    THREE_SYMBOL = dict(n=8, rate=1.0, codeword_rate=0.8, delta=0.15,
+                        multipliers=(1.0, 2.0, 2.2), trials=40, seed=21)
+
+    @staticmethod
+    def _two_node(pair, run, threads=0):
+        from qcoord.classical import ToleranceSchedule
+        ens, ext = pair
+        return simulate_two_node(
+            ens, ext, n=run["n"], rate=run["rate"], trials=run["trials"],
+            seed=run["seed"], engine="explicit",
+            codeword_rate=run["codeword_rate"], threads=threads,
+            schedule=ToleranceSchedule(run["delta"], run["multipliers"]))
+
+    @staticmethod
+    def _check_two_node(pair, run, traces):
+        from qcoord import protocol
+        from oracles import reference_decode, reference_encode
+        ens, ext = pair
+        n, delta, seed = run["n"], run["delta"], run["seed"]
+        source_r, encode_r, decode_r = (m * delta for m in run["multipliers"])
+        p_joint = ext.joint.table
+        px, p_u = p_joint.sum(axis=1), p_joint.sum(axis=0)
+        cb = build_codebook(CodebookParams(
+            n=n, bin_rate=run["rate"], codeword_rate=run["codeword_rate"],
+            delta=delta, seed=seed), p_u)
+        cws, bins = np.asarray(cb.codewords), np.asarray(cb.bins)
+        a_mats = [a.matrix for a in ext.atoms_a]
+        b_mats = [b.matrix for b in ext.atoms_b]
+        assert len(traces) == run["trials"]
+        for t_idx, trace in enumerate(traces):
+            rng = protocol._rng(seed, protocol._KEY_TRIAL, t_idx, 0)
+            x_seq = sampling.sample_iid(rng, px, n)
+            assert np.array_equal(x_seq, trace.x_seq)
+            typical = bool(0.5 * np.abs(np.bincount(x_seq, minlength=px.size)
+                                        / n - px).sum() < source_r)
+            if typical:
+                ell, m12, enc_fb = reference_encode(cws, bins, x_seq, p_joint,
+                                                    encode_r)
+            else:
+                ell, m12, enc_fb = 0, 0, True
+            ell_hat, dec_fb = reference_decode(cws, bins, m12, p_u, decode_r)
+            assert (trace.x_typical, trace.ell, trace.m12,
+                    trace.encoder_fallback) == (typical, ell, m12, enc_fb)
+            assert (trace.ell_hat, trace.decoder_fallback) == (ell_hat, dec_fb)
+            assert np.array_equal(trace.b_label_seq, cws[ell_hat])
+            assert np.allclose(trace.avg_state.matrix,
+                               average_state(x_seq, cws[ell_hat], a_mats,
+                                             b_mats), atol=1e-12)
+        # the runs reach every branch the reference distinguishes
+        assert any(t.x_typical and not t.encoder_fallback for t in traces)
+        assert any(t.x_typical and t.encoder_fallback for t in traces)
+        assert any(not t.x_typical for t in traces)
+        assert any(t.decoder_fallback for t in traces)
+        assert any(t.ell != t.ell_hat for t in traces)
+
+    @pytest.mark.parametrize("chunk_cells", [1, 600, None])
+    def test_two_node_trialwise_equality(self, example1_pair, chunk_cells,
+                                         monkeypatch):
+        from qcoord import protocol
+        if chunk_cells:
+            monkeypatch.setattr(protocol, "CHUNK_CELLS", chunk_cells)
+        traces = self._two_node(example1_pair, self.TWO_NODE)
+        self._check_two_node(example1_pair, self.TWO_NODE, traces)
+
+    @pytest.mark.parametrize("chunk_cells", [1, 600, None])
+    def test_three_symbol_trialwise_equality(self, example1_three_symbol,
+                                             chunk_cells, monkeypatch):
+        from qcoord import protocol
+        if chunk_cells:
+            monkeypatch.setattr(protocol, "CHUNK_CELLS", chunk_cells)
+        traces = self._two_node(example1_three_symbol, self.THREE_SYMBOL)
+        self._check_two_node(example1_three_symbol, self.THREE_SYMBOL, traces)
+
+    @pytest.mark.parametrize("kind", ["two_node", "three_symbol", "cascade"])
+    def test_traces_do_not_depend_on_chunks_or_threads(
+            self, kind, example1_pair, example1_three_symbol, monkeypatch):
+        from conftest import cascade_flip_pair
+        from qcoord import protocol
+        if kind == "cascade":
+            ens, ext = cascade_flip_pair(0.1)
+            run = lambda threads: simulate_cascade(
+                ens, ext, n=14, rate12=1.2, rate23=0.6, trials=15, seed=77,
+                delta=0.22, engine="explicit", codeword_rate_y=0.5,
+                codeword_rate_z=0.45, threads=threads)
+        else:
+            pair, params = ((example1_pair, self.TWO_NODE)
+                            if kind == "two_node"
+                            else (example1_three_symbol, self.THREE_SYMBOL))
+            run = lambda threads: self._two_node(pair, params, threads)
+        reference = run(1)
+        runs = [run(3)]
+        for chunk_cells in (1, 600):
+            monkeypatch.setattr(protocol, "CHUNK_CELLS", chunk_cells)
+            runs += [run(1), run(3)]
+        for traces in runs:
+            assert len(traces) == len(reference)
+            for a, b in zip(reference, traces):
+                assert _trace_bytes(a) == _trace_bytes(b)
+
+
+def _trace_bytes(t) -> dict:
+    """Every field of a trace, arrays and the averaged state as raw bytes
+    and floats as hex, so equal records mean bit-identical traces."""
+    out = {}
+    for key, value in vars(t).items():
+        if key == "avg_state":
+            value = value.matrix
+        if isinstance(value, np.ndarray):
+            out[key] = (value.dtype.str, value.shape, value.tobytes())
+        elif isinstance(value, float):
+            out[key] = value.hex()
+        else:
+            out[key] = (type(value), value)
+    return out
+
 
 class TestToleranceSchedule:
     def test_schedule_matches_plain_arguments(self, example1_pair):

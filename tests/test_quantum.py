@@ -16,6 +16,9 @@ from qcoord.quantum import (
     partial_trace,
     tensor,
     trace_distance,
+    trace_norm_distance,
+    trusted_density,
+    validated_states,
     von_neumann_entropy,
 )
 
@@ -259,3 +262,50 @@ class TestMatrixLiteral:
     def test_eta_literal(self):
         lit = [[[0.75, 0], [0.25, 0]], [[0.25, 0], [0.25, 0]]]
         assert np.allclose(matrix_from_literal(lit), ETA.matrix)
+
+
+class TestValidatedStates:
+    """The stacked form of DensityOperator's checks."""
+
+    GOOD = [KET0.matrix, ETA.matrix, 0.5 * np.eye(2, dtype=complex)]
+
+    @pytest.mark.parametrize("bad", [
+        [[0.5, 1.0], [0.0, 0.5]],         # not Hermitian
+        [[0.7, 0.0], [0.0, 0.7]],         # trace 1.4
+        [[1.2, 0.0], [0.0, -0.2]],        # eigenvalue -0.2
+    ])
+    @pytest.mark.parametrize("position", [0, 1, 3])
+    def test_one_bad_matrix_rejects_the_stack(self, bad, position):
+        stack = list(self.GOOD)
+        stack.insert(position, np.asarray(bad, dtype=complex))
+        with pytest.raises(QuantumError):
+            DensityOperator(bad)
+        with pytest.raises(QuantumError):
+            validated_states(np.array(stack))
+
+    def test_states_equal_density_operators_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        mats = np.array([random_density(rng, 4) for _ in range(6)])
+        mats[2] += 1e-11 * np.eye(4)      # within the trace tolerance
+        states, _ = validated_states(mats)
+        assert not states.flags.writeable
+        for m, s in zip(mats, states):
+            assert DensityOperator(m).matrix.tobytes() == s.tobytes()
+
+    def test_other_stacks_share_the_eigenvalue_call(self):
+        rng = np.random.default_rng(6)
+        rho = np.array([random_density(rng, 3) for _ in range(4)])
+        sigma = np.array([random_density(rng, 3) for _ in range(4)])
+        _, (w,) = validated_states(rho, rho - sigma)
+        assert w.shape == (4, 3)
+        for r, s, row in zip(rho, sigma, w):
+            assert np.array_equal(row, np.linalg.eigvalsh(r - s))
+            assert 0.5 * np.abs(row).sum() == trace_norm_distance(r, s)
+
+    def test_trusted_density_wraps_without_copying(self):
+        states, _ = validated_states(np.array([ETA.matrix]))
+        state = trusted_density(states[0], "B")
+        assert np.shares_memory(state.matrix, states) and state.label == "B"
+        assert state.dim == 2
+        with pytest.raises(AttributeError):
+            state.matrix = KET0.matrix
