@@ -178,6 +178,14 @@ def _type_distance(ctx: np.ndarray, rows: np.ndarray, target) -> np.ndarray:
     return 0.5 * np.abs(counts, out=counts).sum(axis=(2, 3))
 
 
+def _block_end(start: int, contexts: int, target, n: int) -> int:
+    """End of the codeword block after ``start`` whose joint-type counts
+    against ``contexts`` rows and whose own one-hot rows fit in
+    ``CHUNK_CELLS``."""
+    return start + max(1, CHUNK_CELLS // (contexts * target.size
+                                          + n * target.shape[-1]))
+
+
 def _first_rows(rows, ctx, target, radius, bins=None, wanted=None):
     """Per context row: the smallest codeword index whose joint type with
     it is within ``radius``, -1 if none; with ``bins``, among the codewords
@@ -186,7 +194,7 @@ def _first_rows(rows, ctx, target, radius, bins=None, wanted=None):
     first, start = np.full(len(ctx), -1), 0
     while start < len(rows) and np.any(first < 0):
         act = np.flatnonzero(first < 0)
-        stop = start + max(1, CHUNK_CELLS // (act.size * target.size))
+        stop = _block_end(start, act.size, target, rows.shape[1])
         cols = np.arange(start, min(stop, len(rows)))
         ok = np.ones((act.size, cols.size), dtype=bool)
         if bins is not None:
@@ -202,21 +210,17 @@ def _first_rows(rows, ctx, target, radius, bins=None, wanted=None):
 
 def _pair_search(y_cws, z_cws, x, p_xyz, radius):
     """Per source row of ``x``: the lexicographically first (l1, l2) with
-    (x, y(l1), z(l2)) jointly typical, or (-1, -1).
-
-    A Y codeword whose (x, y) marginal type already violates the radius
-    cannot host a hit (marginal TV <= joint TV), so each block of Y
-    codewords gets the marginal test once, and the relay scan runs round
-    by round over each source's typical rows in ascending order until the
-    source has found its pair.
-    """
+    (x, y(l1), z(l2)) jointly typical, or (-1, -1).  Marginal TV <= joint
+    TV, so each block of Y codewords gets the (x, y) marginal test once,
+    and the relay scan runs round by round over each source's typical rows
+    in ascending order until the source has found its pair."""
     num_x, num_y, num_z = p_xyz.shape
     p_xy, flat = p_xyz.sum(axis=2), p_xyz.reshape(num_x * num_y, num_z)
     l1, l2 = np.full((2, len(x)), -1)
     start = 0
     while start < len(y_cws) and np.any(l2 < 0):
         act = np.flatnonzero(l2 < 0)
-        stop = start + max(1, CHUNK_CELLS // (act.size * p_xy.size))
+        stop = _block_end(start, act.size, p_xy, x.shape[1])
         typical = _type_distance(x[act], y_cws[start:stop], p_xy) < radius
         while typical.any():
             has = np.flatnonzero(typical.any(axis=1))
@@ -471,8 +475,7 @@ def _simulate(target, ext, params_y, params_z, rate12, rate23, radii, gamma,
     fixed = dict(n=n, seed=params_y.seed, engine=engine, rate=rate12,
                  codeword_rate=params_y.codeword_rate, rate23=rate23,
                  gamma_radius=gamma)
-    # per trial, a chunk holds n source draws and about 16 dim^2 cells of
-    # stacked states and their temporaries
+    # a trial takes n cells of source draws and ~16 dim^2 of stacked states
     step = max(1, CHUNK_CELLS // max(n, 16 * tables.k.shape[-1] ** 2))
     traces = []
     for first in range(0, trials, step):

@@ -10,11 +10,12 @@ keep working, and must not reach either name per trial.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from qcoord import protocol
-from qcoord.protocol import converse_check, simulate_cascade, \
-    simulate_two_node
+from qcoord.protocol import CodebookParams, build_codebook, \
+    converse_check, encode_generic, simulate_cascade, simulate_two_node
 
 from conftest import cascade_flip_pair
 
@@ -55,6 +56,31 @@ def test_many_trials_transient_memory_is_bounded(example1_pair):
                                     trials=10_000, seed=3, delta=0.2,
                                     engine="explicit", codeword_rate=0.5)
     assert _transient_bytes(run) <= TRANSIENT_CAP
+
+
+def test_scan_blocks_do_not_grow_with_the_codebook(example1_pair):
+    # one source against 32,768 codewords of length 48: a scan block is
+    # sized by its one-hot codeword rows as well as by its counts
+    ens, ext = example1_pair
+    p_xy = ext.joint.table
+    cb = build_codebook(CodebookParams(n=48, bin_rate=0.5,
+                                       codeword_rate=0.3125, delta=0.05,
+                                       seed=4), p_xy.sum(axis=0))
+    assert cb.codewords.shape == (32768, 48)
+    x_seq = np.random.default_rng(4).integers(0, 2, size=48).astype(np.int8)
+    never = 0.0  # no codeword is within radius 0: every block is scanned
+    scans = [lambda: encode_generic(cb, p_xy, never, x_seq),
+             lambda: protocol._first_typical_pair(
+                 cb.codewords, np.zeros((1, 48), dtype=np.int8), x_seq,
+                 p_xy[:, :, None], never)]
+    for scan in scans:
+        tracemalloc.start()
+        try:
+            scan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= TRANSIENT_CAP / 2
 
 
 def test_wrapped_names_are_not_reached_per_trial(example1_pair, monkeypatch):
