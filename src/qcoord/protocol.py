@@ -458,25 +458,32 @@ def _simulate(target, ext, params_y, params_z, rate12, rate23, radii, gamma,
         raise ProtocolError("n and trials must be positive")
     tables = _tables(target, ext)
     p_xyz = tables.p_xyz
+    # a trial stacks ~16 dim^2 cells of states in the finish
+    cells = 16 * tables.k.shape[-1] ** 2
     if engine == "explicit":
         cb_y = build_codebook(params_y, p_xyz.sum(axis=(0, 2)), role=0)
         cb_z = build_codebook(params_z, p_xyz.sum(axis=(0, 1)), role=1)
         outcomes = lambda chunk: _explicit_chunk(cb_y, cb_z, p_xyz, radii,
                                                  chunk)
+        cells = max(cells, n)  # and n cells of stacked source draws
     elif engine == "sampled":
         if p_xyz.shape[2] != 1:
             raise ProtocolError(
                 "the sampled engine supports cascade only with a degenerate "
                 "relay label (single Z symbol); use the explicit engine")
         draw = lambda t: _sampled_trial(p_xyz, params_y, params_z, radii, t)
-        outcomes = lambda chunk: _sampled_chunk(draw, chunk, threads)
+        if threads and threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                draws = list(pool.map(draw, range(trials)))
+        else:
+            draws = [draw(t) for t in range(trials)]
+        outcomes = lambda chunk: _stacked(draws[chunk.start:chunk.stop])
     else:
         raise ProtocolError(f"unknown engine {engine!r}")
     fixed = dict(n=n, seed=params_y.seed, engine=engine, rate=rate12,
                  codeword_rate=params_y.codeword_rate, rate23=rate23,
                  gamma_radius=gamma)
-    # a trial takes n cells of source draws and ~16 dim^2 of stacked states
-    step = max(1, CHUNK_CELLS // max(n, 16 * tables.k.shape[-1] ** 2))
+    step = max(1, CHUNK_CELLS // cells)
     traces = []
     for first in range(0, trials, step):
         chunk = range(first, min(first + step, trials))
@@ -484,14 +491,8 @@ def _simulate(target, ext, params_y, params_z, rate12, rate23, radii, gamma,
     return traces
 
 
-def _sampled_chunk(draw, chunk, threads: int):
-    """Stacked counts and field lists of per-trial draws, made on
-    ``threads`` threads when more than one."""
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(draw, chunk))
-    else:
-        done = [draw(t) for t in chunk]
+def _stacked(done):
+    """Stacked counts and field lists of a chunk of sampled draws."""
     return (np.stack([counts for counts, _ in done]),
             {key: [f[key] for _, f in done] for key in done[0][1]})
 
@@ -503,11 +504,8 @@ def _explicit_chunk(cb_y: Codebook, cb_z: Codebook, p_xyz, radii, chunk):
     num_x, num_y, num_z = p_xyz.shape
     n, seed, size = cb_y.params.n, cb_y.params.seed, len(chunk)
     px = p_xyz.sum(axis=(1, 2))
-    cum = np.cumsum(px)  # each trial's source draw is sampling.sample_iid's
-    cum[-1] = 1.0
-    x = np.searchsorted(cum, np.stack(
-        [_rng(seed, _KEY_TRIAL, t, 0).random(n) for t in chunk]),
-        side="right").astype(np.int8)
+    x = np.stack([sampling.sample_iid(_rng(seed, _KEY_TRIAL, t, 0), px, n)
+                  for t in chunk])
     zero = np.zeros((size, n), dtype=np.int8)
     x_typical = _type_distance(zero[:1], x, px[None])[0] < source_radius
     ell, ell2 = np.full((2, size), -1)

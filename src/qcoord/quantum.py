@@ -57,23 +57,27 @@ def validated_states(matrices, *others):
     a = 0.5 * (a + a.conj().swapaxes(-1, -2))
     tr = np.trace(a, axis1=-2, axis2=-1).real
     off = np.abs(tr - 1.0) > TOL_TRACE
-    if np.any(off):
+    if off.any():
         raise QuantumError(f"trace {float(tr[off].flat[0])} deviates from 1 "
                            "beyond tolerance")
     a = a / tr[..., None, None]
-    w = np.linalg.eigvalsh(np.stack((a,) + others))
-    if np.any(w[0][..., 0] < -TOL_PSD):
+    if others:
+        w = np.linalg.eigvalsh(np.stack((a,) + others))
+        lowest, w = w[0][..., 0], w[1:]
+    else:  # a lone stack, such as one DensityOperator, needs no copy
+        lowest, w = np.linalg.eigvalsh(a)[..., 0], ()
+    if (lowest < -TOL_PSD).any():
         raise QuantumError("matrix has a negative eigenvalue beyond tolerance")
     a.setflags(write=False)
-    return a, w[1:]
+    return a, w
 
 
-def trusted_density(matrix: np.ndarray, label: str = "") -> DensityOperator:
-    """A ``DensityOperator`` around a read-only matrix that
+def trusted_density(matrix: np.ndarray) -> DensityOperator:
+    """An unlabelled ``DensityOperator`` around a read-only matrix that
     ``validated_states`` has already checked, without checking it again."""
     state = object.__new__(DensityOperator)
     object.__setattr__(state, "matrix", matrix)
-    object.__setattr__(state, "label", label)
+    object.__setattr__(state, "label", "")
     return state
 
 

@@ -304,8 +304,8 @@ class TestValidatedStates:
 
     def test_trusted_density_wraps_without_copying(self):
         states, _ = validated_states(np.array([ETA.matrix]))
-        state = trusted_density(states[0], "B")
-        assert np.shares_memory(state.matrix, states) and state.label == "B"
+        state = trusted_density(states[0])
+        assert np.shares_memory(state.matrix, states) and state.label == ""
         assert state.dim == 2
         with pytest.raises(AttributeError):
             state.matrix = KET0.matrix
