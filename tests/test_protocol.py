@@ -719,12 +719,18 @@ class TestCascadeTrialMatchesReference:
         traces = self._two_node(example1_three_symbol, self.THREE_SYMBOL)
         self._check_two_node(example1_three_symbol, self.THREE_SYMBOL, traces)
 
-    @pytest.mark.parametrize("kind", ["two_node", "three_symbol", "cascade"])
+    @pytest.mark.parametrize("kind", ["two_node", "three_symbol", "cascade",
+                                      "sampled"])
     def test_traces_do_not_depend_on_chunks_or_threads(
             self, kind, example1_pair, example1_three_symbol, monkeypatch):
         from conftest import cascade_flip_pair
         from qcoord import protocol
-        if kind == "cascade":
+        if kind == "sampled":  # one pool draws every trial; finish chunked
+            ens, ext = example1_pair
+            run = lambda threads: simulate_two_node(
+                ens, ext, n=60, rate=0.46, trials=9, seed=4, delta=0.05,
+                engine="sampled", threads=threads)
+        elif kind == "cascade":
             ens, ext = cascade_flip_pair(0.1)
             run = lambda threads: simulate_cascade(
                 ens, ext, n=14, rate12=1.2, rate23=0.6, trials=15, seed=77,
