@@ -32,6 +32,7 @@ for atom, how in zip(cands.atoms_b, cands.provenance_b):
 res = minimize_conditional(target, cands, kind="two-node")
 print("\nminimized I(X;Y):", round(res.value, 6), "bits/symbol")
 print("iterations:", res.iterations,
+      " Frank-Wolfe gap:", f"{res.gap:.1e} bits",
       " max feasibility residual:", f"{res.max_residual:.1e}")
 print("conditional table p(y|x):")
 print(np.round(res.conditional, 4))

@@ -156,10 +156,9 @@ def _optimized(cfg: dict):
         ("lambda", "lam", "number"), ("max_iters", "max_iters", "int"))))
     if not res.feasible:
         raise InfeasibleFailure(res.message)
-    if res.vertices_truncated:
-        print("warning: vertex enumeration stopped at its support limit; "
-              "the optimizer started from a partial vertex list",
-              file=sys.stderr)
+    if res.message:
+        # a feasible result's message says its gap is above tolerance
+        print(f"warning: {res.message}", file=sys.stderr)
     return res.extension.kind, res
 
 
@@ -171,10 +170,10 @@ def _corner_cells(res) -> list:
 def cmd_optimize(cfg, out_dir, opts) -> list:
     kind, res = _optimized(cfg)
     rows = [[config_hash(cfg), kind, repr(res.value), res.iterations,
-             repr(res.max_residual)] + _corner_cells(res)]
+             repr(res.max_residual)] + _corner_cells(res) + [repr(res.gap)]]
     path = os.path.join(out_dir, "optimize.csv")
     write_csv_atomic(path, ["config_hash", "kind", "value", "iterations",
-                            "max_residual", "r12", "r23"], rows)
+                            "max_residual", "r12", "r23", "gap"], rows)
     return [path]
 
 
@@ -345,14 +344,15 @@ def cmd_sweep(cfg, out_dir, opts) -> list:
         sub = apply_sweep_value(cfg, path_keys, value)
         sub["command"] = inner_cmd
         if inner_cmd == "rate":
-            cells = _rate_cells(_built(sub)[1])
+            cells = _rate_cells(_built(sub)[1]) + [""]
         else:
             _, res = _optimized(sub)
-            cells = [repr(res.value)] + _corner_cells(res)
+            cells = ([repr(res.value)] + _corner_cells(res)
+                     + [repr(res.gap)])
         rows.append([chash, repr(float(value))] + cells)
     path = os.path.join(out_dir, "sweep.csv")
-    write_csv_atomic(path, ["config_hash", "value", "rate", "r12", "r23"],
-                     rows)
+    write_csv_atomic(path, ["config_hash", "value", "rate", "r12", "r23",
+                            "gap"], rows)
     return [path]
 
 

@@ -5,17 +5,20 @@ registers, the admissible label conditionals p(y|x) form, per source
 symbol, an affine slice of the simplex (the mixtures of atoms that
 reproduce that symbol's conditional state).  The rate objectives
 (I(X;Y), the weighted cascade objective, I(X;Y|Z) under an independent-Z
-restriction) are jointly convex in the conditionals, so we alternate:
+restriction) are jointly convex in the conditionals, so each atom set
+takes one deterministic solve:
 
-  * fix the output marginal(s) q and, per source symbol, I-project the
-    conditional onto its feasibility polytope (exponential-family tilt
-    solved by a small Newton dual, with a multiplicative mirror-descent
-    step plus affine projection as fallback);
-  * update q to the current marginal(s).
+  * per source symbol, one LP (HiGHS) finds a point of largest support
+    on its polytope; entries off that support are 0 at every feasible
+    point, so the support fixes the face to search;
+  * a log-barrier Newton path-following method minimizes the objective
+    on that face, one objective value per outer iteration (nonincreasing
+    along the central path);
+  * one more LP per source symbol gives the Frank-Wolfe gap, a rigorous
+    bound on how far the result is above the minimum for that atom set.
 
-Every accepted step decreases the objective, so the per-iteration trace
-is monotone.  Atom candidates come from spectral decompositions of the
-target conditionals, convex merges of the conditionals, and maximal-PSD
+Atom candidates come from spectral decompositions of the target
+conditionals, convex merges of the conditionals, and maximal-PSD
 "peeling" remainders between them (the remainder left after subtracting
 as much of one conditional from another as positivity allows — this is
 what discovers shared atoms across source symbols).
@@ -28,7 +31,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import lsq_linear
+from scipy.linalg import block_diag
+from scipy.optimize import linprog, lsq_linear
 
 from .classical import Alphabet, JointPmf
 from .coordination import (
@@ -50,7 +54,11 @@ OBJ_TOL = 1e-9
 MAX_ITERS = 10_000
 DEDUP_TOL = 1e-9
 RESULT_VALIDATION_TOL = 1e-6
-MAX_SUPPORTS = 4096     # candidate supports tried per vertex enumeration
+_BARRIER_GROWTH = 100.0   # factor on the barrier weight t per outer iteration
+_NEWTON_STEPS = 50       # cap on the Newton steps of one centring
+_CENTER_TOL = 1e-8       # centring stops at this Newton decrement squared
+_FULL_STEP_DEC = 0.1     # Newton decrement squared below which no line search
+_BOUND_MARGIN = 1e-3     # barrier bound at which the path is left, / OBJ_TOL
 
 _LOG2 = np.log(2.0)
 
@@ -71,23 +79,26 @@ class AtomCandidateSet:
 
 @dataclass
 class OptimizerResult:
-    """Outcome of one constrained minimization (or of the full pipeline)."""
+    """Outcome of one constrained minimization (or of the full pipeline).
+
+    The defaults describe a run that found no admissible point.
+    """
 
     feasible: bool
-    value: float
-    extension: Optional[Extension]
-    conditional: Optional[np.ndarray]
-    iterations: int
-    objective_trace: list
-    max_residual: float
+    value: float = np.inf
+    extension: Optional[Extension] = None
+    conditional: Optional[np.ndarray] = None
+    iterations: int = 0
+    objective_trace: list = field(default_factory=list)
+    max_residual: float = np.inf
     atoms: Optional[AtomCandidateSet] = None
     rate_point: Optional[RatePoint] = None
     message: str = ""
     candidates: list = field(default_factory=list)
     certified_empty: bool = False
-    # vertex enumeration for the starting points stopped at its support
-    # limit, so the deterministic extra starts came from a partial list
-    vertices_truncated: bool = False
+    # Frank-Wolfe gap in bits: value - gap <= the minimum over this atom set
+    gap: float = np.inf
+    lower_bound: float = -np.inf
 
 
 def _dedup_atoms(atoms, provenance, tol=DEDUP_TOL):
@@ -212,209 +223,172 @@ def _feasible_point(a: np.ndarray, b: np.ndarray):
     return p, float(np.linalg.norm(a @ p - b))
 
 
-def _polytope_vertices(a: np.ndarray, b: np.ndarray, tol=1e-9,
-                       max_supports: int = MAX_SUPPORTS):
-    """Basic feasible solutions of {Ap = b, p >= 0} (tiny systems only).
+def _max_support_point(a: np.ndarray, b: np.ndarray):
+    """A point of {Ap = b, p >= 0} of largest support, and that support.
 
-    Returns ``(vertices, truncated)``; ``truncated`` says the scan stopped
-    after ``max_supports`` candidate supports, so the list may be partial.
+    One homogenised LP: maximise sum(t) over Ap = b*s, t <= p, 0 <= t <= 1,
+    s >= 0.  One row of A sums p, so the polytope is bounded and every
+    optimum has t_i = 1 exactly on the coordinates that some feasible point
+    makes positive, with p / s in the relative interior.  HiGHS is feasible
+    only to about 1e-9, so the point is moved onto Ap = b on its support.
     """
-    m = a.shape[1]
-    rank = int(np.linalg.matrix_rank(a, tol=1e-10))
-    verts = []
-    tried = 0
-    for size in range(1, min(rank, m) + 1):
-        for cols in itertools.combinations(range(m), size):
-            tried += 1
-            if tried > max_supports:
-                return verts, True
-            sub = a[:, cols]
-            sol, *_ = np.linalg.lstsq(sub, b, rcond=None)
-            if np.any(sol < -tol):
-                continue
-            full = np.zeros(m)
-            full[list(cols)] = np.clip(sol, 0.0, None)
-            if np.linalg.norm(a @ full - b) <= max(tol, 1e-9):
-                if not any(np.max(np.abs(full - v)) < 1e-9 for v in verts):
-                    verts.append(full)
-    return verts, False
+    r, m = a.shape
+    eye = np.eye(m)
+    res = linprog(np.concatenate([np.zeros(m), -np.ones(m), [0.0]]),
+                  A_ub=np.hstack([-eye, eye, np.zeros((m, 1))]),
+                  b_ub=np.zeros(m),
+                  A_eq=np.hstack([a, np.zeros((r, m)), -b[:, None]]),
+                  b_eq=np.zeros(r),
+                  bounds=[(0, None)] * m + [(0, 1)] * m + [(0, None)],
+                  method="highs")
+    if res.status != 0:
+        raise CoordinationError(f"support LP failed: {res.message}")
+    support = res.x[m:2 * m] > 0.5
+    p = res.x[:m][support] / res.x[-1]
+    sub = a[:, support]
+    corr, *_ = np.linalg.lstsq(sub, sub @ p - b, rcond=None)
+    return support, p - corr
 
 
-def _project_affine(a: np.ndarray, b: np.ndarray, p: np.ndarray,
-                    max_rounds: int = 30) -> np.ndarray:
-    """Feasibility restoration: affine correction with negative clipping."""
-    m = p.size
-    active = np.zeros(m, dtype=bool)
-    cur = p.astype(float).copy()
-    for _ in range(max_rounds):
-        free = ~active
-        if not free.any():
-            break
-        sub = a[:, free]
-        resid = a @ cur - b
-        corr, *_ = np.linalg.lstsq(sub, resid, rcond=None)
-        cur[free] = cur[free] - corr
-        neg = cur < -1e-12
-        if not neg.any():
-            break
-        active |= neg
-        cur[neg] = 0.0
-    return np.clip(cur, 0.0, None)
+def _entropy_block(xs: np.ndarray, groups: np.ndarray, w: np.ndarray):
+    """(L, G) of sum_r w_r u_r log u_r - sum_g q_g log q_g, u = Lp, q = Gu.
 
-
-def _i_project_dual(q: np.ndarray, a: np.ndarray, b: np.ndarray,
-                    iters: int = 60):
-    """I-projection of q onto {Ap=b, p>=0} via the exponential-family dual.
-
-    Returns None when the dual diverges (the projection sits on a face the
-    tilt cannot reach); callers then use the mirror/projection fallback.
+    Coordinate j belongs to source symbol xs[j] and label group groups[j];
+    a row r of u sums the coordinates of one (symbol, group) pair, and G
+    weights the rows of each group by w_x, so q is the group marginal.
+    Symbols of zero probability add nothing to F and are left out.
     """
-    mask = q > 1e-300
-    if not mask.any():
-        return None
-    aq = a[:, mask]
-    logq = np.log(q[mask])
-    theta = np.zeros(a.shape[0])
-    for _ in range(iters):
-        s = logq + theta @ aq
-        smax = s.max()
-        w = np.exp(s - smax)
-        z = w.sum()
-        p = w / z
-        mean = aq @ p
-        grad = b - mean
-        if np.linalg.norm(grad) < 1e-13:
-            break
-        cov = (aq * p) @ aq.T - np.outer(mean, mean)
-        cov += 1e-12 * np.eye(cov.shape[0])
-        try:
-            step = np.linalg.solve(cov, grad)
-        except np.linalg.LinAlgError:
-            return None
-        # damped Newton ascent on the concave dual
-        t = 1.0
-        base_val = theta @ b - (smax + np.log(z))
-        for _ in range(40):
-            cand = theta + t * step
-            sc = logq + cand @ aq
-            scm = sc.max()
-            val = cand @ b - (scm + np.log(np.exp(sc - scm).sum()))
-            if val > base_val + 1e-18:
-                theta = cand
+    cols = np.flatnonzero(w[xs] > 0)
+    pairs, row = np.unique(np.stack([xs[cols], groups[cols]], axis=1),
+                           axis=0, return_inverse=True)
+    lmat = np.zeros((len(pairs), len(xs)))
+    lmat[row.ravel(), cols] = 1.0
+    _, col = np.unique(pairs[:, 1], return_inverse=True)
+    gmat = np.zeros((col.max() + 1, len(pairs)))
+    gmat[col.ravel(), np.arange(len(pairs))] = w[pairs[:, 0]]
+    return lmat, gmat
+
+
+class _RateProgram:
+    """min F = sum_x w_x [D(p_x||q) + lam D(p_x^Z||q_Z)] over per-x polytopes.
+
+    q and q_Z are the weighted marginals, so F is I(X;Y) (two-node) or
+    I(X;YZ) + lam I(X;Z) (cascade), jointly convex in the table.  The
+    variables are the entries on each polytope's maximal support (every
+    other entry is 0 at every feasible point), moved only along the null
+    space of that support's equality constraints.
+    """
+
+    def __init__(self, weights, systems, lam=0.0, z_of=None):
+        w = np.asarray(weights, dtype=float)
+        self.faces, points, nulls, xs, labels = [], [], [], [], []
+        self.movable = 0     # barrier terms on faces of positive dimension
+        for i, (a, b) in enumerate(systems):
+            support, p = _max_support_point(a, b)
+            _, sv, vt = np.linalg.svd(a[:, support])
+            nulls.append(vt[int((sv > 1e-10 * sv[0]).sum()):].T)
+            self.faces.append((a[:, support], b))
+            points.append(p)
+            xs.append(np.full(p.size, i))
+            labels.append(np.flatnonzero(support))
+            self.movable += p.size if nulls[-1].shape[1] else 0
+        self.p0, self.null = np.concatenate(points), block_diag(*nulls)
+        self.xs, self.labels = np.concatenate(xs), np.concatenate(labels)
+        self.blocks = [(1.0,) + _entropy_block(self.xs, self.labels, w)]
+        if lam > 0:
+            self.blocks.append(
+                (lam,) + _entropy_block(self.xs, z_of[self.labels], w))
+
+    def _terms(self, p: np.ndarray):
+        """Per entropy block at p: (coef, L, G, row weights, u, q)."""
+        for coef, lmat, gmat in self.blocks:
+            u = lmat @ p
+            yield coef, lmat, gmat, gmat.sum(axis=0), u, gmat @ u
+
+    def value(self, p: np.ndarray) -> float:
+        """F(p) in nats."""
+        return float(sum(c * (w @ (u * np.log(u)) - q @ np.log(q))
+                         for c, _, _, w, u, q in self._terms(p)))
+
+    def derivatives(self, p: np.ndarray):
+        """Gradient and Hessian of F (nats) at p."""
+        grad, hess = np.zeros_like(p), np.zeros((p.size, p.size))
+        for c, lmat, gmat, w, u, q in self._terms(p):
+            grad += c * (lmat.T @ (w * np.log(u) - gmat.T @ np.log(q)))
+            hess += c * (lmat.T @ (np.diag(w / u) - (gmat.T / q) @ gmat)
+                         @ lmat)
+        return grad, hess
+
+    def _center(self, p: np.ndarray, t: float) -> np.ndarray:
+        """Damped Newton on t F - sum log p along the null space."""
+        for _ in range(_NEWTON_STEPS):
+            grad, hess = self.derivatives(p)
+            g = self.null.T @ (t * grad - 1.0 / p)
+            h = self.null.T @ (t * hess + np.diag(p ** -2.0)) @ self.null
+            dz = np.linalg.solve(h, -g)
+            dec = -g @ dz
+            if dec <= _CENTER_TOL:
                 break
-            t *= 0.5
-        else:
-            break
-        if np.linalg.norm(theta) > 1e4:
-            return None
-    s = logq + theta @ aq
-    w = np.exp(s - s.max())
-    p_full = np.zeros_like(q)
-    p_full[mask] = w / w.sum()
-    if np.linalg.norm(a @ p_full - b) > 1e-7:
-        return None
-    return p_full
+            dp = self.null @ dz
+            shrink = dp < 0
+            s = min(1.0, 0.99 * np.min(-p[shrink] / dp[shrink],
+                                          initial=np.inf))
+            if dec > _FULL_STEP_DEC:
+                # backtracking (Armijo); near the centre the full step is
+                # taken, as t F rounds to more than the decrease there
+                phi = t * self.value(p) - np.log(p).sum()
+                while (t * self.value(p + s * dp) - np.log(p + s * dp).sum()
+                       > phi - 0.25 * s * dec):
+                    s *= 0.5
+                    if s < 1e-12:
+                        return p
+            p = p + s * dp
+        return p
 
+    def fw_gap(self, p: np.ndarray) -> float:
+        """Frank-Wolfe gap <grad F(p), p - s> in bits, s minimising it.
 
-def _kl_bits(p: np.ndarray, q: np.ndarray) -> float:
-    mask = p > 0
-    if np.any(q[mask] <= 0):
-        return np.inf
-    return float((p[mask] * (np.log(p[mask]) - np.log(q[mask]))).sum() / _LOG2)
+        One HiGHS LP per source symbol.  Its dual y bounds the minimum from
+        below whatever the solver's tolerances: for s >= 0 summing to 1,
+        c.s = b.y + (c - A^T y).s >= b.y + min(0, min(c - A^T y)).  By
+        convexity F(p) - F* is at most the gap (Jaggi, ICML 2013).
+        """
+        grad = self.derivatives(p)[0] / _LOG2
+        gap = 0.0
+        for i, (a, b) in enumerate(self.faces):
+            c = grad[self.xs == i]
+            # HiGHS's default 1e-7 dual tolerance would loosen the bound
+            res = linprog(c, A_eq=a, b_eq=b, bounds=(0, None),
+                          method="highs",
+                          options={"dual_feasibility_tolerance": 1e-10})
+            if res.status != 0:
+                return np.inf
+            y = res.eqlin.marginals
+            gap += c @ p[self.xs == i] - b @ y - min(0.0, np.min(c - a.T @ y))
+        return max(float(gap), 0.0)
 
+    def solve(self, max_iters: int, obj_tol: float):
+        """Barrier path following (Boyd & Vandenberghe, ch. 11).
 
-class _ConvexRateProgram:
-    """min sum_x w_x [D(p_x||q) + lam * D(marg_z p_x || q_z)] over polytopes.
-
-    q and q_z are re-minimized exactly each outer iteration (they are the
-    weighted marginals), so the objective trace is nonincreasing as long
-    as per-x steps are accepted only when they improve.
-    """
-
-    def __init__(self, weights, systems, lam=0.0, z_map=None):
-        self.w = np.asarray(weights, dtype=float)
-        self.systems = systems  # list of (A, b) per x
-        self.lam = float(lam)
-        self.z_map = z_map  # (num_labels, num_z) 0/1 marginalization matrix
-        self._qz = None
-
-    def objective(self, table: np.ndarray) -> float:
-        q = self.w @ table
-        total = sum(self.w[i] * _kl_bits(table[i], q)
-                    for i in range(len(self.w)))
-        if self.lam > 0 and self.z_map is not None:
-            tz = table @ self.z_map
-            qz = self.w @ tz
-            total += self.lam * sum(
-                self.w[i] * _kl_bits(tz[i], qz) for i in range(len(self.w)))
-        return float(total)
-
-    def _grad_nats(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        eps = 1e-300
-        g = np.log(np.maximum(p, eps)) - np.log(np.maximum(q, eps)) + 1.0
-        if self.lam > 0 and self.z_map is not None:
-            pz = p @ self.z_map
-            gz = (np.log(np.maximum(pz, eps))
-                  - np.log(np.maximum(self._qz, eps)) + 1.0)
-            g = g + self.lam * (self.z_map @ gz)
-        return np.clip(g, -60.0, 60.0)
-
-    def _partial_obj(self, p: np.ndarray, q: np.ndarray) -> float:
-        val = _kl_bits(p, q)
-        if self.lam > 0 and self.z_map is not None:
-            val += self.lam * _kl_bits(p @ self.z_map, self._qz)
-        return val
-
-    def solve(self, start: np.ndarray, max_iters: int, obj_tol: float):
-        table = start.copy()
-        trace = [self.objective(table)]
-        iters = 0
-        for it in range(max_iters):
-            iters = it + 1
-            q = self.w @ table
-            self._qz = (self.w @ (table @ self.z_map)
-                        if self.z_map is not None else None)
-            improved = False
-            for i, (a, b) in enumerate(self.systems):
-                p = table[i]
-                cur = self._partial_obj(p, q)
-                best_p, best_val = p, cur
-                if self.lam == 0:
-                    cand = _i_project_dual(q, a, b)
-                    if cand is not None:
-                        val = self._partial_obj(cand, q)
-                        if val < best_val - 1e-15:
-                            best_p, best_val = cand, val
-                g = self._grad_nats(p, q)
-                t = 1.0
-                for _ in range(12):
-                    stepped = p * np.exp(-t * (g - g.min()))
-                    s = stepped.sum()
-                    if s <= 0:
-                        t *= 0.5
-                        continue
-                    stepped = _project_affine(a, b, stepped / s)
-                    val = self._partial_obj(stepped, q)
-                    if val < best_val - 1e-15:
-                        best_p, best_val = stepped, val
-                        break
-                    t *= 0.5
-                if best_val < cur - 1e-15:
-                    table[i] = best_p
-                    improved = True
-            trace.append(self.objective(table))
-            if not improved or trace[-2] - trace[-1] < obj_tol:
+        A centre at t is within movable / t nats of the minimum.  The path
+        ends when that bound or, checked when F stops falling, the gap is
+        ``_BOUND_MARGIN * obj_tol`` (a larger t would only amplify rounding
+        along directions F is flat in), or after ``max_iters`` outer
+        iterations.  Returns (p, F per outer iteration in bits, gap at p).
+        """
+        target = _BOUND_MARGIN * obj_tol
+        p, t, trace = self.p0, 1.0, []
+        while len(trace) < max_iters:
+            p = self._center(p, t)
+            trace.append(self.value(p) / _LOG2)
+            if self.movable / t / _LOG2 <= target:
                 break
-        return table, trace, iters
-
-
-def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
-    ra = np.round(a.ravel(), 12)
-    rb = np.round(b.ravel(), 12)
-    for x, y in zip(ra, rb):
-        if x != y:
-            return x < y
-    return False
+            if len(trace) > 1 and trace[-2] - trace[-1] <= target:
+                gap = self.fw_gap(p)
+                if gap <= target:
+                    return p, trace, gap
+            t *= _BARRIER_GROWTH
+        return p, trace, self.fw_gap(p)
 
 
 def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
@@ -427,7 +401,9 @@ def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
     Deterministic given inputs.  Infeasibility of the atom set (some
     conditional state outside the convex hull of the atoms) is reported,
     not raised: it signals that this candidate set cannot represent the
-    target, not that coordination is impossible.
+    target, not that coordination is impossible.  A feasible result
+    carries its Frank-Wolfe ``gap``; ``message`` says when ``max_iters``
+    ran out before the gap reached ``obj_tol``.
     """
     if kind not in ("two-node", "cascade", "isolated"):
         raise CoordinationError(f"unknown kind {kind!r}")
@@ -435,9 +411,7 @@ def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
     nx = target.x_alphabet.size
     if not target.factorizes():
         return OptimizerResult(
-            feasible=False, value=np.inf, extension=None, conditional=None,
-            iterations=0, objective_trace=[], max_residual=np.inf,
-            atoms=atoms, certified_empty=True,
+            feasible=False, atoms=atoms, certified_empty=True,
             message="a target state does not factor into A x rest; "
                     "no admissible extension exists")
 
@@ -450,7 +424,7 @@ def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
         if len(target.registers) != 2:
             raise CoordinationError("two-node kind needs an A,B target")
         label_mats = [a.matrix for a in atoms.atoms_b]
-        z_map = None
+        z_of = None
         etas = [target.conditional_part(i, "B").matrix for i in range(nx)]
     else:
         if len(target.registers) != 3:
@@ -459,58 +433,22 @@ def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
             raise CoordinationError("cascade optimization needs C atoms")
         bc = kron_table(atoms.atoms_b, atoms.atoms_c)
         label_mats = list(bc.reshape(-1, *bc.shape[2:]))
-        nz = len(atoms.atoms_c)
-        z_map = np.zeros((len(label_mats), nz))
-        for yi in range(len(atoms.atoms_b)):
-            for zi in range(nz):
-                z_map[yi * nz + zi, zi] = 1.0
+        z_of = np.arange(len(label_mats)) % len(atoms.atoms_c)
         etas = [target.rest_part(i).matrix for i in range(nx)]
 
-    systems, starts, residuals = [], [], []
-    vertex_lists = []
-    truncated = False
-    for i in range(nx):
-        a, b = _feasibility_system(label_mats, etas[i])
-        p0, resid = _feasible_point(a, b)
-        systems.append((a, b))
-        residuals.append(resid)
-        verts, cut = _polytope_vertices(a, b)
-        truncated = truncated or cut
-        vertex_lists.append(verts)
-        if verts:
-            starts.append(np.mean(verts, axis=0))
-        else:
-            starts.append(p0)
-    max_resid = max(residuals)
+    systems = [_feasibility_system(label_mats, eta) for eta in etas]
+    max_resid = max(_feasible_point(a, b)[1] for a, b in systems)
     if max_resid > feas_tol:
         return OptimizerResult(
-            feasible=False, value=np.inf, extension=None, conditional=None,
-            iterations=0, objective_trace=[], max_residual=max_resid,
-            atoms=atoms, vertices_truncated=truncated,
+            feasible=False, max_residual=max_resid, atoms=atoms,
             message="atom set infeasible for this target "
                     f"(max residual {max_resid:.3e})")
 
-    program = _ConvexRateProgram(px, systems, lam=lam, z_map=z_map)
-    start_tables = [np.array(starts)]
-    # extra deterministic starts: per-x individual vertices (first few)
-    extra = min(3, max(len(v) for v in vertex_lists) if vertex_lists else 0)
-    for k in range(extra):
-        tab = np.array([
-            vertex_lists[i][k % len(vertex_lists[i])]
-            if vertex_lists[i] else starts[i]
-            for i in range(nx)
-        ])
-        start_tables.append(tab)
-
-    best = None
-    for tab0 in start_tables:
-        table, trace, iters = program.solve(tab0, max_iters, obj_tol)
-        val = trace[-1]
-        cand = (val, table, trace, iters)
-        if best is None or val < best[0] - 1e-9 or (
-                abs(val - best[0]) <= 1e-9 and _lex_smaller(table, best[1])):
-            best = cand
-    value, table, trace, iters = best
+    program = _RateProgram(px, systems, lam=lam, z_of=z_of)
+    p, trace, gap = program.solve(max_iters, obj_tol)
+    table = np.zeros((nx, len(label_mats)))
+    table[program.xs, program.labels] = p
+    iters = len(trace)
     final_resid = max(
         float(np.linalg.norm(a @ table[i] - b))
         for i, (a, b) in enumerate(systems))
@@ -519,18 +457,20 @@ def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
     report = validate_extension(ext, target, tol=RESULT_VALIDATION_TOL)
     if not report.passed:
         return OptimizerResult(
-            feasible=False, value=np.inf, extension=None, conditional=table,
-            iterations=iters, objective_trace=trace, max_residual=final_resid,
-            atoms=atoms, vertices_truncated=truncated,
-            message="solution failed validation:\n" + str(report))
+            feasible=False, conditional=table, iterations=iters,
+            objective_trace=trace, max_residual=final_resid, atoms=atoms,
+            gap=gap, message="solution failed validation:\n" + str(report))
     rate_point = cascade_rate_point(ext) if kind == "cascade" else None
-    value_bits = (two_node_rate(ext) if kind == "two-node"
-                  else rate_point.r12 + lam * rate_point.r23)
+    value_bits = float(two_node_rate(ext) if kind == "two-node"
+                       else rate_point.r12 + lam * rate_point.r23)
     return OptimizerResult(
-        feasible=True, value=float(value_bits), extension=ext,
+        feasible=True, value=value_bits, extension=ext,
         conditional=table, iterations=iters, objective_trace=trace,
         max_residual=final_resid, atoms=atoms, rate_point=rate_point,
-        vertices_truncated=truncated)
+        gap=gap, lower_bound=value_bits - gap,
+        message="" if gap <= obj_tol else (
+            f"stopped after {iters} iterations with Frank-Wolfe gap "
+            f"{gap:.3e} bits above the tolerance {obj_tol:g}"))
 
 
 def _build_extension(target, atoms, kind, table) -> Extension:
@@ -570,9 +510,7 @@ def _minimize_isolated(target, atoms, feas_tol, obj_tol, max_iters):
         for i in range(nx))
     if dev_c > feas_tol or prod_dev > feas_tol:
         return OptimizerResult(
-            feasible=False, value=np.inf, extension=None, conditional=None,
-            iterations=0, objective_trace=[], max_residual=max(dev_c, prod_dev),
-            atoms=atoms,
+            feasible=False, max_residual=max(dev_c, prod_dev), atoms=atoms,
             message="target is outside the independent-Z restriction "
                     "(C conditionals vary with x or rest does not factor B x C)")
     ac, bc = _feasibility_system([c.matrix for c in atoms.atoms_c],
@@ -580,8 +518,7 @@ def _minimize_isolated(target, atoms, feas_tol, obj_tol, max_iters):
     pz, resid_c = _feasible_point(ac, bc)
     if resid_c > feas_tol:
         return OptimizerResult(
-            feasible=False, value=np.inf, extension=None, conditional=None,
-            iterations=0, objective_trace=[], max_residual=resid_c,
+            feasible=False, max_residual=resid_c,
             atoms=atoms, message="C atom set infeasible for the common "
                                  f"C conditional (residual {resid_c:.3e})")
     two = minimize_conditional(
@@ -594,25 +531,21 @@ def _minimize_isolated(target, atoms, feas_tol, obj_tol, max_iters):
         return two
     table_y = two.conditional
     table = np.einsum("xy,z->xyz", table_y, pz).reshape(nx, -1)
-    full_atoms = AtomCandidateSet(atoms_b=atoms.atoms_b,
-                                  atoms_c=atoms.atoms_c,
-                                  provenance_b=atoms.provenance_b,
-                                  provenance_c=atoms.provenance_c)
-    ext = _build_extension(target, full_atoms, "isolated", table)
+    ext = _build_extension(target, atoms, "isolated", table)
     report = validate_extension(ext, target, tol=RESULT_VALIDATION_TOL)
     if not report.passed:
         return OptimizerResult(
-            feasible=False, value=np.inf, extension=None, conditional=table,
-            iterations=two.iterations, objective_trace=two.objective_trace,
-            max_residual=max(two.max_residual, resid_c), atoms=full_atoms,
-            vertices_truncated=two.vertices_truncated,
-            message="solution failed validation:\n" + str(report))
+            feasible=False, conditional=table, iterations=two.iterations,
+            objective_trace=two.objective_trace,
+            max_residual=max(two.max_residual, resid_c), atoms=atoms,
+            gap=two.gap, message="solution failed validation:\n" + str(report))
+    value = isolated_rate(ext)
     return OptimizerResult(
-        feasible=True, value=isolated_rate(ext), extension=ext,
+        feasible=True, value=value, extension=ext,
         conditional=table, iterations=two.iterations,
         objective_trace=two.objective_trace,
-        max_residual=max(two.max_residual, resid_c), atoms=full_atoms,
-        vertices_truncated=two.vertices_truncated)
+        max_residual=max(two.max_residual, resid_c), atoms=atoms,
+        gap=two.gap, lower_bound=value - two.gap, message=two.message)
 
 
 def _as_two_node_target(target: CqEnsemble) -> CqEnsemble:
@@ -630,16 +563,15 @@ def optimize(target: CqEnsemble, kind: str = "two-node",
              max_iters: int = MAX_ITERS) -> OptimizerResult:
     """Full pipeline: propose atoms at growing merge order, minimize, keep best.
 
-    Reports an upper bound on the capacity (the infimum over admissible
-    decompositions); when
-    every candidate atom set is infeasible the result says so with the
-    residual evidence, flagging the certified-empty patterns explicitly.
+    Reports the minimum over the proposed atom sets, each certified by its
+    Frank-Wolfe ``gap`` (the lowest merge order wins values within
+    ``OBJ_TOL``).  When every candidate atom set is infeasible the result
+    says so with the residual evidence, flagging the certified-empty
+    patterns explicitly.
     """
     if not target.factorizes():
         return OptimizerResult(
-            feasible=False, value=np.inf, extension=None, conditional=None,
-            iterations=0, objective_trace=[], max_residual=np.inf,
-            certified_empty=True,
+            feasible=False, certified_empty=True,
             message="a target state does not factor into A x rest; "
                     "the admissible extension set is empty")
     best = None
@@ -655,17 +587,13 @@ def optimize(target: CqEnsemble, kind: str = "two-node",
         res = minimize_conditional(target, atoms, kind=kind, lam=lam,
                                    max_iters=max_iters)
         candidates.append((order, res.feasible, res.value, res.max_residual))
-        if res.feasible and (
-                best is None or res.value < best.value - 1e-9 or
-                (abs(res.value - best.value) <= 1e-9 and
-                 _lex_smaller(res.conditional, best.conditional))):
+        if res.feasible and (best is None
+                             or res.value < best.value - OBJ_TOL):
             best = res
     if best is None:
         worst = max((c[3] for c in candidates), default=np.inf)
         return OptimizerResult(
-            feasible=False, value=np.inf, extension=None, conditional=None,
-            iterations=0, objective_trace=[], max_residual=worst,
-            candidates=candidates,
+            feasible=False, max_residual=worst, candidates=candidates,
             message="all candidate atom sets infeasible; the admissible "
                     "set may be empty for this target")
     best.candidates = candidates

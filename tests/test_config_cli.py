@@ -24,6 +24,7 @@ from qcoord.config import (
     resolve_family,
 )
 from qcoord.coordination import validate_extension
+from qcoord.optimizer import OBJ_TOL
 
 from conftest import phase_flip_pair
 from oracles import binary_entropy
@@ -163,9 +164,10 @@ class TestCli:
         lines = read_csv(out / "sweep.csv").strip().splitlines()[1:]
         assert len(lines) == 10
         for line in lines:
-            _, value, rate, _, _ = line.split(",")
+            _, value, rate, _, _, gap = line.split(",")
             assert abs(float(rate) - (1 - binary_entropy(float(value)))) \
                 <= 1e-9
+            assert gap == ""    # a rate sweep solves nothing
         last = lines[-1].split(",")
         assert float(last[1]) == 0.5 and float(last[2]) == 0.0
 
@@ -359,7 +361,7 @@ class TestPhaseFlipBlocks:
 
 
 class TestCliCommandsAgree:
-    def test_sweep_honours_optimize_max_iters(self, tmp_path):
+    def test_sweep_honours_optimize_max_iters(self, tmp_path, capsys):
         # a truncated solve (max_iters=5) stops short of the converged value,
         # so a sweep that dropped max_iters would report a different number
         cfg = json.loads(open(config_path("example1_optimize.json")).read())
@@ -380,6 +382,12 @@ class TestCliCommandsAgree:
         optimized = read_csv(out1 / "optimize.csv").splitlines()[1]
         swept = read_csv(out2 / "sweep.csv").splitlines()[1]
         assert swept.split(",")[2] == optimized.split(",")[2]
+        # the premise: both solves stopped with the gap above tolerance,
+        # and both runs said so
+        assert float(optimized.split(",")[-1]) > OBJ_TOL
+        assert float(swept.split(",")[-1]) > OBJ_TOL
+        err = capsys.readouterr().err
+        assert err.count("warning: stopped after 5 iterations") == 2
 
     def test_derandomize_threads_do_not_change_output(self, tmp_path,
                                                       monkeypatch):

@@ -1,9 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 
 from qcoord.classical import Alphabet, JointPmf
+from qcoord.config import build_ensemble, load_config, resolve_family
 from qcoord.coordination import CqEnsemble, validate_extension
 from qcoord.optimizer import (
+    OBJ_TOL,
     AtomCandidateSet,
     minimize_conditional,
     optimize,
@@ -17,6 +21,8 @@ from oracles import (
     grid_min_mutual_information,
     random_pure,
 )
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def contains_atom(atoms, matrix, tol=1e-9):
@@ -130,32 +136,44 @@ class TestMinimizeConditional:
         assert np.array_equal(r1.conditional, r2.conditional)
 
 
-    def test_vertex_enumeration_truncation_is_reported(self,
-                                                       example1_pair):
-        # complex qubit atoms give a rank-4 system, so m atoms give
-        # sum_{k<=4} C(m, k) candidate supports: 2,516 at m=16 and 6,195
-        # at m=20, against the limit of 4,096
+    @pytest.mark.parametrize("extra_atoms", [13, 17])
+    def test_many_complex_atoms_reach_closed_form(self, example1_pair,
+                                                  extra_atoms):
+        # 16 and 20 complex qubit atoms: a rank-4 system with 2,516 and
+        # 6,195 candidate supports, beyond what a vertex scan can list
         ens, _ = example1_pair
         angles = np.linspace(0.0, np.pi, 18, endpoint=False)[1:]
         extra = tuple(DensityOperator.pure(
             [np.cos(t / 2), np.exp(3j * t) * np.sin(t / 2)]) for t in angles)
+        atoms_b = (KET0, KETP, KET1) + extra[:extra_atoms]
+        atoms = AtomCandidateSet(atoms_b=atoms_b,
+                                 provenance_b=("user",) * len(atoms_b))
+        res = minimize_conditional(ens, atoms, kind="two-node")
+        assert res.feasible
+        assert res.gap <= 1e-9
+        assert res.value == pytest.approx(binary_entropy(0.25) - 0.5,
+                                          abs=1e-11)
 
-        def truncated(atoms_b):
-            atoms = AtomCandidateSet(atoms_b=atoms_b,
-                                     provenance_b=("user",) * len(atoms_b))
-            res = minimize_conditional(ens, atoms, kind="two-node",
-                                       max_iters=20)
-            assert res.feasible
-            return res.vertices_truncated
 
-        assert not truncated((KET0, KETP))
-        assert not truncated((KET0, KETP, KET1) + extra[:13])   # 16 atoms
-        assert truncated((KET0, KETP, KET1) + extra)            # 20 atoms
-
-    def test_shipped_optimize_runs_are_not_truncated(self, example1_pair):
+class TestClosedForms:
+    def test_example1_optimize(self, example1_pair):
         ens, _ = example1_pair
         res = optimize(ens, kind="two-node")
-        assert res.feasible and not res.vertices_truncated
+        assert res.feasible and res.gap <= OBJ_TOL
+        assert res.lower_bound == res.value - res.gap
+        assert res.value == pytest.approx(binary_entropy(0.25) - 0.5,
+                                          abs=1e-11)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    def test_cascade_lambda_sweep(self, lam):
+        cfg = load_config(os.path.join(CONFIG_DIR,
+                                       "cascade_lambda_sweep.json"))
+        ens = build_ensemble(resolve_family(cfg))
+        res = optimize(ens, kind="cascade", lam=lam,
+                       max_merge_order=cfg["optimize"]["max_merge_order"])
+        assert res.feasible and res.gap <= OBJ_TOL
+        assert res.value == pytest.approx(
+            1 + lam * (1 - binary_entropy(0.1)), abs=1e-11)
 
 
 class TestOptimizePipeline:
