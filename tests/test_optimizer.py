@@ -140,7 +140,7 @@ class TestMinimizeConditional:
     def test_many_complex_atoms_reach_closed_form(self, example1_pair,
                                                   extra_atoms):
         # 16 and 20 complex qubit atoms: a rank-4 system with 2,516 and
-        # 6,195 candidate supports, beyond what a vertex scan can list
+        # 6,195 candidate supports of at most 4 atoms
         ens, _ = example1_pair
         angles = np.linspace(0.0, np.pi, 18, endpoint=False)[1:]
         extra = tuple(DensityOperator.pure(
