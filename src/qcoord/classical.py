@@ -9,8 +9,9 @@ rather than by a separate conditional-pmf type.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -230,51 +231,38 @@ def is_typical(seqs, target: JointPmf, radius: float) -> bool:
 
 @dataclass(frozen=True)
 class ToleranceSchedule:
-    """Typicality radii and slack rules used by the coding scheme.
+    """Typicality radii of the coding scheme and the block-analysis radius.
 
-    ``delta`` is the base radius; the encoder uses ``multipliers[1]*delta``,
-    the decoder ``multipliers[2]*delta``.  ``gamma_of_delta`` maps delta to
-    the output radius of the block analysis; the default is linear with
-    coefficient = product of the alphabet sizes involved.  ``alpha_n`` is
-    the entropy-continuity slack -3 e log2(e * alphabet product).
+    ``delta`` is the base radius; ``radii`` holds the source, encoder and
+    decoder radii, ``multipliers[i]*delta``.  ``gamma`` =
+    ``gamma_coeff*delta`` is the output radius of the block analysis; the
+    simulation sets the coefficient to the label alphabet-size product by
+    default.
     """
 
     delta: float
     multipliers: tuple = (1.0, 2.0, 8.0)
-    gamma_coeff: float = None  # default set per instance: prod of alphabet sizes
-    gamma_of_delta: Callable[[float], float] = None
+    gamma_coeff: float = 1.0
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise PmfError("delta must be positive")
         m = tuple(float(x) for x in self.multipliers)
-        if any(m[i] >= m[i + 1] for i in range(len(m) - 1)):
-            raise PmfError("multipliers must be strictly increasing")
+        named = [("delta", self.delta), ("gamma_coeff", self.gamma_coeff)]
+        for name, value in named + [("multipliers", x) for x in m]:
+            if not (math.isfinite(value) and value > 0):
+                raise PmfError(f"{name} must be positive and finite")
+        if len(m) != 3 or not m[0] < m[1] < m[2]:
+            raise PmfError("multipliers must be three strictly increasing "
+                           "numbers")
         object.__setattr__(self, "multipliers", m)
 
-    def with_alphabet_sizes(self, *sizes: int) -> "ToleranceSchedule":
-        coeff = float(np.prod([s for s in sizes if s]))
-        return ToleranceSchedule(self.delta, self.multipliers, coeff,
-                                 self.gamma_of_delta)
+    @property
+    def radii(self) -> tuple:
+        """(source, encode, decode) radii: each multiplier times delta."""
+        return tuple(m * self.delta for m in self.multipliers)
 
     @property
-    def source_radius(self) -> float:
-        return self.multipliers[0] * self.delta
-
-    @property
-    def encode_radius(self) -> float:
-        return self.multipliers[1] * self.delta
-
-    @property
-    def decode_radius(self) -> float:
-        return self.multipliers[2] * self.delta
-
-    def gamma(self, delta: float = None) -> float:
-        d = self.delta if delta is None else delta
-        if self.gamma_of_delta is not None:
-            return float(self.gamma_of_delta(d))
-        coeff = 1.0 if self.gamma_coeff is None else self.gamma_coeff
-        return coeff * d
+    def gamma(self) -> float:
+        return self.gamma_coeff * self.delta
 
 
 def alpha_n(eps_n: float, *alphabet_sizes: int) -> float:

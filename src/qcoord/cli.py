@@ -36,13 +36,14 @@ from .config import (
     setting,
 )
 from .coordination import (
+    VALIDATION_TOL,
     CoordinationError,
     cascade_rate_point,
     isolated_rate,
     two_node_rate,
     validate_extension,
 )
-from .optimizer import optimize
+from .optimizer import FEAS_TOL, optimize
 from .protocol import (
     MemoryCapError,
     ProtocolError,
@@ -379,7 +380,8 @@ def run(config_path: str, out_dir: str, opts) -> int:
         "threads": opts.threads,
         "artifacts": [os.path.basename(a) for a in artifacts],
         "wall_time_s": round(time.time() - start, 3),
-        "tolerances": {"validation": 1e-9, "feasibility": 1e-8},
+        "tolerances": {"validation": VALIDATION_TOL,
+                       "feasibility": FEAS_TOL},
     }
     write_json_atomic(os.path.join(out_dir, "manifest.json"), manifest)
     if not opts.quiet:

@@ -129,11 +129,10 @@ class CqEnsemble:
         prod = tensor(self.a_part(x_index), self.rest_part(x_index))
         return trace_norm_distance(prod.matrix, self.states[x_index].matrix)
 
-    def factorizes(self, tol: float = VALIDATION_TOL) -> bool:
-        return all(
-            self.factorization_defect(i) <= tol
-            for i in range(len(self.states))
-        )
+    def factorizes(self) -> bool:
+        """Every omega^x is A x rest within ``VALIDATION_TOL``."""
+        return all(self.factorization_defect(i) <= VALIDATION_TOL
+                   for i in range(len(self.states)))
 
     def average_state(self) -> DensityOperator:
         return DensityOperator(mixture(self.source.table,

@@ -101,21 +101,22 @@ class OptimizerResult:
     lower_bound: float = -np.inf
 
 
-def _dedup_atoms(atoms, provenance, tol=DEDUP_TOL):
+def _dedup_atoms(atoms, provenance):
     kept, prov = [], []
     for a, p in zip(atoms, provenance):
-        if any(trace_norm_distance(a.matrix, k.matrix) < tol for k in kept):
+        if any(trace_norm_distance(a.matrix, k.matrix) < DEDUP_TOL
+               for k in kept):
             continue
         kept.append(a)
         prov.append(p)
     return kept, prov
 
 
-def _peel(base: np.ndarray, piece: np.ndarray, tol=1e-10):
+def _peel(base: np.ndarray, piece: np.ndarray):
     """Largest q with base - q*piece PSD; returns (q, normalized remainder).
 
     Returns (0, None) when nothing can be peeled or the remainder would be
-    degenerate (q outside (tol, 1 - tol)).
+    degenerate (q outside (1e-10, 1 - 1e-10)).
     """
     w, v = np.linalg.eigh(base)
     support = w > 1e-12
@@ -131,10 +132,10 @@ def _peel(base: np.ndarray, piece: np.ndarray, tol=1e-10):
     inv_sqrt = vs @ np.diag(ws ** -0.5) @ vs.conj().T
     m = inv_sqrt @ piece @ inv_sqrt
     lam = np.linalg.eigvalsh(m)[-1]
-    if lam <= tol:
+    if lam <= 1e-10:
         return 0.0, None
     q = 1.0 / lam
-    if q <= tol or q >= 1.0 - tol:
+    if q <= 1e-10 or q >= 1.0 - 1e-10:
         return 0.0, None
     rem = (base - q * piece) / (1.0 - q)
     return q, rem
@@ -367,16 +368,16 @@ class _RateProgram:
             gap += c @ p[self.xs == i] - b @ y - min(0.0, np.min(c - a.T @ y))
         return max(float(gap), 0.0)
 
-    def solve(self, max_iters: int, obj_tol: float):
+    def solve(self, max_iters: int):
         """Barrier path following (Boyd & Vandenberghe, ch. 11).
 
         A centre at t is within movable / t nats of the minimum.  The path
         ends when that bound or, checked when F stops falling, the gap is
-        ``_BOUND_MARGIN * obj_tol`` (a larger t would only amplify rounding
+        ``_BOUND_MARGIN * OBJ_TOL`` (a larger t would only amplify rounding
         along directions F is flat in), or after ``max_iters`` outer
         iterations.  Returns (p, F per outer iteration in bits, gap at p).
         """
-        target = _BOUND_MARGIN * obj_tol
+        target = _BOUND_MARGIN * OBJ_TOL
         p, t, trace = self.p0, 1.0, []
         while len(trace) < max_iters:
             p = self._center(p, t)
@@ -393,8 +394,6 @@ class _RateProgram:
 
 def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
                          kind: str = "two-node", lam: float = 0.0,
-                         feas_tol: float = FEAS_TOL,
-                         obj_tol: float = OBJ_TOL,
                          max_iters: int = MAX_ITERS) -> OptimizerResult:
     """Minimize the rate objective over conditionals for a fixed atom set.
 
@@ -403,7 +402,8 @@ def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
     not raised: it signals that this candidate set cannot represent the
     target, not that coordination is impossible.  A feasible result
     carries its Frank-Wolfe ``gap``; ``message`` says when ``max_iters``
-    ran out before the gap reached ``obj_tol``.
+    ran out before the gap reached ``OBJ_TOL``.  A residual above
+    ``FEAS_TOL`` makes the atom set infeasible.
     """
     if kind not in ("two-node", "cascade", "isolated"):
         raise CoordinationError(f"unknown kind {kind!r}")
@@ -418,7 +418,7 @@ def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
     if kind == "isolated":
         if len(target.registers) != 3:
             raise CoordinationError("isolated kind needs an A,B,C target")
-        return _minimize_isolated(target, atoms, feas_tol, obj_tol, max_iters)
+        return _minimize_isolated(target, atoms, max_iters)
 
     if kind == "two-node":
         if len(target.registers) != 2:
@@ -438,14 +438,14 @@ def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
 
     systems = [_feasibility_system(label_mats, eta) for eta in etas]
     max_resid = max(_feasible_point(a, b)[1] for a, b in systems)
-    if max_resid > feas_tol:
+    if max_resid > FEAS_TOL:
         return OptimizerResult(
             feasible=False, max_residual=max_resid, atoms=atoms,
             message="atom set infeasible for this target "
                     f"(max residual {max_resid:.3e})")
 
     program = _RateProgram(px, systems, lam=lam, z_of=z_of)
-    p, trace, gap = program.solve(max_iters, obj_tol)
+    p, trace, gap = program.solve(max_iters)
     table = np.zeros((nx, len(label_mats)))
     table[program.xs, program.labels] = p
     iters = len(trace)
@@ -468,9 +468,9 @@ def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
         conditional=table, iterations=iters, objective_trace=trace,
         max_residual=final_resid, atoms=atoms, rate_point=rate_point,
         gap=gap, lower_bound=value_bits - gap,
-        message="" if gap <= obj_tol else (
+        message="" if gap <= OBJ_TOL else (
             f"stopped after {iters} iterations with Frank-Wolfe gap "
-            f"{gap:.3e} bits above the tolerance {obj_tol:g}"))
+            f"{gap:.3e} bits above the tolerance {OBJ_TOL:g}"))
 
 
 def _build_extension(target, atoms, kind, table) -> Extension:
@@ -490,7 +490,7 @@ def _build_extension(target, atoms, kind, table) -> Extension:
                      list(atoms.atoms_c), kind=kind)
 
 
-def _minimize_isolated(target, atoms, feas_tol, obj_tol, max_iters):
+def _minimize_isolated(target, atoms, max_iters):
     """Isolated node under the independent-Z restriction p(x,y,z)=p(x,y)p(z).
 
     Requires the target C conditionals to coincide across source symbols
@@ -508,7 +508,7 @@ def _minimize_isolated(target, atoms, feas_tol, obj_tol, max_iters):
             np.kron(target.conditional_part(i, "B").matrix, conds_c[i].matrix),
             target.rest_part(i).matrix)
         for i in range(nx))
-    if dev_c > feas_tol or prod_dev > feas_tol:
+    if dev_c > FEAS_TOL or prod_dev > FEAS_TOL:
         return OptimizerResult(
             feasible=False, max_residual=max(dev_c, prod_dev), atoms=atoms,
             message="target is outside the independent-Z restriction "
@@ -516,7 +516,7 @@ def _minimize_isolated(target, atoms, feas_tol, obj_tol, max_iters):
     ac, bc = _feasibility_system([c.matrix for c in atoms.atoms_c],
                                  base_c.matrix)
     pz, resid_c = _feasible_point(ac, bc)
-    if resid_c > feas_tol:
+    if resid_c > FEAS_TOL:
         return OptimizerResult(
             feasible=False, max_residual=resid_c,
             atoms=atoms, message="C atom set infeasible for the common "
@@ -524,8 +524,7 @@ def _minimize_isolated(target, atoms, feas_tol, obj_tol, max_iters):
     two = minimize_conditional(
         _as_two_node_target(target), AtomCandidateSet(
             atoms_b=atoms.atoms_b, provenance_b=atoms.provenance_b),
-        kind="two-node", feas_tol=feas_tol, obj_tol=obj_tol,
-        max_iters=max_iters)
+        kind="two-node", max_iters=max_iters)
     if not two.feasible:
         two.atoms = atoms
         return two

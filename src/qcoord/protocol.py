@@ -25,9 +25,11 @@ Two interchangeable engines produce statistically identical trials:
   It supports the trivial relay (single Z symbol) only; ``threads``
   draws its trials in parallel without changing them.
 
-Both engines read one ``ToleranceSchedule`` radius triple (source,
-encode, decode), by default (delta, 2 delta, 8 delta); the sampled one
-passes it to ``sampling.sample_two_node_trial`` as ``radii``.  The
+The core builds one ``ToleranceSchedule`` per run from the ``delta``,
+``multipliers`` and ``gamma_coeff`` keywords.  Both engines read its
+radius triple (source, encode, decode), by default (delta, 2 delta,
+8 delta); the sampled one passes it to ``sampling.sample_two_node_trial``
+as ``radii``.  The
 encoder picks the lexicographically smallest jointly typical codeword
 index pair at the encode radius, falling back to (0, 0); each decoder
 picks the smallest in-bin index typical at the decode radius, falling
@@ -349,34 +351,13 @@ def _tables(target: CqEnsemble, ext: Extension) -> _Tables:
     return _Tables(p_xyz, k, t, mixture(target.source.table, t))
 
 
-def _resolve_schedule(ext, delta, gamma_coeff,
-                      schedule: Optional[ToleranceSchedule]):
-    """(delta, (source, encode, decode) radii, gamma) of the schedule,
-    which the keyword defaults build when none is given."""
-    if schedule is None:
-        schedule = ToleranceSchedule(delta, gamma_coeff=gamma_coeff)
-    if schedule.gamma_coeff is None and schedule.gamma_of_delta is None:
-        schedule = schedule.with_alphabet_sizes(
-            *[v.size for v in ext.joint.variables])
-    radii = (schedule.source_radius, schedule.encode_radius,
-             schedule.decode_radius)
-    return schedule.delta, radii, schedule.gamma()
-
-
-def _auto_engine(engine: str, symbols: int) -> str:
-    """``auto`` is explicit when the codebooks hold few enough symbols."""
-    if engine != "auto":
-        return engine
-    return "explicit" if symbols <= EXPLICIT_AUTO_BUDGET else "sampled"
-
-
 def simulate_two_node(target: CqEnsemble, ext: Extension, n: int,
                       rate: float, trials: int, seed: int,
                       delta: float = 0.02,
                       codeword_rate: Optional[float] = None,
                       engine: str = "auto",
                       gamma_coeff: Optional[float] = None,
-                      schedule: Optional[ToleranceSchedule] = None,
+                      multipliers: tuple = (1.0, 2.0, 8.0),
                       threads: int = 0) -> list:
     """Monte Carlo runs of the two-node scheme; one trace per trial.
 
@@ -384,24 +365,15 @@ def simulate_two_node(target: CqEnsemble, ext: Extension, n: int,
     codeword) and returns two-node traces: 2-D ``joint_counts`` and no
     relay fields.  ``engine="auto"`` materializes the codebook when it is
     small enough to scan and otherwise samples trials from the exact
-    outcome distribution.  A ``schedule`` overrides ``delta``/``gamma_coeff``
-    and supplies the typicality radii.  Identical
-    (seed, params) reproduce identical traces bit for bit.
+    outcome distribution.  ``delta``, ``multipliers`` and ``gamma_coeff``
+    make the run's ``ToleranceSchedule``.  Identical (seed, params)
+    reproduce identical traces bit for bit.
     """
     if ext.kind != "two-node":
         raise CoordinationError("simulate_two_node needs a two-node extension")
-    delta, radii, gamma = _resolve_schedule(ext, delta, gamma_coeff, schedule)
-    if codeword_rate is None:
-        x, y = ext.joint.names
-        codeword_rate = mutual_information(ext.joint, [x], [y]) + 2.0 * gamma
-    params_y = CodebookParams(n=n, bin_rate=rate, codeword_rate=codeword_rate,
-                              delta=delta, seed=seed)
-    params_z = CodebookParams(n=n, bin_rate=0.0, codeword_rate=0.0,
-                              delta=delta, seed=seed)
-    # the one-codeword relay codebook is not charged to the auto budget
-    engine = _auto_engine(engine, params_y.num_codewords * n)
-    traces = _simulate(target, ext, params_y, params_z, rate, 0.0, radii,
-                       gamma, engine, trials, threads)
+    traces = _simulate(target, ext, n, (rate, 0.0), (codeword_rate, 0.0),
+                       trials, seed, delta, gamma_coeff, multipliers, engine,
+                       threads)
     for t in traces:  # a copy, since a view would keep its 3-D base alive
         t.joint_counts = t.joint_counts[:, :, 0].copy()
         for field in _RELAY_FIELDS:
@@ -416,7 +388,7 @@ def simulate_cascade(target: CqEnsemble, ext: Extension, n: int,
                      codeword_rate_z: Optional[float] = None,
                      engine: str = "auto",
                      gamma_coeff: Optional[float] = None,
-                     schedule: Optional[ToleranceSchedule] = None,
+                     multipliers: tuple = (1.0, 2.0, 8.0),
                      threads: int = 0) -> list:
     """Monte Carlo runs of the rate-splitting cascade scheme.
 
@@ -429,33 +401,41 @@ def simulate_cascade(target: CqEnsemble, ext: Extension, n: int,
         raise CoordinationError("simulate_cascade needs a cascade extension")
     if rate12 < rate23:
         raise ProtocolError("rate12 must be at least rate23 (rate splitting)")
-    delta, radii, gamma = _resolve_schedule(ext, delta, gamma_coeff, schedule)
-    x, y, z = ext.joint.names
-    if codeword_rate_z is None:
-        codeword_rate_z = mutual_information(ext.joint, [x], [z]) + 2.0 * gamma
-    if codeword_rate_y is None:
-        codeword_rate_y = (mutual_information(ext.joint, [x, z], [y])
-                           + 2.0 * gamma)
-    params_y = CodebookParams(n=n, bin_rate=rate12 - rate23,
-                              codeword_rate=codeword_rate_y,
-                              delta=delta, seed=seed)
-    params_z = CodebookParams(n=n, bin_rate=rate23,
-                              codeword_rate=codeword_rate_z,
-                              delta=delta, seed=seed)
-    engine = _auto_engine(
-        engine, (params_y.num_codewords + params_z.num_codewords) * n)
-    return _simulate(target, ext, params_y, params_z, rate12, rate23, radii,
-                     gamma, engine, trials, threads)
+    return _simulate(target, ext, n, (rate12, rate23),
+                     (codeword_rate_y, codeword_rate_z), trials, seed, delta,
+                     gamma_coeff, multipliers, engine, threads)
 
 
-def _simulate(target, ext, params_y, params_z, rate12, rate23, radii, gamma,
-              engine, trials, threads) -> list:
+def _simulate(target, ext, n, rates, codeword_rates, trials, seed, delta,
+              gamma_coeff, multipliers, engine, threads) -> list:
     """The one simulation core: ``trials`` cascade traces of one code,
-    drawn and finished chunk by chunk."""
+    drawn and finished chunk by chunk.  ``gamma_coeff`` defaults to the
+    label alphabet-size product, and a codeword rate to I + 2 gamma."""
     ext.require_validated()
-    n = params_y.n
-    if n < 1 or trials < 1:
-        raise ProtocolError("n and trials must be positive")
+    if trials < 1:
+        raise ProtocolError("trials must be positive")
+    if gamma_coeff is None:
+        gamma_coeff = float(math.prod(v.size for v in ext.joint.variables))
+    schedule = ToleranceSchedule(delta, multipliers, gamma_coeff)
+    radii = schedule.radii
+    x, y, *z = ext.joint.names
+    rate_y, rate_z = codeword_rates
+    if rate_y is None:
+        rate_y = (mutual_information(ext.joint, [x, *z], [y])
+                  + 2.0 * schedule.gamma)
+    if rate_z is None:
+        rate_z = mutual_information(ext.joint, [x], z) + 2.0 * schedule.gamma
+    rate12, rate23 = rates
+    params_y = CodebookParams(n=n, bin_rate=rate12 - rate23,
+                              codeword_rate=rate_y, delta=delta, seed=seed)
+    params_z = CodebookParams(n=n, bin_rate=rate23, codeword_rate=rate_z,
+                              delta=delta, seed=seed)
+    if engine == "auto":
+        # explicit when the codebooks hold few enough symbols; the two-node
+        # run's one-codeword relay is not charged
+        relay = 0 if ext.kind == "two-node" else params_z.num_codewords
+        engine = ("explicit" if (params_y.num_codewords + relay) * n
+                  <= EXPLICIT_AUTO_BUDGET else "sampled")
     tables = _tables(target, ext)
     p_xyz = tables.p_xyz
     # a trial stacks ~16 dim^2 cells of states in the finish
@@ -480,9 +460,9 @@ def _simulate(target, ext, params_y, params_z, rate12, rate23, radii, gamma,
         outcomes = lambda chunk: _stacked(draws[chunk.start:chunk.stop])
     else:
         raise ProtocolError(f"unknown engine {engine!r}")
-    fixed = dict(n=n, seed=params_y.seed, engine=engine, rate=rate12,
-                 codeword_rate=params_y.codeword_rate, rate23=rate23,
-                 gamma_radius=gamma)
+    fixed = dict(n=n, seed=seed, engine=engine, rate=rate12,
+                 codeword_rate=rate_y, rate23=rate23,
+                 gamma_radius=schedule.gamma)
     step = max(1, CHUNK_CELLS // cells)
     traces = []
     for first in range(0, trials, step):

@@ -36,10 +36,10 @@ def _as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def _check_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> None:
+def _check_hermitian(a: np.ndarray) -> None:
     """Raise unless every matrix of the stack ``a`` (..., d, d) is
-    Hermitian."""
-    if np.max(np.abs(a - a.conj().swapaxes(-1, -2))) > tol:
+    Hermitian within ``TOL_HERM``."""
+    if np.max(np.abs(a - a.conj().swapaxes(-1, -2))) > TOL_HERM:
         raise QuantumError("matrix is not Hermitian within tolerance")
 
 
@@ -223,15 +223,15 @@ def partial_trace(rho: DensityOperator, dims, keep) -> DensityOperator:
     return DensityOperator(arr.reshape(d, d))
 
 
-def eigen_hermitian(matrix, tol: float = TOL_HERM):
-    """Spectral decomposition of a Hermitian matrix.
+def eigen_hermitian(matrix):
+    """Spectral decomposition of a Hermitian matrix (within ``TOL_HERM``).
 
     Returns (eigenvalues descending, eigenvectors as columns aligned with
     the eigenvalues).  Reconstruction error ||V diag(w) V^† - M||_F stays
     below TOL_EIG * dim.
     """
     a = _as_complex_matrix(matrix)
-    _check_hermitian(a, tol)
+    _check_hermitian(a)
     a = 0.5 * (a + a.conj().T)
     w, v = np.linalg.eigh(a)
     order = np.argsort(w)[::-1]

@@ -386,8 +386,8 @@ def sample_two_node_trial(rng: np.random.Generator, bin_rng,
                           num_codewords: int, num_bins: int):
     """One trial of the two-node scheme, sampled from its exact distribution.
 
-    ``radii`` is a ``ToleranceSchedule``'s (source, encode, decode)
-    triple.  ``rng`` drives all continuous draws; ``bin_rng`` (a
+    ``radii`` is the (source, encode, decode) triple of the schedule
+    that ``protocol`` builds once per run.  ``rng`` drives all continuous draws; ``bin_rng`` (a
     ``random.Random``) supplies uniform bin indices, which may exceed
     2^64.  The draw order is fixed so that a given seed reproduces the
     trial bit for bit.  Returns ``(counts, fields)``: the (|X|, |U|) joint

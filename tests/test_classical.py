@@ -267,7 +267,7 @@ class TestTypicality:
 class TestToleranceSchedule:
     def test_default_radii(self):
         s = ToleranceSchedule(0.02)
-        assert (s.source_radius, s.encode_radius, s.decode_radius) == (
+        assert s.radii == (
             pytest.approx(0.02), pytest.approx(0.04), pytest.approx(0.16))
 
     def test_rejects_bad_delta(self):
@@ -279,12 +279,25 @@ class TestToleranceSchedule:
             ToleranceSchedule(0.1, multipliers=(1, 1, 8))
 
     def test_linear_gamma_with_alphabet_sizes(self):
-        s = ToleranceSchedule(0.02).with_alphabet_sizes(2, 1, 1, 2)
-        assert s.gamma() == pytest.approx(0.08)
+        # the simulation's default coefficient: the alphabet-size product
+        s = ToleranceSchedule(0.02, gamma_coeff=float(math.prod((2, 1, 1, 2))))
+        assert s.gamma == pytest.approx(0.08)
 
-    def test_custom_gamma(self):
-        s = ToleranceSchedule(0.1, gamma_of_delta=lambda d: d ** 0.5)
-        assert s.gamma() == pytest.approx(math.sqrt(0.1))
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(delta=math.inf), "delta must be positive and finite"),
+        (dict(delta=math.nan), "delta must be positive and finite"),
+        (dict(delta=0.1, gamma_coeff=0.0), "gamma_coeff must be positive"),
+        (dict(delta=0.1, gamma_coeff=-4.0), "gamma_coeff must be positive"),
+        (dict(delta=0.1, gamma_coeff=math.inf), "gamma_coeff must be"),
+        (dict(delta=0.1, multipliers=(0.0, 2.0, 8.0)), "multipliers must be"),
+        (dict(delta=0.1, multipliers=(1.0, 2.0, math.inf)),
+         "multipliers must be positive and finite"),
+        (dict(delta=0.1, multipliers=(1.0, 2.0)), "three strictly increasing"),
+    ], ids=["delta_inf", "delta_nan", "gamma_zero", "gamma_negative",
+            "gamma_inf", "multiplier_zero", "multiplier_inf", "two_multipliers"])
+    def test_rejects_malformed_values(self, kwargs, message):
+        with pytest.raises(PmfError, match=message):
+            ToleranceSchedule(**kwargs)
 
 
 class TestAlphaN:

@@ -26,7 +26,6 @@ import pytest
 from qcoord.classical import (
     Alphabet,
     JointPmf,
-    ToleranceSchedule,
     pmf_from_assignments,
 )
 from qcoord.coordination import CqEnsemble, Extension, validate_extension
@@ -154,7 +153,7 @@ def _sampled_fallbacks():
     ens, ext = example1()
     traces = simulate_two_node(
         ens, ext, n=30, rate=0.05, trials=60, seed=3, engine="sampled",
-        codeword_rate=0.05, schedule=ToleranceSchedule(0.05, (1.0, 2.0, 2.2)))
+        codeword_rate=0.05, delta=0.05, multipliers=(1.0, 2.0, 2.2))
     return {"traces": [traces],
             "converse": [converse_check(traces, ens, ext, rate=0.05)]}
 

@@ -651,13 +651,12 @@ class TestCascadeTrialMatchesReference:
 
     @staticmethod
     def _two_node(pair, run, threads=0):
-        from qcoord.classical import ToleranceSchedule
         ens, ext = pair
         return simulate_two_node(
             ens, ext, n=run["n"], rate=run["rate"], trials=run["trials"],
             seed=run["seed"], engine="explicit",
             codeword_rate=run["codeword_rate"], threads=threads,
-            schedule=ToleranceSchedule(run["delta"], run["multipliers"]))
+            delta=run["delta"], multipliers=run["multipliers"])
 
     @staticmethod
     def _check_two_node(pair, run, traces):
@@ -769,25 +768,12 @@ def _trace_bytes(t) -> dict:
 
 
 class TestToleranceSchedule:
-    def test_schedule_matches_plain_arguments(self, example1_pair):
-        from qcoord.classical import ToleranceSchedule
-        ens, ext = example1_pair
-        plain = simulate_two_node(ens, ext, n=200, rate=0.46, trials=8,
-                                  seed=4, delta=0.02, engine="sampled")
-        sched = ToleranceSchedule(0.02)
-        via_schedule = simulate_two_node(ens, ext, n=200, rate=0.46,
-                                         trials=8, seed=4,
-                                         schedule=sched, engine="sampled")
-        for a, b in zip(plain, via_schedule):
-            assert a.distance_to_target == b.distance_to_target
-            assert a.gamma_radius == b.gamma_radius
-
     def test_custom_multipliers_change_radii(self, example1_pair):
-        from qcoord.classical import ToleranceSchedule
         ens, ext = example1_pair
-        wide = ToleranceSchedule(0.02, multipliers=(2.0, 4.0, 16.0))
         traces = simulate_two_node(ens, ext, n=200, rate=0.46, trials=40,
-                                   seed=4, schedule=wide, engine="sampled")
+                                   seed=4, delta=0.02,
+                                   multipliers=(2.0, 4.0, 16.0),
+                                   engine="sampled")
         base = simulate_two_node(ens, ext, n=200, rate=0.46, trials=40,
                                  seed=4, delta=0.02, engine="sampled")
         # doubling the source radius admits more sequences as typical
