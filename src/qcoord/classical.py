@@ -108,12 +108,6 @@ class JointPmf:
         t = self.table.sum(axis=drop) if drop else self.table
         return JointPmf([self.variables[i] for i in keep], t)
 
-    def prob(self, assignment: dict) -> float:
-        idx = tuple(
-            v.index(assignment[v.name]) for v in self.variables
-        )
-        return float(self.table[idx])
-
     def __repr__(self):
         return f"JointPmf({'x'.join(self.names)}, shape={self.table.shape})"
 

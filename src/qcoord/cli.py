@@ -404,6 +404,8 @@ def main(argv=None) -> int:
                              "(0 = auto)")
     parser.add_argument("--quiet", action="store_true")
     opts = parser.parse_args(argv)
+    if opts.threads < 0:
+        parser.error(f"--threads must be at least 0, not {opts.threads}")
     if opts.threads == 0:
         opts.threads = min(8, os.cpu_count() or 1)
     try:

@@ -36,6 +36,7 @@ from scipy.optimize import linprog, lsq_linear
 
 from .classical import Alphabet, JointPmf
 from .coordination import (
+    KINDS,
     CoordinationError,
     CqEnsemble,
     Extension,
@@ -392,6 +393,16 @@ class _RateProgram:
         return p, trace, self.fw_gap(p)
 
 
+def _check_lam(kind: str, lam: float) -> None:
+    """Reject an unknown kind, and a weight ``lam`` on the relay rate that
+    is negative, not finite, or set on a kind without a relay rate."""
+    if kind not in KINDS:
+        raise CoordinationError(f"unknown kind {kind!r}")
+    if not 0 <= lam < np.inf or (lam > 0 and kind != "cascade"):
+        raise CoordinationError(f"lambda must be finite, nonnegative and 0 "
+                                f"unless the kind is cascade, not {lam!r}")
+
+
 def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
                          kind: str = "two-node", lam: float = 0.0,
                          max_iters: int = MAX_ITERS) -> OptimizerResult:
@@ -405,8 +416,7 @@ def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
     ran out before the gap reached ``OBJ_TOL``.  A residual above
     ``FEAS_TOL`` makes the atom set infeasible.
     """
-    if kind not in ("two-node", "cascade", "isolated"):
-        raise CoordinationError(f"unknown kind {kind!r}")
+    _check_lam(kind, lam)
     px = target.source.table
     nx = target.x_alphabet.size
     if not target.factorizes():
@@ -568,6 +578,10 @@ def optimize(target: CqEnsemble, kind: str = "two-node",
     says so with the residual evidence, flagging the certified-empty
     patterns explicitly.
     """
+    _check_lam(kind, lam)
+    if max_merge_order < 1:
+        raise CoordinationError(
+            f"max_merge_order must be at least 1, not {max_merge_order}")
     if not target.factorizes():
         return OptimizerResult(
             feasible=False, certified_empty=True,

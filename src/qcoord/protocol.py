@@ -40,6 +40,7 @@ transmission, fixed to bin 0 for reproducibility.  Indices are 0-based.
 from __future__ import annotations
 
 import math
+import os
 import random as _pyrandom
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -72,8 +73,9 @@ class ProtocolError(ValueError):
 
 
 def _ceil_rate(n: int, rate: float) -> int:
-    if rate < 0:
-        raise ProtocolError("rates must be nonnegative")
+    if not (rate >= 0 and math.isfinite(n * rate)):
+        raise ProtocolError(f"rates must be nonnegative and finite at "
+                            f"n={n}, not {rate!r}")
     return max(0, math.ceil(n * rate - 1e-9))
 
 
@@ -99,10 +101,12 @@ class CodebookParams:
     def __post_init__(self):
         if self.n < 1:
             raise ProtocolError("block length must be >= 1")
-        if self.bin_rate < 0 or self.codeword_rate < 0:
-            raise ProtocolError("rates must be nonnegative")
+        _ceil_rate(self.n, self.bin_rate)
+        _ceil_rate(self.n, self.codeword_rate)
         if self.delta <= 0:
             raise ProtocolError("delta must be positive")
+        if self.seed < 0:
+            raise ProtocolError(f"seed must be nonnegative, not {self.seed}")
 
     @property
     def num_codewords(self) -> int:
@@ -452,8 +456,9 @@ def _simulate(target, ext, n, rates, codeword_rates, trials, seed, delta,
                 "the sampled engine supports cascade only with a degenerate "
                 "relay label (single Z symbol); use the explicit engine")
         draw = lambda t: _sampled_trial(p_xyz, params_y, params_z, radii, t)
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
+        workers = min(threads, trials, os.cpu_count() or 1)
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 draws = list(pool.map(draw, range(trials)))
         else:
             draws = [draw(t) for t in range(trials)]
@@ -599,6 +604,8 @@ def derandomize(target: CqEnsemble, ext: Extension, n: int, rate: float,
     """
     if num_seeds < 1:
         raise ProtocolError("need at least one seed")
+    if seed < 0:
+        raise ProtocolError(f"seed must be nonnegative, not {seed}")
     seeds, dists, kept = [], [], []
     for s in range(num_seeds):
         seed_s = int(np.random.SeedSequence(seed, spawn_key=(7, s))

@@ -532,3 +532,66 @@ def test_cascade_simulate_without_trials_is_a_validation_error(tmp_path,
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
                  "--quiet"]) == EXIT_VALIDATION
     assert "trials must be positive" in capsys.readouterr().err
+
+
+# each of these exited 1 ("unexpected error"), or 0 with a wrong result,
+# before the library rejected the setting itself
+@pytest.mark.parametrize("name,command,edits,flags,message", [
+    ("example1_optimize.json", "optimize", {"optimize": {"lambda": 0.5}},
+     [], "lambda must be"),
+    ("cascade_lambda_sweep.json", "optimize", {"optimize": {"lambda": -0.5}},
+     [], "lambda must be"),
+    ("example1_optimize.json", "optimize",
+     {"optimize": {"max_merge_order": 0}}, [], "max_merge_order"),
+    ("example1_simulate.json", "simulate", {"simulate": {"seed": -3}}, [],
+     "seed must be nonnegative"),
+    ("example1_derandomize.json", "derandomize", {}, ["--seed", "-1"],
+     "seed must be nonnegative"),
+    ("example1_simulate.json", "simulate", {"simulate": {"rates": [1e308]}},
+     [], "rates must be nonnegative and finite"),
+    ("example1_simulate.json", "simulate", {"simulate": {"delta": 1e308}},
+     [], "rates must be nonnegative and finite"),
+    ("example1_simulate.json", "simulate", {"simulate": {"gamma_coeff": 0}},
+     [], "gamma_coeff must be positive"),
+], ids=["two_node_lambda", "negative_lambda", "merge_order_0",
+        "negative_config_seed", "negative_seed_flag", "huge_rate",
+        "huge_delta", "zero_gamma_coeff"])
+def test_unhonourable_setting_is_a_validation_error(tmp_path, capsys, name,
+                                                    command, edits, flags,
+                                                    message):
+    cfg = json.loads(open(config_path(name)).read())
+    cfg["command"] = command
+    # one short run each, so that a setting that is not rejected ends fast
+    cfg["simulate"] = dict(cfg.get("simulate", {}), n_grid=[200], trials=1)
+    cfg["derandomize"] = dict(cfg.get("derandomize", {}), num_seeds=1)
+    for block, values in edits.items():
+        cfg[block] = dict(cfg[block], **values)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]
+                + flags) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "validation error: " in err and message in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_negative_threads_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", config_path("example1_decomposition_b.json"),
+              "--out", str(out), "--threads", "-4", "--quiet"])
+    assert exc.value.code == EXIT_PARSE
+    assert "--threads must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_tolerances_are_the_library_constants(tmp_path):
+    from qcoord.coordination import VALIDATION_TOL
+    from qcoord.optimizer import FEAS_TOL
+    out = tmp_path / "out"
+    assert main(["--config", config_path("example1_decomposition_b.json"),
+                 "--out", str(out), "--quiet"]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["tolerances"] == {"validation": VALIDATION_TOL,
+                                      "feasibility": FEAS_TOL}

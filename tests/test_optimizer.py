@@ -5,7 +5,8 @@ import pytest
 
 from qcoord.classical import Alphabet, JointPmf
 from qcoord.config import build_ensemble, load_config, resolve_family
-from qcoord.coordination import CqEnsemble, validate_extension
+from qcoord.coordination import (CoordinationError, CqEnsemble,
+                                 validate_extension)
 from qcoord.optimizer import (
     OBJ_TOL,
     AtomCandidateSet,
@@ -174,6 +175,25 @@ class TestClosedForms:
         assert res.feasible and res.gap <= OBJ_TOL
         assert res.value == pytest.approx(
             1 + lam * (1 - binary_entropy(0.1)), abs=1e-11)
+
+
+class TestUnhonourableSettings:
+    # a weight on I(X;Z) exists only for a cascade, and there it must be a
+    # finite, nonnegative number; a merge order below 1 tries no atom set
+    @pytest.mark.parametrize("kind,lam", [
+        ("two-node", 0.5), ("cascade", -0.5), ("cascade", float("inf")),
+        ("cascade", float("nan"))])
+    def test_bad_lambda_is_rejected(self, example1_pair, kind, lam):
+        ens, _ = example1_pair
+        atoms = propose_atoms(ens, max_merge_order=1)
+        with pytest.raises(CoordinationError, match="lambda must be"):
+            minimize_conditional(ens, atoms, kind=kind, lam=lam)
+        with pytest.raises(CoordinationError, match="lambda must be"):
+            optimize(ens, kind=kind, lam=lam)
+
+    def test_merge_order_below_one_is_rejected(self, example1_pair):
+        with pytest.raises(CoordinationError, match="max_merge_order"):
+            optimize(example1_pair[0], max_merge_order=0)
 
 
 class TestOptimizePipeline:

@@ -435,6 +435,40 @@ class TestCascadeSimulation:
                               codeword_rate=0.5)
 
 
+def test_thread_pool_is_capped(example1_pair, monkeypatch):
+    # a spy pool records its size and maps serially: no thread starts.
+    # The pool never exceeds the trials or the cores, and one worker (or
+    # fewer) draws without a pool
+    import os
+    from qcoord import protocol
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+    monkeypatch.setattr(protocol, "ThreadPoolExecutor", SerialPool)
+    ens, ext = example1_pair
+    for threads, trials, cpus, workers in [
+            (64, 5, 16, [5]), (64, 9, 3, [3]), (4, 9, 16, [4]),
+            (1, 9, 16, []), (-4, 9, 16, [])]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        traces = simulate_two_node(ens, ext, n=60, rate=0.46, trials=trials,
+                                   seed=4, delta=0.05, engine="sampled",
+                                   threads=threads)
+        assert len(traces) == trials
+        assert sizes == workers, (threads, trials, cpus)
+
+
 class TestDerandomize:
     def test_single_seed(self, example1_pair):
         ens, ext = example1_pair

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qcoord.quantum import (
+    TOL_EIG,
     DensityOperator,
     HermitianObservable,
     Povm,
@@ -145,7 +146,7 @@ class TestEigenHermitian:
         herm = 0.5 * (g + g.conj().T)
         vals, vecs = eigen_hermitian(herm)
         recon = vecs @ np.diag(vals) @ vecs.conj().T
-        assert np.linalg.norm(recon - herm) <= 1e-10 * dim
+        assert np.linalg.norm(recon - herm) <= TOL_EIG * dim
         assert all(vals[i] >= vals[i + 1] for i in range(dim - 1))
 
 
