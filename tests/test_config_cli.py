@@ -534,8 +534,8 @@ def test_cascade_simulate_without_trials_is_a_validation_error(tmp_path,
     assert "trials must be positive" in capsys.readouterr().err
 
 
-# each of these exited 1 ("unexpected error"), or 0 with a wrong result,
-# before the library rejected the setting itself
+# settings the library cannot honour: each is a validation error (exit 3),
+# never an unexpected error (1) or a run that ignores the setting (0)
 @pytest.mark.parametrize("name,command,edits,flags,message", [
     ("example1_optimize.json", "optimize", {"optimize": {"lambda": 0.5}},
      [], "lambda must be"),
