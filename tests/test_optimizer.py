@@ -303,7 +303,13 @@ class TestCascadeAndIsolatedOptimization:
                          {"A": 2, "B": 2, "C": 2})
         res = optimize(ens, kind="isolated", max_merge_order=2)
         assert res.feasible
-        assert res.value == pytest.approx(1.0, abs=1e-6)
+        assert res.value == pytest.approx(1.0, abs=1e-11)
+        assert res.gap <= OBJ_TOL
+        assert res.lower_bound == res.value - res.gap
+        assert res.iterations == 1
+        assert res.rate_point is None
+        assert res.conditional.shape == (2, 2)
+        assert res.extension.kind == "isolated"
         report = validate_extension(res.extension, ens, tol=1e-6)
         assert report.passed
 
