@@ -36,6 +36,7 @@ from scipy.optimize import linprog, lsq_linear
 
 from .classical import Alphabet, JointPmf
 from .coordination import (
+    _TRIVIAL_C,
     KINDS,
     CoordinationError,
     CqEnsemble,
@@ -281,7 +282,7 @@ class _RateProgram:
     space of that support's equality constraints.
     """
 
-    def __init__(self, weights, systems, lam=0.0, z_of=None):
+    def __init__(self, weights, systems, lam, z_of):
         w = np.asarray(weights, dtype=float)
         self.faces, points, nulls, xs, labels = [], [], [], [], []
         self.movable = 0     # barrier terms on faces of positive dimension
@@ -408,13 +409,14 @@ def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
                          max_iters: int = MAX_ITERS) -> OptimizerResult:
     """Minimize the rate objective over conditionals for a fixed atom set.
 
-    Deterministic given inputs.  Infeasibility of the atom set (some
-    conditional state outside the convex hull of the atoms) is reported,
-    not raised: it signals that this candidate set cannot represent the
-    target, not that coordination is impossible.  A feasible result
-    carries its Frank-Wolfe ``gap``; ``message`` says when ``max_iters``
-    ran out before the gap reached ``OBJ_TOL``.  A residual above
-    ``FEAS_TOL`` makes the atom set infeasible.
+    Deterministic given inputs.  A two-node solve is the cascade solve with
+    a trivial relay (one Z symbol, C atom ``[[1]]``).  Infeasibility of the
+    atom set (some conditional state outside the convex hull of the atoms)
+    is reported, not raised: it signals that this candidate set cannot
+    represent the target, not that coordination is impossible.  A feasible
+    result carries its Frank-Wolfe ``gap``; ``message`` says when
+    ``max_iters`` ran out before the gap reached ``OBJ_TOL``.  A residual
+    above ``FEAS_TOL`` makes the atom set infeasible.
     """
     _check_lam(kind, lam)
     px = target.source.table
@@ -424,29 +426,19 @@ def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
             feasible=False, atoms=atoms, certified_empty=True,
             message="a target state does not factor into A x rest; "
                     "no admissible extension exists")
-
+    regs = "A,B" if kind == "two-node" else "A,B,C"
+    if ",".join(target.registers) != regs:
+        raise CoordinationError(f"{kind} kind needs an {regs} target")
+    if kind != "two-node" and atoms.atoms_c is None:
+        raise CoordinationError(f"{kind} optimization needs C atoms")
     if kind == "isolated":
-        if len(target.registers) != 3:
-            raise CoordinationError("isolated kind needs an A,B,C target")
         return _minimize_isolated(target, atoms, max_iters)
 
-    if kind == "two-node":
-        if len(target.registers) != 2:
-            raise CoordinationError("two-node kind needs an A,B target")
-        label_mats = [a.matrix for a in atoms.atoms_b]
-        z_of = None
-        etas = [target.conditional_part(i, "B").matrix for i in range(nx)]
-    else:
-        if len(target.registers) != 3:
-            raise CoordinationError("cascade kind needs an A,B,C target")
-        if atoms.atoms_c is None:
-            raise CoordinationError("cascade optimization needs C atoms")
-        bc = kron_table(atoms.atoms_b, atoms.atoms_c)
-        label_mats = list(bc.reshape(-1, *bc.shape[2:]))
-        z_of = np.arange(len(label_mats)) % len(atoms.atoms_c)
-        etas = [target.rest_part(i).matrix for i in range(nx)]
-
-    systems = [_feasibility_system(label_mats, eta) for eta in etas]
+    atoms_c = (_TRIVIAL_C,) if kind == "two-node" else atoms.atoms_c
+    bc = kron_table(atoms.atoms_b, atoms_c)
+    label_mats = list(bc.reshape(-1, *bc.shape[2:]))
+    systems = [_feasibility_system(label_mats, target.rest_part(i).matrix)
+               for i in range(nx)]
     max_resid = max(_feasible_point(a, b)[1] for a, b in systems)
     if max_resid > FEAS_TOL:
         return OptimizerResult(
@@ -454,50 +446,51 @@ def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
             message="atom set infeasible for this target "
                     f"(max residual {max_resid:.3e})")
 
-    program = _RateProgram(px, systems, lam=lam, z_of=z_of)
+    program = _RateProgram(px, systems, lam,
+                           np.arange(len(label_mats)) % len(atoms_c))
     p, trace, gap = program.solve(max_iters)
     table = np.zeros((nx, len(label_mats)))
     table[program.xs, program.labels] = p
-    iters = len(trace)
-    final_resid = max(
-        float(np.linalg.norm(a @ table[i] - b))
-        for i, (a, b) in enumerate(systems))
+    resid = max(float(np.linalg.norm(a @ table[i] - b))
+                for i, (a, b) in enumerate(systems))
+    return _result(target, atoms, kind, lam,
+                   table.reshape(nx, -1, len(atoms_c)), trace, resid, gap)
 
-    ext = _build_extension(target, atoms, kind, table)
+
+def _result(target, atoms, kind, lam, cube, trace, resid, gap):
+    """Validate and value the extension of the conditional cube p(y, z|x).
+
+    Every result that carries an extension is built here; a two-node
+    extension drops the trivial relay's size-1 Z axis.
+    """
+    nx = target.x_alphabet.size
+    joint = target.source.table[:, None, None] * cube
+    labels = [target.x_alphabet] + [
+        Alphabet(v, [f"{v.lower()}{i}" for i in range(size)])
+        for v, size in zip("YZ", cube.shape[1:])]
+    if kind == "two-node":
+        joint, labels = joint[:, :, 0], labels[:2]
+    ext = Extension(JointPmf(labels, joint),
+                    [target.a_part(i) for i in range(nx)], atoms.atoms_b,
+                    None if kind == "two-node" else atoms.atoms_c, kind=kind)
+    fields = dict(conditional=cube.reshape(nx, -1), iterations=len(trace),
+                  objective_trace=trace, max_residual=resid, atoms=atoms,
+                  gap=gap)
     report = validate_extension(ext, target, tol=RESULT_VALIDATION_TOL)
     if not report.passed:
         return OptimizerResult(
-            feasible=False, conditional=table, iterations=iters,
-            objective_trace=trace, max_residual=final_resid, atoms=atoms,
-            gap=gap, message="solution failed validation:\n" + str(report))
+            feasible=False,
+            message="solution failed validation:\n" + str(report), **fields)
     rate_point = cascade_rate_point(ext) if kind == "cascade" else None
-    value_bits = float(two_node_rate(ext) if kind == "two-node"
-                       else rate_point.r12 + lam * rate_point.r23)
+    value = float(rate_point.r12 + lam * rate_point.r23 if rate_point
+                  else two_node_rate(ext) if kind == "two-node"
+                  else isolated_rate(ext))
     return OptimizerResult(
-        feasible=True, value=value_bits, extension=ext,
-        conditional=table, iterations=iters, objective_trace=trace,
-        max_residual=final_resid, atoms=atoms, rate_point=rate_point,
-        gap=gap, lower_bound=value_bits - gap,
+        feasible=True, value=value, extension=ext, rate_point=rate_point,
+        lower_bound=value - gap, **fields,
         message="" if gap <= OBJ_TOL else (
-            f"stopped after {iters} iterations with Frank-Wolfe gap "
+            f"stopped after {len(trace)} iterations with Frank-Wolfe gap "
             f"{gap:.3e} bits above the tolerance {OBJ_TOL:g}"))
-
-
-def _build_extension(target, atoms, kind, table) -> Extension:
-    x_alpha = target.x_alphabet
-    px = target.source.table
-    atoms_a = [target.a_part(i) for i in range(x_alpha.size)]
-    if kind == "two-node":
-        y_alpha = Alphabet("Y", [f"y{i}" for i in range(len(atoms.atoms_b))])
-        joint = JointPmf([x_alpha, y_alpha], px[:, None] * table)
-        return Extension(joint, atoms_a, list(atoms.atoms_b), kind="two-node")
-    ny, nz = len(atoms.atoms_b), len(atoms.atoms_c)
-    y_alpha = Alphabet("Y", [f"y{i}" for i in range(ny)])
-    z_alpha = Alphabet("Z", [f"z{i}" for i in range(nz)])
-    cube = px[:, None, None] * table.reshape(x_alpha.size, ny, nz)
-    joint = JointPmf([x_alpha, y_alpha, z_alpha], cube)
-    return Extension(joint, atoms_a, list(atoms.atoms_b),
-                     list(atoms.atoms_c), kind=kind)
 
 
 def _minimize_isolated(target, atoms, max_iters):
@@ -508,8 +501,6 @@ def _minimize_isolated(target, atoms, max_iters):
     no information and the objective reduces to I(X;Y).
     """
     nx = target.x_alphabet.size
-    if atoms.atoms_c is None:
-        raise CoordinationError("isolated optimization needs C atoms")
     conds_c = [target.conditional_part(i, "C") for i in range(nx)]
     base_c = conds_c[0]
     dev_c = max(trace_norm_distance(c.matrix, base_c.matrix) for c in conds_c)
@@ -538,23 +529,10 @@ def _minimize_isolated(target, atoms, max_iters):
     if not two.feasible:
         two.atoms = atoms
         return two
-    table_y = two.conditional
-    table = np.einsum("xy,z->xyz", table_y, pz).reshape(nx, -1)
-    ext = _build_extension(target, atoms, "isolated", table)
-    report = validate_extension(ext, target, tol=RESULT_VALIDATION_TOL)
-    if not report.passed:
-        return OptimizerResult(
-            feasible=False, conditional=table, iterations=two.iterations,
-            objective_trace=two.objective_trace,
-            max_residual=max(two.max_residual, resid_c), atoms=atoms,
-            gap=two.gap, message="solution failed validation:\n" + str(report))
-    value = isolated_rate(ext)
-    return OptimizerResult(
-        feasible=True, value=value, extension=ext,
-        conditional=table, iterations=two.iterations,
-        objective_trace=two.objective_trace,
-        max_residual=max(two.max_residual, resid_c), atoms=atoms,
-        gap=two.gap, lower_bound=value - two.gap, message=two.message)
+    return _result(target, atoms, "isolated", 0.0,
+                   np.einsum("xy,z->xyz", two.conditional, pz),
+                   two.objective_trace, max(two.max_residual, resid_c),
+                   two.gap)
 
 
 def _as_two_node_target(target: CqEnsemble) -> CqEnsemble:
