@@ -81,34 +81,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv_atomic(path: str, header: list, rows: list) -> None:
-    body = ",".join(header) + "\n"
-    for row in rows:
-        body += ",".join(_fmt(v) for v in row) + "\n"
+def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it over."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(body)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv_atomic(path: str, header: list, rows: list) -> None:
+    _write_atomic(path, "".join(",".join(_fmt(v) for v in row) + "\n"
+                                for row in [header, *rows]))
 
 
 def write_json_atomic(path: str, payload: dict) -> None:
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _built(cfg: dict):
@@ -410,11 +403,11 @@ def main(argv=None) -> int:
         opts.threads = min(8, os.cpu_count() or 1)
     try:
         return run(opts.config, opts.out, opts)
-    except (ConfigError,) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValidationFailure, CoordinationError, PmfError,
-            QuantumError) as exc:
+    except (ValidationFailure, CoordinationError, PmfError, QuantumError,
+            ProtocolError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except InfeasibleFailure as exc:
@@ -423,9 +416,6 @@ def main(argv=None) -> int:
     except (MemoryCapError, GridTooLarge) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except ProtocolError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except Exception as exc:  # pragma: no cover
         print(f"unexpected error: {exc}", file=sys.stderr)
         return EXIT_UNEXPECTED
