@@ -57,6 +57,8 @@ from .quantum import (DensityOperator, trace_norm_distance,
 from . import sampling
 
 MEMORY_CAP = 2 ** 30
+# bits of a codeword or bin index; each sampled trial draws such an integer
+MAX_INDEX_BITS = 2 ** 16
 EXPLICIT_AUTO_BUDGET = 2 ** 22
 # float64 cells one block of the explicit engine may hold: a scan block's
 # joint-type counts, or a trial chunk's source draws and stacked states
@@ -65,7 +67,7 @@ _KEY_CODEBOOK, _KEY_BINS, _KEY_TRIAL = 1, 2, 3
 
 
 class MemoryCapError(ValueError):
-    """Materializing this codebook would exceed the in-memory cap."""
+    """A codebook, or one of its indices, would exceed its memory cap."""
 
 
 class ProtocolError(ValueError):
@@ -101,12 +103,15 @@ class CodebookParams:
     def __post_init__(self):
         if self.n < 1:
             raise ProtocolError("block length must be >= 1")
-        _ceil_rate(self.n, self.bin_rate)
-        _ceil_rate(self.n, self.codeword_rate)
+        bits = max(_ceil_rate(self.n, self.bin_rate),
+                   _ceil_rate(self.n, self.codeword_rate))
         if self.delta <= 0:
             raise ProtocolError("delta must be positive")
         if self.seed < 0:
             raise ProtocolError(f"seed must be nonnegative, not {self.seed}")
+        if bits > MAX_INDEX_BITS:
+            raise MemoryCapError(f"a codebook index needs {bits} bits (cap "
+                                 f"{MAX_INDEX_BITS}); lower n or the rates")
 
     @property
     def num_codewords(self) -> int:
@@ -145,7 +150,7 @@ def build_codebook(params: CodebookParams, p_u: np.ndarray,
     """
     p_u = np.asarray(p_u, dtype=float)
     l0 = params.num_codewords
-    if l0 * params.n > MEMORY_CAP:
+    if not params.within_memory_cap:
         raise MemoryCapError(
             f"codebook needs {l0 * params.n} symbols (cap {MEMORY_CAP}); "
             "lower n or the codeword rate, or use the sampled engine")
@@ -276,13 +281,6 @@ def decode_generic(cb: Codebook, target_joint: np.ndarray, radius: float,
     if ell < 0:
         return 0, True
     return ell, False
-
-
-def _first_typical_pair(y_cws, z_cws, x_seq, p_xyz, radius):
-    """``_pair_search`` on one source sequence: (l1, l2) or None."""
-    l1, l2 = _pair_search(y_cws, z_cws, np.asarray(x_seq)[None], p_xyz,
-                          radius)
-    return None if l2[0] < 0 else (int(l1[0]), int(l2[0]))
 
 
 @dataclass
@@ -535,8 +533,9 @@ def _sampled_trial(p_xyz, params_y, params_z, radii, trial: int):
     counts, fields = sampling.sample_two_node_trial(
         rng, bin_rng, p_xyz[:, :, 0], n, radii, params_y.num_codewords,
         params_y.num_bins)
+    # a one-bin relay message is always 0, so its stream is not drawn
     m23 = (_bigint_rng(seed, _KEY_TRIAL, trial, 3).randrange(params_z.num_bins)
-           if fields["x_typical"] else 0)
+           if fields["x_typical"] and params_z.num_bins > 1 else 0)
     z_seq = np.zeros(n, dtype=np.int8)
     return counts.astype(float)[:, :, None], dict(
         fields, c_label_seq=z_seq, bar_z_seq=z_seq, ell2=0, m23=m23,

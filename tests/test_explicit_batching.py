@@ -70,8 +70,8 @@ def test_scan_blocks_do_not_grow_with_the_codebook(example1_pair):
     x_seq = np.random.default_rng(4).integers(0, 2, size=48).astype(np.int8)
     never = 0.0  # no codeword is within radius 0: every block is scanned
     scans = [lambda: encode_generic(cb, p_xy, never, x_seq),
-             lambda: protocol._first_typical_pair(
-                 cb.codewords, np.zeros((1, 48), dtype=np.int8), x_seq,
+             lambda: protocol._pair_search(
+                 cb.codewords, np.zeros((1, 48), dtype=np.int8), x_seq[None],
                  p_xy[:, :, None], never)]
     for scan in scans:
         tracemalloc.start()

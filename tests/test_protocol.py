@@ -6,6 +6,7 @@ import pytest
 from qcoord.classical import Alphabet, JointPmf
 from qcoord.coordination import CqEnsemble, Extension, validate_extension
 from qcoord.protocol import (
+    MAX_INDEX_BITS,
     Codebook,
     CodebookParams,
     MemoryCapError,
@@ -47,6 +48,27 @@ class TestCodebookParams:
                              delta=0.02, seed=1)
         assert small.within_memory_cap
         assert not big.within_memory_cap
+
+    def test_index_bits_are_capped(self, example1_pair):
+        # a finite but huge rate is refused before any index is built
+        with pytest.raises(MemoryCapError, match="bits"):
+            CodebookParams(n=200, bin_rate=1e9, codeword_rate=0.5,
+                           delta=0.02, seed=1)
+        with pytest.raises(MemoryCapError, match="bits"):
+            CodebookParams(n=200, bin_rate=0.5, codeword_rate=1e9,
+                           delta=0.02, seed=1)
+        at_cap = CodebookParams(n=1, bin_rate=MAX_INDEX_BITS,
+                                codeword_rate=0.5, delta=0.02, seed=1)
+        assert at_cap.num_bins == 2 ** MAX_INDEX_BITS
+        # the sampled engine draws a bin index per trial: refused up front
+        ens, ext = example1_pair
+        with pytest.raises(MemoryCapError, match="bits"):
+            simulate_two_node(ens, ext, n=200, rate=400, trials=2, seed=0,
+                              engine="sampled")
+        # a non-finite rate stays a validation error
+        with pytest.raises(ProtocolError):
+            CodebookParams(n=200, bin_rate=1e308, codeword_rate=0.5,
+                           delta=0.02, seed=1)
 
 
 class TestBuildCodebook:
@@ -577,7 +599,7 @@ class TestVectorizedScansMatchReference:
 
     def test_cascade_pair_and_context_scans(self):
         from conftest import cascade_flip_pair
-        from qcoord.protocol import _first_typical_pair
+        from qcoord.protocol import _pair_search
         from oracles import reference_context_decode, reference_pair_encode
         ens, ext = cascade_flip_pair(0.1)
         p_xyz = ext.joint.table
@@ -596,15 +618,15 @@ class TestVectorizedScansMatchReference:
             cb_y = build_codebook(py_params, p_y, role=0)
             cb_z = build_codebook(pz_params, p_z, role=1)
             x_seq = rng.integers(0, 2, size=n).astype(np.int8)
-            got = _first_typical_pair(cb_y.codewords, cb_z.codewords, x_seq,
-                                      p_xyz, 2.0 * delta)
+            l1, l2 = _pair_search(cb_y.codewords, cb_z.codewords,
+                                  x_seq[None], p_xyz, 2.0 * delta)
             want = reference_pair_encode(np.asarray(cb_y.codewords),
                                          np.asarray(cb_z.codewords),
                                          x_seq, p_xyz, 2.0 * delta)
             if want[2]:
-                assert got is None
+                assert l2[0] < 0
             else:
-                assert got == (want[0], want[1])
+                assert (l1[0], l2[0]) == (want[0], want[1])
             # context decode (Bob stage ii) against the reference
             z_fixed = cb_z.codewords[0]
             m = int(cb_y.bins[0])
