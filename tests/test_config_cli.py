@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -39,6 +40,11 @@ def config_path(name):
 def read_csv(path):
     with open(path) as fh:
         return fh.read()
+
+
+def read_config(name):
+    with open(config_path(name)) as fh:
+        return json.load(fh)
 
 
 class TestConfigRoundTrip:
@@ -86,8 +92,7 @@ class TestConfigRoundTrip:
         assert config_hash(a) == config_hash(b)
 
     def test_sparse_joint_entries(self):
-        cfg = json.loads(
-            open(config_path("example1_decomposition_b.json")).read())
+        cfg = read_config("example1_decomposition_b.json")
         cfg["extension"]["joint"] = [
             {"symbols": ["x0", "y0"], "p": 0.5},
             {"symbols": ["x1", "y0"], "p": 0.25},
@@ -140,8 +145,7 @@ class TestCli:
         assert read_csv(out1 / "rate.csv") == read_csv(out2 / "rate.csv")
 
     def test_simulate_rerun_is_byte_identical_with_threads(self, tmp_path):
-        cfg = json.loads(
-            open(config_path("example1_decomposition_b.json")).read())
+        cfg = read_config("example1_decomposition_b.json")
         cfg["command"] = "simulate"
         cfg["simulate"] = {"n_grid": [120], "rates": [0.46], "trials": 12,
                            "delta": 0.05, "seed": 7, "engine": "sampled"}
@@ -172,7 +176,7 @@ class TestCli:
         assert float(last[1]) == 0.5 and float(last[2]) == 0.0
 
     def test_empty_sweep_grid_is_noop_success(self, tmp_path):
-        cfg = json.loads(open(config_path("phase_flip_sweep.json")).read())
+        cfg = read_config("phase_flip_sweep.json")
         cfg["sweep"]["values"] = []
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -190,8 +194,7 @@ class TestCli:
         assert not (out / "manifest.json").exists()
 
     def test_validation_failure_exit_code(self, tmp_path):
-        cfg = json.loads(
-            open(config_path("example1_decomposition_b.json")).read())
+        cfg = read_config("example1_decomposition_b.json")
         cfg["extension"]["joint"] = [[0.5, 0.0], [0.3, 0.2]]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -223,8 +226,7 @@ class TestCli:
                          "--quiet"]) == EXIT_INFEASIBLE
 
     def test_resource_cap_exit_code(self, tmp_path):
-        cfg = json.loads(
-            open(config_path("example1_decomposition_b.json")).read())
+        cfg = read_config("example1_decomposition_b.json")
         cfg["command"] = "simulate"
         cfg["simulate"] = {"n_grid": [4000], "rates": [0.46], "trials": 1,
                            "delta": 0.02, "seed": 0, "engine": "explicit"}
@@ -235,8 +237,7 @@ class TestCli:
                          "--quiet"]) == EXIT_RESOURCE
 
     def test_simulate_writes_summary(self, tmp_path):
-        cfg = json.loads(
-            open(config_path("example1_decomposition_b.json")).read())
+        cfg = read_config("example1_decomposition_b.json")
         cfg["command"] = "simulate"
         cfg["simulate"] = {"n_grid": [100, 200], "rates": [0.46],
                            "trials": 10, "delta": 0.05, "seed": 1,
@@ -254,8 +255,7 @@ class TestCli:
                    for line in body.strip().splitlines()[1:])
 
     def test_seed_override_changes_trials(self, tmp_path):
-        cfg = json.loads(
-            open(config_path("example1_decomposition_b.json")).read())
+        cfg = read_config("example1_decomposition_b.json")
         cfg["command"] = "simulate"
         cfg["simulate"] = {"n_grid": [100], "rates": [0.46], "trials": 5,
                            "delta": 0.05, "seed": 1, "engine": "sampled"}
@@ -270,8 +270,7 @@ class TestCli:
                 != read_csv(out2 / "simulate.csv"))
 
     def test_converse_command(self, tmp_path):
-        cfg = json.loads(
-            open(config_path("example1_decomposition_b.json")).read())
+        cfg = read_config("example1_decomposition_b.json")
         cfg["command"] = "converse"
         cfg["simulate"] = {"n_grid": [200], "rates": [0.46], "trials": 30,
                            "delta": 0.02, "seed": 1, "engine": "sampled"}
@@ -285,8 +284,7 @@ class TestCli:
         assert lines[1].endswith(",1")  # passed
 
     def test_derandomize_command(self, tmp_path):
-        cfg = json.loads(
-            open(config_path("example1_decomposition_b.json")).read())
+        cfg = read_config("example1_decomposition_b.json")
         cfg["command"] = "derandomize"
         cfg["simulate"] = {"n_grid": [200], "rates": [0.46], "trials": 5,
                            "delta": 0.02, "seed": 1, "engine": "sampled"}
@@ -330,7 +328,7 @@ class TestCli:
         assert ",1.0," in read_csv(out / "rate.csv")
 
     def test_cascade_simulate_config(self, tmp_path):
-        cfg = json.loads(open(config_path("cascade_flip.json")).read())
+        cfg = read_config("cascade_flip.json")
         cfg["command"] = "simulate"
         cfg["simulate"] = {"n_grid": [24], "rates": [1.9], "rates23": [0.9],
                            "trials": 6, "delta": 0.1, "seed": 2,
@@ -364,7 +362,7 @@ class TestCliCommandsAgree:
     def test_sweep_honours_optimize_max_iters(self, tmp_path, capsys):
         # a truncated solve (max_iters=5) stops short of the converged value,
         # so a sweep that dropped max_iters would report a different number
-        cfg = json.loads(open(config_path("example1_optimize.json")).read())
+        cfg = read_config("example1_optimize.json")
         cfg["optimize"]["max_iters"] = 5
         path = tmp_path / "optimize.json"
         path.write_text(json.dumps(cfg))
@@ -399,7 +397,7 @@ class TestCliCommandsAgree:
             return real(*args, **kwargs)
         real = cli.derandomize
         monkeypatch.setattr(cli, "derandomize", spy)
-        cfg = json.loads(open(config_path("example1_derandomize.json")).read())
+        cfg = read_config("example1_derandomize.json")
         cfg["simulate"].update(n_grid=[200], trials=6, engine="sampled")
         cfg["derandomize"]["num_seeds"] = 3
         path = tmp_path / "cfg.json"
@@ -414,11 +412,25 @@ class TestCliCommandsAgree:
         for name in ("derandomize.csv", "derandomize_summary.csv"):
             assert read_csv(out1 / name) == read_csv(out2 / name)
 
+    def test_huge_finite_rate_is_a_resource_error(self, tmp_path, capsys):
+        # rate 400 at n=200 asks for an 80,000-bit bin index, above the
+        # 2^16-bit cap; the codebook parameters refuse it before any trial
+        cfg = read_config("example1_simulate.json")
+        cfg["simulate"] = dict(cfg["simulate"], n_grid=[200], rates=[400],
+                               trials=2, engine="sampled")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        start = time.perf_counter()
+        assert main(["--config", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == EXIT_RESOURCE
+        assert time.perf_counter() - start < 5.0
+        assert "resource cap: a codebook index needs" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_over_budget_type_grid_is_a_resource_error(self, tmp_path,
                                                        capsys):
         # the three-symbol copy target at n=400 needs a ~5e11-cell grid
-        cfg = json.loads(
-            open(config_path("example1_decomposition_a.json")).read())
+        cfg = read_config("example1_decomposition_a.json")
         cfg["command"] = "simulate"
         cfg["simulate"] = {"n_grid": [400], "rates": [1.6], "trials": 2,
                            "delta": 0.02, "seed": 0, "engine": "auto"}
@@ -440,7 +452,7 @@ class TestCliCommandsAgree:
     ("extension", "atoms_b"),
 ], ids=".".join)
 def test_missing_config_key_is_a_config_error(tmp_path, capsys, path):
-    cfg = json.loads(open(config_path("example1_simulate.json")).read())
+    cfg = read_config("example1_simulate.json")
     block = cfg
     for key in path[:-1]:
         block = block[key]
@@ -468,7 +480,7 @@ def test_missing_config_key_is_a_config_error(tmp_path, capsys, path):
         "num_seeds", "sweep_values"])
 def test_wrong_typed_config_value_is_a_config_error(tmp_path, capsys, name,
                                                     path, value):
-    cfg = json.loads(open(config_path(name)).read())
+    cfg = read_config(name)
     block = cfg
     for key in path[:-1]:
         block = block[key]
@@ -511,7 +523,7 @@ def test_wrong_typed_config_value_is_a_config_error(tmp_path, capsys, name,
         "sparse_joint_symbols", "joint_strings"])
 def test_unusable_config_value_is_a_config_error(tmp_path, capsys, name,
                                                  command, block, message):
-    cfg = json.loads(open(config_path(name)).read())
+    cfg = read_config(name)
     cfg.update(block, command=command)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -522,7 +534,7 @@ def test_unusable_config_value_is_a_config_error(tmp_path, capsys, name,
 
 def test_cascade_simulate_without_trials_is_a_validation_error(tmp_path,
                                                                capsys):
-    cfg = json.loads(open(config_path("cascade_flip.json")).read())
+    cfg = read_config("cascade_flip.json")
     cfg["command"] = "simulate"
     cfg["simulate"] = {"n_grid": [8], "rates": [1.0], "rates23": [0.5],
                        "trials": 0, "delta": 0.2, "engine": "explicit",
@@ -559,7 +571,7 @@ def test_cascade_simulate_without_trials_is_a_validation_error(tmp_path,
 def test_unhonourable_setting_is_a_validation_error(tmp_path, capsys, name,
                                                     command, edits, flags,
                                                     message):
-    cfg = json.loads(open(config_path(name)).read())
+    cfg = read_config(name)
     cfg["command"] = command
     # one short run each, so that a setting that is not rejected ends fast
     cfg["simulate"] = dict(cfg.get("simulate", {}), n_grid=[200], trials=1)
