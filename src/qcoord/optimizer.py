@@ -49,7 +49,8 @@ from .coordination import (
     two_node_rate,
     validate_extension,
 )
-from .quantum import DensityOperator, eigen_hermitian, trace_norm_distance
+from .quantum import (DensityOperator, eigen_hermitian, partial_trace,
+                      trace_norm_distance)
 
 FEAS_TOL = 1e-8
 OBJ_TOL = 1e-9
@@ -419,7 +420,6 @@ def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
     above ``FEAS_TOL`` makes the atom set infeasible.
     """
     _check_lam(kind, lam)
-    px = target.source.table
     nx = target.x_alphabet.size
     if not target.factorizes():
         return OptimizerResult(
@@ -446,7 +446,7 @@ def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
             message="atom set infeasible for this target "
                     f"(max residual {max_resid:.3e})")
 
-    program = _RateProgram(px, systems, lam,
+    program = _RateProgram(target.source.table, systems, lam,
                            np.arange(len(label_mats)) % len(atoms_c))
     p, trace, gap = program.solve(max_iters)
     table = np.zeros((nx, len(label_mats)))
@@ -537,7 +537,6 @@ def _minimize_isolated(target, atoms, max_iters):
 
 def _as_two_node_target(target: CqEnsemble) -> CqEnsemble:
     """Project a three-register target onto (A, B) for the isolated reduction."""
-    from .quantum import partial_trace
     dims = target.dims_list
     states = [partial_trace(target.states[i], dims, [0, 1])
               for i in range(target.x_alphabet.size)]
