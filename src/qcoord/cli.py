@@ -43,7 +43,7 @@ from .coordination import (
     two_node_rate,
     validate_extension,
 )
-from .optimizer import FEAS_TOL, optimize
+from .optimizer import FEAS_TOL, optimize, optimize_lambdas
 from .protocol import (
     MemoryCapError,
     ProtocolError,
@@ -141,19 +141,28 @@ def cmd_rate(cfg, out_dir, opts) -> list:
     return [path]
 
 
-def _optimized(cfg: dict):
-    """Run the config's ``optimize`` block; returns (kind, feasible result)."""
-    ens = build_ensemble(resolve_family(cfg))
+def _optimize_args(cfg: dict):
+    """The config's target and the ``optimize`` keywords its block sets."""
     block = setting(cfg, "optimize", "object", "", {})
-    res = optimize(ens, **_given(block, "optimize", (
+    return build_ensemble(resolve_family(cfg)), _given(block, "optimize", (
         ("kind", "kind", "str"), ("max_merge_order", "max_merge_order", "int"),
-        ("lambda", "lam", "number"), ("max_iters", "max_iters", "int"))))
+        ("lambda", "lam", "number"), ("max_iters", "max_iters", "int")))
+
+
+def _feasible(res):
+    """``res``, once known feasible; a gap above tolerance is warned of."""
     if not res.feasible:
         raise InfeasibleFailure(res.message)
     if res.message:
         # a feasible result's message says its gap is above tolerance
         print(f"warning: {res.message}", file=sys.stderr)
-    return res.extension.kind, res
+    return res
+
+
+def _optimized(cfg: dict):
+    """The feasible result of the config's ``optimize`` block."""
+    ens, kwargs = _optimize_args(cfg)
+    return _feasible(optimize(ens, **kwargs))
 
 
 def _corner_cells(res) -> list:
@@ -162,9 +171,10 @@ def _corner_cells(res) -> list:
 
 
 def cmd_optimize(cfg, out_dir, opts) -> list:
-    kind, res = _optimized(cfg)
-    rows = [[config_hash(cfg), kind, repr(res.value), res.iterations,
-             repr(res.max_residual)] + _corner_cells(res) + [repr(res.gap)]]
+    res = _optimized(cfg)
+    rows = [[config_hash(cfg), res.extension.kind, repr(res.value),
+             res.iterations, repr(res.max_residual)]
+            + _corner_cells(res) + [repr(res.gap)]]
     path = os.path.join(out_dir, "optimize.csv")
     write_csv_atomic(path, ["config_hash", "kind", "value", "iterations",
                             "max_residual", "r12", "r23", "gap"], rows)
@@ -332,22 +342,36 @@ def cmd_sweep(cfg, out_dir, opts) -> list:
     inner_cmd = setting(block, "command", "str", "sweep", "rate")
     if inner_cmd not in ("rate", "optimize"):
         raise ConfigError("sweep supports the rate and optimize commands")
+    subs = [dict(apply_sweep_value(cfg, path_keys, value),
+                 command=inner_cmd) for value in block["values"]]
+    if inner_cmd == "rate":
+        cells = [_rate_cells(_built(sub)[1]) + [""] for sub in subs]
+    else:
+        cells = [[repr(res.value)] + _corner_cells(res) + [repr(res.gap)]
+                 for res in _swept_optimize(subs, path_keys)]
     chash = config_hash(cfg)
-    rows = []
-    for value in block["values"]:
-        sub = apply_sweep_value(cfg, path_keys, value)
-        sub["command"] = inner_cmd
-        if inner_cmd == "rate":
-            cells = _rate_cells(_built(sub)[1]) + [""]
-        else:
-            _, res = _optimized(sub)
-            cells = ([repr(res.value)] + _corner_cells(res)
-                     + [repr(res.gap)])
-        rows.append([chash, repr(float(value))] + cells)
+    rows = [[chash, repr(float(value))] + row
+            for value, row in zip(block["values"], cells)]
     path = os.path.join(out_dir, "sweep.csv")
     write_csv_atomic(path, ["config_hash", "value", "rate", "r12", "r23",
                             "gap"], rows)
     return [path]
+
+
+def _swept_optimize(subs: list, path_keys: list) -> list:
+    """One feasible optimize result per swept config.
+
+    A sweep over ``optimize.lambda`` is one ``optimize_lambdas`` call, so
+    that every weight shares its atom sets' faces; every weight is read
+    and checked before any solve.  Other sweeps solve config by config.
+    """
+    if path_keys != ["optimize", "lambda"] or not subs:
+        return [_optimized(sub) for sub in subs]
+    lams = [setting(sub["optimize"], "lambda", "number", "optimize")
+            for sub in subs]
+    ens, kwargs = _optimize_args(subs[0])
+    del kwargs["lam"]
+    return [_feasible(res) for res in optimize_lambdas(ens, lams, **kwargs)]
 
 
 _COMMANDS = {

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -117,17 +117,29 @@ class CqEnsemble:
     def dims_list(self) -> list:
         return [self.register_dims[r] for r in self.registers]
 
+    @cached_property
+    def _factors(self) -> tuple:
+        """(A parts, rest parts, factorization defects), one entry per x.
+
+        Computed once: the states and the source table are write-protected.
+        """
+        dims, keep = self.dims_list, list(range(1, len(self.registers)))
+        a_parts = tuple(partial_trace(s, dims, [0]) for s in self.states)
+        rests = tuple(partial_trace(s, dims, keep) for s in self.states)
+        defects = tuple(
+            trace_norm_distance(tensor(a, r).matrix, s.matrix)
+            for a, r, s in zip(a_parts, rests, self.states))
+        return a_parts, rests, defects
+
     def a_part(self, x_index: int) -> DensityOperator:
-        return partial_trace(self.states[x_index], self.dims_list, [0])
+        return self._factors[0][x_index]
 
     def rest_part(self, x_index: int) -> DensityOperator:
-        keep = list(range(1, len(self.registers)))
-        return partial_trace(self.states[x_index], self.dims_list, keep)
+        return self._factors[1][x_index]
 
     def factorization_defect(self, x_index: int) -> float:
         """Trace distance between omega^x and (A part) x (rest part)."""
-        prod = tensor(self.a_part(x_index), self.rest_part(x_index))
-        return trace_norm_distance(prod.matrix, self.states[x_index].matrix)
+        return self._factors[2][x_index]
 
     def factorizes(self) -> bool:
         """Every omega^x is A x rest within ``VALIDATION_TOL``."""

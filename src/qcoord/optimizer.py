@@ -8,14 +8,20 @@ reproduce that symbol's conditional state).  The rate objectives
 restriction) are jointly convex in the conditionals, so each atom set
 takes one deterministic solve:
 
-  * per source symbol, one LP (HiGHS) finds a point of largest support
-    on its polytope; entries off that support are 0 at every feasible
-    point, so the support fixes the face to search;
+  * one support LP per atom set (HiGHS, a block per source symbol) finds
+    a point of largest support on each polytope; entries off that
+    support are 0 at every feasible point, so the support fixes the face
+    to search;
   * a log-barrier Newton path-following method minimizes the objective
     on that face, one objective value per outer iteration (nonincreasing
     along the central path);
-  * one more LP per source symbol gives the Frank-Wolfe gap, a rigorous
-    bound on how far the result is above the minimum for that atom set.
+  * one gap LP per check (again a block per source symbol) gives the
+    Frank-Wolfe gap, a rigorous bound on how far the result is above the
+    minimum for that atom set.
+
+The face (label matrices, feasibility systems, support, null spaces) does
+not depend on the weight lam of the cascade objective, so a lam sweep
+(``optimize_lambdas``) prepares each atom set's face once and shares it.
 
 Atom candidates come from spectral decompositions of the target
 conditionals, convex merges of the conditionals, and maximal-PSD
@@ -27,7 +33,7 @@ what discovers shared atoms across source symbols).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -49,8 +55,7 @@ from .coordination import (
     two_node_rate,
     validate_extension,
 )
-from .quantum import (DensityOperator, eigen_hermitian, partial_trace,
-                      trace_norm_distance)
+from .quantum import DensityOperator, eigen_hermitian, trace_norm_distance
 
 FEAS_TOL = 1e-8
 OBJ_TOL = 1e-9
@@ -227,31 +232,41 @@ def _feasible_point(a: np.ndarray, b: np.ndarray):
     return p, float(np.linalg.norm(a @ p - b))
 
 
-def _max_support_point(a: np.ndarray, b: np.ndarray):
-    """A point of {Ap = b, p >= 0} of largest support, and that support.
+def _max_support_points(systems):
+    """Per system (A, b), a point of {Ap = b, p >= 0} of largest support,
+    and that support.
 
-    One homogenised LP: maximise sum(t) over Ap = b*s, t <= p, 0 <= t <= 1,
-    s >= 0.  One row of A sums p, so the polytope is bounded and every
-    optimum has t_i = 1 exactly on the coordinates that some feasible point
-    makes positive, with p / s in the relative interior.  HiGHS is feasible
-    only to about 1e-9, so the point is moved onto Ap = b on its support.
+    One block-diagonal LP, a block per system, each homogenised with its
+    own s: maximise sum(t) over Ap = b*s, t <= p, 0 <= t <= 1, s >= 0.
+    One row of A sums p, so each polytope is bounded and every optimum has
+    t_i = 1 exactly on the coordinates that some feasible point makes
+    positive, with p / s in the relative interior.  HiGHS is feasible only
+    to about 1e-9, so each point is moved onto Ap = b on its support.
     """
-    r, m = a.shape
-    eye = np.eye(m)
-    res = linprog(np.concatenate([np.zeros(m), -np.ones(m), [0.0]]),
-                  A_ub=np.hstack([-eye, eye, np.zeros((m, 1))]),
-                  b_ub=np.zeros(m),
-                  A_eq=np.hstack([a, np.zeros((r, m)), -b[:, None]]),
-                  b_eq=np.zeros(r),
-                  bounds=[(0, None)] * m + [(0, 1)] * m + [(0, None)],
+    cost, ub, eq, bounds = [], [], [], []
+    for a, b in systems:
+        r, m = a.shape
+        eye = np.eye(m)
+        cost += [np.zeros(m), -np.ones(m), [0.0]]
+        ub.append(np.hstack([-eye, eye, np.zeros((m, 1))]))
+        eq.append(np.hstack([a, np.zeros((r, m)), -b[:, None]]))
+        bounds += [(0, None)] * m + [(0, 1)] * m + [(0, None)]
+    ub, eq = block_diag(*ub), block_diag(*eq)
+    res = linprog(np.concatenate(cost), A_ub=ub, b_ub=np.zeros(len(ub)),
+                  A_eq=eq, b_eq=np.zeros(len(eq)), bounds=bounds,
                   method="highs")
     if res.status != 0:
         raise CoordinationError(f"support LP failed: {res.message}")
-    support = res.x[m:2 * m] > 0.5
-    p = res.x[:m][support] / res.x[-1]
-    sub = a[:, support]
-    corr, *_ = np.linalg.lstsq(sub, sub @ p - b, rcond=None)
-    return support, p - corr
+    out = []
+    ends = np.cumsum([2 * a.shape[1] + 1 for a, _ in systems])
+    for (a, b), x in zip(systems, np.split(res.x, ends[:-1])):
+        m = a.shape[1]
+        support = x[m:2 * m] > 0.5
+        p = x[:m][support] / x[-1]
+        sub = a[:, support]
+        corr, *_ = np.linalg.lstsq(sub, sub @ p - b, rcond=None)
+        out.append((support, p - corr))
+    return out
 
 
 def _entropy_block(xs: np.ndarray, groups: np.ndarray, w: np.ndarray):
@@ -273,35 +288,65 @@ def _entropy_block(xs: np.ndarray, groups: np.ndarray, w: np.ndarray):
     return lmat, gmat
 
 
-class _RateProgram:
-    """min F = sum_x w_x [D(p_x||q) + lam D(p_x^Z||q_Z)] over per-x polytopes.
+@dataclass(frozen=True)
+class _Infeasible:
+    """Why an atom set admits no point: the fields of its result."""
 
-    q and q_Z are the weighted marginals, so F is I(X;Y) (two-node) or
-    I(X;YZ) + lam I(X;Z) (cascade), jointly convex in the table.  The
-    variables are the entries on each polytope's maximal support (every
-    other entry is 0 at every feasible point), moved only along the null
-    space of that support's equality constraints.
+    max_residual: float = np.inf
+    message: str = ""
+    certified_empty: bool = False
+
+
+class _Face:
+    """The part of an atom set's program that no weight ``lam`` changes.
+
+    Per source symbol: the feasibility system (A, b) over the label
+    conditionals, its maximal support (every entry off it is 0 at every
+    feasible point), a point of that support, and the null space of the
+    support's equality constraints.  Also the block-diagonal gap system
+    and the (L, G) entropy blocks of the Y and Z marginals.  The isolated
+    face is the trivial-relay face of the B conditionals plus the common
+    Z pmf ``pz`` and its residual.
     """
 
-    def __init__(self, weights, systems, lam, z_of):
+    def __init__(self, weights, systems, nz, pz=None, pz_residual=0.0):
         w = np.asarray(weights, dtype=float)
-        self.faces, points, nulls, xs, labels = [], [], [], [], []
+        self.systems, self.nz, self.pz = systems, nz, pz
+        self.pz_residual = pz_residual
+        self.supported, points, nulls, xs, labels = [], [], [], [], []
         self.movable = 0     # barrier terms on faces of positive dimension
-        for i, (a, b) in enumerate(systems):
-            support, p = _max_support_point(a, b)
+        for i, ((a, b), (support, p)) in enumerate(
+                zip(systems, _max_support_points(systems))):
             _, sv, vt = np.linalg.svd(a[:, support])
             nulls.append(vt[int((sv > 1e-10 * sv[0]).sum()):].T)
-            self.faces.append((a[:, support], b))
+            self.supported.append((a[:, support], b))
             points.append(p)
             xs.append(np.full(p.size, i))
             labels.append(np.flatnonzero(support))
             self.movable += p.size if nulls[-1].shape[1] else 0
         self.p0, self.null = np.concatenate(points), block_diag(*nulls)
         self.xs, self.labels = np.concatenate(xs), np.concatenate(labels)
-        self.blocks = [(1.0,) + _entropy_block(self.xs, self.labels, w)]
+        self.gap_a = block_diag(*(a for a, _ in self.supported))
+        self.gap_b = np.concatenate([b for _, b in systems])
+        self.gap_ends = np.cumsum([len(b) for _, b in systems])[:-1]
+        self.y_block = _entropy_block(self.xs, self.labels, w)
+        self.z_block = _entropy_block(self.xs, self.labels % nz, w)
+
+
+class _RateProgram:
+    """min F = sum_x w_x [D(p_x||q) + lam D(p_x^Z||q_Z)] over a ``_Face``.
+
+    q and q_Z are the weighted marginals, so F is I(X;Y) (two-node) or
+    I(X;YZ) + lam I(X;Z) (cascade), jointly convex in the table.  The
+    variables are the entries on the face's maximal support, moved only
+    along the null space of that support's equality constraints.
+    """
+
+    def __init__(self, face: _Face, lam: float):
+        self.face = face
+        self.blocks = [(1.0,) + face.y_block]
         if lam > 0:
-            self.blocks.append(
-                (lam,) + _entropy_block(self.xs, z_of[self.labels], w))
+            self.blocks.append((lam,) + face.z_block)
 
     def _terms(self, p: np.ndarray):
         """Per entropy block at p: (coef, L, G, row weights, u, q)."""
@@ -325,15 +370,16 @@ class _RateProgram:
 
     def _center(self, p: np.ndarray, t: float) -> np.ndarray:
         """Damped Newton on t F - sum log p along the null space."""
+        null = self.face.null
         for _ in range(_NEWTON_STEPS):
             grad, hess = self.derivatives(p)
-            g = self.null.T @ (t * grad - 1.0 / p)
-            h = self.null.T @ (t * hess + np.diag(p ** -2.0)) @ self.null
+            g = null.T @ (t * grad - 1.0 / p)
+            h = null.T @ (t * hess + np.diag(p ** -2.0)) @ null
             dz = np.linalg.solve(h, -g)
             dec = -g @ dz
             if dec <= _CENTER_TOL:
                 break
-            dp = self.null @ dz
+            dp = null @ dz
             shrink = dp < 0
             s = min(1.0, 0.99 * np.min(-p[shrink] / dp[shrink],
                                           initial=np.inf))
@@ -352,23 +398,29 @@ class _RateProgram:
     def fw_gap(self, p: np.ndarray) -> float:
         """Frank-Wolfe gap <grad F(p), p - s> in bits, s minimising it.
 
-        One HiGHS LP per source symbol.  Its dual y bounds the minimum from
-        below whatever the solver's tolerances: for s >= 0 summing to 1,
-        c.s = b.y + (c - A^T y).s >= b.y + min(0, min(c - A^T y)).  By
-        convexity F(p) - F* is at most the gap (Jaggi, ICML 2013).
+        One block-diagonal HiGHS LP, a block per source symbol.  Its dual
+        y bounds the minimum from below whatever the solver's tolerances:
+        for each block's s_x >= 0 summing to 1,
+        c_x.s_x = b_x.y_x + (c_x - A_x^T y_x).s_x
+                >= b_x.y_x + min(0, min(c_x - A_x^T y_x)).
+        Each s_x sums to 1 on its own, so the bound is a sum over blocks,
+        not one global min.  By convexity F(p) - F* is at most the gap
+        (Jaggi, ICML 2013).
         """
+        face = self.face
         grad = self.derivatives(p)[0] / _LOG2
+        # HiGHS's default 1e-7 dual tolerance would loosen the bound
+        res = linprog(grad, A_eq=face.gap_a, b_eq=face.gap_b,
+                      bounds=(0, None), method="highs",
+                      options={"dual_feasibility_tolerance": 1e-10})
+        if res.status != 0:
+            return np.inf
         gap = 0.0
-        for i, (a, b) in enumerate(self.faces):
-            c = grad[self.xs == i]
-            # HiGHS's default 1e-7 dual tolerance would loosen the bound
-            res = linprog(c, A_eq=a, b_eq=b, bounds=(0, None),
-                          method="highs",
-                          options={"dual_feasibility_tolerance": 1e-10})
-            if res.status != 0:
-                return np.inf
-            y = res.eqlin.marginals
-            gap += c @ p[self.xs == i] - b @ y - min(0.0, np.min(c - a.T @ y))
+        ys = np.split(res.eqlin.marginals, face.gap_ends)
+        for i, ((a, b), y) in enumerate(zip(face.supported, ys)):
+            sel = face.xs == i
+            c = grad[sel]
+            gap += c @ p[sel] - b @ y - min(0.0, np.min(c - a.T @ y))
         return max(float(gap), 0.0)
 
     def solve(self, max_iters: int):
@@ -381,11 +433,11 @@ class _RateProgram:
         iterations.  Returns (p, F per outer iteration in bits, gap at p).
         """
         target = _BOUND_MARGIN * OBJ_TOL
-        p, t, trace = self.p0, 1.0, []
+        p, t, trace = self.face.p0, 1.0, []
         while len(trace) < max_iters:
             p = self._center(p, t)
             trace.append(self.value(p) / _LOG2)
-            if self.movable / t / _LOG2 <= target:
+            if self.face.movable / t / _LOG2 <= target:
                 break
             if len(trace) > 1 and trace[-2] - trace[-1] <= target:
                 gap = self.fw_gap(p)
@@ -405,25 +457,48 @@ def _check_lam(kind: str, lam: float) -> None:
                                 f"unless the kind is cascade, not {lam!r}")
 
 
-def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
-                         kind: str = "two-node", lam: float = 0.0,
-                         max_iters: int = MAX_ITERS) -> OptimizerResult:
-    """Minimize the rate objective over conditionals for a fixed atom set.
+def _isolated_relay(target: CqEnsemble, atoms: AtomCandidateSet):
+    """Isolated node under the independent-Z restriction p(x,y,z)=p(x,y)p(z).
 
-    Deterministic given inputs.  A two-node solve is the cascade solve with
-    a trivial relay (one Z symbol, C atom ``[[1]]``).  Infeasibility of the
-    atom set (some conditional state outside the convex hull of the atoms)
-    is reported, not raised: it signals that this candidate set cannot
-    represent the target, not that coordination is impossible.  A feasible
-    result carries its Frank-Wolfe ``gap``; ``message`` says when
-    ``max_iters`` ran out before the gap reached ``OBJ_TOL``.  A residual
-    above ``FEAS_TOL`` makes the atom set infeasible.
+    Requires the target C conditionals to coincide across source symbols
+    and each rest part to factor as B x C; the admissible Z then carries
+    no information and the objective reduces to I(X;Y) over the B
+    conditionals.  Returns (B conditionals, common Z pmf, its residual),
+    or ``_Infeasible``.
     """
-    _check_lam(kind, lam)
     nx = target.x_alphabet.size
+    conds_b = [target.conditional_part(i, "B") for i in range(nx)]
+    conds_c = [target.conditional_part(i, "C") for i in range(nx)]
+    base_c = conds_c[0]
+    dev_c = max(trace_norm_distance(c.matrix, base_c.matrix) for c in conds_c)
+    prod_dev = max(
+        trace_norm_distance(np.kron(conds_b[i].matrix, conds_c[i].matrix),
+                            target.rest_part(i).matrix)
+        for i in range(nx))
+    if dev_c > FEAS_TOL or prod_dev > FEAS_TOL:
+        return _Infeasible(
+            max(dev_c, prod_dev),
+            "target is outside the independent-Z restriction "
+            "(C conditionals vary with x or rest does not factor B x C)")
+    pz, resid_c = _feasible_point(*_feasibility_system(
+        [c.matrix for c in atoms.atoms_c], base_c.matrix))
+    if resid_c > FEAS_TOL:
+        return _Infeasible(resid_c, "C atom set infeasible for the common "
+                                    f"C conditional (residual {resid_c:.3e})")
+    return conds_b, pz, resid_c
+
+
+def _prepare(target: CqEnsemble, atoms: AtomCandidateSet, kind: str):
+    """The ``_Face`` of one atom set, or ``_Infeasible``; no ``lam`` needed.
+
+    A two-node solve is the cascade solve with a trivial relay (one Z
+    symbol, C atom ``[[1]]``), and so is an isolated solve, on the B
+    conditionals.  A residual above ``FEAS_TOL`` makes the atom set
+    infeasible.
+    """
     if not target.factorizes():
-        return OptimizerResult(
-            feasible=False, atoms=atoms, certified_empty=True,
+        return _Infeasible(
+            certified_empty=True,
             message="a target state does not factor into A x rest; "
                     "no admissible extension exists")
     regs = "A,B" if kind == "two-node" else "A,B,C"
@@ -431,30 +506,54 @@ def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
         raise CoordinationError(f"{kind} kind needs an {regs} target")
     if kind != "two-node" and atoms.atoms_c is None:
         raise CoordinationError(f"{kind} optimization needs C atoms")
+    rests = [target.rest_part(i) for i in range(target.x_alphabet.size)]
+    pz, pz_residual = None, 0.0
     if kind == "isolated":
-        return _minimize_isolated(target, atoms, max_iters)
-
-    atoms_c = (_TRIVIAL_C,) if kind == "two-node" else atoms.atoms_c
+        relay = _isolated_relay(target, atoms)
+        if isinstance(relay, _Infeasible):
+            return relay
+        rests, pz, pz_residual = relay
+    atoms_c = atoms.atoms_c if kind == "cascade" else (_TRIVIAL_C,)
     bc = kron_table(atoms.atoms_b, atoms_c)
     label_mats = list(bc.reshape(-1, *bc.shape[2:]))
-    systems = [_feasibility_system(label_mats, target.rest_part(i).matrix)
-               for i in range(nx)]
+    systems = [_feasibility_system(label_mats, r.matrix) for r in rests]
     max_resid = max(_feasible_point(a, b)[1] for a, b in systems)
     if max_resid > FEAS_TOL:
-        return OptimizerResult(
-            feasible=False, max_residual=max_resid, atoms=atoms,
-            message="atom set infeasible for this target "
-                    f"(max residual {max_resid:.3e})")
+        return _Infeasible(max_resid, "atom set infeasible for this target "
+                                      f"(max residual {max_resid:.3e})")
+    return _Face(target.source.table, systems, len(atoms_c), pz, pz_residual)
 
-    program = _RateProgram(target.source.table, systems, lam,
-                           np.arange(len(label_mats)) % len(atoms_c))
-    p, trace, gap = program.solve(max_iters)
-    table = np.zeros((nx, len(label_mats)))
-    table[program.xs, program.labels] = p
-    resid = max(float(np.linalg.norm(a @ table[i] - b))
-                for i, (a, b) in enumerate(systems))
-    return _result(target, atoms, kind, lam,
-                   table.reshape(nx, -1, len(atoms_c)), trace, resid, gap)
+
+def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
+                         kind: str = "two-node", lam: float = 0.0,
+                         max_iters: int = MAX_ITERS, *,
+                         face=None) -> OptimizerResult:
+    """Minimize the rate objective over conditionals for a fixed atom set.
+
+    Deterministic given inputs.  Infeasibility of the atom set (some
+    conditional state outside the convex hull of the atoms) is reported,
+    not raised: it signals that this candidate set cannot represent the
+    target, not that coordination is impossible.  A feasible result
+    carries its Frank-Wolfe ``gap``; ``message`` says when ``max_iters``
+    ran out before the gap reached ``OBJ_TOL``.  ``face`` is this atom
+    set's ``_prepare(target, atoms, kind)``, which does not depend on
+    ``lam``; it is built when not given.
+    """
+    _check_lam(kind, lam)
+    if face is None:
+        face = _prepare(target, atoms, kind)
+    if isinstance(face, _Infeasible):
+        return OptimizerResult(feasible=False, atoms=atoms, **asdict(face))
+    p, trace, gap = _RateProgram(face, lam).solve(max_iters)
+    nx = target.x_alphabet.size
+    table = np.zeros((nx, face.systems[0][0].shape[1]))
+    table[face.xs, face.labels] = p
+    resid = max([float(np.linalg.norm(a @ table[i] - b))
+                 for i, (a, b) in enumerate(face.systems)]
+                + [face.pz_residual])
+    cube = (table.reshape(nx, -1, face.nz) if face.pz is None
+            else np.einsum("xy,z->xyz", table, face.pz))
+    return _result(target, atoms, kind, lam, cube, trace, resid, gap)
 
 
 def _result(target, atoms, kind, lam, cube, trace, resid, gap):
@@ -493,80 +592,26 @@ def _result(target, atoms, kind, lam, cube, trace, resid, gap):
             f"{gap:.3e} bits above the tolerance {OBJ_TOL:g}"))
 
 
-def _minimize_isolated(target, atoms, max_iters):
-    """Isolated node under the independent-Z restriction p(x,y,z)=p(x,y)p(z).
+def optimize_lambdas(target: CqEnsemble, lams, kind: str = "two-node",
+                     max_merge_order: int = 3,
+                     max_iters: int = MAX_ITERS) -> list:
+    """``optimize`` at each weight in ``lams``, one result per weight.
 
-    Requires the target C conditionals to coincide across source symbols
-    and each rest part to factor as B x C; the admissible Z then carries
-    no information and the objective reduces to I(X;Y).
+    Every weight is checked before any solve.  Atoms are proposed once per
+    merge order and each atom set's face is prepared once (``_prepare``);
+    a weight then costs only its barrier path, gap LP and validation.
     """
-    nx = target.x_alphabet.size
-    conds_c = [target.conditional_part(i, "C") for i in range(nx)]
-    base_c = conds_c[0]
-    dev_c = max(trace_norm_distance(c.matrix, base_c.matrix) for c in conds_c)
-    prod_dev = max(
-        trace_norm_distance(
-            np.kron(target.conditional_part(i, "B").matrix, conds_c[i].matrix),
-            target.rest_part(i).matrix)
-        for i in range(nx))
-    if dev_c > FEAS_TOL or prod_dev > FEAS_TOL:
-        return OptimizerResult(
-            feasible=False, max_residual=max(dev_c, prod_dev), atoms=atoms,
-            message="target is outside the independent-Z restriction "
-                    "(C conditionals vary with x or rest does not factor B x C)")
-    ac, bc = _feasibility_system([c.matrix for c in atoms.atoms_c],
-                                 base_c.matrix)
-    pz, resid_c = _feasible_point(ac, bc)
-    if resid_c > FEAS_TOL:
-        return OptimizerResult(
-            feasible=False, max_residual=resid_c,
-            atoms=atoms, message="C atom set infeasible for the common "
-                                 f"C conditional (residual {resid_c:.3e})")
-    two = minimize_conditional(
-        _as_two_node_target(target), AtomCandidateSet(
-            atoms_b=atoms.atoms_b, provenance_b=atoms.provenance_b),
-        kind="two-node", max_iters=max_iters)
-    if not two.feasible:
-        two.atoms = atoms
-        return two
-    return _result(target, atoms, "isolated", 0.0,
-                   np.einsum("xy,z->xyz", two.conditional, pz),
-                   two.objective_trace, max(two.max_residual, resid_c),
-                   two.gap)
-
-
-def _as_two_node_target(target: CqEnsemble) -> CqEnsemble:
-    """Project a three-register target onto (A, B) for the isolated reduction."""
-    dims = target.dims_list
-    states = [partial_trace(target.states[i], dims, [0, 1])
-              for i in range(target.x_alphabet.size)]
-    return CqEnsemble(target.source, states,
-                      {"A": dims[0], "B": dims[1]})
-
-
-def optimize(target: CqEnsemble, kind: str = "two-node",
-             max_merge_order: int = 3, lam: float = 0.0,
-             max_iters: int = MAX_ITERS) -> OptimizerResult:
-    """Full pipeline: propose atoms at growing merge order, minimize, keep best.
-
-    Reports the minimum over the proposed atom sets, each certified by its
-    Frank-Wolfe ``gap`` (the lowest merge order wins values within
-    ``OBJ_TOL``).  When every candidate atom set is infeasible the result
-    says so with the residual evidence, flagging the certified-empty
-    patterns explicitly.
-    """
-    _check_lam(kind, lam)
+    for lam in lams:
+        _check_lam(kind, lam)
     if max_merge_order < 1:
         raise CoordinationError(
             f"max_merge_order must be at least 1, not {max_merge_order}")
     if not target.factorizes():
-        return OptimizerResult(
+        return [OptimizerResult(
             feasible=False, certified_empty=True,
             message="a target state does not factor into A x rest; "
-                    "the admissible extension set is empty")
-    best = None
-    candidates = []
-    seen_sizes = set()
+                    "the admissible extension set is empty") for _ in lams]
+    sets, seen_sizes = [], set()
     for order in range(1, max_merge_order + 1):
         atoms = propose_atoms(target, max_merge_order=order)
         sig = (len(atoms.atoms_b),
@@ -574,8 +619,16 @@ def optimize(target: CqEnsemble, kind: str = "two-node",
         if sig in seen_sizes:
             continue
         seen_sizes.add(sig)
+        sets.append((order, atoms, _prepare(target, atoms, kind)))
+    return [_best(target, sets, kind, lam, max_iters) for lam in lams]
+
+
+def _best(target, sets, kind, lam, max_iters) -> OptimizerResult:
+    """The lowest value over the prepared atom sets at weight ``lam``."""
+    best, candidates = None, []
+    for order, atoms, face in sets:
         res = minimize_conditional(target, atoms, kind=kind, lam=lam,
-                                   max_iters=max_iters)
+                                   max_iters=max_iters, face=face)
         candidates.append((order, res.feasible, res.value, res.max_residual))
         if res.feasible and (best is None
                              or res.value < best.value - OBJ_TOL):
@@ -588,3 +641,18 @@ def optimize(target: CqEnsemble, kind: str = "two-node",
                     "set may be empty for this target")
     best.candidates = candidates
     return best
+
+
+def optimize(target: CqEnsemble, kind: str = "two-node",
+             max_merge_order: int = 3, lam: float = 0.0,
+             max_iters: int = MAX_ITERS) -> OptimizerResult:
+    """Full pipeline: propose atoms at growing merge order, minimize, keep best.
+
+    Reports the minimum over the proposed atom sets, each certified by its
+    Frank-Wolfe ``gap`` (the lowest merge order wins values within
+    ``OBJ_TOL``).  When every candidate atom set is infeasible the result
+    says so with the residual evidence, flagging the certified-empty
+    patterns explicitly.  This is ``optimize_lambdas`` at one weight.
+    """
+    return optimize_lambdas(target, [lam], kind, max_merge_order,
+                            max_iters)[0]

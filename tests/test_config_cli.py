@@ -588,6 +588,61 @@ def test_unhonourable_setting_is_a_validation_error(tmp_path, capsys, name,
     assert not (out / "manifest.json").exists()
 
 
+def lambda_sweep_config(name: str, values: list) -> dict:
+    cfg = read_config(name)
+    cfg["command"] = "sweep"
+    cfg["sweep"] = {"path": ["optimize", "lambda"], "values": values,
+                    "command": "optimize"}
+    return cfg
+
+
+# a weight sweep checks every weight before it solves any of them
+@pytest.mark.parametrize("name,values", [
+    ("cascade_lambda_sweep.json", [0.0, -0.5]),
+    ("example1_optimize.json", [0, 0.5])],
+    ids=["negative_lambda", "two_node_lambda"])
+def test_bad_swept_lambda_is_rejected_before_any_solve(tmp_path, capsys,
+                                                       monkeypatch, name,
+                                                       values):
+    from qcoord import optimizer
+    solves = []
+    real = optimizer.minimize_conditional
+
+    def spy(*args, **kwargs):
+        solves.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(optimizer, "minimize_conditional", spy)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(lambda_sweep_config(name, values)))
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out),
+                 "--quiet"]) == EXIT_VALIDATION
+    assert "lambda must be" in capsys.readouterr().err
+    assert solves == []
+    assert not (out / "sweep.csv").exists()
+
+
+def test_lambda_sweep_is_one_optimize_lambdas_call(tmp_path, monkeypatch):
+    from qcoord import cli
+    calls = []
+    real = cli.optimize_lambdas
+
+    def spy(*args, **kwargs):
+        calls.append((args[1], kwargs))
+        return real(*args, **kwargs)
+
+    def per_value(*args, **kwargs):
+        raise AssertionError("a weight sweep solved one weight at a time")
+    monkeypatch.setattr(cli, "optimize_lambdas", spy)
+    monkeypatch.setattr(cli, "optimize", per_value)
+    out = tmp_path / "out"
+    assert main(["--config", config_path("cascade_lambda_sweep.json"),
+                 "--out", str(out), "--quiet"]) == EXIT_OK
+    assert calls == [([0.0, 0.5, 1.0],
+                      {"kind": "cascade", "max_merge_order": 2})]
+    assert len(read_csv(out / "sweep.csv").strip().splitlines()) == 4
+
+
 def test_negative_threads_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:

@@ -7,11 +7,13 @@ from qcoord.classical import Alphabet, JointPmf
 from qcoord.config import build_ensemble, load_config, resolve_family
 from qcoord.coordination import (CoordinationError, CqEnsemble,
                                  validate_extension)
+from qcoord import coordination, optimizer
 from qcoord.optimizer import (
     OBJ_TOL,
     AtomCandidateSet,
     minimize_conditional,
     optimize,
+    optimize_lambdas,
     propose_atoms,
 )
 from qcoord.quantum import DensityOperator, tensor, trace_norm_distance
@@ -321,3 +323,110 @@ class TestCascadeAndIsolatedOptimization:
                          {"A": 2, "B": 2, "C": 2})
         res = optimize(ens, kind="isolated", max_merge_order=2)
         assert not res.feasible
+
+
+def sweep_target():
+    cfg = load_config(os.path.join(CONFIG_DIR, "cascade_lambda_sweep.json"))
+    return build_ensemble(resolve_family(cfg))
+
+
+def counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that records each call's args."""
+    real, calls = getattr(owner, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+class TestSharedFaces:
+    # a weight sweep prepares each atom set's face once; each weight must
+    # still give exactly what its own optimize call gives
+    @pytest.mark.parametrize("case,kind,lams,order", [
+        ("sweep", "cascade", [0.0, 0.5, 1.0, 2.0], 2),
+        ("example1", "two-node", [0.0, 0.0], 3)])
+    def test_sweep_equals_one_optimize_per_lambda(self, example1_pair, case,
+                                                  kind, lams, order):
+        ens = sweep_target() if case == "sweep" else example1_pair[0]
+        swept = optimize_lambdas(ens, lams, kind=kind, max_merge_order=order)
+        assert len(swept) == len(lams)
+        for lam, res in zip(lams, swept):
+            one = optimize(ens, kind=kind, lam=lam, max_merge_order=order)
+            assert res.feasible and one.feasible
+            assert res.value == one.value
+            assert res.gap == one.gap
+            assert res.iterations == one.iterations
+            assert res.conditional.tobytes() == one.conditional.tobytes()
+            assert res.candidates == one.candidates
+
+    def test_one_support_lp_per_atom_set_and_one_per_gap(self, monkeypatch):
+        lps = counting(monkeypatch, optimizer, "linprog")
+        gaps = counting(monkeypatch, optimizer._RateProgram, "fw_gap")
+        faces = []
+        real = optimizer._prepare
+
+        def prepare(*args):
+            faces.append(real(*args))
+            return faces[-1]
+        monkeypatch.setattr(optimizer, "_prepare", prepare)
+        results = optimize_lambdas(sweep_target(), [0.0, 0.5, 1.0],
+                                   kind="cascade", max_merge_order=2)
+        feasible = sum(isinstance(f, optimizer._Face) for f in faces)
+        assert all(r.feasible for r in results)
+        assert feasible == len(faces) >= 1
+        assert gaps and len(lps) == feasible + len(gaps)
+
+    @pytest.mark.parametrize("case,kind,lam", [
+        ("example1", "two-node", 0.0), ("sweep", "cascade", 0.5),
+        ("sweep", "cascade", 1.0)])
+    def test_block_gap_is_the_per_symbol_sum(self, example1_pair, case,
+                                             kind, lam):
+        from scipy.optimize import linprog
+        ens = sweep_target() if case == "sweep" else example1_pair[0]
+        face = optimizer._prepare(ens, propose_atoms(ens, 2), kind)
+        program = optimizer._RateProgram(face, lam)
+        p = face.p0               # interior of the face, and not optimal
+        gap = program.fw_gap(p)
+        assert gap > 1e-3
+        # the oracle: one LP per source symbol, each bound summed
+        grad = program.derivatives(p)[0] / np.log(2.0)
+        oracle = 0.0
+        for i, (a, b) in enumerate(face.supported):
+            c = grad[face.xs == i]
+            res = linprog(c, A_eq=a, b_eq=b, bounds=(0, None),
+                          method="highs",
+                          options={"dual_feasibility_tolerance": 1e-10})
+            y = res.eqlin.marginals
+            oracle += (c @ p[face.xs == i] - b @ y
+                       - min(0.0, np.min(c - a.T @ y)))
+        assert gap == pytest.approx(oracle, abs=1e-12)
+
+
+class TestOneFactorizationPass:
+    def test_parts_are_traced_once_per_symbol(self, monkeypatch):
+        ens = sweep_target()              # A, B, C: rest keeps (B, C)
+        calls = counting(monkeypatch, coordination, "partial_trace")
+        res = optimize(ens, kind="cascade", lam=0.5, max_merge_order=2)
+        assert res.feasible
+        nx = ens.x_alphabet.size
+        assert sum(keep == [0] for _, _, keep in calls) == nx
+        assert sum(keep == [1, 2] for _, _, keep in calls) == nx
+        before = len(calls)
+        assert ens.factorizes()
+        assert validate_extension(res.extension, ens, tol=1e-6).passed
+        assert len(calls) == before
+
+    def test_isolated_validates_once_per_atom_set(self, monkeypatch):
+        x = Alphabet("X", ["x0", "x1"])
+        states = [tensor(tensor(KET0, KET0), KETP),
+                  tensor(tensor(KET1, KET1), KETP)]
+        ens = CqEnsemble(JointPmf([x], [0.5, 0.5]), states,
+                         {"A": 2, "B": 2, "C": 2})
+        calls = counting(monkeypatch, optimizer, "validate_extension")
+        res = optimize(ens, kind="isolated", max_merge_order=2)
+        assert res.feasible
+        assert [c[1] for c in res.candidates] == [True] * 2
+        assert len(calls) == 2
+        assert all(ext.kind == "isolated" for ext, _ in calls)
