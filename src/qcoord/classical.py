@@ -66,6 +66,9 @@ class JointPmf:
             raise PmfError(f"table shape {t.shape} does not match alphabets {shape}")
         if t.size > MAX_TABLE_ENTRIES:
             raise PmfError("alphabet product too large")
+        # checked before any sum, which huge entries would overflow
+        if not np.all(np.isfinite(t) & (t <= 1 + 1e-9)):
+            raise PmfError("probability entries must be finite and at most 1")
         if np.any(t < -PMF_TOL):
             raise PmfError("negative probability entry")
         t = np.clip(t, 0.0, None)

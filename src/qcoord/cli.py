@@ -8,8 +8,9 @@ Exit codes: 0 success, 2 config parse error, 3 validation failure,
 
 Artifacts are written atomically (temp file + rename).  CSV bodies are
 byte-stable across reruns of the same config; the manifest carries the
-config hash, library version, seeds, tolerances and wall time.  Every
-CSV row repeats the config hash for provenance.
+config hash, library version, seeds, tolerances and wall time.  Each
+command returns its tables; ``run`` writes them, and every CSV row repeats
+the config hash for provenance.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .config import (
     config_hash,
     load_config,
     resolve_family,
-    setting,
+    settings,
+    validate_config,
 )
 from .coordination import (
     VALIDATION_TOL,
@@ -125,28 +127,24 @@ def _rate_cells(ext) -> list:
     return [repr(value), "", ""]
 
 
-def cmd_rate(cfg, out_dir, opts) -> list:
+def cmd_rate(cfg, opts) -> dict:
     _, ext = _built(cfg)
-    rows = [[config_hash(cfg), ext.kind] + _rate_cells(ext)]
-    path = os.path.join(out_dir, "rate.csv")
-    write_csv_atomic(path, ["config_hash", "kind", "rate", "r12", "r23"],
-                     rows)
+    row = [ext.kind] + _rate_cells(ext)
     if not opts.quiet:
-        row = rows[0]
-        if row[2]:
-            print(f"rate: {float(row[2]):.6f} bits/symbol")
+        if row[1]:
+            print(f"rate: {float(row[1]):.6f} bits/symbol")
         else:
-            print(f"rate region corner: ({float(row[3]):.6f}, "
-                  f"{float(row[4]):.6f}) bits/symbol")
-    return [path]
+            print(f"rate region corner: ({float(row[2]):.6f}, "
+                  f"{float(row[3]):.6f}) bits/symbol")
+    return {"rate.csv": (["kind", "rate", "r12", "r23"], [row])}
 
 
 def _optimize_args(cfg: dict):
     """The config's target and the ``optimize`` keywords its block sets."""
-    block = setting(cfg, "optimize", "object", "", {})
-    return build_ensemble(resolve_family(cfg)), _given(block, "optimize", (
-        ("kind", "kind", "str"), ("max_merge_order", "max_merge_order", "int"),
-        ("lambda", "lam", "number"), ("max_iters", "max_iters", "int")))
+    kwargs = settings(cfg, "optimize")
+    if "lambda" in kwargs:
+        kwargs["lam"] = kwargs.pop("lambda")
+    return build_ensemble(resolve_family(cfg)), kwargs
 
 
 def _feasible(res):
@@ -170,240 +168,181 @@ def _corner_cells(res) -> list:
     return [repr(pt.r12), repr(pt.r23)] if pt else ["", ""]
 
 
-def cmd_optimize(cfg, out_dir, opts) -> list:
+def cmd_optimize(cfg, opts) -> dict:
     res = _optimized(cfg)
-    rows = [[config_hash(cfg), res.extension.kind, repr(res.value),
-             res.iterations, repr(res.max_residual)]
-            + _corner_cells(res) + [repr(res.gap)]]
-    path = os.path.join(out_dir, "optimize.csv")
-    write_csv_atomic(path, ["config_hash", "kind", "value", "iterations",
-                            "max_residual", "r12", "r23", "gap"], rows)
-    return [path]
+    return {"optimize.csv": (
+        ["kind", "value", "iterations", "max_residual", "r12", "r23", "gap"],
+        [[res.extension.kind, repr(res.value), res.iterations,
+          repr(res.max_residual)] + _corner_cells(res) + [repr(res.gap)]])}
 
 
-def _given(block: dict, path: str, spec) -> dict:
-    """Keyword arguments for the settings of ``spec`` that ``block`` sets.
-
-    ``spec`` holds (config key, keyword, kind) triples; a key the config
-    leaves out is not forwarded, so the library default applies.
-    """
-    return {kw: setting(block, key, kind, path)
-            for key, kw, kind in spec if key in block}
+# what a simulation command uses for a setting that its config leaves out
+_SIM_DEFAULTS = {"n_grid": [200], "rates": [0.5], "trials": 100, "seed": 0,
+                 "num_seeds": 10, "epsilon": 0.1}
 
 
-def _sim_setting(cfg: dict):
-    """Typed getter over the ``simulate`` block, where the command's own
-    ``derandomize`` or ``converse`` block overrides it key by key."""
-    names = ["simulate"]
-    if cfg["command"] in ("derandomize", "converse"):
-        names.append(cfg["command"])
-    blocks = [(name, setting(cfg, name, "object", "", {})) for name in names]
-
-    def get(key, kind, default=None):
-        for name, block in reversed(blocks):
-            if key in block:
-                return setting(block, key, kind, name)
-        return default
-    return get
-
-
-def _sim_args(get, opts, codeword_keys):
-    """(n grid, rates, keywords shared by every simulate call)."""
-    kwargs = dict(trials=get("trials", "int", 100),
-                  seed=get("seed", "int", 0) if opts.seed is None
-                  else opts.seed, threads=opts.threads)
-    keys = [("delta", "number"), ("engine", "str"), ("gamma_coeff", "number?")]
-    for key, kind in keys + [(k, "number?") for k in codeword_keys]:
-        value = get(key, kind)
-        if value is not None:
-            kwargs[key] = value
-    return (get("n_grid", "int[]", [200]), get("rates", "number[]", [0.5]),
-            kwargs)
+def _sim_args(cfg: dict, opts, codeword_keys):
+    """(settings, keywords shared by every simulate call); the command's
+    own ``derandomize`` or ``converse`` block overrides ``simulate`` key by
+    key, and ``--seed`` overrides both."""
+    s = {**_SIM_DEFAULTS, **settings(cfg, "simulate", cfg["command"])}
+    if opts.seed is not None:
+        s["seed"] = opts.seed
+    keys = ["trials", "seed", "delta", "engine", "gamma_coeff", *codeword_keys]
+    return s, dict(threads=opts.threads,
+                   **{k: s[k] for k in keys if s.get(k) is not None})
 
 
 def _run_cells(cfg, opts):
     ens, ext = _built(cfg)
     two_node = ext.kind == "two-node"
-    get = _sim_setting(cfg)
-    n_grid, rates, kwargs = _sim_args(
-        get, opts, ["codeword_rate"] if two_node
-        else ["codeword_rate_y", "codeword_rate_z"])
-    rates23 = None if two_node else get("rates23", "number[]?")
-    if rates23 and len(rates23) < len(rates):
+    s, kwargs = _sim_args(cfg, opts, ["codeword_rate"] if two_node
+                          else ["codeword_rate_y", "codeword_rate_z"])
+    rates23 = None if two_node else s.get("rates23")
+    if rates23 and len(rates23) < len(s["rates"]):
         raise ConfigError("rates23 needs one entry per rate")
     cells = []
-    for n in n_grid:
-        for idx, rate in enumerate(rates):
+    for n in s["n_grid"]:
+        for idx, rate in enumerate(s["rates"]):
             if two_node:
-                traces = simulate_two_node(ens, ext, n=n, rate=rate,
-                                           **kwargs)
-                r23 = None
+                r23, traces = None, simulate_two_node(
+                    ens, ext, n=n, rate=rate, **kwargs)
             else:
                 r23 = rates23[idx] if rates23 else 0.0
                 traces = simulate_cascade(ens, ext, n=n, rate12=rate,
                                           rate23=r23, **kwargs)
             cells.append((n, rate, r23, traces))
-    return ens, ext, cells
+    return ens, ext, s, cells
 
 
-def cmd_simulate(cfg, out_dir, opts) -> list:
-    chash = config_hash(cfg)
-    ens, ext, cells = _run_cells(cfg, opts)
+def cmd_simulate(cfg, opts) -> dict:
+    _, _, _, cells = _run_cells(cfg, opts)
     rows, summary = [], []
     for n, rate, r23, traces in cells:
         dists = [t.distance_to_target for t in traces]
-        for t in traces:
-            rows.append([
-                chash, n, rate, r23, t.seed, t.trial, t.engine,
-                repr(t.distance_to_target), repr(t.distance_to_tau),
-                t.encoder_fallback, t.decoder_fallback,
-                t.index_match,
-            ])
-        summary.append([
-            chash, n, rate, r23, len(traces),
-            repr(float(np.median(dists))),
-            repr(float(np.percentile(dists, 25))),
-            repr(float(np.percentile(dists, 75))),
-            repr(float(np.mean(dists))),
-            repr(float(np.mean([t.encoder_fallback for t in traces]))),
-            repr(float(np.mean([t.decoder_fallback for t in traces]))),
-        ])
-    p1 = os.path.join(out_dir, "simulate.csv")
-    write_csv_atomic(p1, ["config_hash", "n", "rate", "rate23", "seed",
-                          "trial", "engine", "distance_to_target",
-                          "distance_to_tau", "encoder_fallback",
-                          "decoder_fallback", "bob_charlie_index_match"],
-                     rows)
-    p2 = os.path.join(out_dir, "simulate_summary.csv")
-    write_csv_atomic(p2, ["config_hash", "n", "rate", "rate23", "trials",
-                          "median", "q25", "q75", "mean",
-                          "encoder_fallback_rate", "decoder_fallback_rate"],
-                     summary)
-    return [p1, p2]
+        rows += [[n, rate, r23, t.seed, t.trial, t.engine,
+                  repr(t.distance_to_target), repr(t.distance_to_tau),
+                  t.encoder_fallback, t.decoder_fallback, t.index_match]
+                 for t in traces]
+        summary.append([n, rate, r23, len(traces)] + [
+            repr(float(v)) for v in (
+                np.median(dists), np.percentile(dists, 25),
+                np.percentile(dists, 75), np.mean(dists),
+                np.mean([t.encoder_fallback for t in traces]),
+                np.mean([t.decoder_fallback for t in traces]))])
+    return {
+        "simulate.csv": (["n", "rate", "rate23", "seed", "trial", "engine",
+                          "distance_to_target", "distance_to_tau",
+                          "encoder_fallback", "decoder_fallback",
+                          "bob_charlie_index_match"], rows),
+        "simulate_summary.csv": (["n", "rate", "rate23", "trials", "median",
+                                  "q25", "q75", "mean",
+                                  "encoder_fallback_rate",
+                                  "decoder_fallback_rate"], summary)}
 
 
-def cmd_derandomize(cfg, out_dir, opts) -> list:
-    chash = config_hash(cfg)
+def cmd_derandomize(cfg, opts) -> dict:
     ens, ext = _built(cfg)
-    get = _sim_setting(cfg)
-    n_grid, rates, kwargs = _sim_args(get, opts, ["codeword_rate"])
-    if not n_grid or not rates:
+    s, kwargs = _sim_args(cfg, opts, ["codeword_rate"])
+    if not s["n_grid"] or not s["rates"]:
         raise ConfigError("derandomize needs a nonempty n_grid and rates")
-    n, rate = n_grid[0], rates[0]
-    report = derandomize(
-        ens, ext, n=n, rate=rate, num_seeds=get("num_seeds", "int", 10),
-        epsilon=get("epsilon", "number", 0.1), **kwargs)
-    rows = [[chash, n, rate, s, repr(float(d)),
-             1 if i == report.best_index else 0]
-            for i, (s, d) in enumerate(zip(report.seeds, report.distances))]
-    p1 = os.path.join(out_dir, "derandomize.csv")
-    write_csv_atomic(p1, ["config_hash", "n", "rate", "codebook_seed",
-                          "mean_distance", "selected"], rows)
-    p2 = os.path.join(out_dir, "derandomize_summary.csv")
-    write_csv_atomic(p2, ["config_hash", "best_seed", "best_distance",
-                          "mean_distance", "q25", "q50", "q75",
-                          "epsilon", "meets_epsilon"],
-                     [[chash, report.best_seed, repr(report.best_distance),
-                       repr(report.mean_distance),
-                       repr(report.quantiles[25]),
-                       repr(report.quantiles[50]),
-                       repr(report.quantiles[75]),
-                       repr(report.epsilon), report.meets_epsilon]])
-    return [p1, p2]
+    n, rate = s["n_grid"][0], s["rates"][0]
+    report = derandomize(ens, ext, n=n, rate=rate, num_seeds=s["num_seeds"],
+                         epsilon=s["epsilon"], **kwargs)
+    rows = [[n, rate, seed, repr(float(d)), 1 if i == report.best_index else 0]
+            for i, (seed, d) in enumerate(zip(report.seeds,
+                                              report.distances))]
+    return {
+        "derandomize.csv": (["n", "rate", "codebook_seed", "mean_distance",
+                             "selected"], rows),
+        "derandomize_summary.csv": (
+            ["best_seed", "best_distance", "mean_distance", "q25", "q50",
+             "q75", "epsilon", "meets_epsilon"],
+            [[report.best_seed] + [repr(v) for v in (
+                report.best_distance, report.mean_distance,
+                *(report.quantiles[q] for q in (25, 50, 75)),
+                report.epsilon)] + [report.meets_epsilon]])}
 
 
-def cmd_converse(cfg, out_dir, opts) -> list:
-    chash = config_hash(cfg)
-    ens, ext, cells = _run_cells(cfg, opts)
-    slack = _given(setting(cfg, "converse", "object", "", {}), "converse",
-                   [("slack", "slack", "number")])
+def cmd_converse(cfg, opts) -> dict:
+    ens, ext, s, cells = _run_cells(cfg, opts)
     rows = []
     for n, rate, r23, traces in cells:
         report = converse_check(traces, ens, ext, rate=rate, rate23=r23,
-                                **slack)
-        for iq in report.inequalities:
-            rows.append([chash, n, rate, r23, iq.name,
-                         repr(iq.information_bits), repr(iq.rate_bound),
-                         repr(report.alpha), repr(report.slack),
-                         repr(iq.margin), iq.passed])
-    path = os.path.join(out_dir, "converse.csv")
-    write_csv_atomic(path, ["config_hash", "n", "rate", "rate23",
-                            "inequality", "information_bits", "rate_bound",
-                            "alpha_n", "slack", "margin", "passed"], rows)
-    return [path]
+                                **{k: s[k] for k in ["slack"] if k in s})
+        rows += [[n, rate, r23, iq.name, repr(iq.information_bits),
+                  repr(iq.rate_bound), repr(report.alpha),
+                  repr(report.slack), repr(iq.margin), iq.passed]
+                 for iq in report.inequalities]
+    return {"converse.csv": (["n", "rate", "rate23", "inequality",
+                              "information_bits", "rate_bound", "alpha_n",
+                              "slack", "margin", "passed"], rows)}
 
 
-def cmd_sweep(cfg, out_dir, opts) -> list:
-    block = setting(cfg, "sweep", "object", "")
-    path_keys = setting(block, "path", "list", "sweep")
-    # checked as numbers, but substituted as written, so that a sweep over
-    # an integer setting such as max_merge_order stays integral
-    setting(block, "values", "number[]", "sweep")
-    inner_cmd = setting(block, "command", "str", "sweep", "rate")
+def cmd_sweep(cfg, opts) -> dict:
+    s = settings(cfg, "sweep")
+    inner_cmd = s.get("command", "rate")
     if inner_cmd not in ("rate", "optimize"):
         raise ConfigError("sweep supports the rate and optimize commands")
-    subs = [dict(apply_sweep_value(cfg, path_keys, value),
-                 command=inner_cmd) for value in block["values"]]
+    # values are substituted as written, so that max_merge_order stays
+    # integral, and every swept config is checked before any solve
+    subs = [validate_config(dict(apply_sweep_value(cfg, s["path"], value),
+                                 command=inner_cmd))
+            for value in cfg["sweep"]["values"]]
     if inner_cmd == "rate":
         cells = [_rate_cells(_built(sub)[1]) + [""] for sub in subs]
     else:
         cells = [[repr(res.value)] + _corner_cells(res) + [repr(res.gap)]
-                 for res in _swept_optimize(subs, path_keys)]
-    chash = config_hash(cfg)
-    rows = [[chash, repr(float(value))] + row
-            for value, row in zip(block["values"], cells)]
-    path = os.path.join(out_dir, "sweep.csv")
-    write_csv_atomic(path, ["config_hash", "value", "rate", "r12", "r23",
-                            "gap"], rows)
-    return [path]
+                 for res in _swept_optimize(subs, s["path"])]
+    return {"sweep.csv": (["value", "rate", "r12", "r23", "gap"],
+                          [[repr(value)] + row
+                           for value, row in zip(s["values"], cells)])}
 
 
 def _swept_optimize(subs: list, path_keys: list) -> list:
     """One feasible optimize result per swept config.
 
-    A sweep over ``optimize.lambda`` is one ``optimize_lambdas`` call, so
-    that every weight shares its atom sets' faces; every weight is read
-    and checked before any solve.  Other sweeps solve config by config.
-    """
+    A sweep over ``optimize.lambda`` is one ``optimize_lambdas`` call that
+    shares the atom sets' faces; other sweeps solve config by config."""
     if path_keys != ["optimize", "lambda"] or not subs:
         return [_optimized(sub) for sub in subs]
-    lams = [setting(sub["optimize"], "lambda", "number", "optimize")
-            for sub in subs]
+    lams = [settings(sub, "optimize")["lambda"] for sub in subs]
     ens, kwargs = _optimize_args(subs[0])
     del kwargs["lam"]
     return [_feasible(res) for res in optimize_lambdas(ens, lams, **kwargs)]
 
 
-_COMMANDS = {
-    "rate": cmd_rate,
-    "optimize": cmd_optimize,
-    "simulate": cmd_simulate,
-    "derandomize": cmd_derandomize,
-    "converse": cmd_converse,
-    "sweep": cmd_sweep,
-}
+_COMMANDS = dict(rate=cmd_rate, optimize=cmd_optimize, simulate=cmd_simulate,
+                 derandomize=cmd_derandomize, converse=cmd_converse,
+                 sweep=cmd_sweep)
 
 
 def run(config_path: str, out_dir: str, opts) -> int:
+    """Run the config's command, then write each table it returns as a CSV
+    whose every row leads with the config hash, and then the manifest."""
     start = time.time()
     cfg = load_config(config_path)
     os.makedirs(out_dir, exist_ok=True)
-    artifacts = _COMMANDS[cfg["command"]](cfg, out_dir, opts)
+    tables = _COMMANDS[cfg["command"]](cfg, opts)
+    chash = config_hash(cfg)
+    for name, (header, rows) in tables.items():
+        write_csv_atomic(os.path.join(out_dir, name), ["config_hash", *header],
+                         [[chash, *row] for row in rows])
     manifest = {
-        "config_hash": config_hash(cfg),
+        "config_hash": chash,
         "command": cfg["command"],
         "library_version": __version__,
         "seed_override": opts.seed,
         "threads": opts.threads,
-        "artifacts": [os.path.basename(a) for a in artifacts],
+        "artifacts": list(tables),
         "wall_time_s": round(time.time() - start, 3),
         "tolerances": {"validation": VALIDATION_TOL,
                        "feasibility": FEAS_TOL},
     }
     write_json_atomic(os.path.join(out_dir, "manifest.json"), manifest)
     if not opts.quiet:
-        for a in artifacts:
-            print(a)
+        for name in tables:
+            print(os.path.join(out_dir, name))
     return EXIT_OK
 
 

@@ -22,15 +22,13 @@ nested [re, im] pairs, row-major):
       },
       "family": {"name": "phase_flip", "p": 0.1},   # alternative to
                                                     # ensemble+extension
-      "optimize": {"kind": ..., "max_merge_order": 3, "lambda": 0.0},
-      "simulate": {"n_grid": [...], "rates": [...], "trials": ...,
-                   "delta": ..., "seed": ..., "engine": "auto",
-                   "codeword_rate": null, "rates23": [...]},
-      "derandomize": {"num_seeds": ..., "epsilon": ..., plus simulate keys},
-      "converse": {"slack": 0.02, plus simulate keys},
-      "sweep": {"path": ["family", "p"], "values": [...],
-                "command": "rate"}
+      "optimize": {...}, "simulate": {...}, "derandomize": {...},
+      "converse": {...}, "sweep": {...}     # settings; see SETTINGS
     }
+
+Every settings key has its kind in ``SETTINGS``, and ``validate_config``
+reads them all at load.  ``derandomize`` and ``converse`` take the
+``simulate`` keys too, and override that block key by key (``settings``).
 
 The ``family`` block generates matching ensemble + extension pairs for
 parametric studies; ``phase_flip`` is the conjugate-basis dephasing pair
@@ -42,6 +40,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+from functools import reduce
 
 import numpy as np
 
@@ -52,6 +51,22 @@ from .quantum import DensityOperator, matrix_from_literal, matrix_to_literal
 SCHEMA_VERSION = 1
 COMMANDS = ("rate", "optimize", "simulate", "derandomize", "converse",
             "sweep")
+
+_SIMULATE = {"n_grid": "int[]", "rates": "number[]", "rates23": "number[]?",
+             "trials": "int", "seed": "int", "delta": "number",
+             "engine": "str", "gamma_coeff": "number?",
+             "codeword_rate": "number?", "codeword_rate_y": "number?",
+             "codeword_rate_z": "number?"}
+# every settings block's keys and their ``setting`` kinds
+SETTINGS = {
+    "optimize": {"kind": "str", "max_merge_order": "int", "lambda": "number",
+                 "max_iters": "int"},
+    "simulate": _SIMULATE,
+    "derandomize": {**_SIMULATE, "num_seeds": "int", "epsilon": "number"},
+    "converse": {**_SIMULATE, "slack": "number"},
+    "sweep": {"path": "list", "values": "number[]", "command": "str"},
+}
+_TOP_KEYS = ("schema", "command", "ensemble", "extension", "family", *SETTINGS)
 
 
 class ConfigError(ValueError):
@@ -68,6 +83,8 @@ def load_config(path) -> dict:
 
 
 def validate_config(cfg: dict) -> dict:
+    """``cfg``, once its header and settings blocks check out; the other
+    blocks are checked as they are built."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     if cfg.get("schema") != SCHEMA_VERSION:
@@ -76,9 +93,30 @@ def validate_config(cfg: dict) -> dict:
     cmd = cfg.get("command")
     if cmd not in COMMANDS:
         raise ConfigError(f"unknown command {cmd!r}; choose from {COMMANDS}")
+    for key in cfg:
+        if key not in _TOP_KEYS:
+            raise ConfigError(f"unknown key {key!r}; choose from {_TOP_KEYS}")
     if "family" not in cfg and "ensemble" not in cfg:
         raise ConfigError("config needs an 'ensemble' or a 'family' block")
+    settings(cfg, *SETTINGS)
+    for key in ("path", "values") if cmd == "sweep" else ():
+        _need(_need(cfg, "sweep", ""), key, "sweep")
     return cfg
+
+
+def settings(cfg: dict, *blocks: str) -> dict:
+    """The typed values that the settings ``blocks`` of ``cfg`` set, a
+    later block overriding an earlier one key by key.  A key that no block
+    sets is left out; one that ``SETTINGS`` does not list is an error."""
+    out = {}
+    for name in blocks:
+        block = setting(cfg, name, "object", "", {})
+        for key in block:
+            if key not in SETTINGS[name]:
+                raise ConfigError(f"unknown key {name}.{key}; choose from "
+                                  f"{tuple(SETTINGS[name])}")
+            out[key] = setting(block, key, SETTINGS[name][key], name)
+    return out
 
 
 def config_hash(cfg: dict) -> str:
@@ -149,7 +187,8 @@ def _join(path: str, key: str) -> str:
 
 _KINDS = {"int": ("an integer", int), "number": ("a number", (int, float)),
           "str": ("a string", str), "list": ("a list", list),
-          "object": ("a JSON object", dict)}
+          "object": ("a JSON object", dict),
+          "symbol": ("a string or a number", (str, int, float))}
 _ABSENT = object()
 
 
@@ -199,10 +238,13 @@ def build_ensemble(cfg: dict) -> CqEnsemble:
     if block is None:
         raise ConfigError("config has no ensemble block")
     regs = setting(block, "registers", "object", "ensemble")
+    if list(regs) not in (["A", "B"], ["A", "B", "C"]):
+        raise ConfigError("ensemble.registers must be [A,B] or [A,B,C], "
+                          f"got {list(regs)}")
     dims = {r: setting(regs, r, "int", "ensemble.registers") for r in regs}
     src = setting(block, "source", "object", "ensemble")
     alpha = Alphabet(setting(src, "variable", "str", "ensemble.source", "X"),
-                     setting(src, "symbols", "list", "ensemble.source"))
+                     setting(src, "symbols", "symbol[]", "ensemble.source"))
     source = JointPmf([alpha], np.asarray(
         setting(src, "probs", "number[]", "ensemble.source"), dtype=float))
     states = []
@@ -213,9 +255,9 @@ def build_ensemble(cfg: dict) -> CqEnsemble:
         else:
             parts = [_matrix(_need(entry, r, where), f"{where}.{r}")
                      for r in regs]
-            mat = parts[0]
-            for part in parts[1:]:
-                mat = np.kron(mat, part)
+            for part in parts:  # each a state, so no product can overflow
+                DensityOperator(part)
+            mat = reduce(np.kron, parts)
         states.append(DensityOperator(mat))
     try:
         return CqEnsemble(source, states, dims)
@@ -255,7 +297,7 @@ def build_extension(cfg: dict, ensemble: CqEnsemble) -> Extension:
     x_alpha = ensemble.x_alphabet
     names = ["Y"] if kind == "two-node" else ["Y", "Z"]
     variables = [x_alpha] + [
-        Alphabet(v, setting(labels, v, "list", "extension.labels"))
+        Alphabet(v, setting(labels, v, "symbol[]", "extension.labels"))
         for v in names]
     joint = JointPmf(variables,
                      _joint_table(_need(block, "joint", "extension"),

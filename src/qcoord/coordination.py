@@ -231,8 +231,12 @@ class Extension:
         px = t.reshape(t.shape[0], -1).sum(axis=1)
         if px[x_index] <= 0:
             raise CoordinationError(f"source symbol {x_index} has zero mass")
-        return mixture(t[x_index] / px[x_index],
-                       kron_table(self.atoms_b, atoms_c))
+        return mixture(t[x_index] / px[x_index], self._rest_table)
+
+    @cached_property
+    def _rest_table(self) -> np.ndarray:
+        """atomsB^y x atomsC^z per (y, z); the atoms are immutable tuples."""
+        return kron_table(self.atoms_b, self.as_cascade()[1])
 
     def ac_marginal(self) -> np.ndarray:
         """Sum_{x,z} p(x,z) atomsA^x x atomsC^z as a raw matrix."""

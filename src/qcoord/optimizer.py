@@ -62,6 +62,9 @@ OBJ_TOL = 1e-9
 MAX_ITERS = 10_000
 DEDUP_TOL = 1e-9
 RESULT_VALIDATION_TOL = 1e-6
+# the largest weight on r23: lam times a bit's rounding (2^-52) stays below
+# OBJ_TOL (at lam = 1e20 the Newton systems turn singular)
+MAX_LAMBDA = 1e6
 _BARRIER_GROWTH = 100.0   # factor on the barrier weight t per outer iteration
 _NEWTON_STEPS = 50       # cap on the Newton steps of one centring
 _CENTER_TOL = 1e-8       # centring stops at this Newton decrement squared
@@ -447,14 +450,18 @@ class _RateProgram:
         return p, trace, self.fw_gap(p)
 
 
-def _check_lam(kind: str, lam: float) -> None:
-    """Reject an unknown kind, and a weight ``lam`` on the relay rate that
-    is negative, not finite, or set on a kind without a relay rate."""
+def _check_args(kind: str, lam: float, max_iters: int) -> None:
+    """Reject an unknown kind, a weight ``lam`` on the relay rate that is
+    outside [0, MAX_LAMBDA] or set on a kind without a relay rate, and a
+    ``max_iters`` below 1 (which would return the support point)."""
     if kind not in KINDS:
         raise CoordinationError(f"unknown kind {kind!r}")
-    if not 0 <= lam < np.inf or (lam > 0 and kind != "cascade"):
-        raise CoordinationError(f"lambda must be finite, nonnegative and 0 "
-                                f"unless the kind is cascade, not {lam!r}")
+    if not 0 <= lam <= MAX_LAMBDA or (lam > 0 and kind != "cascade"):
+        raise CoordinationError(f"lambda must be in [0, {MAX_LAMBDA:g}] and "
+                                f"0 unless the kind is cascade, not {lam!r}")
+    if max_iters < 1:
+        raise CoordinationError(
+            f"max_iters must be at least 1, not {max_iters}")
 
 
 def _isolated_relay(target: CqEnsemble, atoms: AtomCandidateSet):
@@ -539,7 +546,7 @@ def minimize_conditional(target: CqEnsemble, atoms: AtomCandidateSet,
     set's ``_prepare(target, atoms, kind)``, which does not depend on
     ``lam``; it is built when not given.
     """
-    _check_lam(kind, lam)
+    _check_args(kind, lam, max_iters)
     if face is None:
         face = _prepare(target, atoms, kind)
     if isinstance(face, _Infeasible):
@@ -597,12 +604,12 @@ def optimize_lambdas(target: CqEnsemble, lams, kind: str = "two-node",
                      max_iters: int = MAX_ITERS) -> list:
     """``optimize`` at each weight in ``lams``, one result per weight.
 
-    Every weight is checked before any solve.  Atoms are proposed once per
+    Every weight (and ``max_iters``) is checked before any solve.  Atoms are proposed once per
     merge order and each atom set's face is prepared once (``_prepare``);
     a weight then costs only its barrier path, gap LP and validation.
     """
     for lam in lams:
-        _check_lam(kind, lam)
+        _check_args(kind, lam, max_iters)
     if max_merge_order < 1:
         raise CoordinationError(
             f"max_merge_order must be at least 1, not {max_merge_order}")

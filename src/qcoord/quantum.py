@@ -21,6 +21,7 @@ TOL_TRACE = 1e-9
 TOL_PSD = 1e-9
 TOL_EIG = 1e-10
 MAX_DIM = 1024
+_MAX_ENTRY = 1 + TOL_TRACE + MAX_DIM * TOL_PSD
 
 
 class QuantumError(ValueError):
@@ -94,6 +95,10 @@ class DensityOperator:
         a = _as_complex_matrix(matrix)
         if a.shape[0] > MAX_DIM:
             raise QuantumError(f"dimension {a.shape[0]} exceeds maximum {MAX_DIM}")
+        # no unit-trace PSD matrix has an entry above 1 in magnitude, up to
+        # the tolerances below; a huge one would overflow their arithmetic
+        if np.abs(a.view(float)).max(initial=0) > _MAX_ENTRY:
+            raise QuantumError("a density matrix has no entry above 1")
         a, _ = validated_states(a)
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "label", label)

@@ -50,6 +50,17 @@ class TestAlphabet:
             Alphabet("X", [0, 0])
 
 
+class TestJointPmf:
+    # NaN passes every comparison, so it needs its own check; two huge
+    # entries would overflow the normalising sum
+    @pytest.mark.parametrize("table", [
+        [np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0], [1e308, 1e308]],
+        ids=["nan", "nan_with_mass", "inf", "huge"])
+    def test_rejects_non_finite_or_huge_entries(self, table):
+        with pytest.raises(PmfError, match="finite and at most 1"):
+            JointPmf([BIT], table)
+
+
 class TestEntropy:
     def test_uniform_bit(self):
         p = JointPmf([BIT], [0.5, 0.5])

@@ -476,8 +476,9 @@ def test_missing_config_key_is_a_config_error(tmp_path, capsys, path):
     ("example1_optimize.json", ("optimize", "max_iters"), "x"),
     ("example1_derandomize.json", ("derandomize", "num_seeds"), "many"),
     ("phase_flip_sweep.json", ("sweep", "values"), 3),
+    ("example1_simulate.json", ("ensemble", "registers"), {}),
 ], ids=["registers", "states", "trials", "n_grid", "delta", "max_iters",
-        "num_seeds", "sweep_values"])
+        "num_seeds", "sweep_values", "no_registers"])
 def test_wrong_typed_config_value_is_a_config_error(tmp_path, capsys, name,
                                                     path, value):
     cfg = read_config(name)
@@ -532,6 +533,111 @@ def test_unusable_config_value_is_a_config_error(tmp_path, capsys, name,
     assert message in capsys.readouterr().err
 
 
+# a list or an object is no symbol: a config error, not an unexpected one
+@pytest.mark.parametrize("name,path,value,message", [
+    ("example1_simulate.json", ("ensemble", "source", "symbols"),
+     [["x0"], ["x1"]], "ensemble.source.symbols[0] must be a string or a "
+     "number"),
+    ("example1_decomposition_b.json", ("extension", "labels", "Y"),
+     ["y0", {}], "extension.labels.Y[1] must be a string or a number"),
+    ("cascade_flip.json", ("extension", "labels", "Z"), [["z0"], "z1"],
+     "extension.labels.Z[0] must be a string or a number"),
+], ids=["symbols", "labels_y", "labels_z"])
+def test_unhashable_symbol_is_a_config_error(tmp_path, capsys, name, path,
+                                             value, message):
+    cfg = read_config(name)
+    block = cfg
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == EXIT_PARSE
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def no_build(monkeypatch):
+    """Make any ensemble build fail the test: the run must stop first."""
+    from qcoord import cli
+
+    def build(*args, **kwargs):
+        raise AssertionError("the config was used before it was checked")
+    monkeypatch.setattr(cli, "resolve_family", build)
+    monkeypatch.setattr(cli, "build_ensemble", build)
+
+
+# every settings block is read at load, also one the command never uses
+@pytest.mark.parametrize("name,block,key,value,message", [
+    ("example1_optimize.json", "simulate", "trials", "x",
+     "simulate.trials must be an integer, not 'x'"),
+    ("example1_simulate.json", "optimize", "max_iters", 0.5,
+     "optimize.max_iters must be an integer, not 0.5"),
+    ("example1_decomposition_b.json", "converse", "slack", [],
+     "converse.slack must be a number, not []"),
+    ("phase_flip_sweep.json", "derandomize", "num_seeds", None,
+     "derandomize.num_seeds must be an integer, not None"),
+    ("example1_derandomize.json", "sweep", "values", [0.1, "x"],
+     "sweep.values[1] must be a number, not 'x'"),
+    ("example1_simulate.json", "simulate", "trails", 2,
+     "unknown key simulate.trails"),
+    ("example1_derandomize.json", "derandomize", "epsilon_", 0.1,
+     "unknown key derandomize.epsilon_"),
+    ("example1_optimize.json", "optimize", "slack", 0.1,
+     "unknown key optimize.slack"),
+], ids=["unread_simulate", "unread_optimize", "unread_converse",
+        "unread_derandomize", "unread_sweep", "simulate_trails",
+        "derandomize_epsilon_", "optimize_slack"])
+def test_settings_are_checked_at_load(tmp_path, capsys, monkeypatch, name,
+                                      block, key, value, message):
+    no_build(monkeypatch)
+    cfg = read_config(name)
+    cfg[block] = dict(cfg.get(block, {}), **{key: value})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_PARSE
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_top_level_key_is_a_config_error(tmp_path, capsys,
+                                                 monkeypatch):
+    no_build(monkeypatch)
+    cfg = dict(read_config("example1_decomposition_b.json"), simulte={})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == EXIT_PARSE
+    assert "config error: unknown key 'simulte'" in capsys.readouterr().err
+
+
+def test_bad_swept_value_is_rejected_before_any_solve(tmp_path, capsys,
+                                                      monkeypatch):
+    from qcoord import optimizer
+    solves = []
+    real = optimizer.minimize_conditional
+
+    def spy(*args, **kwargs):
+        solves.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(optimizer, "minimize_conditional", spy)
+    cfg = read_config("example1_optimize.json")
+    cfg["command"] = "sweep"
+    cfg["sweep"] = {"path": ["optimize", "max_merge_order"],
+                    "values": [2, 2.5], "command": "optimize"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out),
+                 "--quiet"]) == EXIT_PARSE
+    assert "config error: optimize.max_merge_order must be an integer, " \
+        "not 2.5" in capsys.readouterr().err
+    assert solves == []
+    assert not (out / "sweep.csv").exists()
+
+
 def test_cascade_simulate_without_trials_is_a_validation_error(tmp_path,
                                                                capsys):
     cfg = read_config("cascade_flip.json")
@@ -565,9 +671,24 @@ def test_cascade_simulate_without_trials_is_a_validation_error(tmp_path,
      [], "rates must be nonnegative and finite"),
     ("example1_simulate.json", "simulate", {"simulate": {"gamma_coeff": 0}},
      [], "gamma_coeff must be positive"),
+    ("example1_optimize.json", "optimize", {"optimize": {"max_iters": 0}},
+     [], "max_iters must be at least 1"),
+    ("example1_optimize.json", "optimize", {"optimize": {"max_iters": -2}},
+     [], "max_iters must be at least 1"),
+    ("cascade_lambda_sweep.json", "optimize", {"optimize": {"lambda": 1e308}},
+     [], "lambda must be"),
+    ("example1_decomposition_b.json", "rate",
+     {"extension": {"joint": [[0.5, None], [0.25, 0.25]]}}, [],
+     "probability entries must be finite"),
+    ("example1_decomposition_b.json", "rate",
+     {"extension": {"atoms_b": [[[[1e308, 0], [0, 0]], [[0, 0], [0, 0]]],
+                                [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]]}},
+     [], "no entry above 1"),
 ], ids=["two_node_lambda", "negative_lambda", "merge_order_0",
         "negative_config_seed", "negative_seed_flag", "huge_rate",
-        "huge_delta", "zero_gamma_coeff"])
+        "huge_delta", "zero_gamma_coeff", "max_iters_0",
+        "negative_max_iters", "huge_lambda", "null_joint_cell",
+        "huge_atom_entry"])
 def test_unhonourable_setting_is_a_validation_error(tmp_path, capsys, name,
                                                     command, edits, flags,
                                                     message):

@@ -64,6 +64,32 @@ class TestMixtureHelpers:
         assert out[0, 0] == (0.5 * 1.0 + 0.25 * 2.0) + 0.25 * 4.0
 
 
+class TestRestTable:
+    def test_label_table_is_built_once_per_extension(self, monkeypatch):
+        from qcoord import coordination
+        ens, built = cascade_flip_pair(0.2)
+        ext = Extension(built.joint, built.atoms_a, built.atoms_b,
+                        built.atoms_c, kind="cascade")
+        # the rests as they were built before the table was cached
+        t, atoms_c = ext.as_cascade()
+        px = t.reshape(t.shape[0], -1).sum(axis=1)
+        table = kron_table(ext.atoms_b, atoms_c)
+        want = [mixture(t[i] / px[i], table) for i in range(2)]
+        builds = []
+        real = coordination.kron_table
+
+        def spy(*lists):
+            builds.append(len(lists))
+            return real(*lists)
+        monkeypatch.setattr(coordination, "kron_table", spy)
+        for _ in range(2):
+            assert validate_extension(ext, ens).passed
+            got = [ext.conditional_rest(i) for i in range(2)]
+        assert builds == [2]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
 class TestValidation:
     def test_three_symbol_decomposition_against_own_ensemble(
             self, example1_three_symbol):

@@ -184,7 +184,7 @@ class TestUnhonourableSettings:
     # finite, nonnegative number; a merge order below 1 tries no atom set
     @pytest.mark.parametrize("kind,lam", [
         ("two-node", 0.5), ("cascade", -0.5), ("cascade", float("inf")),
-        ("cascade", float("nan"))])
+        ("cascade", float("nan")), ("cascade", 1e308)])
     def test_bad_lambda_is_rejected(self, example1_pair, kind, lam):
         ens, _ = example1_pair
         atoms = propose_atoms(ens, max_merge_order=1)
@@ -196,6 +196,17 @@ class TestUnhonourableSettings:
     def test_merge_order_below_one_is_rejected(self, example1_pair):
         with pytest.raises(CoordinationError, match="max_merge_order"):
             optimize(example1_pair[0], max_merge_order=0)
+
+    # zero iterations would return the support point (0.7553 on Example 1,
+    # whose minimum is 0.3113) as a feasible result
+    @pytest.mark.parametrize("max_iters", [0, -2])
+    def test_max_iters_below_one_is_rejected(self, example1_pair, max_iters):
+        ens, _ = example1_pair
+        atoms = propose_atoms(ens, max_merge_order=1)
+        with pytest.raises(CoordinationError, match="max_iters"):
+            minimize_conditional(ens, atoms, max_iters=max_iters)
+        with pytest.raises(CoordinationError, match="max_iters"):
+            optimize(ens, max_iters=max_iters)
 
 
 class TestOptimizePipeline:

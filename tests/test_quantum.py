@@ -60,6 +60,13 @@ class TestDensityOperator:
         with pytest.raises(QuantumError):
             DensityOperator(np.eye(2048) / 2048)
 
+    @pytest.mark.parametrize("entry", [1e308, -1e308, 1e308j, 1.01])
+    def test_rejects_an_entry_above_one_before_any_arithmetic(self, entry):
+        # 1e308 would overflow the symmetrisation; -W error turns that
+        # RuntimeWarning into a failure, so none may be raised first
+        with pytest.raises(QuantumError, match="no entry above 1"):
+            DensityOperator([[entry, 0], [0, 0]])
+
 
 class TestTensor:
     def test_basis_case(self):
