@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qcoord.classical import Alphabet, JointPmf, pmf_from_assignments
 from qcoord.coordination import CqEnsemble, Extension, validate_extension
 from qcoord.quantum import DensityOperator, tensor
+
+# hypothesis profiles: the suite runs "tier1"; CI's config fuzz step runs
+# 1,000 mutated configs with --hypothesis-profile config-fuzz.  Tests that
+# set max_examples themselves keep their own count.
+settings.register_profile("tier1", max_examples=200, deadline=None)
+settings.register_profile("config-fuzz", max_examples=1000, deadline=None)
+settings.load_profile("tier1")
 
 KET0 = DensityOperator.pure([1, 0], "B")
 KET1 = DensityOperator.pure([0, 1], "B")
