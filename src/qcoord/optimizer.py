@@ -604,9 +604,9 @@ def optimize_lambdas(target: CqEnsemble, lams, kind: str = "two-node",
                      max_iters: int = MAX_ITERS) -> list:
     """``optimize`` at each weight in ``lams``, one result per weight.
 
-    Every weight (and ``max_iters``) is checked before any solve.  Atoms are proposed once per
-    merge order and each atom set's face is prepared once (``_prepare``);
-    a weight then costs only its barrier path, gap LP and validation.
+    Every weight is checked, with ``max_iters``, before any solve.  Atoms
+    are proposed once per merge order and each atom set's face is prepared
+    once; a weight then costs only its barrier path, gap LP and validation.
     """
     for lam in lams:
         _check_args(kind, lam, max_iters)

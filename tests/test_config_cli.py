@@ -681,8 +681,9 @@ def test_cascade_simulate_without_trials_is_a_validation_error(tmp_path,
      {"extension": {"joint": [[0.5, None], [0.25, 0.25]]}}, [],
      "probability entries must be finite"),
     ("example1_decomposition_b.json", "rate",
-     {"extension": {"atoms_b": [[[[1e308, 0], [0, 0]], [[0, 0], [0, 0]]],
-                                [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]]}},
+     {"extension": {"atoms_b": [
+         [[[1e308, 0], [0, 0]], [[0, 0], [0, 0]]],
+         [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]]}},
      [], "no entry above 1"),
 ], ids=["two_node_lambda", "negative_lambda", "merge_order_0",
         "negative_config_seed", "negative_seed_flag", "huge_rate",

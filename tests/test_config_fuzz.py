@@ -1,7 +1,7 @@
 """Mutated experiment configs never exit 1 (an unexpected error).
 
 Each example takes one of ``configs/*.json``, shrinks its simulation
-settings so that any run is short, and applies one to three mutations:
+settings so that any run is short, and applies one or two mutations:
 delete a key (or list entry), or replace the value at a random path with
 one from ``PALETTE``.  ``main`` must exit 0, 2, 3, 4 or 5, and only a
 successful run may leave a ``manifest.json``.  The hypothesis profile
@@ -15,7 +15,7 @@ import math
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from qcoord.cli import EXIT_OK, main
@@ -73,7 +73,6 @@ def mutated_configs(draw):
     return cfg
 
 
-@settings(suppress_health_check=[HealthCheck.too_slow])
 @given(mutated_configs())
 def test_mutated_config_never_exits_1(cfg):
     with tempfile.TemporaryDirectory() as tmp:
