@@ -19,15 +19,17 @@ takes one deterministic solve:
     Frank-Wolfe gap, a rigorous bound on how far the result is above the
     minimum for that atom set.
 
-The face (label matrices, feasibility systems, support, null spaces) does
-not depend on the weight lam of the cascade objective, so a lam sweep
-(``optimize_lambdas``) prepares each atom set's face once and shares it.
-
 Atom candidates come from spectral decompositions of the target
-conditionals, convex merges of the conditionals, and maximal-PSD
-"peeling" remainders between them (the remainder left after subtracting
-as much of one conditional from another as positivity allows — this is
-what discovers shared atoms across source symbols).
+conditionals, convex merges of up to ``max_merge_order`` conditionals, and
+maximal-PSD "peeling" remainders between them (the remainder left after
+subtracting as much of one conditional from another as positivity allows
+— this is what discovers shared atoms across source symbols).  Only the
+merges depend on the order, so the pools nest, and ``optimize`` solves
+the one pool at ``max_merge_order``: its minimum is at most every lower
+order's.  The face (label matrices, feasibility systems, support, null
+spaces) does not depend on the weight lam of the cascade objective, so a
+lam sweep (``optimize_lambdas``) prepares it once and runs one certified
+solve per weight.
 """
 
 from __future__ import annotations
@@ -105,7 +107,6 @@ class OptimizerResult:
     atoms: Optional[AtomCandidateSet] = None
     rate_point: Optional[RatePoint] = None
     message: str = ""
-    candidates: list = field(default_factory=list)
     certified_empty: bool = False
     # Frank-Wolfe gap in bits: value - gap <= the minimum over this atom set
     gap: float = np.inf
@@ -605,7 +606,7 @@ def optimize_lambdas(target: CqEnsemble, lams, kind: str = "two-node",
     """``optimize`` at each weight in ``lams``, one result per weight.
 
     Every weight is checked, with ``max_iters``, before any solve.  Atoms
-    are proposed once per merge order and each atom set's face is prepared
+    are proposed once, at ``max_merge_order``, and their face is prepared
     once; a weight then costs only its barrier path, gap LP and validation.
     """
     for lam in lams:
@@ -613,53 +614,26 @@ def optimize_lambdas(target: CqEnsemble, lams, kind: str = "two-node",
     if max_merge_order < 1:
         raise CoordinationError(
             f"max_merge_order must be at least 1, not {max_merge_order}")
-    if not target.factorizes():
-        return [OptimizerResult(
-            feasible=False, certified_empty=True,
-            message="a target state does not factor into A x rest; "
-                    "the admissible extension set is empty") for _ in lams]
-    sets, seen_sizes = [], set()
-    for order in range(1, max_merge_order + 1):
-        atoms = propose_atoms(target, max_merge_order=order)
-        sig = (len(atoms.atoms_b),
-               len(atoms.atoms_c) if atoms.atoms_c else 0)
-        if sig in seen_sizes:
-            continue
-        seen_sizes.add(sig)
-        sets.append((order, atoms, _prepare(target, atoms, kind)))
-    return [_best(target, sets, kind, lam, max_iters) for lam in lams]
-
-
-def _best(target, sets, kind, lam, max_iters) -> OptimizerResult:
-    """The lowest value over the prepared atom sets at weight ``lam``."""
-    best, candidates = None, []
-    for order, atoms, face in sets:
-        res = minimize_conditional(target, atoms, kind=kind, lam=lam,
-                                   max_iters=max_iters, face=face)
-        candidates.append((order, res.feasible, res.value, res.max_residual))
-        if res.feasible and (best is None
-                             or res.value < best.value - OBJ_TOL):
-            best = res
-    if best is None:
-        worst = max((c[3] for c in candidates), default=np.inf)
-        return OptimizerResult(
-            feasible=False, max_residual=worst, candidates=candidates,
-            message="all candidate atom sets infeasible; the admissible "
-                    "set may be empty for this target")
-    best.candidates = candidates
-    return best
+    # no atom set helps a target that does not factor, and peeling its
+    # conditionals can raise; _prepare reports it as certified empty
+    atoms = (propose_atoms(target, max_merge_order) if target.factorizes()
+             else None)
+    face = _prepare(target, atoms, kind)
+    return [minimize_conditional(target, atoms, kind, lam, max_iters,
+                                 face=face) for lam in lams]
 
 
 def optimize(target: CqEnsemble, kind: str = "two-node",
              max_merge_order: int = 3, lam: float = 0.0,
              max_iters: int = MAX_ITERS) -> OptimizerResult:
-    """Full pipeline: propose atoms at growing merge order, minimize, keep best.
+    """Full pipeline: propose atoms up to ``max_merge_order``, minimize once.
 
-    Reports the minimum over the proposed atom sets, each certified by its
-    Frank-Wolfe ``gap`` (the lowest merge order wins values within
-    ``OBJ_TOL``).  When every candidate atom set is infeasible the result
-    says so with the residual evidence, flagging the certified-empty
-    patterns explicitly.  This is ``optimize_lambdas`` at one weight.
+    The pools nest (order k adds only the order-k merges to order k - 1's
+    atoms), so the one solve on the pool at ``max_merge_order``, certified
+    by its Frank-Wolfe ``gap``, is at most every lower order's minimum and
+    no order is tried apart.  An infeasible result carries the residual
+    evidence, and flags a target that admits no extension at all as
+    ``certified_empty``.  This is ``optimize_lambdas`` at one weight.
     """
     return optimize_lambdas(target, [lam], kind, max_merge_order,
                             max_iters)[0]

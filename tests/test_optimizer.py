@@ -9,6 +9,7 @@ from qcoord.coordination import (CoordinationError, CqEnsemble,
                                  validate_extension)
 from qcoord import coordination, optimizer
 from qcoord.optimizer import (
+    DEDUP_TOL,
     OBJ_TOL,
     AtomCandidateSet,
     minimize_conditional,
@@ -321,7 +322,8 @@ class TestCascadeAndIsolatedOptimization:
         assert res.lower_bound == res.value - res.gap
         assert res.iterations == 1
         assert res.rate_point is None
-        assert res.conditional.shape == (2, 2)
+        # the top pool adds the merged atom (|0><0| + |1><1|) / 2
+        assert res.conditional.shape == (2, 3)
         assert res.extension.kind == "isolated"
         report = validate_extension(res.extension, ens, tol=1e-6)
         assert report.passed
@@ -370,7 +372,6 @@ class TestSharedFaces:
             assert res.gap == one.gap
             assert res.iterations == one.iterations
             assert res.conditional.tobytes() == one.conditional.tobytes()
-            assert res.candidates == one.candidates
 
     def test_one_support_lp_per_atom_set_and_one_per_gap(self, monkeypatch):
         lps = counting(monkeypatch, optimizer, "linprog")
@@ -438,6 +439,73 @@ class TestOneFactorizationPass:
         calls = counting(monkeypatch, optimizer, "validate_extension")
         res = optimize(ens, kind="isolated", max_merge_order=2)
         assert res.feasible
-        assert [c[1] for c in res.candidates] == [True] * 2
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert all(ext.kind == "isolated" for ext, _ in calls)
+
+
+def isolated_target():
+    """B copies the source bit; C holds |+> whatever the bit."""
+    x = Alphabet("X", ["x0", "x1"])
+    states = [tensor(tensor(KET0, KET0), KETP),
+              tensor(tensor(KET1, KET1), KETP)]
+    return CqEnsemble(JointPmf([x], [0.5, 0.5]), states,
+                      {"A": 2, "B": 2, "C": 2})
+
+
+def pool_case(name, example1_pair, example1_three_symbol):
+    """(target, kind, lam) of a named case of the pool tests."""
+    from conftest import cascade_flip_pair
+    if name == "example1":
+        return example1_pair[0], "two-node", 0.0
+    if name == "example1_three_symbol":
+        return example1_three_symbol[0], "two-node", 0.0
+    if name == "sweep":
+        return sweep_target(), "cascade", 0.5
+    if name == "isolated":
+        return isolated_target(), "isolated", 0.0
+    if name == "cascade_flip":
+        return cascade_flip_pair(0.1)[0], "cascade", 0.5
+    return phase_flip_pair(float(name.split("_")[-1]))[0], "two-node", 0.0
+
+
+POOL_CASES = ["example1", "example1_three_symbol", "sweep", "isolated",
+              "phase_flip_0.1", "phase_flip_0.25", "phase_flip_0.4",
+              "cascade_flip"]
+
+
+class TestOnePool:
+    # one solve on the pool at max_merge_order replaces the loop over
+    # orders, which is sound because the pools nest
+    @pytest.mark.parametrize("name", POOL_CASES)
+    def test_pools_nest(self, example1_pair, example1_three_symbol, name):
+        ens = pool_case(name, example1_pair, example1_three_symbol)[0]
+        for order in (2, 3):
+            low, top = propose_atoms(ens, order - 1), propose_atoms(ens, order)
+            for lows, tops in ((low.atoms_b, top.atoms_b),
+                               (low.atoms_c or (), top.atoms_c or ())):
+                assert all(contains_atom(tops, a.matrix, tol=DEDUP_TOL)
+                           for a in lows)
+
+    @pytest.mark.parametrize("name", POOL_CASES)
+    def test_no_worse_than_a_lower_pool(self, example1_pair,
+                                        example1_three_symbol, name):
+        ens, kind, lam = pool_case(name, example1_pair,
+                                   example1_three_symbol)
+        res = optimize(ens, kind=kind, lam=lam, max_merge_order=3)
+        assert res.feasible
+        for order in (1, 2):
+            low = minimize_conditional(ens, propose_atoms(ens, order),
+                                       kind=kind, lam=lam)
+            assert res.value <= low.value + OBJ_TOL
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("lams", [[0.5], [0.0, 0.5, 1.0]])
+    def test_one_proposal_and_one_face_per_call(self, monkeypatch, order,
+                                                lams):
+        proposals = counting(monkeypatch, optimizer, "propose_atoms")
+        faces = counting(monkeypatch, optimizer, "_prepare")
+        results = optimize_lambdas(sweep_target(), lams, kind="cascade",
+                                   max_merge_order=order)
+        assert len(results) == len(lams)
+        assert [args[1] for args in proposals] == [order]
+        assert len(faces) == 1
