@@ -29,6 +29,8 @@ nested [re, im] pairs, row-major):
 Every settings key has its kind in ``SETTINGS``, and ``validate_config``
 reads them all at load.  ``derandomize`` and ``converse`` take the
 ``simulate`` keys too, and override that block key by key (``settings``).
+The ``ensemble``, ``ensemble.source``, ``extension`` and ``family`` blocks
+refuse any key outside ``_BLOCK_KEYS`` when they are built.
 
 The ``family`` block generates matching ensemble + extension pairs for
 parametric studies; ``phase_flip`` is the conjugate-basis dephasing pair
@@ -67,6 +69,14 @@ SETTINGS = {
     "sweep": {"path": "list", "values": "number[]", "command": "str"},
 }
 _TOP_KEYS = ("schema", "command", "ensemble", "extension", "family", *SETTINGS)
+# the keys that each of the other blocks reads
+_BLOCK_KEYS = {
+    "ensemble": ("registers", "source", "states"),
+    "ensemble.source": ("variable", "symbols", "probs"),
+    "extension": ("kind", "labels", "joint", "atoms_a", "atoms_b",
+                  "atoms_c"),
+    "family": ("name", "p"),
+}
 
 
 class ConfigError(ValueError):
@@ -119,6 +129,18 @@ def settings(cfg: dict, *blocks: str) -> dict:
     return out
 
 
+def _known(block, path: str) -> dict:
+    """``block``, once it is a JSON object that sets only keys that
+    ``_BLOCK_KEYS[path]`` lists."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{path} must be a JSON object, not {block!r}")
+    for key in block:
+        if key not in _BLOCK_KEYS[path]:
+            raise ConfigError(f"unknown key {path}.{key}; choose from "
+                              f"{_BLOCK_KEYS[path]}")
+    return block
+
+
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
@@ -128,7 +150,7 @@ def resolve_family(cfg: dict) -> dict:
     """Expand a ``family`` block into explicit ensemble+extension blocks."""
     if "family" not in cfg:
         return cfg
-    fam = cfg["family"]
+    fam = _known(cfg["family"], "family")
     name = setting(fam, "name", "str", "family", None)
     if name == "phase_flip":
         out = copy.deepcopy(cfg)
@@ -237,12 +259,14 @@ def build_ensemble(cfg: dict) -> CqEnsemble:
     block = cfg.get("ensemble")
     if block is None:
         raise ConfigError("config has no ensemble block")
+    block = _known(block, "ensemble")
     regs = setting(block, "registers", "object", "ensemble")
     if list(regs) not in (["A", "B"], ["A", "B", "C"]):
         raise ConfigError("ensemble.registers must be [A,B] or [A,B,C], "
                           f"got {list(regs)}")
     dims = {r: setting(regs, r, "int", "ensemble.registers") for r in regs}
-    src = setting(block, "source", "object", "ensemble")
+    src = _known(setting(block, "source", "object", "ensemble"),
+                 "ensemble.source")
     alpha = Alphabet(setting(src, "variable", "str", "ensemble.source", "X"),
                      setting(src, "symbols", "symbol[]", "ensemble.source"))
     source = JointPmf([alpha], np.asarray(
@@ -292,6 +316,7 @@ def build_extension(cfg: dict, ensemble: CqEnsemble) -> Extension:
     block = cfg.get("extension")
     if block is None:
         raise ConfigError("config has no extension block")
+    block = _known(block, "extension")
     kind = setting(block, "kind", "str", "extension", "two-node")
     labels = setting(block, "labels", "object", "extension")
     x_alpha = ensemble.x_alphabet

@@ -613,6 +613,31 @@ def test_unknown_top_level_key_is_a_config_error(tmp_path, capsys,
     assert "config error: unknown key 'simulte'" in capsys.readouterr().err
 
 
+# a misspelt optional key in the ensemble, extension or family block would
+# otherwise take its default silently (the A parts, the variable name X)
+@pytest.mark.parametrize("name,path,value", [
+    ("example1_decomposition_b.json", ("extension", "atoms_A"), []),
+    ("example1_decomposition_b.json", ("ensemble", "source", "varible"), "W"),
+    ("example1_decomposition_b.json", ("ensemble", "state"), []),
+    ("phase_flip_sweep.json", ("family", "q"), 0.1),
+], ids=["atoms_A", "varible", "state", "family_q"])
+def test_unknown_block_key_is_a_config_error(tmp_path, capsys, name, path,
+                                             value):
+    cfg = read_config(name)
+    block = cfg
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_PARSE
+    assert f"config error: unknown key {'.'.join(path)}" in \
+        capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_bad_swept_value_is_rejected_before_any_solve(tmp_path, capsys,
                                                       monkeypatch):
     from qcoord import optimizer
