@@ -69,8 +69,9 @@ SETTINGS = {
     "sweep": {"path": "list", "values": "number[]", "command": "str"},
 }
 _TOP_KEYS = ("schema", "command", "ensemble", "extension", "family", *SETTINGS)
-# the keys that each of the other blocks reads
+# the keys that each block reads: the settings blocks' and the others'
 _BLOCK_KEYS = {
+    **SETTINGS,
     "ensemble": ("registers", "source", "states"),
     "ensemble.source": ("variable", "symbols", "probs"),
     "extension": ("kind", "labels", "joint", "atoms_a", "atoms_b",
@@ -120,11 +121,8 @@ def settings(cfg: dict, *blocks: str) -> dict:
     sets is left out; one that ``SETTINGS`` does not list is an error."""
     out = {}
     for name in blocks:
-        block = setting(cfg, name, "object", "", {})
+        block = _known(setting(cfg, name, "object", "", {}), name)
         for key in block:
-            if key not in SETTINGS[name]:
-                raise ConfigError(f"unknown key {name}.{key}; choose from "
-                                  f"{tuple(SETTINGS[name])}")
             out[key] = setting(block, key, SETTINGS[name][key], name)
     return out
 
@@ -137,7 +135,7 @@ def _known(block, path: str) -> dict:
     for key in block:
         if key not in _BLOCK_KEYS[path]:
             raise ConfigError(f"unknown key {path}.{key}; choose from "
-                              f"{_BLOCK_KEYS[path]}")
+                              f"{tuple(_BLOCK_KEYS[path])}")
     return block
 
 
