@@ -502,7 +502,8 @@ def _prepare(target: CqEnsemble, atoms: AtomCandidateSet, kind: str):
     A two-node solve is the cascade solve with a trivial relay (one Z
     symbol, C atom ``[[1]]``), and so is an isolated solve, on the B
     conditionals.  A residual above ``FEAS_TOL`` makes the atom set
-    infeasible.
+    infeasible.  A target that does not factor is certified empty before
+    ``atoms`` is read, so they may be None for it.
     """
     if not target.factorizes():
         return _Infeasible(

@@ -19,7 +19,8 @@ from qcoord.optimizer import (
 )
 from qcoord.quantum import DensityOperator, tensor, trace_norm_distance
 
-from conftest import ETA, KET0, KET1, KETP, KETM, phase_flip_pair
+from conftest import (ETA, KET0, KET1, KETP, KETM, cascade_flip_pair,
+                      phase_flip_pair)
 from oracles import (
     binary_entropy,
     grid_min_mutual_information,
@@ -297,7 +298,6 @@ class TestGridOracle:
 
 class TestCascadeAndIsolatedOptimization:
     def test_cascade_scalarization(self):
-        from conftest import cascade_flip_pair
         ens, ext = cascade_flip_pair(0.1)
         res = optimize(ens, kind="cascade", max_merge_order=2, lam=0.5)
         assert res.feasible
@@ -309,12 +309,7 @@ class TestCascadeAndIsolatedOptimization:
         assert res.value <= pt.r12 + 0.5 * pt.r23 + 1e-6
 
     def test_isolated_restriction(self):
-        x = Alphabet("X", ["x0", "x1"])
-        plus = KETP
-        states = [tensor(tensor(KET0, KET0), plus),
-                  tensor(tensor(KET1, KET1), plus)]
-        ens = CqEnsemble(JointPmf([x], [0.5, 0.5]), states,
-                         {"A": 2, "B": 2, "C": 2})
+        ens = isolated_target()
         res = optimize(ens, kind="isolated", max_merge_order=2)
         assert res.feasible
         assert res.value == pytest.approx(1.0, abs=1e-11)
@@ -341,6 +336,15 @@ class TestCascadeAndIsolatedOptimization:
 def sweep_target():
     cfg = load_config(os.path.join(CONFIG_DIR, "cascade_lambda_sweep.json"))
     return build_ensemble(resolve_family(cfg))
+
+
+def isolated_target():
+    """B copies the source bit; C holds |+> whatever the bit."""
+    x = Alphabet("X", ["x0", "x1"])
+    states = [tensor(tensor(KET0, KET0), KETP),
+              tensor(tensor(KET1, KET1), KETP)]
+    return CqEnsemble(JointPmf([x], [0.5, 0.5]), states,
+                      {"A": 2, "B": 2, "C": 2})
 
 
 def counting(monkeypatch, owner, name):
@@ -431,30 +435,15 @@ class TestOneFactorizationPass:
         assert len(calls) == before
 
     def test_isolated_validates_once_per_atom_set(self, monkeypatch):
-        x = Alphabet("X", ["x0", "x1"])
-        states = [tensor(tensor(KET0, KET0), KETP),
-                  tensor(tensor(KET1, KET1), KETP)]
-        ens = CqEnsemble(JointPmf([x], [0.5, 0.5]), states,
-                         {"A": 2, "B": 2, "C": 2})
         calls = counting(monkeypatch, optimizer, "validate_extension")
-        res = optimize(ens, kind="isolated", max_merge_order=2)
+        res = optimize(isolated_target(), kind="isolated", max_merge_order=2)
         assert res.feasible
         assert len(calls) == 1
         assert all(ext.kind == "isolated" for ext, _ in calls)
 
 
-def isolated_target():
-    """B copies the source bit; C holds |+> whatever the bit."""
-    x = Alphabet("X", ["x0", "x1"])
-    states = [tensor(tensor(KET0, KET0), KETP),
-              tensor(tensor(KET1, KET1), KETP)]
-    return CqEnsemble(JointPmf([x], [0.5, 0.5]), states,
-                      {"A": 2, "B": 2, "C": 2})
-
-
 def pool_case(name, example1_pair, example1_three_symbol):
     """(target, kind, lam) of a named case of the pool tests."""
-    from conftest import cascade_flip_pair
     if name == "example1":
         return example1_pair[0], "two-node", 0.0
     if name == "example1_three_symbol":
