@@ -631,9 +631,9 @@ def optimize(target: CqEnsemble, kind: str = "two-node",
 
     The pools nest (order k adds only the order-k merges to order k - 1's
     atoms), so the one solve on the pool at ``max_merge_order``, certified
-    by its Frank-Wolfe ``gap``, is at most every lower order's minimum and
-    no order is tried apart.  An infeasible result carries the residual
-    evidence, and flags a target that admits no extension at all as
+    by its Frank-Wolfe ``gap``, is at most every lower order's minimum; no
+    lower order needs a solve of its own.  An infeasible result carries
+    the residual evidence, and flags a target that admits no extension as
     ``certified_empty``.  This is ``optimize_lambdas`` at one weight.
     """
     return optimize_lambdas(target, [lam], kind, max_merge_order,
