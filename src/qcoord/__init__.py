@@ -4,8 +4,8 @@ Subpackage map:
 
 * ``quantum`` — density-operator algebra (tensor, partial trace, spectra,
   trace distance, entropy, Born statistics).
-* ``classical`` — joint pmfs, Shannon quantities in bits, empirical types
-  and delta-typicality.
+* ``classical`` — joint pmfs, Shannon quantities in bits, and the
+  typicality radii of the coding scheme.
 * ``coordination`` — target ensembles, candidate extensions, validation,
   and the closed-form rate expressions for the two-node, cascade and
   isolated-node networks.

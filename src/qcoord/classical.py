@@ -1,10 +1,12 @@
-"""Discrete probability: joint pmfs, Shannon quantities, types, typicality.
+"""Discrete probability: joint pmfs, Shannon quantities, typicality radii.
 
 Joint pmfs are dense numpy tables over a handful of named variables
 (alphabet-product size is capped, paper-scale alphabets are tiny).
 All information quantities are in bits with 0 log 0 := 0.  Conditioning
 is handled by marginalization inside the mutual-information helpers
-rather than by a separate conditional-pmf type.
+rather than by a separate conditional-pmf type.  The typicality tests
+themselves (type distances, type grids) live in ``protocol`` and
+``sampling``; this module holds their radii and the continuity slack.
 """
 
 from __future__ import annotations
@@ -86,12 +88,6 @@ class JointPmf:
     def names(self) -> tuple:
         return tuple(v.name for v in self.variables)
 
-    def alphabet(self, name: str) -> Alphabet:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise PmfError(f"unknown variable {name!r}")
-
     def _axes(self, names) -> list:
         own = list(self.names)
         axes = []
@@ -167,63 +163,6 @@ def conditional_mutual_information(p: JointPmf, names_a, names_b, names_c) -> fl
         - entropy(p, a + b + c)
         - entropy(p, c)
     )
-
-
-def total_variation(p: JointPmf, q: JointPmf) -> float:
-    """Normalized total variation (1/2) sum |p - q| over matching tables."""
-    if p.names != q.names or p.table.shape != q.table.shape:
-        raise PmfError("distributions have different variables or shapes")
-    for va, vb in zip(p.variables, q.variables):
-        if va.symbols != vb.symbols:
-            raise PmfError(f"alphabet mismatch on {va.name!r}")
-    return float(0.5 * np.abs(p.table - q.table).sum())
-
-
-def tv_tables(a: np.ndarray, b: np.ndarray) -> float:
-    """Normalized total variation between two raw probability tables."""
-    return float(0.5 * np.abs(np.asarray(a) - np.asarray(b)).sum())
-
-
-@dataclass(frozen=True, eq=False)
-class TypeClass:
-    """Empirical joint type of aligned sequences: counts and frequencies."""
-
-    variables: tuple
-    n: int
-    counts: np.ndarray
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return self.counts / self.n
-
-    def as_pmf(self) -> JointPmf:
-        return JointPmf(self.variables, self.frequencies)
-
-
-def empirical_type(seqs, variables: Sequence[Alphabet]) -> TypeClass:
-    """Joint type of aligned sequences, one per alphabet in ``variables``."""
-    variables = tuple(variables)
-    seqs = [list(s) for s in seqs]
-    if len(seqs) != len(variables):
-        raise PmfError(f"{len(seqs)} sequences for {len(variables)} variables")
-    n = len(seqs[0])
-    if n < 1:
-        raise PmfError("sequences must be nonempty")
-    for s in seqs:
-        if len(s) != n:
-            raise PmfError("sequences have different lengths")
-    counts = np.zeros(tuple(v.size for v in variables))
-    for row in zip(*seqs):
-        idx = tuple(v.index(s) for v, s in zip(variables, row))
-        counts[idx] += 1
-    counts.setflags(write=False)
-    return TypeClass(variables, n, counts)
-
-
-def is_typical(seqs, target: JointPmf, radius: float) -> bool:
-    """True iff the joint type of ``seqs`` is strictly within ``radius`` in TV."""
-    t = empirical_type(seqs, target.variables)
-    return tv_tables(t.frequencies, target.table) < radius
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,6 @@ from .classical import (
 )
 from .quantum import (
     DensityOperator,
-    HermitianObservable,
-    Povm,
-    QuantumError,
-    born_distribution,
-    observable_expectation,
     partial_trace,
     tensor,
     trace_norm_distance,
@@ -366,44 +361,3 @@ def isolated_rate(ext: Extension) -> float:
         raise CoordinationError("isolated_rate needs an isolated extension")
     x, y, z = ext.joint.names
     return conditional_mutual_information(ext.joint, [x], [y], [z])
-
-
-def measurement_statistics(slot_states: Sequence[DensityOperator], observable):
-    """Both sides of the block-averaged measurement identity, independently.
-
-    Returns (empirical average over slots, value on the mean state).  For a
-    HermitianObservable the values are scalars, for a Povm they are outcome
-    distributions.
-    """
-    slots = list(slot_states)
-    if not slots:
-        raise CoordinationError("need at least one slot state")
-    dim = slots[0].dim
-    for s in slots:
-        if s.dim != dim:
-            raise QuantumError("slot states have mismatched dimensions")
-    mean_state = DensityOperator(
-        sum(s.matrix for s in slots) / len(slots))
-    if isinstance(observable, HermitianObservable):
-        empirical = float(np.mean([observable_expectation(s, observable)
-                                   for s in slots]))
-        return empirical, observable_expectation(mean_state, observable)
-    if isinstance(observable, Povm):
-        empirical = np.mean([born_distribution(s, observable) for s in slots],
-                            axis=0)
-        return empirical, born_distribution(mean_state, observable)
-    raise CoordinationError("observable must be HermitianObservable or Povm")
-
-
-def extension_target(ext: Extension, register_dims: dict) -> CqEnsemble:
-    """The ensemble an extension induces: its own X marginal and mixtures.
-
-    Useful for validating a decomposition "against its own induced ensemble".
-    """
-    x_alpha = ext.joint.variables[0]
-    source = ext.joint.marginal([x_alpha.name])
-    states = []
-    for i in range(x_alpha.size):
-        rest = ext.conditional_rest(i)
-        states.append(tensor(ext.atoms_a[i], DensityOperator(rest)))
-    return CqEnsemble(source, states, register_dims)

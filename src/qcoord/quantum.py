@@ -121,12 +121,6 @@ class DensityOperator:
         return cls(np.outer(v, v.conj()), label)
 
     @classmethod
-    def diagonal(cls, probs, label: str = "") -> "DensityOperator":
-        """Classical register: a diagonal state in the computational basis."""
-        p = np.asarray(probs, dtype=float)
-        return cls(np.diag(p.astype(complex)), label)
-
-    @classmethod
     def maximally_mixed(cls, dim: int, label: str = "") -> "DensityOperator":
         return cls(np.eye(dim, dtype=complex) / dim, label)
 

@@ -1,5 +1,4 @@
 import math
-from math import comb
 
 import numpy as np
 import pytest
@@ -13,12 +12,9 @@ from qcoord.classical import (
     ToleranceSchedule,
     alpha_n,
     conditional_mutual_information,
-    empirical_type,
     entropy,
-    is_typical,
     mutual_information,
     pmf_from_assignments,
-    total_variation,
 )
 
 from oracles import binary_entropy
@@ -154,39 +150,6 @@ class TestConditionalMutualInformation:
                 <= mutual_information(p, ["X"], ["Y"]) + 1e-10)
 
 
-class TestTotalVariation:
-    def test_identical(self):
-        p = JointPmf([BIT], [0.5, 0.5])
-        assert total_variation(p, p) == 0.0
-
-    def test_disjoint_point_masses(self):
-        p = JointPmf([BIT], [1.0, 0.0])
-        q = JointPmf([BIT], [0.0, 1.0])
-        assert total_variation(p, q) == 1.0
-
-    def test_direct_sum(self):
-        p = JointPmf([BIT], [0.5, 0.5])
-        q = JointPmf([BIT], [0.75, 0.25])
-        assert total_variation(p, q) == pytest.approx(0.25)
-
-    def test_shape_mismatch(self):
-        p = JointPmf([BIT], [0.5, 0.5])
-        q = JointPmf([TRIT], [0.5, 0.25, 0.25])
-        with pytest.raises(PmfError):
-            total_variation(p, q)
-
-    @given(random_joint_tables(shape=(2, 2)), random_joint_tables(shape=(2, 2)),
-           random_joint_tables(shape=(2, 2)))
-    @settings(max_examples=50, deadline=None)
-    def test_metric(self, ta, tb, tc):
-        vs = [uniform_bit("X"), uniform_bit("Y")]
-        a, b, c = (JointPmf(vs, t) for t in (ta, tb, tc))
-        assert total_variation(a, b) == pytest.approx(
-            total_variation(b, a), abs=1e-12)
-        assert total_variation(a, b) <= (total_variation(a, c)
-                                         + total_variation(c, b) + 1e-12)
-
-
 class TestChainRuleProperty:
     @given(random_joint_tables(shape=(3, 4)))
     @settings(max_examples=50, deadline=None)
@@ -220,59 +183,6 @@ class TestChainRuleProperty:
                       Alphabet("C", range(3))], table)
         assert conditional_mutual_information(
             p, ["A"], ["B"], ["C"]) >= -1e-12
-
-
-class TestTypes:
-    def test_half_half(self):
-        t = empirical_type([[0, 0, 1, 1]], [BIT])
-        assert t.frequencies == pytest.approx([0.5, 0.5])
-        assert t.counts.sum() == t.n
-
-    def test_joint_diagonal(self):
-        t = empirical_type([[0, 1], [0, 1]], [uniform_bit("X"),
-                                              uniform_bit("Y")])
-        assert np.allclose(t.frequencies, [[0.5, 0.0], [0.0, 0.5]])
-
-    def test_counting(self):
-        t = empirical_type([[0] * 6 + [1] * 2], [BIT])
-        assert t.frequencies == pytest.approx([0.75, 0.25])
-
-    def test_type_is_valid_pmf(self):
-        rng = np.random.default_rng(1)
-        seq = rng.integers(0, 3, size=17)
-        t = empirical_type([seq.tolist()], [TRIT])
-        pmf = t.as_pmf()
-        assert pmf.table.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(PmfError):
-            empirical_type([[0, 1], [0]], [uniform_bit("X"),
-                                           uniform_bit("Y")])
-
-    def test_symbol_outside_alphabet(self):
-        with pytest.raises(PmfError):
-            empirical_type([[0, 2]], [BIT])
-
-
-class TestTypicality:
-    def test_exact_type_sequence(self):
-        p = JointPmf([BIT], [0.5, 0.5])
-        assert is_typical([[0, 1, 0, 1]], p, radius=1e-6)
-
-    def test_all_zeros_not_typical(self):
-        p = JointPmf([BIT], [0.5, 0.5])
-        assert not is_typical([[0] * 20], p, radius=0.1)
-
-    def test_uniform_sample_probability_bound(self):
-        # oracle: P(|k - 50| < 20) for k ~ Bin(100, 1/2) exceeds 0.99
-        exact = sum(comb(100, k) for k in range(31, 70)) / 2 ** 100
-        assert exact >= 0.99
-        p = JointPmf([BIT], [0.5, 0.5])
-        rng = np.random.default_rng(0)
-        hits = sum(
-            is_typical([rng.integers(0, 2, size=100).tolist()], p, 0.2)
-            for _ in range(300))
-        assert hits / 300 >= 0.95
 
 
 class TestToleranceSchedule:

@@ -9,23 +9,15 @@ from qcoord.coordination import (
     ExtensionNotValidated,
     RatePoint,
     cascade_rate_point,
-    extension_target,
     isolated_rate,
     kron_table,
-    measurement_statistics,
     mixture,
     two_node_rate,
     validate_extension,
 )
-from qcoord.quantum import (
-    DensityOperator,
-    HermitianObservable,
-    Povm,
-    tensor,
-)
+from qcoord.quantum import DensityOperator, tensor
 
 from conftest import (
-    ETA,
     KET0,
     KET1,
     KETP,
@@ -33,10 +25,7 @@ from conftest import (
     degenerate_z_cascade,
     phase_flip_pair,
 )
-from oracles import binary_entropy, random_density
-
-PAULI_Z = HermitianObservable(np.diag([1.0, -1.0]).astype(complex))
-PAULI_X = HermitianObservable(np.array([[0, 1], [1, 0]], dtype=complex))
+from oracles import binary_entropy
 
 
 class TestMixtureHelpers:
@@ -96,9 +85,12 @@ class TestValidation:
         ens, ext = example1_three_symbol
         report = validate_extension(ext, ens)
         assert report.passed
-        induced = extension_target(ext, {"A": 2, "B": 2})
-        assert np.allclose(induced.average_state().matrix,
-                           ens.average_state().matrix)
+        # the average state the extension induces, from its own X marginal
+        px = ext.joint.marginal(["X"]).table
+        induced = sum(
+            w * tensor(a, DensityOperator(ext.conditional_rest(i))).matrix
+            for i, (w, a) in enumerate(zip(px, ext.atoms_a)))
+        assert np.allclose(induced, ens.average_state().matrix)
 
     def test_perturbed_conditional_fails_with_measured_deviation(
             self, example1_pair):
@@ -284,35 +276,3 @@ class TestIsolatedRate:
                         [KET0, KET1], [KET0, KET1], kind="isolated")
         assert validate_extension(ext, ens).passed
         assert isolated_rate(ext) == pytest.approx(0.0, abs=1e-12)
-
-
-class TestMeasurementStatistics:
-    def test_identical_slots(self):
-        emp, exp = measurement_statistics([ETA] * 5, PAULI_X)
-        assert emp == pytest.approx(0.5)
-        assert exp == pytest.approx(0.5)
-
-    def test_two_slot_average(self):
-        emp, exp = measurement_statistics([KET0, KET1], PAULI_Z)
-        assert emp == pytest.approx(0.0, abs=1e-12)
-        assert exp == pytest.approx(0.0, abs=1e-12)
-
-    def test_four_slot_pauli_x(self):
-        emp, exp = measurement_statistics([KET0, KET0, KET1, KETP], PAULI_X)
-        assert emp == pytest.approx(0.25)
-        assert exp == pytest.approx(0.25)
-
-    def test_povm_statistics(self):
-        emp, exp = measurement_statistics([KET0, KET1], Povm.computational(2))
-        assert emp == pytest.approx([0.5, 0.5])
-        assert exp == pytest.approx([0.5, 0.5])
-
-    def test_identity_holds_on_random_slots(self):
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            slots = [DensityOperator(random_density(rng, 3))
-                     for _ in range(7)]
-            g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            obs = HermitianObservable(0.5 * (g + g.conj().T))
-            emp, exp = measurement_statistics(slots, obs)
-            assert emp == pytest.approx(exp, abs=1e-10)
