@@ -245,7 +245,9 @@ def _max_support_points(systems):
     One row of A sums p, so each polytope is bounded and every optimum has
     t_i = 1 exactly on the coordinates that some feasible point makes
     positive, with p / s in the relative interior.  HiGHS is feasible only
-    to about 1e-9, so each point is moved onto Ap = b on its support.
+    to about 1e-9, so each point is moved onto Ap = b on its support,
+    unless that move leaves the open orthant (an ill-conditioned support);
+    then the HiGHS point, whose entries are at least 1/s, is kept.
     """
     cost, ub, eq, bounds = [], [], [], []
     for a, b in systems:
@@ -269,7 +271,8 @@ def _max_support_points(systems):
         p = x[:m][support] / x[-1]
         sub = a[:, support]
         corr, *_ = np.linalg.lstsq(sub, sub @ p - b, rcond=None)
-        out.append((support, p - corr))
+        moved = p - corr
+        out.append((support, moved if np.all(moved > 0) else p))
     return out
 
 
@@ -373,13 +376,17 @@ class _RateProgram:
         return grad, hess
 
     def _center(self, p: np.ndarray, t: float) -> np.ndarray:
-        """Damped Newton on t F - sum log p along the null space."""
+        """Damped Newton on t F - sum log p along the null space.  A
+        singular Newton system (duplicate atoms) ends the centring at p."""
         null = self.face.null
         for _ in range(_NEWTON_STEPS):
             grad, hess = self.derivatives(p)
             g = null.T @ (t * grad - 1.0 / p)
             h = null.T @ (t * hess + np.diag(p ** -2.0)) @ null
-            dz = np.linalg.solve(h, -g)
+            try:
+                dz = np.linalg.solve(h, -g)
+            except np.linalg.LinAlgError:
+                return p
             dec = -g @ dz
             if dec <= _CENTER_TOL:
                 break

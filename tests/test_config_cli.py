@@ -24,8 +24,10 @@ from qcoord.config import (
     phase_flip_blocks,
     resolve_family,
 )
-from qcoord.coordination import validate_extension
+from qcoord.classical import Alphabet, JointPmf
+from qcoord.coordination import CqEnsemble, validate_extension
 from qcoord.optimizer import OBJ_TOL
+from qcoord.quantum import DensityOperator, tensor
 
 from conftest import phase_flip_pair
 from oracles import binary_entropy
@@ -809,3 +811,31 @@ def test_manifest_tolerances_are_the_library_constants(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["tolerances"] == {"validation": VALIDATION_TOL,
                                       "feasibility": FEAS_TOL}
+
+
+def test_ill_conditioned_commuting_target_solves(tmp_path):
+    # B_x = U diag(w_x) U^dagger share one eigenbasis, so the minimum is
+    # the Holevo quantity chi(X;B); here the least-squares move of the
+    # support point leaves the orthant
+    u = np.array([[-0.3677424282082884 - 0.37292622408203857j,
+                   0.315464740465009 - 0.7913112759279556j],
+                  [-0.7779577008103895 + 0.347092716197268j,
+                   0.38744075435179615 + 0.35241754210017145j]])
+    spectra = [[0.49682689126894525, 0.5031731087310547],
+               [0.0039266873613605525, 0.9960733126386394]]
+    states = [tensor(DensityOperator.basis_state(2, x),
+                     DensityOperator(u @ np.diag(w) @ u.conj().T))
+              for x, w in enumerate(spectra)]
+    ens = CqEnsemble(JointPmf([Alphabet("X", ["x0", "x1"])],
+                              [0.5230448431815508, 0.47695515681844924]),
+                     states, {"A": 2, "B": 2})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "schema": 1, "command": "optimize",
+        "ensemble": ensemble_to_config(ens),
+        "optimize": {"kind": "two-node"}}))
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    value = float(read_csv(out / "optimize.csv").splitlines()[1].split(",")[2])
+    assert value == pytest.approx(0.2886591116097739, abs=1e-9)

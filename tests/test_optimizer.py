@@ -159,6 +159,21 @@ class TestMinimizeConditional:
         assert res.value == pytest.approx(binary_entropy(0.25) - 0.5,
                                           abs=1e-11)
 
+    def test_duplicate_atom_at_every_position(self, example1_pair):
+        # |+> twice: the 12-point real Bloch grid holds it at k = 3, and a
+        # second copy can make the Newton system singular, depending on
+        # where it is inserted
+        ens, _ = example1_pair
+        grid = [DensityOperator.pure([np.cos(t / 2), np.sin(t / 2)])
+                for t in 2 * np.pi * np.arange(12) / 12]
+        for position in range(13):
+            atoms_b = tuple(grid[:position] + [KETP] + grid[position:])
+            res = minimize_conditional(ens, AtomCandidateSet(atoms_b=atoms_b))
+            assert res.feasible
+            assert res.gap <= OBJ_TOL
+            assert res.value == pytest.approx(binary_entropy(0.25) - 0.5,
+                                              abs=1e-11)
+
 
 class TestClosedForms:
     def test_example1_optimize(self, example1_pair):
@@ -322,6 +337,25 @@ class TestCascadeAndIsolatedOptimization:
         assert res.extension.kind == "isolated"
         report = validate_extension(res.extension, ens, tol=1e-6)
         assert report.passed
+
+    @pytest.mark.parametrize("case", ["example1", 0.1, 0.25, 0.4])
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_trivial_relay_is_the_two_node_solve(self, example1_pair, case,
+                                                 lam):
+        # a 1-dimensional C register: Z carries nothing, so the cascade
+        # value I(X;YZ) + lam I(X;Z) is the two-node I(X;Y)
+        if case == "example1":
+            ens = example1_pair[0]
+        else:
+            ens = phase_flip_pair(case)[0]
+        one = DensityOperator(np.ones((1, 1)))
+        relay = CqEnsemble(ens.source, [tensor(s, one) for s in ens.states],
+                           {**ens.register_dims, "C": 1})
+        two = optimize(ens, kind="two-node")
+        res = optimize(relay, kind="cascade", lam=lam)
+        assert two.feasible and res.feasible
+        assert res.value == pytest.approx(two.value, abs=1e-12)
+        assert res.rate_point.r23 == pytest.approx(0.0, abs=1e-12)
 
     def test_isolated_varying_relay_reported_infeasible(self):
         x = Alphabet("X", ["x0", "x1"])
