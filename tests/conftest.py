@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -12,6 +14,17 @@ from qcoord.quantum import DensityOperator, tensor
 settings.register_profile("tier1", max_examples=200, deadline=None)
 settings.register_profile("config-fuzz", max_examples=1000, deadline=None)
 settings.load_profile("tier1")
+
+# hypothesis imports extra._patching to print a falsifying example; its libcst
+# import warns (DeprecationWarning from mypy_extensions), which -W error
+# turns into an INTERNALERROR that hides the example.  Imported once here
+# with that warning ignored, the module is already loaded when needed.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: hypothesis prints no patch either
+        pass
 
 KET0 = DensityOperator.pure([1, 0], "B")
 KET1 = DensityOperator.pure([0, 1], "B")
