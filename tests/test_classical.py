@@ -1,4 +1,5 @@
 import math
+from math import comb
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from qcoord.classical import (
     mutual_information,
     pmf_from_assignments,
 )
+from qcoord.protocol import _first_rows, _type_distance
+from qcoord.sampling import TypeGrid
 
 from oracles import binary_entropy
 
@@ -34,6 +37,28 @@ def random_joint_tables(draw, shape=(2, 3)):
                         max_size=cells))
     t = np.array(raw).reshape(shape)
     return t / t.sum()
+
+
+# Total variation, joint types and typicality are computed by the
+# protocol's scans (``protocol._type_distance``, ``_first_rows``) and the
+# sampled engine's ``sampling.TypeGrid``; the classes below test them there.
+
+def type_distance(target, rows, ctx=None) -> float:
+    """TV between the joint type of one (ctx, rows) pair and ``target``."""
+    rows = np.array([rows])
+    ctx = np.zeros_like(rows) if ctx is None else np.array([ctx])
+    return float(_type_distance(ctx, rows, np.atleast_2d(target))[0, 0])
+
+
+def joint_type(shape, rows, ctx=None) -> np.ndarray:
+    """The joint type, read off the distances to the point masses: a
+    point mass at a cell is 1 - (the cell's frequency) away in TV."""
+    freq = np.zeros(shape)
+    for cell in np.ndindex(shape):
+        mass = np.zeros(shape)
+        mass[cell] = 1.0
+        freq[cell] = 1.0 - type_distance(mass, rows, ctx)
+    return freq
 
 
 class TestAlphabet:
@@ -150,6 +175,35 @@ class TestConditionalMutualInformation:
                 <= mutual_information(p, ["X"], ["Y"]) + 1e-10)
 
 
+class TestTotalVariation:
+    def test_identical(self):
+        assert type_distance([0.5, 0.5], [0, 1]) == 0.0
+
+    def test_disjoint_point_masses(self):
+        assert type_distance([0.0, 1.0], [0, 0]) == 1.0
+
+    def test_direct_sum(self):
+        assert type_distance([0.5, 0.5], [0, 0, 0, 1]) == pytest.approx(0.25)
+
+    def test_shape_mismatch(self):
+        # the target must be a (C, U) table
+        with pytest.raises(ValueError):
+            _type_distance(np.zeros((1, 2), dtype=int), np.array([[0, 1]]),
+                           np.array([0.5, 0.5]))
+
+    @given(st.lists(st.integers(0, 3), min_size=8, max_size=8),
+           st.lists(st.integers(0, 3), min_size=8, max_size=8),
+           random_joint_tables(shape=(2, 2)))
+    @settings(max_examples=50, deadline=None)
+    def test_metric(self, sa, sb, t):
+        a, b = (([v // 2 for v in s], [v % 2 for v in s]) for s in (sa, sb))
+        ta, tb = joint_type((2, 2), a[1], a[0]), joint_type((2, 2), b[1], b[0])
+        ab = type_distance(tb, a[1], a[0])
+        assert ab == pytest.approx(type_distance(ta, b[1], b[0]), abs=1e-12)
+        assert type_distance(t, a[1], a[0]) <= (
+            ab + type_distance(t, b[1], b[0]) + 1e-12)
+
+
 class TestChainRuleProperty:
     @given(random_joint_tables(shape=(3, 4)))
     @settings(max_examples=50, deadline=None)
@@ -183,6 +237,67 @@ class TestChainRuleProperty:
                       Alphabet("C", range(3))], table)
         assert conditional_mutual_information(
             p, ["A"], ["B"], ["C"]) >= -1e-12
+
+
+class TestTypes:
+    def test_half_half(self):
+        t = joint_type((1, 2), [0, 0, 1, 1])
+        assert t == pytest.approx(np.array([[0.5, 0.5]]))
+        assert t.sum() == 1.0
+
+    def test_joint_diagonal(self):
+        t = joint_type((2, 2), [0, 1], ctx=[0, 1])
+        assert np.allclose(t, [[0.5, 0.0], [0.0, 0.5]])
+
+    def test_counting(self):
+        t = joint_type((1, 2), [0] * 6 + [1] * 2)
+        assert t == pytest.approx(np.array([[0.75, 0.25]]))
+
+    def test_type_is_valid_pmf(self):
+        rng = np.random.default_rng(1)
+        seq = rng.integers(0, 3, size=17)
+        t = joint_type((1, 3), seq.tolist())
+        assert t.sum() == pytest.approx(1.0, abs=1e-12)
+        assert t[0] * 17 == pytest.approx(np.bincount(seq, minlength=3))
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            _type_distance(np.zeros((1, 2), dtype=int), np.array([[0]]),
+                           np.full((1, 2), 0.5))
+
+    def test_symbol_outside_alphabet(self):
+        # a symbol outside the alphabet lands in no cell: its slot's 1/n
+        # of mass is missing, so the sequence is 1/(2n) from any pmf
+        assert type_distance([0.5, 0.5], [0, 2]) == pytest.approx(0.25)
+        assert type_distance([1.0, 0.0], [0, 2]) == pytest.approx(0.25)
+
+
+class TestTypicality:
+    def test_exact_type_sequence(self):
+        rows = np.array([[0, 1, 0, 1]])
+        first = _first_rows(rows, np.zeros((1, 4), dtype=int),
+                            np.full((1, 2), 0.5), radius=1e-6)
+        assert first.tolist() == [0]
+
+    def test_all_zeros_not_typical(self):
+        rows = np.zeros((1, 20), dtype=int)
+        first = _first_rows(rows, np.zeros((1, 20), dtype=int),
+                            np.full((1, 2), 0.5), radius=0.1)
+        assert first.tolist() == [-1]
+
+    def test_uniform_sample_probability_bound(self):
+        # oracle: P(|k - 50| < 20) for k ~ Bin(100, 1/2) exceeds 0.99
+        exact = sum(comb(100, k) for k in range(31, 70)) / 2 ** 100
+        assert exact >= 0.99
+        # a radius off the 1/n lattice, so no k sits on the boundary
+        radius, target = 0.195, np.full((1, 2), 0.5)
+        grid = TypeGrid([100], target, radius, radius)
+        assert math.exp(grid.log_prob(grid.mask_e)) == pytest.approx(
+            exact, rel=1e-12)
+        rng = np.random.default_rng(0)
+        rows = rng.integers(0, 2, size=(300, 100))
+        dist = _type_distance(np.zeros((1, 100), dtype=int), rows, target)
+        assert (dist < radius).mean() >= 0.95
 
 
 class TestToleranceSchedule:

@@ -15,9 +15,17 @@ from qcoord.coordination import (
     two_node_rate,
     validate_extension,
 )
-from qcoord.quantum import DensityOperator, tensor
+from qcoord.quantum import (
+    DensityOperator,
+    HermitianObservable,
+    Povm,
+    born_distribution,
+    observable_expectation,
+    tensor,
+)
 
 from conftest import (
+    ETA,
     KET0,
     KET1,
     KETP,
@@ -25,7 +33,10 @@ from conftest import (
     degenerate_z_cascade,
     phase_flip_pair,
 )
-from oracles import binary_entropy
+from oracles import binary_entropy, random_density
+
+PAULI_Z = HermitianObservable(np.diag([1.0, -1.0]).astype(complex))
+PAULI_X = HermitianObservable(np.array([[0, 1], [1, 0]], dtype=complex))
 
 
 class TestMixtureHelpers:
@@ -276,3 +287,54 @@ class TestIsolatedRate:
                         [KET0, KET1], [KET0, KET1], kind="isolated")
         assert validate_extension(ext, ens).passed
         assert isolated_rate(ext) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestMeasurementStatistics:
+    """A measurement's statistics averaged over the slots equal its
+    statistics on the block-averaged state, which the protocol builds with
+    ``mixture`` (``SimulationTrace.avg_state``)."""
+
+    @staticmethod
+    def mean_state(slots):
+        weights = np.full(len(slots), 1.0 / len(slots))
+        return DensityOperator(
+            mixture(weights, np.array([s.matrix for s in slots])))
+
+    def test_identical_slots(self):
+        slots = [ETA] * 5
+        emp = np.mean([observable_expectation(s, PAULI_X) for s in slots])
+        assert emp == pytest.approx(0.5)
+        assert observable_expectation(
+            self.mean_state(slots), PAULI_X) == pytest.approx(0.5)
+
+    def test_two_slot_average(self):
+        slots = [KET0, KET1]
+        emp = np.mean([observable_expectation(s, PAULI_Z) for s in slots])
+        assert emp == pytest.approx(0.0, abs=1e-12)
+        assert observable_expectation(
+            self.mean_state(slots), PAULI_Z) == pytest.approx(0.0, abs=1e-12)
+
+    def test_four_slot_pauli_x(self):
+        slots = [KET0, KET0, KET1, KETP]
+        emp = np.mean([observable_expectation(s, PAULI_X) for s in slots])
+        assert emp == pytest.approx(0.25)
+        assert observable_expectation(
+            self.mean_state(slots), PAULI_X) == pytest.approx(0.25)
+
+    def test_povm_statistics(self):
+        slots, povm = [KET0, KET1], Povm.computational(2)
+        emp = np.mean([born_distribution(s, povm) for s in slots], axis=0)
+        assert emp == pytest.approx([0.5, 0.5])
+        assert born_distribution(
+            self.mean_state(slots), povm) == pytest.approx([0.5, 0.5])
+
+    def test_identity_holds_on_random_slots(self):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            slots = [DensityOperator(random_density(rng, 3))
+                     for _ in range(7)]
+            g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            obs = HermitianObservable(0.5 * (g + g.conj().T))
+            emp = np.mean([observable_expectation(s, obs) for s in slots])
+            assert emp == pytest.approx(observable_expectation(
+                self.mean_state(slots), obs), abs=1e-10)
