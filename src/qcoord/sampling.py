@@ -14,27 +14,17 @@ facts about i.i.d. codebooks:
 * conditioned on its joint type with the source sequence, a codeword is a
   uniformly random arrangement within source-symbol positions.
 
-Per-codeword typicality probabilities are computed by enumerating the
-joint-type grid (per-source-symbol count compositions); this is exact,
-not an asymptotic approximation.  Bins are drawn independently per
-codeword index.  The grid is feasible for small label alphabets only
-(the criterion runs use binary labels); larger products raise
-GridTooLarge, which the CLI reports as a resource error (exit 5).  Pick
-``engine="explicit"`` or smaller alphabets or blocklengths instead.
-
-A grid depends only on ``(x_counts, p_joint, encode_radius,
-decode_radius)``, not on the seed, the trial or the rates, and few source
-types recur across trials.  A process-wide, thread-safe LRU cache keeps
-one compact ``ClassSummary`` per such key: the four class log-probs a
-trial reads and the encode class's sampling table (flat cell indices and
-cumulative weights, about 1k cells at n=800).  The cache holds no grids
-and is bounded by ``SUMMARY_CACHE_BYTES`` (8 MiB) of summaries; a miss
-builds the grid once, checks that its total log-mass is 0 within
-``LOG_MASS_TOL`` and stores the summary.  A trial whose codeword falls in
-the encode class touches no grid; the rarer classes (in-bin confusion,
-encoder fallback, atypical source) rebuild the grid on demand.  Cached or
-rebuilt, every draw sees the same floats in the same order, so a fixed
-seed reproduces its trial bit for bit whatever the cache holds.
+No joint-type grid is built whole (see ``TypeGrid``).  ``GRID_BUDGET``
+bounds the codeword types and the candidate cells that the enumeration
+of the encode class holds at once; beyond it ``GridTooLarge``, a
+resource error (CLI exit 5): pick ``engine="explicit"`` or smaller
+alphabets or blocklengths instead.  A process-wide, thread-safe LRU
+cache keeps one grid per ``(x_counts, p_joint, encode_radius,
+decode_radius)``, bounded by ``SUMMARY_CACHE_BYTES`` of their arrays.  A
+miss builds it and checks its total log-mass; a hit rebuilds nothing,
+whichever class the trial draws.  Every draw sees the same floats in the
+same order, so a fixed seed reproduces its trial bit for bit whatever
+the cache holds.
 """
 
 from __future__ import annotations
@@ -42,7 +32,6 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict, namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -51,12 +40,12 @@ from scipy.special import gammaln
 
 GRID_BUDGET = 4_000_000
 SUMMARY_CACHE_BYTES = 8 * 2 ** 20
-SUMMARY_OVERHEAD = 1024   # bytes charged per summary besides its table
+SUMMARY_OVERHEAD = 1024   # bytes charged per grid besides its arrays
 LOG_MASS_TOL = 1e-9
 
 
 class GridTooLarge(ValueError):
-    """Joint-type grid exceeds the enumeration budget for these alphabets."""
+    """Codeword types or encode-class candidates exceed the budget."""
 
 
 class GridMassError(ArithmeticError):
@@ -105,168 +94,191 @@ def _logsumexp(values: np.ndarray) -> float:
     return float(m + math.log(np.exp(values, out=values).sum()))
 
 
-def _outer_sum(vectors) -> np.ndarray:
-    """``out[i, j, ...] = v0[i] + v1[j] + ...``, flattened in grid order."""
-    out = vectors[0] + 0
-    for v in vectors[1:]:
-        out = np.add.outer(out, v)
-    return out.ravel()
+def _check_mass(log_mass: float, what: str) -> None:
+    if not abs(log_mass) <= LOG_MASS_TOL:
+        raise GridMassError(f"type grid for {what} has total log-mass "
+                            f"{log_mass!r}, not 0 within {LOG_MASS_TOL}")
 
 
-def _class_table(logp: np.ndarray, mask: np.ndarray):
-    """Flat cell indices of a class and their cumulative weights.
+def _budget(count: int, what: str) -> None:
+    if count > GRID_BUDGET:
+        raise GridTooLarge(
+            f"type grid needs {count} {what} (budget {GRID_BUDGET}); use "
+            "the explicit engine or reduce alphabets/blocklength")
 
-    Indices are int32 (a grid has at most GRID_BUDGET cells), so a class
-    spanning a whole grid holds 12 bytes per cell, not 16."""
-    idx = np.flatnonzero(mask).astype(np.int32)
-    if idx.size == 0:
-        raise ValueError("cannot sample from an empty typicality class")
-    lp = logp[idx]
-    m = lp.max()
-    if not np.isfinite(m):
-        raise ValueError("typicality class has zero probability")
-    lp -= m   # in place: a class may span the whole grid
+
+def _class_table(idx: np.ndarray, lp: np.ndarray):
+    """Entries of a class of positive mass (cells or types) and their
+    cumulative weights, from their log-probs ``lp``, a copy."""
+    lp -= lp.max()
     np.exp(lp, out=lp)
     return idx, np.cumsum(lp, out=lp)
 
 
-def _draw_counts(rng: np.random.Generator, table, rows, shape) -> np.ndarray:
-    """Joint counts of one cell drawn from a class table (one uniform)."""
+def _pick(rng: np.random.Generator, table):
+    """One entry of a class table, from one uniform."""
     idx, c = table
-    k = np.searchsorted(c, rng.random() * c[-1], side="right")
-    pick = idx[int(k.clip(0, idx.size - 1))]
-    cell = np.unravel_index(pick, shape)
-    counts = np.zeros((len(rows), rows[0][0].shape[1]), dtype=np.int64)
-    for a, (comps, _) in enumerate(rows):
-        counts[a] = comps[cell[a]]
-    return counts
+    return idx[min(int(c.searchsorted(rng.random() * c[-1], "right")),
+                   idx.size - 1)]
+
+
+@lru_cache(maxsize=64)
+class _CodewordTypes:
+    """Types of an i.i.d. ``p_u`` codeword of length n; classes d and nd."""
+
+    def __init__(self, n: int, num_u: int, pu_key: tuple,
+                 decode_radius: float):
+        _budget(math.comb(n + num_u - 1, num_u - 1), "codeword types")
+        self.types, self.logp = _row_cache(n, num_u, pu_key)
+        # types ascend in lexicographic order, and so do their keys
+        self.radix = (n + 1) ** np.arange(num_u - 1, -1, -1, dtype=np.int64)
+        self.keys = self.types @ self.radix
+        # marginal total variation, from per-symbol |s/n - p_u| tables
+        dev = np.zeros(self.keys.size)
+        for u, p in enumerate(pu_key):
+            dev += np.abs(np.arange(n + 1) / n - p)[self.types[:, u]]
+        dev *= 0.5
+        self.mask_d = mask = dev < decode_radius
+        self.log_d = _logsumexp(self.logp[mask])
+        self.log_nd = _logsumexp(self.logp[~mask])
+        _check_mass(float(np.logaddexp(self.log_d, self.log_nd)),
+                    f"codeword types of length {n}")
+        self.d, self.nd = (
+            _class_table(np.flatnonzero(m), self.logp[m])
+            if math.isfinite(log) else None
+            for m, log in ((mask, self.log_d), (~mask, self.log_nd)))
 
 
 class TypeGrid:
-    """Exact joint-type distribution of an i.i.d. codeword against x^n.
+    """Exact joint-type law of an i.i.d. codeword against x^n, by class.
 
-    Rows are source symbols (fixed counts ``x_counts``); the codeword
-    symbols are i.i.d. ``p_u`` so per-row counts are independent
-    multinomials.  Exposes typicality masks at the encode radius (joint
-    total variation against ``p_joint``) and at the decode radius
-    (codeword-marginal total variation against ``p_u``).
+    Rows are source symbols (counts ``x_counts``); codeword symbols are
+    i.i.d. ``p_u``, so per-row counts are independent multinomials.
+    Classes: e (joint total variation to ``p_joint`` below the encode
+    radius), d (marginal total variation to ``p_u`` below the decode
+    radius), ne and nd.  Only e has cells (``logp`` and the encode table,
+    in grid order); every other class is drawn by the codeword's type,
+    from a table shared by every key of one ``(n, p_u, decode_radius)``.
+    The radii put e inside d (checked on e's cells).
     """
 
     def __init__(self, x_counts, p_joint: np.ndarray,
                  encode_radius: float, decode_radius: float):
         self.x_counts = np.asarray(x_counts, dtype=np.int64)
         self.p_joint = np.asarray(p_joint, dtype=float)
-        self.num_x, self.num_u = self.p_joint.shape
         self.n = n = int(self.x_counts.sum())
-        self.p_u = self.p_joint.sum(axis=0)
-        sizes = []
-        for n_a in self.x_counts:
-            sizes.append(math.comb(int(n_a) + self.num_u - 1, self.num_u - 1))
-        total = 1
-        for s in sizes:
-            total *= s
-        if total > GRID_BUDGET or total <= 0:
-            raise GridTooLarge(
-                f"type grid has {total} cells (budget {GRID_BUDGET}); "
-                "use the explicit engine or reduce alphabets/blocklength")
-        self.shape = tuple(sizes)
-        pu_key = tuple(float(v) for v in self.p_u)
-        self.rows = [_row_cache(int(n_a), self.num_u, pu_key)
-                     for n_a in self.x_counts]
-        comps = [c for c, _ in self.rows]
+        self.encode_radius = encode_radius
+        pu_key = tuple(float(v) for v in self.p_joint.sum(axis=0))
+        self.types = types = _CodewordTypes(n, len(pu_key), pu_key,
+                                            float(decode_radius))
+        self.rows = [_row_cache(n_a, len(pu_key), pu_key)
+                     for n_a in self.x_counts.tolist()]
+        self.shape = tuple(c.shape[0] for c, _ in self.rows)
+        self.dev = [np.abs(c / n - self.p_joint[a]).sum(axis=1)
+                    for a, (c, _) in enumerate(self.rows)]
+        self.keys = [c @ types.radix for c, _ in self.rows]
 
-        # log-probabilities and joint deviations are sums of per-row terms
-        self.logp = _outer_sum([lp for _, lp in self.rows])
-        tv_joint = _outer_sum([np.abs(c / n - self.p_joint[a]).sum(axis=1)
-                               for a, c in enumerate(comps)])
-        tv_joint *= 0.5
-        self.mask_e = tv_joint < encode_radius
-        del tv_joint
-        # the marginal test reads only the column sums: look each one up
-        # in a table of |s/n - p_u| over s = 0..n, one symbol at a time
-        small = np.int16 if n <= np.iinfo(np.int16).max else np.int32
-        tv_marg = np.zeros(self.logp.size)
-        for u in range(self.num_u):
-            col = _outer_sum([c[:, u].astype(small) for c in comps])
-            tv_marg += np.abs(np.arange(n + 1) / n - self.p_u[u])[col]
-            del col
-        tv_marg *= 0.5
-        self.mask_d = tv_marg < decode_radius
+        # e row by row, in the float operations and flat order of a whole
+        # grid: a row adds a non-negative deviation, so a prefix at the
+        # radius is dropped, its mass times the other rows' going to ne
+        row_mass = [_logsumexp(lp.copy()) for _, lp in self.rows]
+        idx, dev, logp = np.zeros(1, np.int64), np.zeros(1), np.zeros(1)
+        dropped = []
+        for a, (comps, lp) in enumerate(self.rows):
+            size = comps.shape[0]
+            _budget(idx.size * size, "encode-class candidates")
+            idx = (idx[:, None] * size + np.arange(size)).ravel()
+            dev = np.add.outer(dev, self.dev[a]).ravel()
+            logp = np.add.outer(logp, lp).ravel()
+            keep = 0.5 * dev < encode_radius
+            dropped.append(_logsumexp(logp[~keep]) + sum(row_mass[a + 1:]))
+            idx, dev, logp = idx[keep], dev[keep], logp[keep]
+        self.logp = logp
+        self.log_e = _logsumexp(logp.copy())
+        self.log_ne = _logsumexp(np.array(dropped))
+        _check_mass(float(np.logaddexp(self.log_e, self.log_ne)),
+                    f"x counts {self.x_counts.tolist()}")
+        self.log_d, self.log_nd = types.log_d, types.log_nd
+        idx = idx.astype(np.int32 if math.prod(self.shape) < 2 ** 31
+                         else np.int64)
+        self.encode_table = (_class_table(idx, logp.copy())
+                             if math.isfinite(self.log_e) else None)
 
-    def log_prob(self, mask: np.ndarray) -> float:
-        return _logsumexp(self.logp[mask])
+        cells = [comps[i] for (comps, _), i in
+                 zip(self.rows, np.unravel_index(idx, self.shape))]
+        t = np.searchsorted(types.keys, sum(cells, 0) @ types.radix)
+        if not types.mask_d[t].all():
+            raise ValueError("encode class not inside the decode class")
+        arrays = [logp, *self.dev, *self.keys, *(self.encode_table or ())]
+        self.nbytes = SUMMARY_OVERHEAD + sum(a.nbytes for a in arrays)
+        spare = types.mask_d.copy()     # decodable types e leaves whole
+        spare[t] = False
+        if spare.any():
+            # P(ne_d) = P(d) - P(e) = P(ne) - P(nd): the smaller minuend
+            # cancels less, and the spare types bound it below
+            big, small = ((self.log_d, self.log_e)
+                          if self.log_d <= self.log_ne
+                          else (self.log_ne, self.log_nd))
+            diff = (big + math.log1p(-math.exp(small - big)) if small < big
+                    else -math.inf)
+            self.log_ne_d = max(diff, _logsumexp(types.logp[spare]))
+        else:
+            self.log_ne_d = self._exact_log_ne_d(cells, t)
 
-    def sample_counts(self, rng: np.random.Generator,
-                      mask: np.ndarray) -> np.ndarray:
-        """Draw a cell from the grid conditioned on ``mask``; returns counts."""
-        return _draw_counts(rng, _class_table(self.logp, mask), self.rows,
-                            self.shape)
+    def _exact_log_ne_d(self, cells: list, t: np.ndarray) -> float:
+        """P(ne_d) when e touches every decodable type, from exact counts:
+        n!/prod s_u! codewords of type s, prod_a n_a!/prod k_au! of a cell."""
+        def words(counts):
+            return (math.factorial(sum(counts))
+                    // math.prod(map(math.factorial, counts)))
 
-    def class_mask(self, cls: str) -> np.ndarray:
-        """Mask of a named class of a trial (see ``sample_two_node_trial``).
+        types = self.types
+        whole = {s: words(types.types[s].tolist()) for s in set(t.tolist())}
+        left = dict(whole)
+        for j, s in enumerate(t.tolist()):
+            left[s] -= math.prod(words(c[j].tolist()) for c in cells)
+        return _logsumexp(np.array([types.logp[s] + math.log(k / whole[s])
+                                    for s, k in left.items() if k > 0]))
 
-        ``ne_nd`` falls back to ``ne`` and ``nd`` to ``d`` when empty.
-        """
-        if cls == "ne_d":
-            return self.mask_d & ~self.mask_e
-        if cls == "ne_nd":
-            not_e = ~self.mask_e
-            mask = ~self.mask_d & not_e
-            return mask if mask.any() else not_e
-        if cls == "d":
-            return self.mask_d
-        if cls == "nd":
-            mask = ~self.mask_d
-            return mask if mask.any() else self.mask_d
-        raise ValueError(f"unknown typicality class {cls!r}")
+    def log_prob(self, cls: str) -> float:
+        """Log-probability of class ``e``, ``ne``, ``ne_d``, ``d`` or ``nd``."""
+        return getattr(self, "log_" + cls)
 
-
-@dataclass(frozen=True)
-class ClassSummary:
-    """What a trial reads of one grid: class log-probs and the encode
-    class's sampling table, without the grid itself."""
-
-    log_e: float      # jointly typical codeword
-    log_ne: float     # not jointly typical
-    log_ne_d: float   # not jointly typical, marginally typical
-    log_d: float      # marginally typical
-    encode_table: Optional[tuple]   # (flat indices, cumulative weights)
-    rows: tuple
-    shape: tuple
-
-    @property
-    def nbytes(self) -> int:
-        table = self.encode_table or ()
-        return SUMMARY_OVERHEAD + sum(a.nbytes for a in table)
-
-    def sample_encode(self, rng: np.random.Generator) -> np.ndarray:
-        return _draw_counts(rng, self.encode_table, self.rows, self.shape)
-
-
-def _summarize(grid: TypeGrid) -> ClassSummary:
-    """The summary of ``grid``, after checking its total log-mass is 0."""
-    not_e = ~grid.mask_e
-    log_e = grid.log_prob(grid.mask_e)
-    log_ne = grid.log_prob(not_e)
-    total = float(np.logaddexp(log_e, log_ne))
-    if not abs(total) <= LOG_MASS_TOL:
-        raise GridMassError(
-            f"type grid for x counts {grid.x_counts.tolist()} has total "
-            f"log-mass {total!r}, not 0 within {LOG_MASS_TOL}")
-    encode_table = (_class_table(grid.logp, grid.mask_e)
-                    if math.isfinite(log_e) else None)
-    return ClassSummary(
-        log_e=log_e, log_ne=log_ne,
-        log_ne_d=grid.log_prob(grid.mask_d & not_e),
-        log_d=grid.log_prob(grid.mask_d), encode_table=encode_table,
-        rows=tuple(grid.rows), shape=grid.shape)
+    def sample_counts(self, rng: np.random.Generator, cls: str) -> np.ndarray:
+        """Joint counts of a codeword of class ``cls``; ``ne_nd`` is nd, and
+        it falls back to ne, and ``nd`` to ``d``, when nd is empty."""
+        if cls == "e":
+            cell = np.unravel_index(_pick(rng, self.encode_table), self.shape)
+            return np.stack([c[i] for (c, _), i in zip(self.rows, cell)])
+        types = self.types
+        table = types.nd if cls in ("nd", "ne_nd") and types.nd else types.d
+        reject = cls in ("ne_d", "ne_nd") and table is types.d
+        while True:
+            # given its type, a cell is multivariate hypergeometric: every
+            # source row but the last takes its symbols one after another
+            s, counts = types.types[_pick(rng, table)].tolist(), []
+            for m in self.x_counts[:-1].tolist():
+                row = []
+                for u in range(len(s) - 1):
+                    row.append(rng.hypergeometric(s[u], sum(s[u + 1:]), m))
+                    m -= row[-1]
+                counts.append(row + [m])
+                s = [k - r for k, r in zip(s, counts[-1])]
+            counts = np.array(counts + [s], dtype=np.int64)
+            if not reject:
+                return counts
+            dev = 0.0      # the enumeration's encode test
+            for a, key in enumerate((counts @ types.radix).tolist()):
+                dev = dev + self.dev[a][self.keys[a].searchsorted(key)]
+            if not 0.5 * dev < self.encode_radius:
+                return counts
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses entries nbytes budget")
 
 
 class _SummaryCache:
-    """Least-recently-used summaries, bounded by their total bytes."""
+    """Least-recently-used type grids, bounded by their total bytes."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -275,22 +287,22 @@ class _SummaryCache:
         self._bytes = 0
         self._hits = self._misses = 0
 
-    def get(self, key) -> Optional[ClassSummary]:
+    def get(self, key) -> Optional[TypeGrid]:
         with self._lock:
-            summary = self._entries.get(key)
-            if summary is None:
+            grid = self._entries.get(key)
+            if grid is None:
                 self._misses += 1
             else:
                 self._hits += 1
                 self._entries.move_to_end(key)
-            return summary
+            return grid
 
-    def put(self, key, summary: ClassSummary) -> None:
+    def put(self, key, grid: TypeGrid) -> None:
         with self._lock:
             if key in self._entries:
                 return
-            self._entries[key] = summary
-            self._bytes += summary.nbytes
+            self._entries[key] = grid
+            self._bytes += grid.nbytes
             while self._bytes > self.budget and len(self._entries) > 1:
                 _, old = self._entries.popitem(last=False)
                 self._bytes -= old.nbytes
@@ -310,19 +322,16 @@ _SUMMARIES = _SummaryCache(SUMMARY_CACHE_BYTES)
 
 
 def class_summary(x_counts, p_joint: np.ndarray, encode_radius: float,
-                  decode_radius: float):
-    """``(summary, grid)`` of one key: ``grid`` is the grid a miss built,
-    for the trial to reuse, and ``None`` on a hit."""
+                  decode_radius: float) -> TypeGrid:
+    """The cached ``TypeGrid`` of one key, built on a miss."""
     p_joint = np.asarray(p_joint, dtype=float)
     key = (tuple(int(v) for v in x_counts), p_joint.shape,
            p_joint.tobytes(), float(encode_radius), float(decode_radius))
-    summary = _SUMMARIES.get(key)
-    if summary is not None:
-        return summary, None
-    grid = TypeGrid(x_counts, p_joint, encode_radius, decode_radius)
-    summary = _summarize(grid)
-    _SUMMARIES.put(key, summary)
-    return summary, grid
+    grid = _SUMMARIES.get(key)
+    if grid is None:
+        grid = TypeGrid(x_counts, p_joint, encode_radius, decode_radius)
+        _SUMMARIES.put(key, grid)
+    return grid
 
 
 def clear_summary_cache() -> None:
@@ -387,17 +396,13 @@ def sample_two_node_trial(rng: np.random.Generator, bin_rng,
     """One trial of the two-node scheme, sampled from its exact distribution.
 
     ``radii`` is the (source, encode, decode) triple of the schedule
-    that ``protocol`` builds once per run.  ``rng`` drives all continuous draws; ``bin_rng`` (a
-    ``random.Random``) supplies uniform bin indices, which may exceed
-    2^64.  The draw order is fixed so that a given seed reproduces the
-    trial bit for bit.  Returns ``(counts, fields)``: the (|X|, |U|) joint
-    counts and the Y-side trace fields keyed by their names.
-
-    The sent codeword's joint type is drawn from one class of the grid:
-    ``e`` (jointly typical, read from the cached summary), ``ne_d`` (not
-    jointly but marginally typical), ``ne_nd`` (neither), ``d``
-    (marginally typical) or ``nd`` (not); all but ``e`` rebuild the grid
-    unless this trial's lookup just built it.
+    that ``protocol`` builds once per run.  ``rng`` drives all continuous
+    draws; ``bin_rng`` (a ``random.Random``) supplies uniform bin indices,
+    which may exceed 2^64.  The draw order is fixed so that a given seed
+    reproduces the trial bit for bit.  Returns ``(counts, fields)``: the
+    (|X|, |U|) joint counts and the Y-side trace fields keyed by their
+    names.  The sent codeword's joint type is drawn from one class of the
+    cached ``TypeGrid``: ``e``, ``ne_d``, ``ne_nd``, ``d`` or ``nd``.
     """
     px = p_joint.sum(axis=1)
     x_seq = sample_iid(rng, px, n)
@@ -405,16 +410,11 @@ def sample_two_node_trial(rng: np.random.Generator, bin_rng,
     source_radius, *grid_radii = radii
     x_typical = bool(0.5 * np.abs(x_counts / n - px).sum() < source_radius)
 
-    summary, grid = class_summary(x_counts, p_joint, *grid_radii)
+    grid = class_summary(x_counts, p_joint, *grid_radii)
     log_m = math.log(num_bins)
 
     def finish(ell, m12, ell_hat, enc_fb, dec_fb, cls):
-        if cls == "e":
-            counts = summary.sample_encode(rng)
-        else:
-            g = grid if grid is not None else TypeGrid(x_counts, p_joint,
-                                                       *grid_radii)
-            counts = g.sample_counts(rng, g.class_mask(cls))
+        counts = grid.sample_counts(rng, cls)
         u_seq = arrange_within_rows(rng, x_seq, counts)
         return counts, dict(
             x_seq=x_seq, b_label_seq=u_seq, ell=int(ell), m12=int(m12),
@@ -422,8 +422,8 @@ def sample_two_node_trial(rng: np.random.Generator, bin_rng,
             encoder_fallback=bool(enc_fb), decoder_fallback=bool(dec_fb))
 
     if x_typical:
-        log_ne, log_ne_d = summary.log_ne, summary.log_ne_d
-        fails = geometric_failures(rng.random(), summary.log_e)
+        log_ne, log_ne_d = grid.log_ne, grid.log_ne_d
+        fails = geometric_failures(rng.random(), grid.log_e)
         if fails is None or fails >= num_codewords:
             # no jointly typical codeword: send the first one
             m12 = bin_rng.randrange(num_bins)
@@ -449,7 +449,7 @@ def sample_two_node_trial(rng: np.random.Generator, bin_rng,
         return finish(ell, m12, ell, False, False, "e")
 
     # atypical source sequence: arbitrary transmission on bin 0
-    log_d = summary.log_d
+    log_d = grid.log_d
     g = geometric_failures(rng.random(), log_d - log_m)
     if g is not None and g < num_codewords:
         return finish(0, 0, g, True, False, "d")

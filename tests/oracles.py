@@ -339,3 +339,65 @@ def reference_context_decode(codewords, bins, m, ctx_seq, p_ctx_u, radius):
                p_ctx_u) < radius:
             return j, False
     return 0, True
+
+
+# ----------------------------------------------------------------------
+# whole joint-type grid, built by broadcasting one row at a time
+# ----------------------------------------------------------------------
+
+def _row_types(n_a: int, pu: np.ndarray):
+    """Count vectors of ``n_a`` over ``len(pu)`` symbols, in lexicographic
+    order, and their multinomial log-probs."""
+    from scipy.special import gammaln
+    comps = np.array([c for c in itertools.product(range(n_a + 1),
+                                                   repeat=pu.size)
+                      if sum(c) == n_a], dtype=np.int64)
+    logp = np.full(comps.shape[0], gammaln(n_a + 1))
+    for u in range(pu.size):
+        k = comps[:, u]
+        logp -= gammaln(k + 1)
+        if pu[u] > 0:
+            logp += k * math.log(pu[u])
+        else:
+            logp = np.where(k == 0, logp, -np.inf)
+    return comps, logp
+
+
+def logsumexp_finite(values) -> float:
+    """log sum exp over the finite entries (-inf if there are none)."""
+    values = np.asarray(values, dtype=float)
+    values = values[np.isfinite(values)]
+    if values.size == 0:
+        return -math.inf
+    m = values.max()
+    return float(m + math.log(np.exp(values - m).sum()))
+
+
+def reference_grid(x_counts, p_joint, encode_radius, decode_radius):
+    """Every joint type of an i.i.d. p_u codeword against source counts
+    ``x_counts``, flattened with the first source row slowest.
+
+    Returns ``(logp, mask_e, mask_d, counts)``: cell log-probs, joint
+    total variation to ``p_joint`` below ``encode_radius``,
+    codeword-marginal total variation to p_u below ``decode_radius``, and
+    each cell's (|X|, |U|) joint counts."""
+    p_joint = np.asarray(p_joint, dtype=float)
+    n, pu = int(np.sum(x_counts)), p_joint.sum(axis=0)
+    rows = [_row_types(int(n_a), pu) for n_a in x_counts]
+    shape = tuple(c.shape[0] for c, _ in rows)
+    logp, tv_joint = np.zeros(shape), np.zeros(shape)
+    counts = np.zeros(shape + (len(rows), pu.size), dtype=np.int64)
+    for a, (comps, lp) in enumerate(rows):
+        bshape = [1] * len(shape)
+        bshape[a] = comps.shape[0]
+        dev = np.abs(comps / n - p_joint[a]).sum(axis=1)
+        logp = logp + lp.reshape(bshape)
+        tv_joint = tv_joint + dev.reshape(bshape)
+        counts[..., a, :] = comps.reshape(bshape + [pu.size])
+    counts = counts.reshape(-1, len(rows), pu.size)
+    cols = counts.sum(axis=1)
+    marg_dev = np.zeros(cols.shape[0])
+    for u in range(pu.size):
+        marg_dev = marg_dev + np.abs(cols[:, u] / n - pu[u])
+    return (logp.ravel(), (0.5 * tv_joint < encode_radius).ravel(),
+            0.5 * marg_dev < decode_radius, counts)

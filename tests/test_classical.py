@@ -292,8 +292,8 @@ class TestTypicality:
         # a radius off the 1/n lattice, so no k sits on the boundary
         radius, target = 0.195, np.full((1, 2), 0.5)
         grid = TypeGrid([100], target, radius, radius)
-        assert math.exp(grid.log_prob(grid.mask_e)) == pytest.approx(
-            exact, rel=1e-12)
+        assert math.exp(grid.log_prob("e")) == pytest.approx(exact,
+                                                             rel=1e-12)
         rng = np.random.default_rng(0)
         rows = rng.integers(0, 2, size=(300, 100))
         dist = _type_distance(np.zeros((1, 100), dtype=int), rows, target)

@@ -342,6 +342,25 @@ class TestTwoNodeSimulation:
             simulate_two_node(ens, ext, n=900, rate=2.4, trials=1, seed=0,
                               delta=0.02, engine="sampled")
 
+    def test_three_symbol_copy_target_at_n100(self, example1_three_symbol):
+        # a whole joint-type grid would hold 1.6e8 cells here; only the
+        # encode class is enumerated
+        ens, ext = example1_three_symbol
+        delta = 0.02
+        traces = simulate_two_node(ens, ext, n=100, rate=1.6, trials=200,
+                                   seed=3, delta=delta, engine="sampled")
+        p_joint = ext.joint.table
+        hits = 0
+        for t in traces:
+            x_counts = np.bincount(t.x_seq, minlength=3)
+            assert np.array_equal(t.joint_counts.sum(axis=1), x_counts)
+            if (t.x_typical and not t.encoder_fallback
+                    and t.ell_hat == t.ell):
+                hits += 1      # the sent codeword is jointly typical
+                tv = 0.5 * np.abs(t.joint_counts / 100 - p_joint).sum()
+                assert tv < 2 * delta
+        assert hits > 0
+
 
 class TestTrendAndRegimes:
     def test_distance_decreases_with_blocklength(self, example1_pair):

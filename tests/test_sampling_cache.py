@@ -4,11 +4,13 @@ Cached or not, a fixed ``(seed, params, engine)`` must give the same
 traces field for field: the cache only saves the rebuild of a type grid.
 """
 
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from qcoord import sampling
 from qcoord.classical import Alphabet, JointPmf
@@ -16,6 +18,7 @@ from qcoord.coordination import CqEnsemble, Extension, validate_extension
 from qcoord.protocol import derandomize, simulate_two_node
 from qcoord.quantum import DensityOperator, tensor
 
+from oracles import logsumexp_finite, reference_grid
 from test_golden_traces import example1, three_symbol, trace_record
 
 # (pair, simulate_two_node keywords): between them these runs draw from
@@ -135,8 +138,10 @@ def test_least_recently_used_summary_is_evicted_first(monkeypatch):
     keys = [np.array([k, 200 - k]) for k in (100, 101, 102)]
 
     def lookup(i):
-        _, grid = sampling.class_summary(keys[i], P_EXAMPLE1, 0.04, 0.16)
-        return "miss" if grid is not None else "hit"
+        misses = sampling.summary_cache_info().misses
+        sampling.class_summary(keys[i], P_EXAMPLE1, 0.04, 0.16)
+        return ("miss" if sampling.summary_cache_info().misses > misses
+                else "hit")
 
     assert [lookup(0), lookup(1)] == ["miss", "miss"]
     # room for exactly these two summaries
@@ -176,14 +181,17 @@ def test_grid_too_large_raises_on_first_trial_and_caches_nothing(
 
 
 def test_grid_mass_is_checked_once_per_key():
-    summary, grid = sampling.class_summary(np.array([100, 100]), P_EXAMPLE1,
-                                           0.04, 0.16)
-    assert grid is not None
-    total = np.logaddexp(summary.log_e, summary.log_ne)
-    assert abs(total) <= sampling.LOG_MASS_TOL
-    again, grid = sampling.class_summary(np.array([100, 100]), P_EXAMPLE1,
-                                         0.04, 0.16)
-    assert again is summary and grid is None
+    grid = sampling.class_summary(np.array([100, 100]), P_EXAMPLE1, 0.04,
+                                  0.16)
+    assert sampling.summary_cache_info().misses == 1
+    for log_mass in (np.logaddexp(grid.log_e, grid.log_ne),
+                     np.logaddexp(grid.log_d, grid.log_nd)):
+        assert abs(log_mass) <= sampling.LOG_MASS_TOL
+    again = sampling.class_summary(np.array([100, 100]), P_EXAMPLE1, 0.04,
+                                   0.16)
+    assert again is grid
+    info = sampling.summary_cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_corrupted_row_table_trips_the_mass_check(monkeypatch):
@@ -203,29 +211,6 @@ def test_corrupted_row_table_trips_the_mass_check(monkeypatch):
                           delta=0.02, engine="sampled")
 
 
-def _reference_grid(x_counts, p_joint, encode_radius, decode_radius):
-    """logp and masks built by broadcasting one row at a time."""
-    grid = sampling.TypeGrid(x_counts, p_joint, encode_radius, decode_radius)
-    shape, n = grid.shape, grid.n
-    logp, tv_joint = np.zeros(shape), np.zeros(shape)
-    for a, (comps, lp) in enumerate(grid.rows):
-        bshape = [1] * len(shape)
-        bshape[a] = comps.shape[0]
-        dev = np.abs(comps / n - p_joint[a]).sum(axis=1)
-        logp = logp + lp.reshape(bshape)
-        tv_joint = tv_joint + dev.reshape(bshape)
-    marg_dev = np.zeros(shape)
-    for u in range(p_joint.shape[1]):
-        m_u = np.zeros(shape)
-        for a, (comps, _) in enumerate(grid.rows):
-            bshape = [1] * len(shape)
-            bshape[a] = comps.shape[0]
-            m_u = m_u + comps[:, u].reshape(bshape)
-        marg_dev = marg_dev + np.abs(m_u / n - grid.p_u[u])
-    return (grid, logp.ravel(), (0.5 * tv_joint < encode_radius).ravel(),
-            (0.5 * marg_dev < decode_radius).ravel())
-
-
 def test_grid_matches_the_row_by_row_reference():
     rng = np.random.default_rng(0)
     cases = [(np.array([100, 100]), P_EXAMPLE1, 0.04, 0.16),
@@ -239,10 +224,29 @@ def test_grid_matches_the_row_by_row_reference():
         cases.append((counts, p, float(rng.random() * 0.5),
                       float(rng.random())))
     for case in cases:
-        grid, logp, mask_e, mask_d = _reference_grid(*case)
-        assert grid.logp.tobytes() == logp.tobytes()
-        assert np.array_equal(grid.mask_e, mask_e)
-        assert np.array_equal(grid.mask_d, mask_d)
+        grid = sampling.TypeGrid(*case)
+        logp, mask_e, mask_d, counts = reference_grid(*case)
+        # e: its cells, log-mass and sampling table are bit for bit the
+        # whole grid's
+        idx = np.flatnonzero(mask_e)
+        assert grid.logp.tobytes() == logp[idx].tobytes()
+        assert grid.log_e == logsumexp_finite(logp[idx])
+        if math.isfinite(grid.log_e):
+            table = (idx.astype(np.int32),
+                     np.cumsum(np.exp(logp[idx] - logp[idx].max())))
+            assert [a.tobytes() for a in grid.encode_table] == \
+                [a.tobytes() for a in table]
+        else:
+            assert grid.encode_table is None
+        for cls, mask in (("ne", ~mask_e), ("ne_d", mask_d & ~mask_e),
+                          ("d", mask_d), ("nd", ~mask_d)):
+            want = logsumexp_finite(logp[mask])
+            got = grid.log_prob(cls)
+            assert got == want or abs(got - want) <= 1e-12, (case, cls)
+        # every cell is decodable exactly when its codeword type is
+        types = grid.types
+        t = np.searchsorted(types.keys, counts.sum(axis=1) @ types.radix)
+        assert np.array_equal(types.mask_d[t], mask_d)
 
 
 def test_concurrent_lookups_lose_no_update():
@@ -267,5 +271,56 @@ def test_concurrent_lookups_lose_no_update():
     assert info.hits + info.misses == workers * rounds * len(keys)
     assert info.entries == len(keys)
     cached = [sampling.class_summary(k, P_EXAMPLE1, 0.1, 0.4) for k in keys]
-    assert all(grid is None for _, grid in cached)
-    assert info.nbytes == sum(summary.nbytes for summary, _ in cached)
+    assert sampling.summary_cache_info().misses == info.misses
+    assert info.nbytes == sum(grid.nbytes for grid in cached)
+
+
+@pytest.mark.parametrize("name", ["fallback_n200", "three_symbol_n40"])
+def test_warm_rerun_builds_no_grid(name, monkeypatch):
+    # encoder fallbacks and atypical sources draw classes other than e;
+    # a cache hit serves them without building anything
+    cold = _records(name)
+    built = []
+    grid_cls = sampling.TypeGrid
+
+    def spy(*args, **kwargs):
+        built.append(args[0])
+        return grid_cls(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "TypeGrid", spy)
+    assert _records(name) == cold
+    assert built == []
+
+
+# (x_counts, p_joint, encode radius, decode radius): every class is
+# non-empty on the first key; the second has an empty nd
+CLASS_KEYS = {"two_rows": (np.array([8, 6]), P_EXAMPLE1, 0.15, 0.3),
+              "empty_nd": (np.array([3, 2, 2]), np.diag([0.5, 0.25, 0.25]),
+                           0.3, 1.0)}
+
+
+@pytest.mark.parametrize("key, cls", [
+    ("two_rows", "ne_d"), ("two_rows", "d"), ("two_rows", "nd"),
+    ("two_rows", "ne_nd"), ("empty_nd", "ne_nd")])
+def test_class_draws_follow_the_whole_grid_law(key, cls):
+    draws = 100_000
+    logp, mask_e, mask_d, counts = reference_grid(*CLASS_KEYS[key])
+    mask = {"ne_d": mask_d & ~mask_e, "d": mask_d, "nd": ~mask_d,
+            "ne_nd": ~mask_d & ~mask_e}[cls]
+    if key == "empty_nd":
+        assert not mask.any()
+        mask = ~mask_e          # ne_nd falls back to ne
+    grid = sampling.TypeGrid(*CLASS_KEYS[key])
+    rng = np.random.default_rng(2026)
+    cell = {c.tobytes(): i for i, c in enumerate(counts)}
+    hits = np.bincount([cell[grid.sample_counts(rng, cls).tobytes()]
+                        for _ in range(draws)], minlength=logp.size)
+    assert hits[~mask].sum() == 0
+    expected = draws * np.exp(logp[mask] - logsumexp_finite(logp[mask]))
+    observed = hits[mask]
+    small = expected < 5          # pooled into one cell
+    observed, expected = observed[~small].tolist(), expected[~small].tolist()
+    if small.any():
+        observed.append(hits[mask][small].sum())
+        expected.append(draws - sum(expected))
+    assert chisquare(observed, expected).pvalue >= 1e-3
