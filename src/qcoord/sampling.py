@@ -166,7 +166,7 @@ class TypeGrid:
                  encode_radius: float, decode_radius: float):
         self.x_counts = np.asarray(x_counts, dtype=np.int64)
         self.p_joint = np.asarray(p_joint, dtype=float)
-        self.n = n = int(self.x_counts.sum())
+        n = int(self.x_counts.sum())
         self.encode_radius = encode_radius
         pu_key = tuple(float(v) for v in self.p_joint.sum(axis=0))
         self.types = types = _CodewordTypes(n, len(pu_key), pu_key,

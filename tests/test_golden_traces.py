@@ -170,8 +170,9 @@ def _three_symbol_fallbacks():
 
 
 def _three_symbol_sampled():
-    # three-row type grids of about 1e6 cells; a third of the sources are
-    # atypical, so both the encode class and the whole-grid class are drawn
+    # three source rows (whole type grids of about 1e6 cells); a third of
+    # the sources are atypical, so both the encode class and the decode
+    # class, drawn by codeword type, are drawn
     ens, ext = three_symbol()
     traces = simulate_two_node(ens, ext, n=40, rate=1.6, trials=24,
                                seed=7, delta=0.1, engine="sampled")
