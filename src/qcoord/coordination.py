@@ -14,9 +14,8 @@ requires the A and C marginals of the extension to be in product form).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -65,11 +64,16 @@ def mixture(weights, blocks) -> np.ndarray:
 
 def kron_table(*atom_lists) -> np.ndarray:
     """``t[i, j, k] = (M_i (x) M_j) (x) M_k``, one axis per atom list of
-    DensityOperators or raw matrices, folded left."""
-    mats = [[getattr(a, "matrix", a) for a in atoms] for atoms in atom_lists]
-    blocks = [reduce(np.kron, cell) for cell in itertools.product(*mats)]
-    return np.array(blocks).reshape(
-        tuple(len(m) for m in mats) + blocks[0].shape)
+    DensityOperators or raw matrices, folded left by broadcasting: every
+    entry is the product ``(a * b) * c`` that ``np.kron`` forms."""
+    out, *rest = (np.array([getattr(a, "matrix", a) for a in atoms])
+                  for atoms in atom_lists)
+    for m in rest:
+        (r, c), (k, p, q) = out.shape[-2:], m.shape
+        out = (out[..., None, :, None, :, None]
+               * m[:, None, :, None, :]).reshape(
+                   out.shape[:-2] + (k, r * p, c * q))
+    return out
 
 
 class CqEnsemble:
@@ -232,6 +236,26 @@ class Extension:
     def _rest_table(self) -> np.ndarray:
         """atomsB^y x atomsC^z per (y, z); the atoms are immutable tuples."""
         return kron_table(self.atoms_b, self.as_cascade()[1])
+
+    @cached_property
+    def label_table(self) -> np.ndarray:
+        """atomsA^x x atomsB^y x atomsC^z per (x, y, z), read-only."""
+        k = kron_table(self.atoms_a, self.atoms_b, self.as_cascade()[1])
+        k.setflags(write=False)
+        return k
+
+    @cached_property
+    def tau_table(self) -> np.ndarray:
+        """atomsA^x x (conditional rest of x) per x, zero for a source
+        symbol of no mass, read-only."""
+        t, _ = self.as_cascade()
+        px = t.reshape(t.shape[0], -1).sum(axis=1)
+        tau = np.array([np.kron(a.matrix, self.conditional_rest(xi))
+                        if px[xi] > 0
+                        else np.zeros_like(self.label_table[xi, 0, 0])
+                        for xi, a in enumerate(self.atoms_a)])
+        tau.setflags(write=False)
+        return tau
 
     def ac_marginal(self) -> np.ndarray:
         """Sum_{x,z} p(x,z) atomsA^x x atomsC^z as a raw matrix."""

@@ -13,17 +13,22 @@ Two interchangeable engines produce statistically identical trials:
 * ``explicit`` — materializes the codebooks (i.i.d. codewords, one uniform
   bin index per codeword) and runs the literal typicality scans.  Capped:
   ``2^ceil(n*R0) * n`` stored symbols must stay below ``MEMORY_CAP``.
-  Each trial draws its source from its own seed stream; a chunk of trials
-  then shares every scan (exact 0/1 matrix-product joint types) and one
-  stacked finish.  Trial chunks and codeword blocks are sized by
-  ``CHUNK_CELLS``; the traces do not depend on it.
+  Each trial t draws its source from its own seed stream,
+  ``SeedSequence(seed, spawn_key=(3, t, 0))``; a chunk's streams are
+  hashed in one vectorized pass (``_stream_words``, bit-identical to
+  building them one by one), and the chunk then shares every scan (exact
+  0/1 matrix-product joint types) and one stacked finish.  Trial chunks
+  and codeword blocks are sized by ``CHUNK_CELLS``; the traces do not
+  depend on it.
 * ``sampled`` — draws each trial from the exact outcome distribution of
   the scheme (see ``sampling``); this is what makes achievable-rate
   blocklengths (where the codebook is astronomically large) tractable.
   A fresh codebook is implicitly drawn per trial, which matches the
   shared-randomness average the derandomization argument operates on.
   It supports the trivial relay (single Z symbol) only; ``threads``
-  draws its trials in parallel without changing them.
+  draws its trials in parallel without changing them.  The words of
+  every trial's streams (keys 0, 1 and 3) are hashed once per run, and
+  a trial builds its generators from them when it is drawn.
 
 The core builds one ``ToleranceSchedule`` per run from the ``delta``,
 ``multipliers`` and ``gamma_coeff`` keywords.  Both engines read its
@@ -50,8 +55,7 @@ import numpy as np
 
 from .classical import (Alphabet, JointPmf, ToleranceSchedule, alpha_n,
                         mutual_information)
-from .coordination import (CoordinationError, CqEnsemble, Extension,
-                           kron_table, mixture)
+from .coordination import CoordinationError, CqEnsemble, Extension, mixture
 from .quantum import (DensityOperator, trace_norm_distance,
                       trusted_density, validated_states)
 from . import sampling
@@ -85,9 +89,98 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _bigint_rng(seed: int, *key: int) -> _pyrandom.Random:
-    state = np.random.SeedSequence(seed, spawn_key=key).generate_state(2)
-    return _pyrandom.Random(int(state[0]) << 32 | int(state[1]))
+# NumPy's SeedSequence, which NEP 19 keeps stable: its entropy words are
+# hashed into a pool of 4 uint32 words, and the pool into the output words
+_POOL, _M32 = 4, 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _int_words(value: int) -> list:
+    """The little-endian uint32 words SeedSequence makes of an int."""
+    words = [value & _M32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _M32)
+    return words
+
+
+def _u32(value):
+    """A Python int wrapped to 32 bits; a uint32 array wraps by itself."""
+    return value & _M32 if isinstance(value, int) else value
+
+
+def _hashmix(value, const: list, mult: int):
+    """SeedSequence's hash of a word.  ``const`` steps the same way whatever
+    the data, so Python ints and uint32 arrays take the same path."""
+    old = const[0]
+    const[0] = old * mult & _M32
+    value = _u32((value ^ old) * const[0])
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    r = _u32(_u32(_MIX_L * x) - _u32(_MIX_R * y))
+    return r ^ r >> 16
+
+
+def _stream_words(seed: int, key: tuple, n_words: int,
+                  dtype=np.uint32) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=key).generate_state(n_words, dtype)``
+    in one pass for every key the key's int arrays broadcast to: the
+    result has their broadcast shape plus an axis of ``n_words``."""
+    entropy = _int_words(int(seed))
+    entropy += [0] * (_POOL - len(entropy))
+    for item in key:
+        if np.ndim(item) == 0:
+            entropy += _int_words(int(item))
+            continue
+        item = np.asarray(item)
+        # SeedSequence would hash an index of 2^32 or more as two words
+        if item.size and not (item.min() >= 0 and item.max() <= _M32):
+            raise ProtocolError("stream key indices must lie in [0, 2^32)")
+        entropy.append(item.astype(np.uint32))
+    const = [_INIT_A]
+    pool = [_hashmix(word, const, _MULT_A) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst],
+                                 _hashmix(pool[src], const, _MULT_A))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hashmix(word, const, _MULT_A))
+    wide = np.dtype(dtype) == np.uint64
+    const = [_INIT_B]
+    words = [_hashmix(pool[i % _POOL], const, _MULT_B)
+             for i in range(n_words * (2 if wide else 1))]
+    out = np.stack(np.broadcast_arrays(*(np.asarray(w, np.uint32)
+                                         for w in words)), axis=-1)
+    return out.astype("<u4").view("<u8").astype(np.uint64) if wide else out
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands its bit generator precomputed words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, np.dtype(dtype)) != (self.words.size, self.words.dtype):
+            raise ValueError(f"holds {self.words.size} {self.words.dtype} "
+                             f"words, not {n_words} {np.dtype(dtype)}")
+        return self.words
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """``default_rng`` of the seed sequence whose 4 uint64 words these are."""
+    return np.random.Generator(np.random.PCG64(_Words(words)))
+
+
+def _bigint_random(words: np.ndarray) -> _pyrandom.Random:
+    """The ``random.Random`` seeded by 2 uint32 stream words."""
+    return _pyrandom.Random(int(words[0]) << 32 | int(words[1]))
 
 
 @dataclass(frozen=True)
@@ -157,17 +250,14 @@ def build_codebook(params: CodebookParams, p_u: np.ndarray,
     if params.num_bins > 2 ** 62:
         raise MemoryCapError("bin indices exceed 63 bits; lower n or R")
     cw_rng = _rng(params.seed, _KEY_CODEBOOK, role)
-    cum = np.cumsum(p_u)
-    cum[-1] = 1.0
     codewords = np.empty((l0, params.n), dtype=np.int8)
     # row-chunked generation keeps peak memory bounded while preserving the
     # stream order (so a larger codebook extends a smaller one row for row)
     chunk = max(1, (1 << 22) // params.n)
     for start in range(0, l0, chunk):
         stop = min(start + chunk, l0)
-        draws = cw_rng.random((stop - start, params.n))
-        codewords[start:stop] = np.searchsorted(
-            cum, draws, side="right").astype(np.int8)
+        codewords[start:stop] = sampling.symbols(
+            p_u, cw_rng.random((stop - start, params.n)))
     bin_rng = _rng(params.seed, _KEY_BINS, role)
     bins = bin_rng.integers(0, params.num_bins, size=l0, dtype=np.int64)
     codewords.setflags(write=False)
@@ -344,13 +434,9 @@ class _Tables(NamedTuple):
 
 
 def _tables(target: CqEnsemble, ext: Extension) -> _Tables:
-    p_xyz, atoms_c = ext.as_cascade()
-    px = p_xyz.sum(axis=(1, 2))
-    k = kron_table(ext.atoms_a, ext.atoms_b, atoms_c)
-    t = np.array([np.kron(a.matrix, ext.conditional_rest(xi)) if px[xi] > 0
-                  else np.zeros_like(k[xi, 0, 0])
-                  for xi, a in enumerate(ext.atoms_a)])
-    return _Tables(p_xyz, k, t, mixture(target.source.table, t))
+    t = ext.tau_table
+    return _Tables(ext.as_cascade()[0], ext.label_table, t,
+                   mixture(target.source.table, t))
 
 
 def simulate_two_node(target: CqEnsemble, ext: Extension, n: int,
@@ -416,6 +502,9 @@ def _simulate(target, ext, n, rates, codeword_rates, trials, seed, delta,
     ext.require_validated()
     if trials < 1:
         raise ProtocolError("trials must be positive")
+    if trials > 2 ** 32:
+        # a trial index keys its seed streams as one uint32 word
+        raise ProtocolError(f"trials must be at most 2^32, not {trials}")
     if gamma_coeff is None:
         gamma_coeff = float(math.prod(v.size for v in ext.joint.variables))
     schedule = ToleranceSchedule(delta, multipliers, gamma_coeff)
@@ -453,7 +542,14 @@ def _simulate(target, ext, n, rates, codeword_rates, trials, seed, delta,
             raise ProtocolError(
                 "the sampled engine supports cascade only with a degenerate "
                 "relay label (single Z symbol); use the explicit engine")
-        draw = lambda t: _sampled_trial(p_xyz, params_y, params_z, radii, t)
+        # every trial's streams, hashed once: key 0 for the generator, keys
+        # 1 and 3 for the bin and relay messages
+        trial = np.arange(trials)
+        rng_words = _stream_words(seed, (_KEY_TRIAL, trial, 0), 4, np.uint64)
+        bin_words = _stream_words(
+            seed, (_KEY_TRIAL, trial[:, None], np.array([1, 3])), 2)
+        draw = lambda t: _sampled_trial(p_xyz, params_y, params_z, radii,
+                                        rng_words[t], bin_words[t])
         workers = min(threads, trials, os.cpu_count() or 1)
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -486,9 +582,12 @@ def _explicit_chunk(cb_y: Codebook, cb_z: Codebook, p_xyz, radii, chunk):
     source_radius, encode_radius, decode_radius = radii
     num_x, num_y, num_z = p_xyz.shape
     n, seed, size = cb_y.params.n, cb_y.params.seed, len(chunk)
+    words = _stream_words(seed, (_KEY_TRIAL, np.arange(chunk.start,
+                                                       chunk.stop), 0),
+                          4, np.uint64)
     px = p_xyz.sum(axis=(1, 2))
-    x = np.stack([sampling.sample_iid(_rng(seed, _KEY_TRIAL, t, 0), px, n)
-                  for t in chunk])
+    x = sampling.symbols(px, np.stack([_generator(w).random(n)
+                                       for w in words]))
     zero = np.zeros((size, n), dtype=np.int8)
     x_typical = _type_distance(zero[:1], x, px[None])[0] < source_radius
     ell, ell2 = np.full((2, size), -1)
@@ -524,17 +623,17 @@ def _explicit_chunk(cb_y: Codebook, cb_z: Codebook, p_xyz, radii, chunk):
         ell_tilde2=ell_hat2.tolist(), index_match=[True] * size)
 
 
-def _sampled_trial(p_xyz, params_y, params_z, radii, trial: int):
+def _sampled_trial(p_xyz, params_y, params_z, radii, rng_words, bin_words):
     """Trivial relay: the Z label is constant, so the Y side is exactly
-    the two-node trial; the relay bin message lives on its own stream."""
-    n, seed = params_y.n, params_y.seed
-    rng = _rng(seed, _KEY_TRIAL, trial, 0)
-    bin_rng = _bigint_rng(seed, _KEY_TRIAL, trial, 1)
+    the two-node trial; the relay bin message lives on its own stream.
+    ``rng_words`` seed the trial's generator, ``bin_words`` its bin and
+    relay ``random.Random``s."""
+    n = params_y.n
     counts, fields = sampling.sample_two_node_trial(
-        rng, bin_rng, p_xyz[:, :, 0], n, radii, params_y.num_codewords,
-        params_y.num_bins)
+        _generator(rng_words), _bigint_random(bin_words[0]), p_xyz[:, :, 0],
+        n, radii, params_y.num_codewords, params_y.num_bins)
     # a one-bin relay message is always 0, so its stream is not drawn
-    m23 = (_bigint_rng(seed, _KEY_TRIAL, trial, 3).randrange(params_z.num_bins)
+    m23 = (_bigint_random(bin_words[1]).randrange(params_z.num_bins)
            if fields["x_typical"] and params_z.num_bins > 1 else 0)
     z_seq = np.zeros(n, dtype=np.int8)
     return counts.astype(float)[:, :, None], dict(

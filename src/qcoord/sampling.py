@@ -20,7 +20,8 @@ of the encode class holds at once; beyond it ``GridTooLarge``, a
 resource error (CLI exit 5): pick ``engine="explicit"`` or smaller
 alphabets or blocklengths instead.  A process-wide, thread-safe LRU
 cache keeps one grid per ``(x_counts, p_joint, encode_radius,
-decode_radius)``, bounded by ``SUMMARY_CACHE_BYTES`` of their arrays.  A
+decode_radius)``, bounded by ``SUMMARY_CACHE_BYTES`` of their encode-class
+arrays; the per-row arrays are shared by every grid with that row.  A
 miss builds it and checks its total log-mass; a hit rebuilds nothing,
 whichever class the trial draws.  Every draw sees the same floats in the
 same order, so a fixed seed reproduces its trial bit for bit whatever
@@ -82,6 +83,25 @@ def _row_cache(n_a: int, num_u: int, pu_key: tuple):
     return comps, logp
 
 
+def _radix(n: int, num_u: int) -> np.ndarray:
+    """Weights that key a count vector of total n: keys ascend with the
+    vectors' lexicographic order."""
+    return (n + 1) ** np.arange(num_u - 1, -1, -1, dtype=np.int64)
+
+
+@lru_cache(maxsize=4096)
+def _row_arrays(n_a: int, n: int, pu_key: tuple, row_key: tuple):
+    """Per cell of a source row of ``n_a`` symbols against the joint row
+    ``row_key``: its deviation ``sum_u |k_u / n - p(a, u)|`` and its
+    codeword-type key; shared, read-only, by every grid with that row."""
+    comps, _ = _row_cache(n_a, len(pu_key), pu_key)
+    dev = np.abs(comps / n - np.array(row_key)).sum(axis=1)
+    keys = comps @ _radix(n, len(pu_key))
+    for a in (dev, keys):
+        a.setflags(write=False)
+    return dev, keys
+
+
 def _logsumexp(values: np.ndarray) -> float:
     """Over the finite entries; works in place on ``values``, a copy."""
     finite = np.isfinite(values)
@@ -131,7 +151,7 @@ class _CodewordTypes:
         _budget(math.comb(n + num_u - 1, num_u - 1), "codeword types")
         self.types, self.logp = _row_cache(n, num_u, pu_key)
         # types ascend in lexicographic order, and so do their keys
-        self.radix = (n + 1) ** np.arange(num_u - 1, -1, -1, dtype=np.int64)
+        self.radix = _radix(n, num_u)
         self.keys = self.types @ self.radix
         # marginal total variation, from per-symbol |s/n - p_u| tables
         dev = np.zeros(self.keys.size)
@@ -174,9 +194,9 @@ class TypeGrid:
         self.rows = [_row_cache(n_a, len(pu_key), pu_key)
                      for n_a in self.x_counts.tolist()]
         self.shape = tuple(c.shape[0] for c, _ in self.rows)
-        self.dev = [np.abs(c / n - self.p_joint[a]).sum(axis=1)
-                    for a, (c, _) in enumerate(self.rows)]
-        self.keys = [c @ types.radix for c, _ in self.rows]
+        self.dev, self.keys = zip(*(
+            _row_arrays(n_a, n, pu_key, tuple(float(v) for v in row))
+            for n_a, row in zip(self.x_counts.tolist(), self.p_joint)))
 
         # e row by row, in the float operations and flat order of a whole
         # grid: a row adds a non-negative deviation, so a prefix at the
@@ -209,7 +229,8 @@ class TypeGrid:
         t = np.searchsorted(types.keys, sum(cells, 0) @ types.radix)
         if not types.mask_d[t].all():
             raise ValueError("encode class not inside the decode class")
-        arrays = [logp, *self.dev, *self.keys, *(self.encode_table or ())]
+        # the rows' arrays are shared (``_row_arrays``); e's are the key's
+        arrays = [logp, *(self.encode_table or ())]
         self.nbytes = SUMMARY_OVERHEAD + sum(a.nbytes for a in arrays)
         spare = types.mask_d.copy()     # decodable types e leaves whole
         spare[t] = False
@@ -365,11 +386,16 @@ def geometric_failures(u: float, log_p: float) -> Optional[int]:
     return int(val)
 
 
-def sample_iid(rng: np.random.Generator, probs: np.ndarray, n: int) -> np.ndarray:
-    """n i.i.d. draws from ``probs`` as int8 symbol indices."""
+def symbols(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The int8 symbol indices of ``probs`` that uniforms ``u`` select."""
     c = np.cumsum(probs)
     c[-1] = 1.0
-    return np.searchsorted(c, rng.random(n), side="right").astype(np.int8)
+    return np.searchsorted(c, u, side="right").astype(np.int8)
+
+
+def sample_iid(rng: np.random.Generator, probs: np.ndarray, n: int) -> np.ndarray:
+    """n i.i.d. draws from ``probs`` as int8 symbol indices."""
+    return symbols(probs, rng.random(n))
 
 
 def arrange_within_rows(rng: np.random.Generator, x_seq: np.ndarray,

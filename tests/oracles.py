@@ -401,3 +401,13 @@ def reference_grid(x_counts, p_joint, encode_radius, decode_radius):
         marg_dev = marg_dev + np.abs(cols[:, u] / n - pu[u])
     return (logp.ravel(), (0.5 * tv_joint < encode_radius).ravel(),
             0.5 * marg_dev < decode_radius, counts)
+
+
+def reference_kron_table(*atom_lists) -> np.ndarray:
+    """``t[i, j, k] = (M_i (x) M_j) (x) M_k`` cell by cell, each cell a
+    left fold of ``np.kron``."""
+    from functools import reduce
+    mats = [[getattr(a, "matrix", a) for a in atoms] for atoms in atom_lists]
+    blocks = [reduce(np.kron, cell) for cell in itertools.product(*mats)]
+    return np.array(blocks).reshape(
+        tuple(len(m) for m in mats) + blocks[0].shape)

@@ -33,7 +33,7 @@ from conftest import (
     degenerate_z_cascade,
     phase_flip_pair,
 )
-from oracles import binary_entropy, random_density
+from oracles import binary_entropy, random_density, reference_kron_table
 
 PAULI_Z = HermitianObservable(np.diag([1.0, -1.0]).astype(complex))
 PAULI_X = HermitianObservable(np.array([[0, 1], [1, 0]], dtype=complex))
@@ -88,6 +88,29 @@ class TestRestTable:
         assert builds == [2]
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+class TestKronTables:
+    @pytest.mark.parametrize("pair", ["example1", "three_symbol", "cascade"])
+    def test_tables_equal_the_kron_fold_and_are_built_once(self, pair):
+        from test_golden_traces import example1, three_symbol
+        from qcoord.protocol import _tables
+        ens, ext = {"example1": example1, "three_symbol": three_symbol,
+                    "cascade": lambda: cascade_flip_pair(0.1)}[pair]()
+        atoms_c = ext.as_cascade()[1]
+        for lists in [(ext.atoms_a, ext.atoms_b, atoms_c),
+                      (ext.atoms_b, atoms_c), (ext.atoms_a,)]:
+            got, want = kron_table(*lists), reference_kron_table(*lists)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+        first, again = _tables(ens, ext), _tables(ens, ext)
+        assert again.k is first.k is ext.label_table
+        assert again.t is first.t is ext.tau_table
+        assert first.k.tobytes() == reference_kron_table(
+            ext.atoms_a, ext.atoms_b, atoms_c).tobytes()
+        for x, a in enumerate(ext.atoms_a):
+            assert np.array_equal(first.t[x], np.kron(
+                a.matrix, ext.conditional_rest(x)))
 
 
 class TestValidation:

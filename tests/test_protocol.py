@@ -26,6 +26,62 @@ from conftest import KET0, KET1, degenerate_z_cascade
 from oracles import average_state, enumerate_sequences
 
 
+class TestStreamContract:
+    """Batched stream words are NumPy's ``SeedSequence`` words (NEP 19
+    keeps its algorithm stable), and the generators built from them draw
+    what ``default_rng`` and ``random.Random`` of those words draw."""
+
+    TRIALS = np.array([0, 1, 1000, 2 ** 32 - 1])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32,
+                                      2 ** 64 + 3, 2 ** 200 + 1])
+    def test_words_match_seed_sequence(self, seed):
+        import random
+        import warnings
+        from qcoord import protocol
+        lasts = np.array([0, 1, 3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no uint32 overflow warning
+            every = protocol._stream_words(
+                seed, (protocol._KEY_TRIAL, self.TRIALS[:, None], lasts), 2)
+            for j, last in enumerate(lasts.tolist()):
+                key = (protocol._KEY_TRIAL, self.TRIALS, last)
+                w32 = protocol._stream_words(seed, key, 2)
+                w64 = protocol._stream_words(seed, key, 4, np.uint64)
+                assert np.array_equal(every[:, j], w32)
+                for i, t in enumerate(self.TRIALS.tolist()):
+                    ss = np.random.SeedSequence(
+                        seed, spawn_key=(protocol._KEY_TRIAL, t, last))
+                    for got, want in ((w32[i], ss.generate_state(2)),
+                                      (w64[i], ss.generate_state(
+                                          4, np.uint64))):
+                        assert got.dtype == want.dtype
+                        assert got.tobytes() == want.tobytes()
+                    assert np.array_equal(
+                        protocol._generator(w64[i]).random(5),
+                        np.random.default_rng(ss).random(5))
+                    words = ss.generate_state(2)
+                    want = random.Random(int(words[0]) << 32 | int(words[1]))
+                    assert (protocol._bigint_random(w32[i]).getrandbits(200)
+                            == want.getrandbits(200))
+
+    @pytest.mark.parametrize("trial", [2 ** 32, -1])
+    def test_index_outside_one_word_is_refused(self, trial):
+        # SeedSequence would hash 2^32 as two words: no trial is started
+        from qcoord import protocol
+        with pytest.raises(ProtocolError):
+            protocol._stream_words(0, (protocol._KEY_TRIAL,
+                                       np.array([0, trial]), 0), 2)
+
+    @pytest.mark.parametrize("engine", ["explicit", "sampled"])
+    def test_trial_counts_past_one_word_are_refused(self, example1_pair,
+                                                    engine):
+        ens, ext = example1_pair
+        with pytest.raises(ProtocolError, match="2\\^32"):
+            simulate_two_node(ens, ext, n=4, rate=0.5, trials=2 ** 32 + 1,
+                              seed=0, engine=engine)
+
+
 class TestCodebookParams:
     def test_counts_are_powers_of_two(self):
         p = CodebookParams(n=100, bin_rate=0.46, codeword_rate=0.5,

@@ -134,6 +134,28 @@ def test_byte_bound_evicts_without_changing_traces(monkeypatch):
     assert info.misses > 1 and info.entries == 1   # only the newest stays
 
 
+def test_grids_share_their_rows_arrays():
+    # x counts (3, 2, 2) and (3, 1, 3) share their first row; the cache
+    # charges each key for e's arrays only
+    p = three_symbol()[1].joint.table
+    one = sampling.class_summary([3, 2, 2], p, 0.3, 1.0)
+    two = sampling.class_summary([3, 1, 3], p, 0.3, 1.0)
+    assert one.dev[0] is two.dev[0] and one.keys[0] is two.keys[0]
+    assert one.dev[1] is not two.dev[1]
+    assert one.nbytes == sampling.SUMMARY_OVERHEAD + sum(
+        a.nbytes for a in (one.logp, *one.encode_table))
+
+
+def test_cached_keys_hold_only_their_encode_class():
+    # 500 trials of the three-symbol target at n = 100: 218 keys, which
+    # held 7.5 MB when each kept its rows' deviation and key arrays
+    ens, ext = three_symbol()
+    simulate_two_node(ens, ext, n=100, rate=1.6, trials=500, seed=3,
+                      delta=0.02, engine="sampled")
+    info = sampling.summary_cache_info()
+    assert info.entries > 200 and info.nbytes < 2 ** 20
+
+
 def test_least_recently_used_summary_is_evicted_first(monkeypatch):
     keys = [np.array([k, 200 - k]) for k in (100, 101, 102)]
 
