@@ -1,7 +1,7 @@
 """Batch front end: run experiment configs, write CSV artifacts + manifest.
 
 Usage:  qcoord --config experiment.json --out results/ [--seed N]
-        [--threads N] [--quiet]
+        [--quiet]     (``--threads N`` is accepted and has no effect)
 
 Exit codes: 0 success, 2 config parse error, 3 validation failure,
 4 infeasible optimization, 5 resource cap exceeded, 1 unexpected error.
@@ -189,8 +189,7 @@ def _sim_args(cfg: dict, opts, codeword_keys):
     if opts.seed is not None:
         s["seed"] = opts.seed
     keys = ["trials", "seed", "delta", "engine", "gamma_coeff", *codeword_keys]
-    return s, dict(threads=opts.threads,
-                   **{k: s[k] for k in keys if s.get(k) is not None})
+    return s, {k: s[k] for k in keys if s.get(k) is not None}
 
 
 def _run_cells(cfg, opts):
@@ -333,7 +332,6 @@ def run(config_path: str, out_dir: str, opts) -> int:
         "command": cfg["command"],
         "library_version": __version__,
         "seed_override": opts.seed,
-        "threads": opts.threads,
         "artifacts": list(tables),
         "wall_time_s": round(time.time() - start, 3),
         "tolerances": {"validation": VALIDATION_TOL,
@@ -356,14 +354,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--threads", type=int, default=0,
-                        help="worker threads for sampled-engine trials "
-                             "(0 = auto)")
+                        help="accepted and has no effect: trials are drawn "
+                             "on one thread")
     parser.add_argument("--quiet", action="store_true")
     opts = parser.parse_args(argv)
     if opts.threads < 0:
         parser.error(f"--threads must be at least 0, not {opts.threads}")
-    if opts.threads == 0:
-        opts.threads = min(8, os.cpu_count() or 1)
     try:
         return run(opts.config, opts.out, opts)
     except ConfigError as exc:

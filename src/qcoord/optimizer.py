@@ -57,7 +57,8 @@ from .coordination import (
     two_node_rate,
     validate_extension,
 )
-from .quantum import DensityOperator, eigen_hermitian, trace_norm_distance
+from .quantum import (DensityOperator, QuantumError, eigen_hermitian,
+                      trace_norm_distance)
 
 FEAS_TOL = 1e-8
 OBJ_TOL = 1e-9
@@ -125,10 +126,12 @@ def _dedup_atoms(atoms, provenance):
 
 
 def _peel(base: np.ndarray, piece: np.ndarray):
-    """Largest q with base - q*piece PSD; returns (q, normalized remainder).
+    """Largest q with base - q*piece PSD; returns (q, normalized remainder
+    as a ``DensityOperator``).
 
-    Returns (0, None) when nothing can be peeled or the remainder would be
-    degenerate (q outside (1e-10, 1 - 1e-10)).
+    Returns (0, None) when nothing can be peeled, the remainder would be
+    degenerate (q outside (1e-10, 1 - 1e-10)), or rounding leaves it
+    outside a state's PSD or trace tolerance.
     """
     w, v = np.linalg.eigh(base)
     support = w > 1e-12
@@ -149,8 +152,10 @@ def _peel(base: np.ndarray, piece: np.ndarray):
     q = 1.0 / lam
     if q <= 1e-10 or q >= 1.0 - 1e-10:
         return 0.0, None
-    rem = (base - q * piece) / (1.0 - q)
-    return q, rem
+    try:
+        return q, DensityOperator((base - q * piece) / (1.0 - q))
+    except QuantumError:
+        return 0.0, None
 
 
 def _propose_for_register(conditionals, weights, max_merge_order):
@@ -179,7 +184,7 @@ def _propose_for_register(conditionals, weights, max_merge_order):
                 continue
             q, rem = _peel(cond.matrix, piece.matrix)
             if rem is not None:
-                atoms.append(DensityOperator(rem))
+                atoms.append(rem)
                 prov.append("peeled")
     return _dedup_atoms(atoms, prov)
 
@@ -509,8 +514,7 @@ def _prepare(target: CqEnsemble, atoms: AtomCandidateSet, kind: str):
     A two-node solve is the cascade solve with a trivial relay (one Z
     symbol, C atom ``[[1]]``), and so is an isolated solve, on the B
     conditionals.  A residual above ``FEAS_TOL`` makes the atom set
-    infeasible.  A target that does not factor is certified empty before
-    ``atoms`` is read, so they may be None for it.
+    infeasible.  A target that does not factor is certified empty.
     """
     if not target.factorizes():
         return _Infeasible(
@@ -622,10 +626,7 @@ def optimize_lambdas(target: CqEnsemble, lams, kind: str = "two-node",
     if max_merge_order < 1:
         raise CoordinationError(
             f"max_merge_order must be at least 1, not {max_merge_order}")
-    # no atom set helps a target that does not factor, and peeling its
-    # conditionals can raise; _prepare reports it as certified empty
-    atoms = (propose_atoms(target, max_merge_order) if target.factorizes()
-             else None)
+    atoms = propose_atoms(target, max_merge_order)
     face = _prepare(target, atoms, kind)
     return [minimize_conditional(target, atoms, kind, lam, max_iters,
                                  face=face) for lam in lams]

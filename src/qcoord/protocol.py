@@ -25,10 +25,12 @@ Two interchangeable engines produce statistically identical trials:
   blocklengths (where the codebook is astronomically large) tractable.
   A fresh codebook is implicitly drawn per trial, which matches the
   shared-randomness average the derandomization argument operates on.
-  It supports the trivial relay (single Z symbol) only; ``threads``
-  draws its trials in parallel without changing them.  The words of
-  every trial's streams (keys 0, 1 and 3) are hashed once per run, and
-  a trial builds its generators from them when it is drawn.
+  It supports the trivial relay (single Z symbol) only.  A chunk hashes
+  the words of its trials' streams (keys 0, 1 and 3) in one pass, and
+  each trial builds its generators from them when it is drawn.
+
+Both engines run one serial loop: a chunk of trials is drawn, then
+finished (``_finish``), and then the next chunk is drawn.
 
 The core builds one ``ToleranceSchedule`` per run from the ``delta``,
 ``multipliers`` and ``gamma_coeff`` keywords.  Both engines read its
@@ -45,9 +47,7 @@ transmission, fixed to bin 0 for reproducibility.  Indices are 0-based.
 from __future__ import annotations
 
 import math
-import os
 import random as _pyrandom
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -445,8 +445,7 @@ def simulate_two_node(target: CqEnsemble, ext: Extension, n: int,
                       codeword_rate: Optional[float] = None,
                       engine: str = "auto",
                       gamma_coeff: Optional[float] = None,
-                      multipliers: tuple = (1.0, 2.0, 8.0),
-                      threads: int = 0) -> list:
+                      multipliers: tuple = (1.0, 2.0, 8.0)) -> list:
     """Monte Carlo runs of the two-node scheme; one trace per trial.
 
     Runs the cascade core with a trivial relay (rate 0, one relay
@@ -460,8 +459,7 @@ def simulate_two_node(target: CqEnsemble, ext: Extension, n: int,
     if ext.kind != "two-node":
         raise CoordinationError("simulate_two_node needs a two-node extension")
     traces = _simulate(target, ext, n, (rate, 0.0), (codeword_rate, 0.0),
-                       trials, seed, delta, gamma_coeff, multipliers, engine,
-                       threads)
+                       trials, seed, delta, gamma_coeff, multipliers, engine)
     for t in traces:  # a copy, since a view would keep its 3-D base alive
         t.joint_counts = t.joint_counts[:, :, 0].copy()
         for field in _RELAY_FIELDS:
@@ -476,8 +474,7 @@ def simulate_cascade(target: CqEnsemble, ext: Extension, n: int,
                      codeword_rate_z: Optional[float] = None,
                      engine: str = "auto",
                      gamma_coeff: Optional[float] = None,
-                     multipliers: tuple = (1.0, 2.0, 8.0),
-                     threads: int = 0) -> list:
+                     multipliers: tuple = (1.0, 2.0, 8.0)) -> list:
     """Monte Carlo runs of the rate-splitting cascade scheme.
 
     The Alice-to-Bob rate splits as R' = rate12 - rate23 for the label
@@ -491,11 +488,11 @@ def simulate_cascade(target: CqEnsemble, ext: Extension, n: int,
         raise ProtocolError("rate12 must be at least rate23 (rate splitting)")
     return _simulate(target, ext, n, (rate12, rate23),
                      (codeword_rate_y, codeword_rate_z), trials, seed, delta,
-                     gamma_coeff, multipliers, engine, threads)
+                     gamma_coeff, multipliers, engine)
 
 
 def _simulate(target, ext, n, rates, codeword_rates, trials, seed, delta,
-              gamma_coeff, multipliers, engine, threads) -> list:
+              gamma_coeff, multipliers, engine) -> list:
     """The one simulation core: ``trials`` cascade traces of one code,
     drawn and finished chunk by chunk.  ``gamma_coeff`` defaults to the
     label alphabet-size product, and a codeword rate to I + 2 gamma."""
@@ -542,21 +539,8 @@ def _simulate(target, ext, n, rates, codeword_rates, trials, seed, delta,
             raise ProtocolError(
                 "the sampled engine supports cascade only with a degenerate "
                 "relay label (single Z symbol); use the explicit engine")
-        # every trial's streams, hashed once: key 0 for the generator, keys
-        # 1 and 3 for the bin and relay messages
-        trial = np.arange(trials)
-        rng_words = _stream_words(seed, (_KEY_TRIAL, trial, 0), 4, np.uint64)
-        bin_words = _stream_words(
-            seed, (_KEY_TRIAL, trial[:, None], np.array([1, 3])), 2)
-        draw = lambda t: _sampled_trial(p_xyz, params_y, params_z, radii,
-                                        rng_words[t], bin_words[t])
-        workers = min(threads, trials, os.cpu_count() or 1)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                draws = list(pool.map(draw, range(trials)))
-        else:
-            draws = [draw(t) for t in range(trials)]
-        outcomes = lambda chunk: _stacked(draws[chunk.start:chunk.stop])
+        outcomes = lambda chunk: _sampled_chunk(p_xyz, params_y, params_z,
+                                                radii, chunk)
     else:
         raise ProtocolError(f"unknown engine {engine!r}")
     fixed = dict(n=n, seed=seed, engine=engine, rate=rate12,
@@ -568,12 +552,6 @@ def _simulate(target, ext, n, rates, codeword_rates, trials, seed, delta,
         chunk = range(first, min(first + step, trials))
         traces += _finish(*outcomes(chunk), tables, chunk, fixed)
     return traces
-
-
-def _stacked(done):
-    """Stacked counts and field lists of a chunk of sampled draws."""
-    return (np.stack([counts for counts, _ in done]),
-            {key: [f[key] for _, f in done] for key in done[0][1]})
 
 
 def _explicit_chunk(cb_y: Codebook, cb_z: Codebook, p_xyz, radii, chunk):
@@ -621,6 +599,20 @@ def _explicit_chunk(cb_y: Codebook, cb_z: Codebook, p_xyz, radii, chunk):
         decoder_fallback=dec_fb.tolist(), ell2=ell2.tolist(),
         m23=m23.tolist(), ell_hat2=ell_hat2.tolist(),
         ell_tilde2=ell_hat2.tolist(), index_match=[True] * size)
+
+
+def _sampled_chunk(p_xyz, params_y, params_z, radii, chunk):
+    """Label counts (T, X, Y, Z) and trace fields of a chunk of sampled
+    trials: key 0 seeds each trial's generator, keys 1 and 3 its bin and
+    relay messages."""
+    trial, seed = np.arange(chunk.start, chunk.stop), params_y.seed
+    rng_words = _stream_words(seed, (_KEY_TRIAL, trial, 0), 4, np.uint64)
+    bin_words = _stream_words(
+        seed, (_KEY_TRIAL, trial[:, None], np.array([1, 3])), 2)
+    done = [_sampled_trial(p_xyz, params_y, params_z, radii, *words)
+            for words in zip(rng_words, bin_words)]
+    return (np.stack([counts for counts, _ in done]),
+            {key: [f[key] for _, f in done] for key in done[0][1]})
 
 
 def _sampled_trial(p_xyz, params_y, params_z, radii, rng_words, bin_words):

@@ -23,7 +23,11 @@ cache keeps one grid per ``(x_counts, p_joint, encode_radius,
 decode_radius)``, bounded by ``SUMMARY_CACHE_BYTES`` of their encode-class
 arrays; the per-row arrays are shared by every grid with that row.  A
 miss builds it and checks its total log-mass; a hit rebuilds nothing,
-whichever class the trial draws.  Every draw sees the same floats in the
+whichever class the trial draws.  The row caches (``_row_cache`` and
+``_row_arrays``, 4,096 entries each) and the codeword-type tables
+(``_CodewordTypes``, 64 entries) are bounded by entry count, not by
+bytes: they sit outside ``SUMMARY_CACHE_BYTES``, and
+``clear_summary_cache()`` does not empty them.  Every draw sees the same floats in the
 same order, so a fixed seed reproduces its trial bit for bit whatever
 the cache holds.
 """

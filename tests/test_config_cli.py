@@ -106,12 +106,6 @@ class TestConfigRoundTrip:
         assert np.allclose(ext.joint.table, [[0.5, 0.0], [0.25, 0.25]])
 
 
-class Opts:
-    seed = None
-    threads = 0
-    quiet = True
-
-
 class TestCli:
     def run(self, args):
         return main(args)
@@ -395,7 +389,7 @@ class TestCliCommandsAgree:
         seen = []
 
         def spy(*args, **kwargs):
-            seen.append(kwargs.get("threads"))
+            seen.append("threads" in kwargs)
             return real(*args, **kwargs)
         real = cli.derandomize
         monkeypatch.setattr(cli, "derandomize", spy)
@@ -409,8 +403,8 @@ class TestCliCommandsAgree:
             assert main(["--config", str(path), "--out", str(out),
                          "--threads", threads, "--quiet"]) == EXIT_OK
             manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["threads"] == int(threads)
-        assert seen == [1, 4]
+            assert "threads" not in manifest
+        assert seen == [False, False]
         for name in ("derandomize.csv", "derandomize_summary.csv"):
             assert read_csv(out1 / name) == read_csv(out2 / name)
 
@@ -813,29 +807,104 @@ def test_manifest_tolerances_are_the_library_constants(tmp_path):
                                       "feasibility": FEAS_TOL}
 
 
-def test_ill_conditioned_commuting_target_solves(tmp_path):
-    # B_x = U diag(w_x) U^dagger share one eigenbasis, so the minimum is
-    # the Holevo quantity chi(X;B); here the least-squares move of the
-    # support point leaves the orthant
-    u = np.array([[-0.3677424282082884 - 0.37292622408203857j,
-                   0.315464740465009 - 0.7913112759279556j],
-                  [-0.7779577008103895 + 0.347092716197268j,
-                   0.38744075435179615 + 0.35241754210017145j]])
-    spectra = [[0.49682689126894525, 0.5031731087310547],
-               [0.0039266873613605525, 0.9960733126386394]]
-    states = [tensor(DensityOperator.basis_state(2, x),
+def _commuting_target(px, u, spectra):
+    """The target with A_x = |x><x| and B_x = U diag(w_x) U^dagger."""
+    u = np.array(u)
+    states = [tensor(DensityOperator.basis_state(len(px), x),
                      DensityOperator(u @ np.diag(w) @ u.conj().T))
               for x, w in enumerate(spectra)]
-    ens = CqEnsemble(JointPmf([Alphabet("X", ["x0", "x1"])],
-                              [0.5230448431815508, 0.47695515681844924]),
-                     states, {"A": 2, "B": 2})
+    return CqEnsemble(
+        JointPmf([Alphabet("X", [f"x{x}" for x in range(len(px))])], px),
+        states, {"A": len(px), "B": len(u)})
+
+
+def _optimize_value(tmp_path, ens):
+    """``main``'s exit code on the target's two-node optimize config, and
+    the value it writes (None if it exits nonzero)."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
         "schema": 1, "command": "optimize",
         "ensemble": ensemble_to_config(ens),
         "optimize": {"kind": "two-node"}}))
     out = tmp_path / "out"
-    assert main(["--config", str(path), "--out", str(out),
-                 "--quiet"]) == EXIT_OK
-    value = float(read_csv(out / "optimize.csv").splitlines()[1].split(",")[2])
+    code = main(["--config", str(path), "--out", str(out), "--quiet"])
+    if code != EXIT_OK:
+        return code, None
+    return code, float(
+        read_csv(out / "optimize.csv").splitlines()[1].split(",")[2])
+
+
+def test_ill_conditioned_commuting_target_solves(tmp_path):
+    # B_x = U diag(w_x) U^dagger share one eigenbasis, so the minimum is
+    # the Holevo quantity chi(X;B); here the least-squares move of the
+    # support point leaves the orthant
+    u = [[-0.3677424282082884 - 0.37292622408203857j,
+          0.315464740465009 - 0.7913112759279556j],
+         [-0.7779577008103895 + 0.347092716197268j,
+          0.38744075435179615 + 0.35241754210017145j]]
+    spectra = [[0.49682689126894525, 0.5031731087310547],
+               [0.0039266873613605525, 0.9960733126386394]]
+    code, value = _optimize_value(tmp_path, _commuting_target(
+        [0.5230448431815508, 0.47695515681844924], u, spectra))
+    assert code == EXIT_OK
     assert value == pytest.approx(0.2886591116097739, abs=1e-9)
+
+
+# a commuting target on which one peel's remainder rounds outside the states
+PEELED_PX = [0.045000103124868115, 0.34527391999358886, 0.6097259768815432]
+PEELED_U = [[-0.32655570946387735 - 0.3405100384603249j,
+             -0.3553799690644042 - 0.8069196737668969j],
+            [0.5513942027707132 - 0.6880252288071578j,
+             -0.40330205212911974 + 0.24481252505570203j]]
+PEELED_SPECTRA = [[0.9982970429524294, 0.0017029570475707396],
+                  [0.8744475180290882, 0.1255524819709119],
+                  [2.619509078791855e-06, 0.9999973804909212]]
+
+
+def test_commuting_target_whose_peeled_remainder_rounds_negative(tmp_path):
+    # one peel takes q = 1 - 2.6e-6 of a conditional, and dividing the
+    # remainder by 1 - q leaves it an eigenvalue of -4e-8, beyond TOL_PSD;
+    # the proposal drops it instead of raising QuantumError (exit 3), and
+    # the solve reaches chi(X;B) = H(sum_x p_x w_x) - sum_x p_x H(w_x)
+    code, value = _optimize_value(tmp_path, _commuting_target(
+        PEELED_PX, PEELED_U, PEELED_SPECTRA))
+    assert code == EXIT_OK
+    entropy = lambda p: -sum(q * np.log2(q) for q in p if q > 0)
+    chi = (entropy(np.array(PEELED_PX) @ np.array(PEELED_SPECTRA))
+           - sum(p * entropy(w) for p, w in zip(PEELED_PX, PEELED_SPECTRA)))
+    assert value == pytest.approx(chi, abs=1e-9)
+
+
+def test_target_that_does_not_factor_is_certified_empty(tmp_path):
+    # mixed with 1e-6 of the entangled 0.6|00> + 0.8i|11>, the same target
+    # no longer factors: its atoms are proposed (the peel drops what it
+    # cannot keep) and the face is certified empty, exit 4
+    ens = _commuting_target(PEELED_PX, PEELED_U, PEELED_SPECTRA)
+    entangled = DensityOperator.pure([0.6, 0, 0, 0.8j, 0, 0]).matrix
+    mixed = CqEnsemble(ens.source, [
+        DensityOperator((1 - 1e-6) * s.matrix + 1e-6 * entangled)
+        for s in ens.states], ens.register_dims)
+    assert not mixed.factorizes()
+    assert _optimize_value(tmp_path, mixed) == (EXIT_INFEASIBLE, None)
+
+
+def test_sampled_simulate_starts_no_thread(tmp_path, monkeypatch):
+    # every engine draws its trials on the calling thread; with 4 cores a
+    # pool sized by the core count would start threads on any runner
+    import threading
+    started, start = [], threading.Thread.start
+
+    def spy(thread):
+        started.append(thread.name)
+        return start(thread)
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    cfg = read_config("example1_decomposition_b.json")
+    cfg["command"] = "simulate"
+    cfg["simulate"] = {"n_grid": [120], "rates": [0.46], "trials": 12,
+                       "delta": 0.05, "seed": 7, "engine": "sampled"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == EXIT_OK
+    assert started == []

@@ -80,8 +80,7 @@ def test_mutated_config_never_exits_1(cfg):
         with open(path, "w") as fh:
             json.dump(cfg, fh)
         out = os.path.join(tmp, "out")
-        code = main(["--config", path, "--out", out, "--threads", "1",
-                     "--quiet"])
+        code = main(["--config", path, "--out", out, "--quiet"])
         assert code in (0, 2, 3, 4, 5)
         assert os.path.exists(os.path.join(out, "manifest.json")) == \
             (code == EXIT_OK)

@@ -102,7 +102,7 @@ def test_wrapped_names_are_not_reached_per_trial(example1_pair, monkeypatch):
         simulate_two_node(ens, ext, n=6, rate=2.0 / 6, trials=300, seed=1,
                           delta=0.2, engine="explicit", codeword_rate=0.5),
         simulate_two_node(ens, ext, n=40, rate=0.5, trials=20, seed=1,
-                          delta=0.05, engine="sampled", threads=2),
+                          delta=0.05, engine="sampled"),
         simulate_cascade(ens_c, ext_c, n=14, rate12=1.2, rate23=0.6,
                          trials=20, seed=1, delta=0.22, engine="explicit",
                          codeword_rate_y=0.5, codeword_rate_z=0.45),

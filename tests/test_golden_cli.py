@@ -1,8 +1,8 @@
 """Golden pins for the CLI: every shipped config must reproduce its CSVs.
 
 Each ``configs/*.json`` runs through ``qcoord.cli.main`` with simulate
-trials capped at ``MAX_TRIALS``, derandomize seeds at ``MAX_SEEDS`` and
-one thread.  Every CSV it writes is compared with
+trials capped at ``MAX_TRIALS`` and derandomize seeds at ``MAX_SEEDS``.
+Every CSV it writes is compared with
 ``tests/golden/cli/<config>.json``: integer and text cells exactly, float
 cells to ``FLOAT_TOL``.  ``manifest.json`` carries wall times and is left
 out.
@@ -55,8 +55,7 @@ def run_record(name: str, work_dir: str) -> dict:
     with open(cfg_path, "w") as fh:
         json.dump(capped_config(name), fh)
     out = os.path.join(work_dir, f"{name}-out")
-    code = main(["--config", cfg_path, "--out", out, "--threads", "1",
-                 "--quiet"])
+    code = main(["--config", cfg_path, "--out", out, "--quiet"])
     files = {}
     for path in sorted(glob.glob(os.path.join(out, "*.csv"))):
         with open(path, newline="") as fh:

@@ -8,8 +8,8 @@ engines on the two-node network, ``derandomize``, an explicit cascade and
 a sampled isolated-node run, the sampled and explicit three-symbol copy
 target, plus ``converse_check`` on each.  The explicit pins include runs
 long enough to cross the engine's trial and codeword chunks: the
-benchmark's cascade at 60 trials and two-node n=6 at 1,000 trials on three
-threads.
+benchmark's cascade at 60 trials and two-node n=6 at 1,000 trials (the
+``..._threads3`` pin, named for the thread pool it was first run on).
 
 Regenerate only for an intended change of behaviour, and record why;
 name the pins that change (file names without ``.json``), so that float
@@ -112,11 +112,11 @@ def _two_node_explicit(n):
 
 
 def _two_node_explicit_threads():
-    # criterion 9's parameters over 1,000 trials on three threads
+    # criterion 9's parameters over 1,000 trials
     ens, ext = example1()
     traces = simulate_two_node(ens, ext, n=6, rate=2.0 / 6, trials=1000,
                                seed=9, delta=0.2, engine="explicit",
-                               codeword_rate=3.0 / 6, threads=3)
+                               codeword_rate=3.0 / 6)
     return {"traces": [traces],
             "converse": [converse_check(traces, ens, ext, rate=2.0 / 6)]}
 

@@ -256,16 +256,6 @@ class TestTwoNodeSimulation:
                 assert a.distance_to_target == b.distance_to_target
                 assert np.array_equal(a.avg_state.matrix, b.avg_state.matrix)
 
-    def test_threaded_matches_serial(self, example1_pair):
-        ens, ext = example1_pair
-        serial = simulate_two_node(ens, ext, n=60, rate=0.46, trials=6,
-                                   seed=1, delta=0.05, engine="sampled")
-        threaded = simulate_two_node(ens, ext, n=60, rate=0.46, trials=6,
-                                     seed=1, delta=0.05, engine="sampled",
-                                     threads=3)
-        for a, b in zip(serial, threaded):
-            assert a.distance_to_target == b.distance_to_target
-
     def test_engines_share_source_streams(self, example1_pair):
         ens, ext = example1_pair
         te = simulate_two_node(ens, ext, n=40, rate=0.5, trials=4, seed=8,
@@ -532,40 +522,6 @@ class TestCascadeSimulation:
                               codeword_rate=0.5)
 
 
-def test_thread_pool_is_capped(example1_pair, monkeypatch):
-    # a spy pool records its size and maps serially: no thread starts.
-    # The pool never exceeds the trials or the cores, and one worker (or
-    # fewer) draws without a pool
-    import os
-    from qcoord import protocol
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-    monkeypatch.setattr(protocol, "ThreadPoolExecutor", SerialPool)
-    ens, ext = example1_pair
-    for threads, trials, cpus, workers in [
-            (64, 5, 16, [5]), (64, 9, 3, [3]), (4, 9, 16, [4]),
-            (1, 9, 16, []), (-4, 9, 16, [])]:
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        sizes.clear()
-        traces = simulate_two_node(ens, ext, n=60, rate=0.46, trials=trials,
-                                   seed=4, delta=0.05, engine="sampled",
-                                   threads=threads)
-        assert len(traces) == trials
-        assert sizes == workers, (threads, trials, cpus)
-
-
 class TestDerandomize:
     def test_single_seed(self, example1_pair):
         ens, ext = example1_pair
@@ -781,12 +737,12 @@ class TestCascadeTrialMatchesReference:
                         multipliers=(1.0, 2.0, 2.2), trials=40, seed=21)
 
     @staticmethod
-    def _two_node(pair, run, threads=0):
+    def _two_node(pair, run):
         ens, ext = pair
         return simulate_two_node(
             ens, ext, n=run["n"], rate=run["rate"], trials=run["trials"],
             seed=run["seed"], engine="explicit",
-            codeword_rate=run["codeword_rate"], threads=threads,
+            codeword_rate=run["codeword_rate"],
             delta=run["delta"], multipliers=run["multipliers"])
 
     @staticmethod
@@ -851,31 +807,31 @@ class TestCascadeTrialMatchesReference:
 
     @pytest.mark.parametrize("kind", ["two_node", "three_symbol", "cascade",
                                       "sampled"])
-    def test_traces_do_not_depend_on_chunks_or_threads(
+    def test_traces_do_not_depend_on_chunks(
             self, kind, example1_pair, example1_three_symbol, monkeypatch):
         from conftest import cascade_flip_pair
         from qcoord import protocol
-        if kind == "sampled":  # one pool draws every trial; finish chunked
+        if kind == "sampled":
             ens, ext = example1_pair
-            run = lambda threads: simulate_two_node(
+            run = lambda: simulate_two_node(
                 ens, ext, n=60, rate=0.46, trials=9, seed=4, delta=0.05,
-                engine="sampled", threads=threads)
+                engine="sampled")
         elif kind == "cascade":
             ens, ext = cascade_flip_pair(0.1)
-            run = lambda threads: simulate_cascade(
+            run = lambda: simulate_cascade(
                 ens, ext, n=14, rate12=1.2, rate23=0.6, trials=15, seed=77,
                 delta=0.22, engine="explicit", codeword_rate_y=0.5,
-                codeword_rate_z=0.45, threads=threads)
+                codeword_rate_z=0.45)
         else:
             pair, params = ((example1_pair, self.TWO_NODE)
                             if kind == "two_node"
                             else (example1_three_symbol, self.THREE_SYMBOL))
-            run = lambda threads: self._two_node(pair, params, threads)
-        reference = run(1)
-        runs = [run(3)]
+            run = lambda: self._two_node(pair, params)
+        reference = run()
+        runs = []
         for chunk_cells in (1, 600):
             monkeypatch.setattr(protocol, "CHUNK_CELLS", chunk_cells)
-            runs += [run(1), run(3)]
+            runs.append(run())
         for traces in runs:
             assert len(traces) == len(reference)
             for a, b in zip(reference, traces):
