@@ -807,7 +807,7 @@ class TestCascadeTrialMatchesReference:
 
     @pytest.mark.parametrize("kind", ["two_node", "three_symbol", "cascade",
                                       "sampled"])
-    def test_traces_do_not_depend_on_chunks(
+    def test_traces_do_not_depend_on_chunks_or_threads(
             self, kind, example1_pair, example1_three_symbol, monkeypatch):
         from conftest import cascade_flip_pair
         from qcoord import protocol

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from qcoord import sampling
+from qcoord import protocol, sampling
 from qcoord.classical import Alphabet, JointPmf
 from qcoord.coordination import CqEnsemble, Extension, validate_extension
-from qcoord.protocol import simulate_two_node
+from qcoord.protocol import derandomize, simulate_two_node
 from qcoord.quantum import DensityOperator, tensor
 
 from oracles import logsumexp_finite, reference_grid
@@ -99,6 +99,34 @@ def test_targets_with_the_same_source_do_not_share_entries():
     assert [trace_record(t) for t in simulate_two_node(ens, ext, **kwargs)] \
         == cold
     assert sampling.summary_cache_info().entries > warmed
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_chunk_size_does_not_change_traces(name, monkeypatch):
+    # every run fits one default chunk; one trial per chunk must draw and
+    # finish the same traces, on a warm cache and on a cold one
+    whole = _records(name)
+    monkeypatch.setattr(protocol, "CHUNK_CELLS", 1)
+    assert _records(name) == whole
+    sampling.clear_summary_cache()
+    assert _records(name) == whole
+
+
+def test_chunk_size_does_not_change_derandomize(monkeypatch):
+    ens, ext = example1()
+
+    def run():
+        rep = derandomize(ens, ext, n=800, rate=0.46, trials=8, num_seeds=3,
+                          epsilon=0.1, seed=5, delta=0.02, keep_traces=True,
+                          engine="sampled")
+        return ([[trace_record(t) for t in group]
+                 for group in rep.traces_by_seed],
+                rep.seeds, rep.distances.tolist(), rep.best_index)
+
+    whole = run()
+    monkeypatch.setattr(protocol, "CHUNK_CELLS", 1)
+    sampling.clear_summary_cache()
+    assert run() == whole
 
 
 def test_byte_bound_evicts_without_changing_traces(monkeypatch):
