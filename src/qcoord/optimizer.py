@@ -583,6 +583,10 @@ def _result(target, atoms, kind, lam, cube, trace, resid, gap):
     extension drops the trivial relay's size-1 Z axis.
     """
     nx = target.x_alphabet.size
+    # a solve may miss a row sum by FEAS_TOL, where JointPmf allows 1e-9
+    sums = cube.sum(axis=(1, 2), keepdims=True)
+    if (miss := float(np.abs(sums - 1).max())) <= FEAS_TOL:
+        cube, resid = cube / sums, resid + miss
     joint = target.source.table[:, None, None] * cube
     labels = [target.x_alphabet] + [
         Alphabet(v, [f"{v.lower()}{i}" for i in range(size)])

@@ -18,18 +18,15 @@ No joint-type grid is built whole (see ``TypeGrid``).  ``GRID_BUDGET``
 bounds the codeword types and the candidate cells that the enumeration
 of the encode class holds at once; beyond it ``GridTooLarge``, a
 resource error (CLI exit 5): pick ``engine="explicit"`` or smaller
-alphabets or blocklengths instead.  A process-wide, thread-safe LRU
-cache keeps one grid per ``(x_counts, p_joint, encode_radius,
-decode_radius)``, bounded by ``SUMMARY_CACHE_BYTES`` of their encode-class
-arrays; the per-row arrays are shared by every grid with that row.  A
-miss builds it and checks its total log-mass; a hit rebuilds nothing,
-whichever class the trial draws.  The row caches (``_row_cache`` and
-``_row_arrays``, 4,096 entries each) and the codeword-type tables
-(``_CodewordTypes``, 64 entries) are bounded by entry count, not by
-bytes: they sit outside ``SUMMARY_CACHE_BYTES``, and
-``clear_summary_cache()`` does not empty them.  Every draw sees the same floats in the
-same order, so a fixed seed reproduces its trial bit for bit whatever
-the cache holds.
+alphabets or blocklengths instead.  Every table the sampler builds (the
+grid of a ``(x_counts, p_joint, encode_radius, decode_radius)`` key, the
+row tables that grids share, the codeword-type tables) is an entry of one
+process-wide, thread-safe LRU cache bounded by ``SUMMARY_CACHE_BYTES``,
+which ``clear_summary_cache()`` empties and ``summary_cache_info()``
+reports.  A grid miss builds the grid and checks its total log-mass; a
+hit rebuilds nothing, whichever class the trial draws.  Every draw sees
+the same floats in the same order, so a fixed seed reproduces its trial
+bit for bit whatever the cache holds.
 """
 
 from __future__ import annotations
@@ -37,15 +34,13 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict, namedtuple
-from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln
 
 GRID_BUDGET = 4_000_000
 SUMMARY_CACHE_BYTES = 8 * 2 ** 20
-SUMMARY_OVERHEAD = 1024   # bytes charged per grid besides its arrays
+SUMMARY_OVERHEAD = 1024   # bytes charged per table besides its arrays
 LOG_MASS_TOL = 1e-9
 
 
@@ -55,6 +50,68 @@ class GridTooLarge(ValueError):
 
 class GridMassError(ArithmeticError):
     """A type grid's cell probabilities do not sum to one."""
+
+
+CacheInfo = namedtuple("CacheInfo", "hits misses entries nbytes budget")
+
+
+def _charge(table) -> int:
+    """A table's ``nbytes``; a tuple of arrays, theirs and the overhead."""
+    return (SUMMARY_OVERHEAD + sum(a.nbytes for a in table)
+            if isinstance(table, tuple) else table.nbytes)
+
+
+class _SummaryCache:
+    """Least-recently-used sampler tables, bounded by their total bytes."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self._lock = threading.Lock()
+        self._entries = OrderedDict()
+        self._bytes = self._hits = self._misses = 0
+
+    def get(self, key, build):
+        """The table of ``key``; a miss builds it outside the lock (a build
+        looks up other tables), then evicts the least recently used."""
+        with self._lock:
+            if key in self._entries:
+                self._hits += 1
+                self._entries.move_to_end(key)
+                return self._entries[key]
+            self._misses += 1
+        table = build()
+        with self._lock:
+            if key not in self._entries:    # unless another thread built it
+                self._entries[key] = table
+                self._bytes += _charge(table)
+                while self._bytes > self.budget and len(self._entries) > 1:
+                    _, old = self._entries.popitem(last=False)
+                    self._bytes -= _charge(old)
+            return self._entries[key]
+
+    def clear(self) -> None:
+        """Drop every table and zero the counts."""
+        with self._lock:
+            self._entries.clear()
+            self._bytes = self._hits = self._misses = 0
+
+    def info(self) -> CacheInfo:
+        """Hits and misses since the last clear, live tables and bytes."""
+        with self._lock:
+            return CacheInfo(self._hits, self._misses, len(self._entries),
+                             self._bytes, self.budget)
+
+
+_SUMMARIES = _SummaryCache(SUMMARY_CACHE_BYTES)
+clear_summary_cache = _SUMMARIES.clear
+summary_cache_info = _SUMMARIES.info
+
+
+def _cached(build):
+    """``build`` with its tables in ``_SUMMARIES``, keyed by name and args."""
+    def cached(*args):
+        return _SUMMARIES.get((build.__name__, *args), lambda: build(*args))
+    return cached
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
@@ -72,12 +129,12 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     return np.concatenate(rows, axis=0)
 
 
-@lru_cache(maxsize=4096)
-def _row_cache(n_a: int, num_u: int, pu_key: tuple):
+@_cached
+def _row_cache(n_a: int, pu_key: tuple):
     pu = np.array(pu_key)
-    comps = _compositions(n_a, num_u)
+    comps = _compositions(n_a, pu.size)
     logp = np.full(comps.shape[0], gammaln(n_a + 1))
-    for u in range(num_u):
+    for u in range(pu.size):
         k = comps[:, u]
         logp -= gammaln(k + 1)
         if pu[u] > 0:
@@ -93,12 +150,12 @@ def _radix(n: int, num_u: int) -> np.ndarray:
     return (n + 1) ** np.arange(num_u - 1, -1, -1, dtype=np.int64)
 
 
-@lru_cache(maxsize=4096)
+@_cached
 def _row_arrays(n_a: int, n: int, pu_key: tuple, row_key: tuple):
     """Per cell of a source row of ``n_a`` symbols against the joint row
     ``row_key``: its deviation ``sum_u |k_u / n - p(a, u)|`` and its
     codeword-type key; shared, read-only, by every grid with that row."""
-    comps, _ = _row_cache(n_a, len(pu_key), pu_key)
+    comps, _ = _row_cache(n_a, pu_key)
     dev = np.abs(comps / n - np.array(row_key)).sum(axis=1)
     keys = comps @ _radix(n, len(pu_key))
     for a in (dev, keys):
@@ -146,14 +203,13 @@ def _pick(rng: np.random.Generator, table):
                    idx.size - 1)]
 
 
-@lru_cache(maxsize=64)
 class _CodewordTypes:
     """Types of an i.i.d. ``p_u`` codeword of length n; classes d and nd."""
 
-    def __init__(self, n: int, num_u: int, pu_key: tuple,
-                 decode_radius: float):
+    def __init__(self, n: int, pu_key: tuple, decode_radius: float):
+        num_u = len(pu_key)
         _budget(math.comb(n + num_u - 1, num_u - 1), "codeword types")
-        self.types, self.logp = _row_cache(n, num_u, pu_key)
+        self.types, self.logp = _row_cache(n, pu_key)
         # types ascend in lexicographic order, and so do their keys
         self.radix = _radix(n, num_u)
         self.keys = self.types @ self.radix
@@ -171,6 +227,9 @@ class _CodewordTypes:
             _class_table(np.flatnonzero(m), self.logp[m])
             if math.isfinite(log) else None
             for m, log in ((mask, self.log_d), (~mask, self.log_nd)))
+        # types and logp are the row table's, charged there
+        self.nbytes = _charge((self.radix, self.keys, mask,
+                               *(self.d or ()), *(self.nd or ())))
 
 
 class TypeGrid:
@@ -193,10 +252,8 @@ class TypeGrid:
         n = int(self.x_counts.sum())
         self.encode_radius = encode_radius
         pu_key = tuple(float(v) for v in self.p_joint.sum(axis=0))
-        self.types = types = _CodewordTypes(n, len(pu_key), pu_key,
-                                            float(decode_radius))
-        self.rows = [_row_cache(n_a, len(pu_key), pu_key)
-                     for n_a in self.x_counts.tolist()]
+        self.types = types = _cached(_CodewordTypes)(n, pu_key, decode_radius)
+        self.rows = [_row_cache(n_a, pu_key) for n_a in self.x_counts.tolist()]
         self.shape = tuple(c.shape[0] for c, _ in self.rows)
         self.dev, self.keys = zip(*(
             _row_arrays(n_a, n, pu_key, tuple(float(v) for v in row))
@@ -233,9 +290,8 @@ class TypeGrid:
         t = np.searchsorted(types.keys, sum(cells, 0) @ types.radix)
         if not types.mask_d[t].all():
             raise ValueError("encode class not inside the decode class")
-        # the rows' arrays are shared (``_row_arrays``); e's are the key's
-        arrays = [logp, *(self.encode_table or ())]
-        self.nbytes = SUMMARY_OVERHEAD + sum(a.nbytes for a in arrays)
+        # the rows' arrays are their own entries; e's are the key's
+        self.nbytes = _charge((logp, *(self.encode_table or ())))
         spare = types.mask_d.copy()     # decodable types e leaves whole
         spare[t] = False
         if spare.any():
@@ -299,83 +355,22 @@ class TypeGrid:
                 return counts
 
 
-CacheInfo = namedtuple("CacheInfo", "hits misses entries nbytes budget")
-
-
-class _SummaryCache:
-    """Least-recently-used type grids, bounded by their total bytes."""
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self._lock = threading.Lock()
-        self._entries = OrderedDict()
-        self._bytes = 0
-        self._hits = self._misses = 0
-
-    def get(self, key) -> Optional[TypeGrid]:
-        with self._lock:
-            grid = self._entries.get(key)
-            if grid is None:
-                self._misses += 1
-            else:
-                self._hits += 1
-                self._entries.move_to_end(key)
-            return grid
-
-    def put(self, key, grid: TypeGrid) -> None:
-        with self._lock:
-            if key in self._entries:
-                return
-            self._entries[key] = grid
-            self._bytes += grid.nbytes
-            while self._bytes > self.budget and len(self._entries) > 1:
-                _, old = self._entries.popitem(last=False)
-                self._bytes -= old.nbytes
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._bytes = self._hits = self._misses = 0
-
-    def info(self) -> CacheInfo:
-        with self._lock:
-            return CacheInfo(self._hits, self._misses, len(self._entries),
-                             self._bytes, self.budget)
-
-
-_SUMMARIES = _SummaryCache(SUMMARY_CACHE_BYTES)
-
-
 def class_summary(x_counts, p_joint: np.ndarray, encode_radius: float,
                   decode_radius: float) -> TypeGrid:
     """The cached ``TypeGrid`` of one key, built on a miss."""
     p_joint = np.asarray(p_joint, dtype=float)
-    key = (tuple(int(v) for v in x_counts), p_joint.shape,
+    key = ("TypeGrid", tuple(int(v) for v in x_counts), p_joint.shape,
            p_joint.tobytes(), float(encode_radius), float(decode_radius))
-    grid = _SUMMARIES.get(key)
-    if grid is None:
-        grid = TypeGrid(x_counts, p_joint, encode_radius, decode_radius)
-        _SUMMARIES.put(key, grid)
-    return grid
+    return _SUMMARIES.get(key, lambda: TypeGrid(x_counts, p_joint,
+                                                encode_radius, decode_radius))
 
 
-def clear_summary_cache() -> None:
-    _SUMMARIES.clear()
-
-
-def summary_cache_info() -> CacheInfo:
-    """Hits and misses since the last clear, live entries and their bytes."""
-    return _SUMMARIES.info()
-
-
-def geometric_failures(u: float, log_p: float) -> Optional[int]:
+def geometric_failures(u: float, log_p: float) -> int | None:
     """Failures before the first Bernoulli(p) success, from one uniform draw.
 
     Returns None when the count exceeds float range (effectively infinite).
     """
-    if log_p >= 0.0:
-        return 0
-    p = math.exp(log_p)
+    p = math.exp(min(log_p, 0.0))
     if p >= 1.0:
         return 0
     u = max(u, 1e-300)

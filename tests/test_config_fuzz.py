@@ -2,10 +2,15 @@
 
 Each example takes one of ``configs/*.json``, shrinks its simulation
 settings so that any run is short, and applies one or two mutations:
-delete a key (or list entry), or replace the value at a random path with
-one from ``PALETTE``.  ``main`` must exit 0, 2, 3, 4 or 5, and only a
-successful run may leave a ``manifest.json``.  The hypothesis profile
-sets the number of examples (``tests/conftest.py``).
+delete a key (or list entry), halve a number, or replace the value with
+one from ``PALETTE``.  Its path comes, with equal weight, from the
+settings blocks (``SETTINGS``), from the numbers of the model blocks
+(matrix entries and parameters), or from anywhere in the config, where
+most picks hit keys that fail early (``schema``, ``command``, a whole
+block); a structural mutation (delete, halve) is as likely as a palette
+value.  ``main`` must exit 0, 2, 3, 4 or 5, and only a successful run
+may leave a ``manifest.json``.  The hypothesis profile sets the number
+of examples (``tests/conftest.py``).
 """
 
 import copy
@@ -24,7 +29,8 @@ CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
                                         "configs", "*.json")))
 # no large positive integer, so that no mutation asks for a long run
 PALETTE = [None, "", "x", [], {}, [[0]], True, -1, 0, 0.5, 1e308, math.nan]
-DELETE = "<delete>"
+DELETE, HALVE = "<delete>", "<halve>"
+SETTINGS = ("simulate", "derandomize", "converse", "optimize", "sweep")
 
 
 def shrunk(cfg: dict) -> dict:
@@ -48,6 +54,27 @@ def paths(node, prefix):
             yield from paths(node[key], prefix + (key,))
 
 
+def at(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+@st.composite
+def anywhere(draw, cfg):
+    """A top-level key, then a depth below it, then a path at that depth:
+    the many matrix entries deep in the ensemble do not crowd out the
+    shallow keys."""
+    top = draw(st.sampled_from(list(cfg)))
+    found = list(paths(cfg[top], (top,)))
+    depth = draw(st.sampled_from(sorted({len(p) for p in found})))
+    return draw(st.sampled_from([p for p in found if len(p) == depth]))
+
+
 @st.composite
 def mutated_configs(draw):
     with open(draw(st.sampled_from(CONFIGS))) as fh:
@@ -55,19 +82,20 @@ def mutated_configs(draw):
     for _ in range(draw(st.integers(1, 2))):
         if not cfg:
             break
-        # a top-level key, then a depth below it, then a path at that
-        # depth: the many matrix entries deep in the ensemble do not crowd
-        # out the settings blocks and the shallow keys
-        top = draw(st.sampled_from(list(cfg)))
-        found = list(paths(cfg[top], (top,)))
-        depth = draw(st.sampled_from(sorted({len(p) for p in found})))
-        path = draw(st.sampled_from([p for p in found if len(p) == depth]))
-        parent = cfg
-        for key in path[:-1]:
-            parent = parent[key]
-        value = draw(st.sampled_from([DELETE] + PALETTE))
+        found = [p for top in cfg for p in paths(cfg[top], (top,))]
+        pools = [st.sampled_from(pool) for pool in (
+            [p for p in found if p[0] in SETTINGS and len(p) > 1],
+            [p for p in found if p[0] not in SETTINGS
+             and is_number(at(cfg, p))]) if pool]
+        path = draw(st.one_of(*pools, anywhere(cfg)))
+        parent, old = at(cfg, path[:-1]), at(cfg, path)
+        value = draw(st.one_of(
+            st.sampled_from([DELETE] + [HALVE] * is_number(old)),
+            st.sampled_from(PALETTE)))
         if value == DELETE:
             del parent[path[-1]]
+        elif value == HALVE:
+            parent[path[-1]] = type(old)(old / 2)
         else:
             parent[path[-1]] = copy.deepcopy(value)
     return cfg

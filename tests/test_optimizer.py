@@ -140,6 +140,22 @@ class TestMinimizeConditional:
         assert r1.value == r2.value
         assert np.array_equal(r1.conditional, r2.conditional)
 
+    def test_result_renormalises_rows_within_feasibility(self,
+                                                         example1_pair):
+        # a feasible solve may miss a row sum by up to FEAS_TOL (1e-8),
+        # more than the 1e-9 that JointPmf allows
+        ens, _ = example1_pair
+        res = optimize(ens)
+        cube = res.conditional.reshape(2, -1, 1) * (1 - 5e-9)
+        out = optimizer._result(ens, res.atoms, "two-node", 0.0, cube,
+                                res.objective_trace, res.max_residual,
+                                res.gap)
+        assert out.feasible
+        assert out.value == pytest.approx(res.value, abs=1e-12)
+        assert out.conditional.sum(axis=1) == pytest.approx([1, 1],
+                                                            abs=1e-15)
+        assert out.max_residual >= res.max_residual + 5e-9 * (1 - 1e-6)
+
 
     @pytest.mark.parametrize("extra_atoms", [13, 17])
     def test_many_complex_atoms_reach_closed_form(self, example1_pair,

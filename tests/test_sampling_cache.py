@@ -1,7 +1,7 @@
-"""The sampled engine's per-key class-summary cache.
+"""The sampled engine's one cache of type grids, row and codeword-type tables.
 
 Cached or not, a fixed ``(seed, params, engine)`` must give the same
-traces field for field: the cache only saves the rebuild of a type grid.
+traces field for field: the cache only saves the rebuild of a table.
 """
 
 import math
@@ -35,6 +35,7 @@ RUNS = {
                                             seed=7, delta=0.1)),
 }
 P_EXAMPLE1 = np.array([[0.5, 0.0], [0.25, 0.25]])   # example1's joint
+TYPE_GRID = sampling.TypeGrid       # before any test spies on it
 
 
 @pytest.fixture(autouse=True)
@@ -42,6 +43,24 @@ def cold_cache():
     sampling.clear_summary_cache()
     yield
     sampling.clear_summary_cache()
+
+
+def _grids():
+    """The cached type grids, least recently used first."""
+    return [t for t in sampling._SUMMARIES._entries.values()
+            if isinstance(t, TYPE_GRID)]
+
+
+def _spy_grids(monkeypatch):
+    """A list that records the x counts of every ``TypeGrid`` built."""
+    built, grid_cls = [], sampling.TypeGrid
+
+    def spy(*args, **kwargs):
+        built.append(args[0])
+        return grid_cls(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "TypeGrid", spy)
+    return built
 
 
 def _records(name, **extra):
@@ -58,7 +77,8 @@ def test_cold_warm_and_cleared_cache_give_the_same_traces(name):
     first = sampling.summary_cache_info()
     assert first.misses > 0 and first.entries > 0
     warm = _records(name)
-    assert sampling.summary_cache_info().hits >= first.hits + first.misses
+    again = sampling.summary_cache_info()
+    assert again.misses == first.misses and again.hits > first.hits
     sampling.clear_summary_cache()
     assert sampling.summary_cache_info().entries == 0
     cleared = _records(name)
@@ -156,26 +176,47 @@ def test_cached_keys_hold_only_their_encode_class():
     ens, ext = three_symbol()
     simulate_two_node(ens, ext, n=100, rate=1.6, trials=500, seed=3,
                       delta=0.02, engine="sampled")
-    info = sampling.summary_cache_info()
-    assert info.entries > 200 and info.nbytes < 2 ** 20
+    grids = _grids()
+    assert len(grids) > 200 and sum(g.nbytes for g in grids) < 2 ** 20
+    assert sampling.summary_cache_info().nbytes <= sampling.SUMMARY_CACHE_BYTES
+
+
+def test_clear_empties_the_row_tables_too(monkeypatch):
+    sampling.class_summary(np.array([100, 100]), P_EXAMPLE1, 0.04, 0.16)
+    sampling.clear_summary_cache()
+    calls = []
+    compositions = sampling._compositions
+
+    def spy(total, parts):
+        calls.append(total)
+        return compositions(total, parts)
+
+    monkeypatch.setattr(sampling, "_compositions", spy)
+    sampling.class_summary(np.array([100, 100]), P_EXAMPLE1, 0.04, 0.16)
+    assert {100, 200} <= set(calls)     # the rows and the codeword types
+    assert sampling.summary_cache_info().entries > 1
 
 
 def test_least_recently_used_summary_is_evicted_first(monkeypatch):
-    keys = [np.array([k, 200 - k]) for k in (100, 101, 102)]
+    # three encode radii of one source type: every key shares its rows
+    # and codeword types, so after the first a miss adds one grid only;
+    # the radii fall, so key 2's grid fits where key 1's was
+    radii = (0.12, 0.11, 0.10)
 
     def lookup(i):
         misses = sampling.summary_cache_info().misses
-        sampling.class_summary(keys[i], P_EXAMPLE1, 0.04, 0.16)
+        sampling.class_summary(np.array([100, 100]), P_EXAMPLE1, radii[i],
+                               0.4)
         return ("miss" if sampling.summary_cache_info().misses > misses
                 else "hit")
 
     assert [lookup(0), lookup(1)] == ["miss", "miss"]
-    # room for exactly these two summaries
+    # room for exactly these two grids and their shared tables
     monkeypatch.setattr(sampling._SUMMARIES, "budget",
                         sampling.summary_cache_info().nbytes)
-    assert lookup(0) == "hit"        # key 1 is now the oldest
+    assert lookup(0) == "hit"        # key 1 is now the oldest grid
     assert lookup(2) == "miss"       # evicts key 1
-    assert sampling.summary_cache_info().entries == 2
+    assert [g.encode_radius for g in _grids()] == [radii[0], radii[2]]
     assert [lookup(0), lookup(1)] == ["hit", "miss"]
 
 
@@ -191,14 +232,7 @@ def test_grid_too_large_raises_on_first_trial_and_caches_nothing(
     assert validate_extension(ext, ens).passed
     _records("hit_n800")                  # a warm cache of other keys
     entries = sampling.summary_cache_info().entries
-    built = []
-    grid_cls = sampling.TypeGrid
-
-    def spy(*args, **kwargs):
-        built.append(args[0])
-        return grid_cls(*args, **kwargs)
-
-    monkeypatch.setattr(sampling, "TypeGrid", spy)
+    built = _spy_grids(monkeypatch)
     with pytest.raises(sampling.GridTooLarge):
         simulate_two_node(ens, ext, n=900, rate=2.4, trials=3, seed=0,
                           delta=0.02, engine="sampled")
@@ -206,31 +240,34 @@ def test_grid_too_large_raises_on_first_trial_and_caches_nothing(
     assert sampling.summary_cache_info().entries == entries
 
 
-def test_grid_mass_is_checked_once_per_key():
+def test_grid_mass_is_checked_once_per_key(monkeypatch):
+    built = _spy_grids(monkeypatch)
     grid = sampling.class_summary(np.array([100, 100]), P_EXAMPLE1, 0.04,
                                   0.16)
-    assert sampling.summary_cache_info().misses == 1
+    assert len(built) == 1
     for log_mass in (np.logaddexp(grid.log_e, grid.log_ne),
                      np.logaddexp(grid.log_d, grid.log_nd)):
         assert abs(log_mass) <= sampling.LOG_MASS_TOL
+    first = sampling.summary_cache_info()
     again = sampling.class_summary(np.array([100, 100]), P_EXAMPLE1, 0.04,
                                    0.16)
-    assert again is grid
+    assert again is grid and len(built) == 1
     info = sampling.summary_cache_info()
-    assert (info.hits, info.misses) == (1, 1)
+    assert (info.hits, info.misses) == (first.hits + 1, first.misses)
 
 
 def test_corrupted_row_table_trips_the_mass_check(monkeypatch):
     row_cache = sampling._row_cache
 
-    def corrupted(n_a, num_u, pu_key):
-        comps, logp = row_cache(n_a, num_u, pu_key)
+    def corrupted(n_a, pu_key):
+        comps, logp = row_cache(n_a, pu_key)
         return comps, logp + 1e-6
 
     monkeypatch.setattr(sampling, "_row_cache", corrupted)
     with pytest.raises(sampling.GridMassError, match="log-mass"):
         sampling.class_summary(np.array([100, 100]), P_EXAMPLE1, 0.04, 0.16)
-    assert sampling.summary_cache_info().entries == 0
+    # the sound row tables under the corruption may stay; no grid does
+    assert _grids() == []
     ens, ext = example1()
     with pytest.raises(sampling.GridMassError):
         simulate_two_node(ens, ext, n=200, rate=0.46, trials=1, seed=3,
@@ -279,26 +316,39 @@ def test_concurrent_lookups_lose_no_update():
     keys = [np.array([k, 60 - k]) for k in range(24, 36)]
     workers, rounds = 8, 200
 
-    def lookups():
+    def lookups(rounds):
         for i in range(rounds):
             for k in keys:
                 sampling.class_summary(k, P_EXAMPLE1, 0.1, 0.4)
 
+    def threaded(rounds):
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(lookups, rounds)
+                       for _ in range(workers)]
+            for f in futures:
+                f.result(timeout=120)
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(lookups) for _ in range(workers)]
-            for f in futures:
-                f.result(timeout=120)
+        # cold, builds of one key may race: one entry, charged once
+        threaded(1)
+        assert len(_grids()) == len(keys)
+        warm = sampling.summary_cache_info()
+        assert warm.nbytes == sum(map(sampling._charge,
+                                      sampling._SUMMARIES._entries.values()))
+        # warm, a lookup is one hit: a grid miss would also count its
+        # row tables' lookups, once per racing build
+        threaded(rounds)
     finally:
         sys.setswitchinterval(interval)
     info = sampling.summary_cache_info()
-    assert info.hits + info.misses == workers * rounds * len(keys)
-    assert info.entries == len(keys)
-    cached = [sampling.class_summary(k, P_EXAMPLE1, 0.1, 0.4) for k in keys]
-    assert sampling.summary_cache_info().misses == info.misses
-    assert info.nbytes == sum(grid.nbytes for grid in cached)
+    assert (info.hits + info.misses - warm.hits - warm.misses
+            == workers * rounds * len(keys))
+    assert (info.misses, info.entries) == (warm.misses, warm.entries)
+    assert len(_grids()) == len(keys)
+    assert info.nbytes == sum(map(sampling._charge,
+                                  sampling._SUMMARIES._entries.values()))
 
 
 @pytest.mark.parametrize("name", ["fallback_n200", "three_symbol_n40"])
@@ -306,14 +356,7 @@ def test_warm_rerun_builds_no_grid(name, monkeypatch):
     # encoder fallbacks and atypical sources draw classes other than e;
     # a cache hit serves them without building anything
     cold = _records(name)
-    built = []
-    grid_cls = sampling.TypeGrid
-
-    def spy(*args, **kwargs):
-        built.append(args[0])
-        return grid_cls(*args, **kwargs)
-
-    monkeypatch.setattr(sampling, "TypeGrid", spy)
+    built = _spy_grids(monkeypatch)
     assert _records(name) == cold
     assert built == []
 
