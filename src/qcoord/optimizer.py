@@ -585,7 +585,7 @@ def _result(target, atoms, kind, lam, cube, trace, resid, gap):
     nx = target.x_alphabet.size
     # a solve may miss a row sum by FEAS_TOL, where JointPmf allows 1e-9
     sums = cube.sum(axis=(1, 2), keepdims=True)
-    if (miss := float(np.abs(sums - 1).max())) <= FEAS_TOL:
+    if 1e-9 < (miss := float(np.abs(sums - 1).max())) <= FEAS_TOL:
         cube, resid = cube / sums, resid + miss
     joint = target.source.table[:, None, None] * cube
     labels = [target.x_alphabet] + [

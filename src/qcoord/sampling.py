@@ -19,14 +19,14 @@ bounds the codeword types and the candidate cells that the enumeration
 of the encode class holds at once; beyond it ``GridTooLarge``, a
 resource error (CLI exit 5): pick ``engine="explicit"`` or smaller
 alphabets or blocklengths instead.  Every table the sampler builds (the
-grid of a ``(x_counts, p_joint, encode_radius, decode_radius)`` key, the
-row tables that grids share, the codeword-type tables) is an entry of one
-process-wide, thread-safe LRU cache bounded by ``SUMMARY_CACHE_BYTES``,
-which ``clear_summary_cache()`` empties and ``summary_cache_info()``
-reports.  A grid miss builds the grid and checks its total log-mass; a
-hit rebuilds nothing, whichever class the trial draws.  Every draw sees
-the same floats in the same order, so a fixed seed reproduces its trial
-bit for bit whatever the cache holds.
+grid of a ``(x_counts, p_joint, encode_radius, decode_radius)`` key and
+the row and codeword-type tables that grids share) is an entry of one
+process-wide, thread-safe LRU cache: ``clear_summary_cache()`` empties
+it, ``summary_cache_info()`` reports on it.  No table that a cached grid
+holds leaves before the grid, so ``SUMMARY_CACHE_BYTES`` bounds all that
+the cache keeps alive.  A grid miss checks the grid's log-mass; a hit
+rebuilds nothing.  Every draw sees the same floats in the same order, so
+a fixed seed reproduces its trial bit for bit whatever the cache holds.
 """
 
 from __future__ import annotations
@@ -62,37 +62,58 @@ def _charge(table) -> int:
 
 
 class _SummaryCache:
-    """Least-recently-used sampler tables, bounded by their total bytes."""
+    """Least-recently-used sampler tables, bounded by their total bytes.
+
+    A use moves a table, then the tables its build looked up (a grid's
+    rows), to the recent end: none of those goes before the table does.
+    """
 
     def __init__(self, budget: int):
         self.budget = budget
         self._lock = threading.Lock()
-        self._entries = OrderedDict()
+        self._entries, self._deps = OrderedDict(), {}
+        self._building = threading.local()  # .deps: this build's lookups
         self._bytes = self._hits = self._misses = 0
 
+    def _use(self, key) -> None:
+        self._entries.move_to_end(key)
+        for dep in self._deps[key]:
+            self._use(dep)
+
     def get(self, key, build):
-        """The table of ``key``; a miss builds it outside the lock (a build
-        looks up other tables), then evicts the least recently used."""
+        """The table of ``key``, built outside the lock on a miss."""
+        if (outer := getattr(self._building, "deps", None)) is not None:
+            outer.append(key)
         with self._lock:
             if key in self._entries:
                 self._hits += 1
-                self._entries.move_to_end(key)
+                self._use(key)
                 return self._entries[key]
             self._misses += 1
-        table = build()
+        self._building.deps = deps = []
+        try:
+            table = build()
+        finally:
+            self._building.deps = outer
         with self._lock:
             if key not in self._entries:    # unless another thread built it
                 self._entries[key] = table
+                # unless evicted while building, these stay while it does
+                self._deps[key] = [k for k in dict.fromkeys(deps)
+                                   if k in self._entries]
                 self._bytes += _charge(table)
-                while self._bytes > self.budget and len(self._entries) > 1:
-                    _, old = self._entries.popitem(last=False)
-                    self._bytes -= _charge(old)
-            return self._entries[key]
+            table = self._entries[key]
+            self._use(key)
+            while self._bytes > self.budget and len(self._entries) > 1:
+                old, evicted = self._entries.popitem(last=False)
+                del self._deps[old]
+                self._bytes -= _charge(evicted)
+            return table
 
     def clear(self) -> None:
         """Drop every table and zero the counts."""
         with self._lock:
-            self._entries.clear()
+            self._entries, self._deps = OrderedDict(), {}
             self._bytes = self._hits = self._misses = 0
 
     def info(self) -> CacheInfo:
@@ -370,7 +391,9 @@ def geometric_failures(u: float, log_p: float) -> int | None:
 
     Returns None when the count exceeds float range (effectively infinite).
     """
-    p = math.exp(min(log_p, 0.0))
+    if log_p >= 0.0:
+        return 0
+    p = math.exp(log_p)
     if p >= 1.0:
         return 0
     u = max(u, 1e-300)

@@ -155,7 +155,7 @@ def test_byte_bound_evicts_without_changing_traces(monkeypatch):
     monkeypatch.setattr(sampling._SUMMARIES, "budget", 1)
     assert _records("three_symbol_n40") == want
     info = sampling.summary_cache_info()
-    assert info.misses > 1 and info.entries == 1   # only the newest stays
+    assert info.misses > 1 and info.entries == 1   # one table stays
 
 
 def test_grids_share_their_rows_arrays():
@@ -197,27 +197,73 @@ def test_clear_empties_the_row_tables_too(monkeypatch):
     assert sampling.summary_cache_info().entries > 1
 
 
-def test_least_recently_used_summary_is_evicted_first(monkeypatch):
-    # three encode radii of one source type: every key shares its rows
-    # and codeword types, so after the first a miss adds one grid only;
-    # the radii fall, so key 2's grid fits where key 1's was
-    radii = (0.12, 0.11, 0.10)
-
+def _check_lru_order(keys, monkeypatch):
+    """Two of ``keys`` fill the cache; a third evicts the least recently
+    used grid.  A key is (x counts, encode radius, decode radius)."""
     def lookup(i):
         misses = sampling.summary_cache_info().misses
-        sampling.class_summary(np.array([100, 100]), P_EXAMPLE1, radii[i],
-                               0.4)
+        counts, *radii = keys[i]
+        sampling.class_summary(np.array(counts), P_EXAMPLE1, *radii)
         return ("miss" if sampling.summary_cache_info().misses > misses
                 else "hit")
 
     assert [lookup(0), lookup(1)] == ["miss", "miss"]
-    # room for exactly these two grids and their shared tables
+    # room for exactly these two grids and the tables they hold; key 2's
+    # tables fit where key 1's were
     monkeypatch.setattr(sampling._SUMMARIES, "budget",
                         sampling.summary_cache_info().nbytes)
     assert lookup(0) == "hit"        # key 1 is now the oldest grid
     assert lookup(2) == "miss"       # evicts key 1
-    assert [g.encode_radius for g in _grids()] == [radii[0], radii[2]]
+    assert ([(g.x_counts.tolist(), g.encode_radius) for g in _grids()]
+            == [(keys[i][0], keys[i][1]) for i in (0, 2)])
     assert [lookup(0), lookup(1)] == ["hit", "miss"]
+
+
+def test_least_recently_used_summary_is_evicted_first(monkeypatch):
+    # three source types, each with its own rows
+    _check_lru_order([([k, 200 - k], 0.04, 0.16) for k in (100, 101, 102)],
+                     monkeypatch)
+
+
+def test_least_recently_used_grid_on_shared_rows_is_evicted_first(
+        monkeypatch):
+    # three encode radii of one source type: the keys share their rows
+    # and codeword types, so after the first a miss adds one grid only
+    _check_lru_order([([100, 100], r, 0.4) for r in (0.12, 0.11, 0.10)],
+                     monkeypatch)
+
+
+def _cached_arrays():
+    """The ids of every array that a cache entry holds, directly or as a
+    codeword-type table's."""
+    held = set()
+    for t in sampling._SUMMARIES._entries.values():
+        arrays = (t if isinstance(t, tuple) else
+                  [t.types, t.logp] if isinstance(t, sampling._CodewordTypes)
+                  else [])
+        held.update(map(id, arrays))
+    return held
+
+
+@pytest.mark.parametrize("budget", [2 ** 20, 2 * 2 ** 20])
+def test_eviction_keeps_every_table_a_cached_grid_holds(budget,
+                                                        monkeypatch):
+    # a full cache of grids over many source types: an evicted row table
+    # that a cached grid still held would stay in memory uncharged, and
+    # the next grid on that row would build and charge a second copy
+    monkeypatch.setattr(sampling._SUMMARIES, "budget", budget)
+    built = _spy_grids(monkeypatch)
+    ens, ext = three_symbol()
+    simulate_two_node(ens, ext, n=100, rate=1.6, trials=300, seed=3,
+                      delta=0.02, engine="sampled")
+    assert len(_grids()) < len(built) // 2      # most grids were evicted
+    assert sampling.summary_cache_info().nbytes <= budget
+    held, entries = _cached_arrays(), sampling._SUMMARIES._entries.values()
+    for grid in _grids():
+        assert any(grid.types is t for t in entries)
+        for a in (*(a for row in grid.rows for a in row), *grid.dev,
+                  *grid.keys, grid.types.types, grid.types.logp):
+            assert id(a) in held
 
 
 def test_grid_too_large_raises_on_first_trial_and_caches_nothing(
