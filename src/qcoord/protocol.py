@@ -27,7 +27,8 @@ Two interchangeable engines produce statistically identical trials:
   shared-randomness average the derandomization argument operates on.
   It supports the trivial relay (single Z symbol) only.  A chunk hashes
   the words of its trials' streams (keys 0, 1 and 3) in one pass, and
-  each trial builds its generators from them when it is drawn.
+  each trial builds its generators from them when it is drawn.  A trace
+  arranges its codeword, ``b_label_seq``, when it is first read.
 
 Both engines run one serial loop: a chunk of trials is drawn, then
 finished (``_finish``), and then the next chunk is drawn.
@@ -373,16 +374,39 @@ def decode_generic(cb: Codebook, target_joint: np.ndarray, radius: float,
     return ell, False
 
 
+class _Drawn:
+    """A trace field that may hold a ``sampling.Arrangement``: a read
+    returns the arrangement's value."""
+
+    def __set_name__(self, owner, name):
+        self.name, self.slot = name, "_" + name
+
+    def __get__(self, trace, owner=None):
+        if trace is None:   # no class-level default: the field is required
+            raise AttributeError(self.name)
+        value = getattr(trace, self.slot)
+        return (value.value if isinstance(value, sampling.Arrangement)
+                else value)
+
+    def __set__(self, trace, value):
+        setattr(trace, self.slot, value)
+
+
 @dataclass
 class SimulationTrace:
-    """One protocol run: sequences, indices, averaged state, distances."""
+    """One protocol run: sequences, indices, averaged state, distances.
+
+    A sampled trace draws ``b_label_seq`` on its first read, from the
+    trial's own generator, bit for bit as the eager draw did; no rate,
+    distance or converse check reads it.
+    """
 
     n: int
     seed: int
     trial: int
     engine: str
     x_seq: np.ndarray
-    b_label_seq: np.ndarray            # Bob's decoded label sequence
+    b_label_seq: np.ndarray = _Drawn()  # Bob's decoded label sequence
     ell: int
     m12: int
     ell_hat: int
@@ -609,24 +633,27 @@ def _sampled_chunk(p_xyz, params_y, params_z, radii, chunk):
     rng_words = _stream_words(seed, (_KEY_TRIAL, trial, 0), 4, np.uint64)
     bin_words = _stream_words(
         seed, (_KEY_TRIAL, trial[:, None], np.array([1, 3])), 2)
-    done = [_sampled_trial(p_xyz, params_y, params_z, radii, *words)
+    # read once: each read of a codebook size recomputes it
+    code = (p_xyz[:, :, 0], params_y.n, radii, params_y.num_codewords,
+            params_y.num_bins, params_z.num_bins)
+    done = [_sampled_trial(*code, *words)
             for words in zip(rng_words, bin_words)]
     return (np.stack([counts for counts, _ in done]),
             {key: [f[key] for _, f in done] for key in done[0][1]})
 
 
-def _sampled_trial(p_xyz, params_y, params_z, radii, rng_words, bin_words):
+def _sampled_trial(p_xy, n, radii, num_codewords, num_bins, relay_bins,
+                   rng_words, bin_words):
     """Trivial relay: the Z label is constant, so the Y side is exactly
     the two-node trial; the relay bin message lives on its own stream.
     ``rng_words`` seed the trial's generator, ``bin_words`` its bin and
     relay ``random.Random``s."""
-    n = params_y.n
     counts, fields = sampling.sample_two_node_trial(
-        _generator(rng_words), _bigint_random(bin_words[0]), p_xyz[:, :, 0],
-        n, radii, params_y.num_codewords, params_y.num_bins)
+        _generator(rng_words), _bigint_random(bin_words[0]), p_xy, n, radii,
+        num_codewords, num_bins)
     # a one-bin relay message is always 0, so its stream is not drawn
-    m23 = (_bigint_random(bin_words[1]).randrange(params_z.num_bins)
-           if fields["x_typical"] and params_z.num_bins > 1 else 0)
+    m23 = (_bigint_random(bin_words[1]).randrange(relay_bins)
+           if fields["x_typical"] and relay_bins > 1 else 0)
     z_seq = np.zeros(n, dtype=np.int8)
     return counts.astype(float)[:, :, None], dict(
         fields, c_label_seq=z_seq, bar_z_seq=z_seq, ell2=0, m23=m23,

@@ -82,6 +82,15 @@ def trusted_density(matrix: np.ndarray) -> DensityOperator:
     return state
 
 
+def _restored(matrix: np.ndarray, label: str) -> DensityOperator:
+    """A copied or unpickled ``DensityOperator``: its matrix was checked
+    when the original was made, so it is not checked again."""
+    matrix.setflags(write=False)
+    state = trusted_density(matrix)
+    object.__setattr__(state, "label", label)
+    return state
+
+
 class DensityOperator:
     """Positive semidefinite, unit-trace complex matrix on one or more registers.
 
@@ -105,6 +114,9 @@ class DensityOperator:
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityOperator is immutable")
+
+    def __reduce__(self):
+        return _restored, (self.matrix, self.label)
 
     @property
     def dim(self) -> int:

@@ -65,7 +65,10 @@ class _SummaryCache:
     """Least-recently-used sampler tables, bounded by their total bytes.
 
     A use moves a table, then the tables its build looked up (a grid's
-    rows), to the recent end: none of those goes before the table does.
+    rows) and theirs, to the recent end: none of those goes before the
+    table does.  ``_deps`` holds each key's tables in the order of the
+    walk that visits every lookup after the table that made it, each at
+    its last visit.
     """
 
     def __init__(self, budget: int):
@@ -78,7 +81,7 @@ class _SummaryCache:
     def _use(self, key) -> None:
         self._entries.move_to_end(key)
         for dep in self._deps[key]:
-            self._use(dep)
+            self._entries.move_to_end(dep)
 
     def get(self, key, build):
         """The table of ``key``, built outside the lock on a miss."""
@@ -99,8 +102,9 @@ class _SummaryCache:
             if key not in self._entries:    # unless another thread built it
                 self._entries[key] = table
                 # unless evicted while building, these stay while it does
-                self._deps[key] = [k for k in dict.fromkeys(deps)
-                                   if k in self._entries]
+                walk = [k for d in dict.fromkeys(deps) if d in self._entries
+                        for k in (d, *self._deps[d])]
+                self._deps[key] = list(reversed(dict.fromkeys(reversed(walk))))
                 self._bytes += _charge(table)
             table = self._entries[key]
             self._use(key)
@@ -438,6 +442,28 @@ def arrange_within_rows(rng: np.random.Generator, x_seq: np.ndarray,
     return u_seq
 
 
+_DRAW_LOCK = threading.Lock()
+
+
+class Arrangement:
+    """``arrange_within_rows(rng, x_seq, counts)``, drawn on the first read
+    of ``value`` and then kept.  It is the last draw of a trial, so nothing
+    else draws from ``rng`` and the draw is the one an eager call makes;
+    the generator goes once it is drawn."""
+
+    def __init__(self, rng: np.random.Generator, x_seq: np.ndarray,
+                 counts: np.ndarray):
+        self._args = (rng, x_seq, counts)
+
+    @property
+    def value(self) -> np.ndarray:
+        with _DRAW_LOCK:    # reads that race still draw once
+            if self._args is not None:
+                self._value = arrange_within_rows(*self._args)
+                self._args = None
+        return self._value
+
+
 def sample_two_node_trial(rng: np.random.Generator, bin_rng,
                           p_joint: np.ndarray, n: int, radii: tuple,
                           num_codewords: int, num_bins: int):
@@ -450,10 +476,13 @@ def sample_two_node_trial(rng: np.random.Generator, bin_rng,
     reproduces the trial bit for bit.  Returns ``(counts, fields)``: the
     (|X|, |U|) joint counts and the Y-side trace fields keyed by their
     names.  The sent codeword's joint type is drawn from one class of the
-    cached ``TypeGrid``: ``e``, ``ne_d``, ``ne_nd``, ``d`` or ``nd``.
+    cached ``TypeGrid``: ``e``, ``ne_d``, ``ne_nd``, ``d`` or ``nd``.  Its
+    arrangement, ``b_label_seq``, is an ``Arrangement``: it is drawn from
+    ``rng`` on first read, bit for bit as an eager draw would be.
     """
     px = p_joint.sum(axis=1)
     x_seq = sample_iid(rng, px, n)
+    x_seq.setflags(write=False)     # the arrangement reads it when drawn
     x_counts = np.bincount(x_seq, minlength=p_joint.shape[0]).astype(np.int64)
     source_radius, *grid_radii = radii
     x_typical = bool(0.5 * np.abs(x_counts / n - px).sum() < source_radius)
@@ -463,11 +492,11 @@ def sample_two_node_trial(rng: np.random.Generator, bin_rng,
 
     def finish(ell, m12, ell_hat, enc_fb, dec_fb, cls):
         counts = grid.sample_counts(rng, cls)
-        u_seq = arrange_within_rows(rng, x_seq, counts)
         return counts, dict(
-            x_seq=x_seq, b_label_seq=u_seq, ell=int(ell), m12=int(m12),
-            ell_hat=int(ell_hat), x_typical=x_typical,
-            encoder_fallback=bool(enc_fb), decoder_fallback=bool(dec_fb))
+            x_seq=x_seq, b_label_seq=Arrangement(rng, x_seq, counts),
+            ell=int(ell), m12=int(m12), ell_hat=int(ell_hat),
+            x_typical=x_typical, encoder_fallback=bool(enc_fb),
+            decoder_fallback=bool(dec_fb))
 
     if x_typical:
         log_ne, log_ne_d = grid.log_ne, grid.log_ne_d

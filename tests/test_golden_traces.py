@@ -10,6 +10,9 @@ target, plus ``converse_check`` on each.  The explicit pins include runs
 long enough to cross the engine's trial and codeword chunks: the
 benchmark's cascade at 60 trials and two-node n=6 at 1,000 trials (the
 ``..._threads3`` pin, named for the thread pool it was first run on).
+A sampled trace draws ``b_label_seq`` on its first read: the pinned
+sequences must come out in any read order, once per trace, and from
+copies and pickles of an unread trace too.
 
 Regenerate only for an intended change of behaviour, and record why;
 name the pins that change (file names without ``.json``), so that float
@@ -19,8 +22,11 @@ rewritten:
     PYTHONPATH=src python tests/test_golden_traces.py --regenerate [NAME...]
 """
 
+import copy
+import dataclasses
 import json
 import os
+import pickle
 import sys
 
 import numpy as np
@@ -38,6 +44,7 @@ from qcoord.protocol import (
     simulate_cascade,
     simulate_two_node,
 )
+from qcoord import sampling
 from qcoord.quantum import tensor
 
 from conftest import ETA, KET0, KET1, KETP, cascade_flip_pair
@@ -328,6 +335,62 @@ def test_run_matches_golden(name):
         want = json.load(fh)
     got = json.loads(json.dumps(run_record(name)))
     assert_matches(got, want, name)
+
+
+# ----------------------------------------------------------------------
+# a sampled trace draws b_label_seq on its first read
+# ----------------------------------------------------------------------
+
+DEFERRED_RUNS = ("two_node_sampled_fallbacks_n30", "three_symbol_sampled_n40",
+                 "isolated_sampled_n400")
+
+
+def _traces_and_labels(name):
+    """The run's traces, unread, and their pinned ``b_label_seq``s."""
+    with open(golden_path(name)) as fh:
+        want = json.load(fh)
+    traces = [t for group in RUNS[name]()["traces"] for t in group]
+    return traces, [r["b_label_seq"] for group in want["traces"]
+                    for r in group]
+
+
+def _count_arrangements(monkeypatch):
+    calls, arrange = [], sampling.arrange_within_rows
+
+    def counted(*args):
+        calls.append(args)
+        return arrange(*args)
+
+    monkeypatch.setattr(sampling, "arrange_within_rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", DEFERRED_RUNS)
+def test_sampled_runs_arrange_each_codeword_on_its_first_read(
+        name, monkeypatch):
+    calls = _count_arrangements(monkeypatch)
+    traces, want = _traces_and_labels(name)
+    assert calls == []      # no rate, distance or converse check reads it
+    for t in reversed(traces):
+        t.b_label_seq
+    assert len(calls) == len(traces)
+    for _ in range(2):
+        assert [_seq(t.b_label_seq) for t in traces] == want
+    assert len(calls) == len(traces)
+
+
+@pytest.mark.parametrize("name", DEFERRED_RUNS)
+def test_copies_of_unread_traces_arrange_the_pinned_codewords(name):
+    traces, want = _traces_and_labels(name)
+    copies = {"deepcopy": copy.deepcopy,
+              "pickle": lambda t: pickle.loads(pickle.dumps(t))}
+    for how, make in copies.items():
+        assert [_seq(make(t).b_label_seq) for t in traces] == want, how
+    # replace reads each original, whose generator the copies left as it
+    # was
+    replaced = [dataclasses.replace(t, ell=-1) for t in traces]
+    assert [_seq(t.b_label_seq) for t in replaced] == want
+    assert [_seq(t.b_label_seq) for t in traces] == want
 
 
 def regenerate(names=()) -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -839,10 +840,12 @@ class TestCascadeTrialMatchesReference:
 
 
 def _trace_bytes(t) -> dict:
-    """Every field of a trace, arrays and the averaged state as raw bytes
+    """Every field of a trace, read through its attribute (so a sampled
+    ``b_label_seq`` is drawn), arrays and the averaged state as raw bytes
     and floats as hex, so equal records mean bit-identical traces."""
     out = {}
-    for key, value in vars(t).items():
+    for key in (f.name for f in dataclasses.fields(t)):
+        value = getattr(t, key)
         if key == "avg_state":
             value = value.matrix
         if isinstance(value, np.ndarray):

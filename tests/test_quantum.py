@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -55,6 +57,20 @@ class TestDensityOperator:
             KET0.label = "other"
         with pytest.raises(ValueError):
             KET0.matrix[0, 0] = 0.0
+
+    @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+    def test_copies_keep_the_matrix_and_stay_immutable(self, how):
+        rho = DensityOperator(random_density(np.random.default_rng(5), 3),
+                              "AB")
+        make = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+                "pickle": lambda r: pickle.loads(pickle.dumps(r))}[how]
+        twin = make(rho)
+        assert twin.label == "AB"
+        assert twin.matrix.tobytes() == rho.matrix.tobytes()
+        with pytest.raises(AttributeError):
+            twin.label = "other"
+        with pytest.raises(ValueError):
+            twin.matrix[0, 0] = 0.0
 
     def test_rejects_oversize(self):
         with pytest.raises(QuantumError):

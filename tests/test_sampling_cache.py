@@ -233,6 +233,47 @@ def test_least_recently_used_grid_on_shared_rows_is_evicted_first(
                      monkeypatch)
 
 
+def test_a_hit_moves_tables_in_the_order_of_the_recursive_walk(
+        monkeypatch):
+    # record each build's lookups, as the cache records them
+    direct, building, get = {}, [], sampling._SUMMARIES.get
+
+    def spy(key, build):
+        if building:
+            building[-1].append(key)
+
+        def recorded():
+            building.append([])
+            try:
+                return build()
+            finally:
+                direct[key] = list(dict.fromkeys(building.pop()))
+        return get(key, recorded)
+
+    monkeypatch.setattr(sampling._SUMMARIES, "get", spy)
+    # Example 1 at n = 800: the grid's codeword types hold the row table
+    # of n = 800, and both of its rows and their arrays that of n_a = 400,
+    # which the walk visits three times; a second grid moves other rows
+    grids = [sampling.class_summary(np.array(c), P_EXAMPLE1, 0.04, 0.16)
+             for c in ([400, 400], [390, 410])]
+    order = list(sampling._SUMMARIES._entries)
+    before = order.copy()
+
+    def walk(key):
+        order.remove(key)
+        order.append(key)
+        for dep in direct[key]:
+            walk(dep)
+
+    walk(next(k for k in direct if k[0] == "TypeGrid"))
+    hits = sampling.summary_cache_info().hits
+    assert sampling.class_summary(np.array([400, 400]), P_EXAMPLE1, 0.04,
+                                  0.16) is grids[0]
+    assert sampling.summary_cache_info().hits == hits + 1
+    assert order != before
+    assert list(sampling._SUMMARIES._entries) == order
+
+
 def _cached_arrays():
     """The ids of every array that a cache entry holds, directly or as a
     codeword-type table's."""
