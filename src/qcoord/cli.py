@@ -218,17 +218,20 @@ def cmd_simulate(cfg, opts) -> dict:
     _, _, _, cells = _run_cells(cfg, opts)
     rows, summary = [], []
     for n, rate, r23, traces in cells:
-        dists = [t.distance_to_target for t in traces]
-        rows += [[n, rate, r23, t.seed, t.trial, t.engine,
-                  repr(t.distance_to_target), repr(t.distance_to_tau),
-                  t.encoder_fallback, t.decoder_fallback, t.index_match]
-                 for t in traces]
+        # columns as Python values: the CSV writes repr(float)
+        dists, d_tau, enc, dec = (traces.column(k).tolist() for k in (
+            "distance_to_target", "distance_to_tau", "encoder_fallback",
+            "decoder_fallback"))
+        run = traces.run
+        rows += [[n, rate, r23, run["seed"], t, run["engine"], repr(d),
+                  repr(d2), e, f, run["index_match"]]
+                 for t, (d, d2, e, f) in enumerate(zip(dists, d_tau, enc,
+                                                       dec))]
         summary.append([n, rate, r23, len(traces)] + [
             repr(float(v)) for v in (
                 np.median(dists), np.percentile(dists, 25),
                 np.percentile(dists, 75), np.mean(dists),
-                np.mean([t.encoder_fallback for t in traces]),
-                np.mean([t.decoder_fallback for t in traces]))])
+                np.mean(enc), np.mean(dec))])
     return {
         "simulate.csv": (["n", "rate", "rate23", "seed", "trial", "engine",
                           "distance_to_target", "distance_to_tau",

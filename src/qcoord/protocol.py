@@ -31,7 +31,8 @@ Two interchangeable engines produce statistically identical trials:
   arranges its codeword, ``b_label_seq``, when it is first read.
 
 Both engines run one serial loop: a chunk of trials is drawn, then
-finished (``_finish``), and then the next chunk is drawn.
+finished (``_finish``) into the columns of one ``SimulationTraces``, and
+then the next chunk is drawn; a trace is built only when it is read.
 
 The core builds one ``ToleranceSchedule`` per run from the ``delta``,
 ``multipliers`` and ``gamma_coeff`` keywords.  Both engines read its
@@ -49,8 +50,9 @@ from __future__ import annotations
 
 import math
 import random as _pyrandom
+from collections import abc
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -396,9 +398,10 @@ class _Drawn:
 class SimulationTrace:
     """One protocol run: sequences, indices, averaged state, distances.
 
-    A sampled trace draws ``b_label_seq`` on its first read, from the
-    trial's own generator, bit for bit as the eager draw did; no rate,
-    distance or converse check reads it.
+    Built on each read of ``SimulationTraces``: Python scalars and
+    read-only arrays.  A sampled trace draws ``b_label_seq`` on its first
+    read, from the trial's own generator, bit for bit as the eager draw
+    did; no rate, distance or converse check reads it.
     """
 
     n: int
@@ -444,8 +447,53 @@ class SimulationTrace:
         return out
 
 
-_RELAY_FIELDS = ("rate23", "c_label_seq", "bar_z_seq", "ell2", "m23",
-                 "ell_hat2", "ell_tilde2", "index_match")
+class SimulationTraces(abc.Sequence):
+    """The traces of one run, kept as the columns its chunks computed.
+
+    ``traces[i]`` builds trial i's ``SimulationTrace`` on each read (so a
+    changed field writes nothing back); a slice is a list of traces.
+    ``column(name)`` is a field of every trial as one array, ``joint_counts``
+    as (T, X, Y, Z), and ``run`` the fields all trials share.  After
+    ``traces[i] = t``, index i reads the stand-in ``t``; no column sees it.
+    """
+
+    def __init__(self, columns, run, rows):
+        for a in (*columns.values(), *rows):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        # the Y and Z codeword tables; a two-node run has no Z table
+        self._columns, self.run, self._rows = columns, run, rows
+        self._stand_ins = {}
+
+    def __len__(self) -> int:
+        return len(self._columns["joint_counts"])
+
+    def __setitem__(self, i, trace: SimulationTrace):
+        self._stand_ins[range(len(self))[i]] = trace
+
+    def column(self, name: str) -> np.ndarray:
+        return np.asarray(self._columns[name])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        if (i := range(len(self))[i]) in self._stand_ins:
+            return self._stand_ins[i]
+        f = dict(self.run, trial=i, **{k: c[i] for k, c in
+                                       self._columns.items()})
+        f = {k: v.item() if isinstance(v, np.generic) else v
+             for k, v in f.items()}
+        if "b_label_seq" not in f:
+            f["b_label_seq"] = self._rows[0][f["ell_hat"]]
+        if self._rows[1] is None:
+            f.update(dict.fromkeys(("c_label_seq", "bar_z_seq", "ell2", "m23",
+                                    "ell_hat2", "ell_tilde2")),
+                     joint_counts=f["joint_counts"][:, :, 0])
+        else:
+            z = self._rows[1][f["ell_hat2"]]
+            f.update(c_label_seq=z, bar_z_seq=z, ell_tilde2=f["ell_hat2"])
+        return SimulationTrace(avg_state=trusted_density(f.pop("avg_state")),
+                               **f)
 
 
 class _Tables(NamedTuple):
@@ -469,11 +517,11 @@ def simulate_two_node(target: CqEnsemble, ext: Extension, n: int,
                       codeword_rate: Optional[float] = None,
                       engine: str = "auto",
                       gamma_coeff: Optional[float] = None,
-                      multipliers: tuple = (1.0, 2.0, 8.0)) -> list:
+                      multipliers: tuple = (1.0, 2.0, 8.0)) -> SimulationTraces:
     """Monte Carlo runs of the two-node scheme; one trace per trial.
 
     Runs the cascade core with a trivial relay (rate 0, one relay
-    codeword) and returns two-node traces: 2-D ``joint_counts`` and no
+    codeword); its traces are two-node traces: 2-D ``joint_counts`` and no
     relay fields.  ``engine="auto"`` materializes the codebook when it is
     small enough to scan and otherwise samples trials from the exact
     outcome distribution.  ``delta``, ``multipliers`` and ``gamma_coeff``
@@ -482,13 +530,8 @@ def simulate_two_node(target: CqEnsemble, ext: Extension, n: int,
     """
     if ext.kind != "two-node":
         raise CoordinationError("simulate_two_node needs a two-node extension")
-    traces = _simulate(target, ext, n, (rate, 0.0), (codeword_rate, 0.0),
-                       trials, seed, delta, gamma_coeff, multipliers, engine)
-    for t in traces:  # a copy, since a view would keep its 3-D base alive
-        t.joint_counts = t.joint_counts[:, :, 0].copy()
-        for field in _RELAY_FIELDS:
-            setattr(t, field, None)
-    return traces
+    return _simulate(target, ext, n, (rate, 0.0), (codeword_rate, 0.0),
+                     trials, seed, delta, gamma_coeff, multipliers, engine)
 
 
 def simulate_cascade(target: CqEnsemble, ext: Extension, n: int,
@@ -498,7 +541,7 @@ def simulate_cascade(target: CqEnsemble, ext: Extension, n: int,
                      codeword_rate_z: Optional[float] = None,
                      engine: str = "auto",
                      gamma_coeff: Optional[float] = None,
-                     multipliers: tuple = (1.0, 2.0, 8.0)) -> list:
+                     multipliers: tuple = (1.0, 2.0, 8.0)) -> SimulationTraces:
     """Monte Carlo runs of the rate-splitting cascade scheme.
 
     The Alice-to-Bob rate splits as R' = rate12 - rate23 for the label
@@ -516,10 +559,10 @@ def simulate_cascade(target: CqEnsemble, ext: Extension, n: int,
 
 
 def _simulate(target, ext, n, rates, codeword_rates, trials, seed, delta,
-              gamma_coeff, multipliers, engine) -> list:
-    """The one simulation core: ``trials`` cascade traces of one code,
-    drawn and finished chunk by chunk.  ``gamma_coeff`` defaults to the
-    label alphabet-size product, and a codeword rate to I + 2 gamma."""
+              gamma_coeff, multipliers, engine) -> SimulationTraces:
+    """The one simulation core: ``trials`` traces of one code, drawn and
+    finished chunk by chunk.  ``gamma_coeff`` defaults to the label
+    alphabet-size product, and a codeword rate to I + 2 gamma."""
     ext.require_validated()
     if trials < 1:
         raise ProtocolError("trials must be positive")
@@ -542,10 +585,11 @@ def _simulate(target, ext, n, rates, codeword_rates, trials, seed, delta,
                               codeword_rate=rate_y, delta=delta, seed=seed)
     params_z = CodebookParams(n=n, bin_rate=rate23, codeword_rate=rate_z,
                               delta=delta, seed=seed)
+    two_node = ext.kind == "two-node"
     if engine == "auto":
         # explicit when the codebooks hold few enough symbols; the two-node
         # run's one-codeword relay is not charged
-        relay = 0 if ext.kind == "two-node" else params_z.num_codewords
+        relay = 0 if two_node else params_z.num_codewords
         engine = ("explicit" if (params_y.num_codewords + relay) * n
                   <= EXPLICIT_AUTO_BUDGET else "sampled")
     tables = _tables(target, ext)
@@ -557,6 +601,7 @@ def _simulate(target, ext, n, rates, codeword_rates, trials, seed, delta,
         cb_z = build_codebook(params_z, p_xyz.sum(axis=(0, 1)), role=1)
         outcomes = lambda chunk: _explicit_chunk(cb_y, cb_z, p_xyz, radii,
                                                  chunk)
+        rows = (cb_y.codewords, None if two_node else cb_z.codewords)
         cells = max(cells, n)  # and n cells of stacked source draws
     elif engine == "sampled":
         if p_xyz.shape[2] != 1:
@@ -565,21 +610,30 @@ def _simulate(target, ext, n, rates, codeword_rates, trials, seed, delta,
                 "relay label (single Z symbol); use the explicit engine")
         outcomes = lambda chunk: _sampled_chunk(p_xyz, params_y, params_z,
                                                 radii, chunk)
+        # b_label_seq is a column of arrangements; the relay label is 0
+        rows = (None, None if two_node else np.zeros((1, n), dtype=np.int8))
     else:
         raise ProtocolError(f"unknown engine {engine!r}")
-    fixed = dict(n=n, seed=seed, engine=engine, rate=rate12,
-                 codeword_rate=rate_y, rate23=rate23,
-                 gamma_radius=schedule.gamma)
+    run = dict(n=n, seed=seed, engine=engine, rate=rate12,
+               codeword_rate=rate_y, rate23=None if two_node else rate23,
+               gamma_radius=schedule.gamma,
+               index_match=None if two_node else True)
     step = max(1, CHUNK_CELLS // cells)
-    traces = []
+    columns = {}   # each filled chunk by chunk, preallocated for the run
     for first in range(0, trials, step):
         chunk = range(first, min(first + step, trials))
-        traces += _finish(*outcomes(chunk), tables, chunk, fixed)
-    return traces
+        for name, values in _finish(*outcomes(chunk), tables, n,
+                                    schedule.gamma).items():
+            if name not in columns:
+                columns[name] = ([None] * trials if isinstance(values, list)
+                                 else np.empty((trials, *values.shape[1:]),
+                                               values.dtype))
+            columns[name][chunk.start:chunk.stop] = values
+    return SimulationTraces(columns, run, rows)
 
 
 def _explicit_chunk(cb_y: Codebook, cb_z: Codebook, p_xyz, radii, chunk):
-    """Label counts (T, X, Y, Z) and trace fields of a chunk of explicit
+    """Label counts (T, X, Y, Z) and trace columns of a chunk of explicit
     trials, every scan shared by the chunk."""
     source_radius, encode_radius, decode_radius = radii
     num_x, num_y, num_z = p_xyz.shape
@@ -613,20 +667,14 @@ def _explicit_chunk(cb_y: Codebook, cb_z: Codebook, p_xyz, radii, chunk):
     cells = (x.astype(np.int64) * num_y + cb_y.codewords[ell_hat]) * num_z \
         + z + p_xyz.size * np.arange(size)[:, None]
     counts = np.bincount(cells.ravel(), minlength=size * p_xyz.size)
-    y_seqs = [cb_y.codewords[i] for i in ell_hat.tolist()]
-    z_seqs = [cb_z.codewords[i] for i in ell_hat2.tolist()]
     return counts.reshape((size,) + p_xyz.shape).astype(float), dict(
-        x_seq=list(x), b_label_seq=y_seqs, c_label_seq=z_seqs,
-        bar_z_seq=z_seqs, ell=ell.tolist(),
-        m12=m12.tolist(), ell_hat=ell_hat.tolist(),
-        x_typical=x_typical.tolist(), encoder_fallback=enc_fb.tolist(),
-        decoder_fallback=dec_fb.tolist(), ell2=ell2.tolist(),
-        m23=m23.tolist(), ell_hat2=ell_hat2.tolist(),
-        ell_tilde2=ell_hat2.tolist(), index_match=[True] * size)
+        x_seq=x, ell=ell, m12=m12, ell_hat=ell_hat, x_typical=x_typical,
+        encoder_fallback=enc_fb, decoder_fallback=dec_fb, ell2=ell2,
+        m23=m23, ell_hat2=ell_hat2)
 
 
 def _sampled_chunk(p_xyz, params_y, params_z, radii, chunk):
-    """Label counts (T, X, Y, Z) and trace fields of a chunk of sampled
+    """Label counts (T, X, Y, Z) and trace columns of a chunk of sampled
     trials: key 0 seeds each trial's generator, keys 1 and 3 its bin and
     relay messages."""
     trial, seed = np.arange(chunk.start, chunk.stop), params_y.seed
@@ -654,32 +702,24 @@ def _sampled_trial(p_xy, n, radii, num_codewords, num_bins, relay_bins,
     # a one-bin relay message is always 0, so its stream is not drawn
     m23 = (_bigint_random(bin_words[1]).randrange(relay_bins)
            if fields["x_typical"] and relay_bins > 1 else 0)
-    z_seq = np.zeros(n, dtype=np.int8)
-    return counts.astype(float)[:, :, None], dict(
-        fields, c_label_seq=z_seq, bar_z_seq=z_seq, ell2=0, m23=m23,
-        ell_hat2=0, ell_tilde2=0, index_match=True)
+    return counts.astype(float)[:, :, None], dict(fields, ell2=0, m23=m23,
+                                                  ell_hat2=0)
 
 
-def _finish(counts, fields, tables: _Tables, chunk, fixed) -> list:
-    """Averaged states, distances and block-bound checks of a trial chunk:
-    rho and tau are batched ``mixture``s, and the states' validation and
-    both trace distances share one ``eigvalsh`` call."""
-    freq = counts / fixed["n"]
+def _finish(counts, fields, tables: _Tables, n: int, gamma: float) -> dict:
+    """A trial chunk's columns: ``fields``, counts, averaged states,
+    distances and block-bound checks.  rho and tau are batched ``mixture``s,
+    and one ``eigvalsh`` call validates the states and gives both distances."""
+    freq = counts / n
     rho = mixture(freq, tables.k)
     tau = mixture(freq.sum(axis=(2, 3)), tables.t)
     states, eig = validated_states(rho, rho - tau, rho - tables.omega)
-    d_tau, d_target = (0.5 * np.abs(eig).sum(axis=-1)).tolist()
-    gamma = fixed["gamma_radius"]
-    g_typ = (0.5 * np.abs(freq - tables.p_xyz).sum(axis=(1, 2, 3))
-             < gamma).tolist()
-    return [SimulationTrace(
-        trial=trial, joint_counts=counts[i],
-        avg_state=trusted_density(states[i]),
-        distance_to_target=d_target[i], distance_to_tau=d_tau[i],
-        gamma_typical=g_typ[i],
-        block_bound_ok=bool(d_tau[i] <= gamma) if g_typ[i] else None,
-        **fixed, **{key: column[i] for key, column in fields.items()})
-        for i, trial in enumerate(chunk)]
+    d_tau, d_target = 0.5 * np.abs(eig).sum(axis=-1)
+    g_typ = 0.5 * np.abs(freq - tables.p_xyz).sum(axis=(1, 2, 3)) < gamma
+    return dict(fields, joint_counts=counts, avg_state=states,
+                distance_to_target=d_target, distance_to_tau=d_tau,
+                gamma_typical=g_typ,
+                block_bound_ok=np.where(g_typ, d_tau <= gamma, None))
 
 
 # ----------------------------------------------------------------------
@@ -730,7 +770,7 @@ def derandomize(target: CqEnsemble, ext: Extension, n: int, rate: float,
         traces = simulate_two_node(target, ext, n, rate, trials,
                                    seed=seed_s, **sim_kwargs)
         seeds.append(seed_s)
-        dists.append(float(np.mean([t.distance_to_target for t in traces])))
+        dists.append(float(np.mean(traces.column("distance_to_target"))))
         if keep_traces:
             kept.append(traces)
     dists = np.array(dists)
@@ -772,28 +812,28 @@ class ConverseReport:
         return all(iq.passed for iq in self.inequalities)
 
 
-def converse_check(traces: Sequence[SimulationTrace], target: CqEnsemble,
+def converse_check(traces: SimulationTraces, target: CqEnsemble,
                    ext: Extension, rate: float,
                    rate23: Optional[float] = None,
                    slack: float = 0.02) -> ConverseReport:
     """Measurement-side rate bound on the simulated code.
 
     Reads the computational-basis diagonal of the trial-averaged
-    classical-quantum state (exact, via the recorded label types and atom
-    diagonals), forms the per-letter distribution, and checks the
-    mutual-information inequalities with the entropy-continuity slack
-    alpha_n computed from the measured trace distance.  The slack is a
-    relaxation term, so it enters clamped at zero: outside the
-    small-deviation regime (where the continuity bound is vacuous) the
-    plain information inequality I <= rate still applies.
+    classical-quantum state (exact, via the ``joint_counts`` column of
+    ``traces`` and the atom diagonals), forms the per-letter distribution,
+    and checks the mutual-information inequalities with the
+    entropy-continuity slack alpha_n computed from the measured trace
+    distance.  The slack is a relaxation term, so it enters clamped at
+    zero: outside the small-deviation regime (where the continuity bound
+    is vacuous) the plain information inequality I <= rate still applies.
     """
     if not traces:
         raise ProtocolError("converse_check needs at least one trace")
     if ext.kind != "two-node" and rate23 is None:
         raise ProtocolError("cascade converse needs rate23")
     tables = _tables(target, ext)
-    counts = np.mean([t.joint_counts for t in traces], axis=0)
-    freq = counts.reshape(tables.p_xyz.shape) / traces[0].n
+    counts = np.mean(traces.column("joint_counts"), axis=0)
+    freq = counts.reshape(tables.p_xyz.shape) / traces.run["n"]
     px = target.source.table
     num_x = freq.shape[0]
     eps = sum(trace_norm_distance(mixture(freq[a], tables.k[a]),

@@ -82,16 +82,33 @@ def trusted_density(matrix: np.ndarray) -> DensityOperator:
     return state
 
 
-def _restored(matrix: np.ndarray, label: str) -> DensityOperator:
-    """A copied or unpickled ``DensityOperator``: its matrix was checked
-    when the original was made, so it is not checked again."""
-    matrix.setflags(write=False)
-    state = trusted_density(matrix)
-    object.__setattr__(state, "label", label)
-    return state
+def _restored(cls, *values):
+    """A copied or unpickled operator: its matrices were checked when the
+    original was made, so they are only made read-only again."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
 
 
-class DensityOperator:
+class _Immutable:
+    """Slots that only the constructor sets; a copy or a pickle restores
+    them through ``_restored``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return _restored, (type(self),
+                           *(getattr(self, s) for s in self.__slots__))
+
+
+class DensityOperator(_Immutable):
     """Positive semidefinite, unit-trace complex matrix on one or more registers.
 
     Immutable after construction.  ``label`` is free-form bookkeeping for
@@ -111,12 +128,6 @@ class DensityOperator:
         a, _ = validated_states(a)
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "label", label)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DensityOperator is immutable")
-
-    def __reduce__(self):
-        return _restored, (self.matrix, self.label)
 
     @property
     def dim(self) -> int:
@@ -146,7 +157,7 @@ class DensityOperator:
         return f"DensityOperator(dim={self.dim}, label={self.label!r})"
 
 
-class HermitianObservable:
+class HermitianObservable(_Immutable):
     """A Hermitian operator whose expectation values are measured."""
 
     __slots__ = ("matrix",)
@@ -158,15 +169,12 @@ class HermitianObservable:
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HermitianObservable is immutable")
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
-class Povm:
+class Povm(_Immutable):
     """A finite positive operator-valued measure: PSD elements summing to I."""
 
     __slots__ = ("elements",)
@@ -187,9 +195,6 @@ class Povm:
         for a in mats:
             a.setflags(write=False)
         object.__setattr__(self, "elements", tuple(mats))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Povm is immutable")
 
     @property
     def dim(self) -> int:

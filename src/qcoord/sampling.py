@@ -355,7 +355,7 @@ class TypeGrid:
         it falls back to ne, and ``nd`` to ``d``, when nd is empty."""
         if cls == "e":
             cell = np.unravel_index(_pick(rng, self.encode_table), self.shape)
-            return np.stack([c[i] for (c, _), i in zip(self.rows, cell)])
+            return np.array([c[i] for (c, _), i in zip(self.rows, cell)])
         types = self.types
         table = types.nd if cls in ("nd", "ne_nd") and types.nd else types.d
         reject = cls in ("ne_d", "ne_nd") and table is types.d

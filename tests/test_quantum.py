@@ -33,6 +33,8 @@ KETP = DensityOperator.pure([1, 1])
 ETA = DensityOperator([[0.75, 0.25], [0.25, 0.25]])
 PAULI_Z = HermitianObservable(np.diag([1.0, -1.0]).astype(complex))
 PAULI_X = HermitianObservable(np.array([[0, 1], [1, 0]], dtype=complex))
+COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+          "pickle": lambda r: pickle.loads(pickle.dumps(r))}
 
 
 class TestDensityOperator:
@@ -58,13 +60,11 @@ class TestDensityOperator:
         with pytest.raises(ValueError):
             KET0.matrix[0, 0] = 0.0
 
-    @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("how", sorted(COPIES))
     def test_copies_keep_the_matrix_and_stay_immutable(self, how):
         rho = DensityOperator(random_density(np.random.default_rng(5), 3),
                               "AB")
-        make = {"copy": copy.copy, "deepcopy": copy.deepcopy,
-                "pickle": lambda r: pickle.loads(pickle.dumps(r))}[how]
-        twin = make(rho)
+        twin = COPIES[how](rho)
         assert twin.label == "AB"
         assert twin.matrix.tobytes() == rho.matrix.tobytes()
         with pytest.raises(AttributeError):
@@ -253,6 +253,32 @@ class TestMeasurements:
             Povm([np.eye(2) * 0.5])
         with pytest.raises(QuantumError):
             Povm([np.diag([1.5, 0]), np.diag([-0.5, 1.0])])
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_observable_copies_keep_the_matrix_read_only(self, how):
+        rng = np.random.default_rng(6)
+        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        obs = HermitianObservable(m + m.conj().T)
+        twin = COPIES[how](obs)
+        assert twin.matrix.tobytes() == obs.matrix.tobytes()
+        with pytest.raises(ValueError):
+            twin.matrix[0, 0] = 0.0
+        with pytest.raises(AttributeError):
+            twin.matrix = obs.matrix
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_povm_copies_keep_the_elements_read_only(self, how):
+        v = np.array([1.0, 1.0j]) / math.sqrt(2)
+        plus = np.outer(v, v.conj())
+        povm = Povm([plus / 2, (np.eye(2) - plus) / 2, np.eye(2) / 2])
+        twin = COPIES[how](povm)
+        assert len(twin.elements) == 3
+        for got, want in zip(twin.elements, povm.elements):
+            assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                got[0, 0] = 0.0
+        with pytest.raises(AttributeError):
+            twin.elements = ()
 
     def test_expectation_pauli_z(self):
         assert observable_expectation(KET0, PAULI_Z) == pytest.approx(1.0)
