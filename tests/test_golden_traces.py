@@ -56,10 +56,10 @@ FLOAT_TOL = 1e-12
 EXACT_FIELDS = ("n", "seed", "trial", "engine", "ell", "m12", "ell_hat",
                 "x_typical", "encoder_fallback", "decoder_fallback",
                 "gamma_typical", "block_bound_ok", "ell2", "m23",
-                "ell_hat2", "ell_tilde2", "index_match")
+                "ell_hat2", "ell_tilde2")
 FLOAT_FIELDS = ("distance_to_target", "distance_to_tau", "gamma_radius",
                 "rate", "codeword_rate", "rate23")
-SEQ_FIELDS = ("x_seq", "b_label_seq", "c_label_seq", "bar_z_seq")
+SEQ_FIELDS = ("x_seq", "b_label_seq", "c_label_seq")
 
 
 def example1():
