@@ -224,7 +224,7 @@ def cmd_simulate(cfg, opts) -> dict:
             "decoder_fallback"))
         run = traces.run
         rows += [[n, rate, r23, run["seed"], t, run["engine"], repr(d),
-                  repr(d2), e, f, run["index_match"]]
+                  repr(d2), e, f]
                  for t, (d, d2, e, f) in enumerate(zip(dists, d_tau, enc,
                                                        dec))]
         summary.append([n, rate, r23, len(traces)] + [
@@ -235,8 +235,7 @@ def cmd_simulate(cfg, opts) -> dict:
     return {
         "simulate.csv": (["n", "rate", "rate23", "seed", "trial", "engine",
                           "distance_to_target", "distance_to_tau",
-                          "encoder_fallback", "decoder_fallback",
-                          "bob_charlie_index_match"], rows),
+                          "encoder_fallback", "decoder_fallback"], rows),
         "simulate_summary.csv": (["n", "rate", "rate23", "trials", "median",
                                   "q25", "q75", "mean",
                                   "encoder_fallback_rate",

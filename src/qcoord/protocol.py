@@ -31,8 +31,8 @@ Two interchangeable engines produce statistically identical trials:
   arranges its codeword, ``b_label_seq``, when it is first read.
 
 Both engines run one serial loop: a chunk of trials is drawn, then
-finished (``_finish``) into the columns of one ``SimulationTraces``, and
-then the next chunk is drawn; a trace is built only when it is read.
+finished (``_finish``) into the same columns of one ``SimulationTraces``,
+and then the next chunk is drawn; a trace is built only when it is read.
 
 The core builds one ``ToleranceSchedule`` per run from the ``delta``,
 ``multipliers`` and ``gamma_coeff`` keywords.  Both engines read its
@@ -377,21 +377,18 @@ def decode_generic(cb: Codebook, target_joint: np.ndarray, radius: float,
 
 
 class _Drawn:
-    """A trace field that may hold a ``sampling.Arrangement``: a read
-    returns the arrangement's value."""
-
-    def __set_name__(self, owner, name):
-        self.name, self.slot = name, "_" + name
+    """The ``b_label_seq`` field, which may hold a ``sampling.Arrangement``:
+    a read returns the arrangement's value."""
 
     def __get__(self, trace, owner=None):
         if trace is None:   # no class-level default: the field is required
-            raise AttributeError(self.name)
-        value = getattr(trace, self.slot)
+            raise AttributeError("b_label_seq")
+        value = trace._b_label_seq
         return (value.value if isinstance(value, sampling.Arrangement)
                 else value)
 
     def __set__(self, trace, value):
-        setattr(trace, self.slot, value)
+        trace._b_label_seq = value
 
 
 @dataclass
@@ -428,12 +425,10 @@ class SimulationTrace:
     # cascade-only fields
     rate23: Optional[float] = None
     c_label_seq: Optional[np.ndarray] = None
-    bar_z_seq: Optional[np.ndarray] = None
     ell2: Optional[int] = None
     m23: Optional[int] = None
     ell_hat2: Optional[int] = None
     ell_tilde2: Optional[int] = None
-    index_match: Optional[bool] = None
 
     def slot_states(self, atoms_a, atoms_b, atoms_c=None):
         """Per-slot prepared product states (generated on demand)."""
@@ -452,17 +447,23 @@ class SimulationTraces(abc.Sequence):
 
     ``traces[i]`` builds trial i's ``SimulationTrace`` on each read (so a
     changed field writes nothing back); a slice is a list of traces.
-    ``column(name)`` is a field of every trial as one array, ``joint_counts``
-    as (T, X, Y, Z), and ``run`` the fields all trials share.  After
-    ``traces[i] = t``, index i reads the stand-in ``t``; no column sees it.
+    ``column(name)`` is a field of every trial, one read-only array named
+    alike on both engines: ``x_seq`` (T, n) int8, ``joint_counts``
+    (T, X, Y, Z), sampled indices as Python ints.  ``run`` holds the
+    fields all trials share.  Label sequences are codebook rows, or, on
+    the sampled engine, ``b_label_seq`` is arranged from the trial's
+    ``generators`` on first read.  After ``traces[i] = t``, index i reads
+    the stand-in ``t``; no column sees it.
     """
 
-    def __init__(self, columns, run, rows):
-        for a in (*columns.values(), *rows):
-            if isinstance(a, np.ndarray):
-                a.setflags(write=False)
-        # the Y and Z codeword tables; a two-node run has no Z table
+    def __init__(self, columns, run, rows, generators):
+        for a in columns.values():
+            a.setflags(write=False)
+        # the read-only Y and Z label tables; a sampled run has no Y table
         self._columns, self.run, self._rows = columns, run, rows
+        self._arranged = [sampling.Arrangement(g, x, c[:, :, 0]) for g, x, c
+                          in zip(generators, columns["x_seq"],
+                                 columns["joint_counts"])]
         self._stand_ins = {}
 
     def __len__(self) -> int:
@@ -472,7 +473,7 @@ class SimulationTraces(abc.Sequence):
         self._stand_ins[range(len(self))[i]] = trace
 
     def column(self, name: str) -> np.ndarray:
-        return np.asarray(self._columns[name])
+        return self._columns[name]
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -483,15 +484,15 @@ class SimulationTraces(abc.Sequence):
                                        self._columns.items()})
         f = {k: v.item() if isinstance(v, np.generic) else v
              for k, v in f.items()}
-        if "b_label_seq" not in f:
-            f["b_label_seq"] = self._rows[0][f["ell_hat"]]
+        f["b_label_seq"] = (self._arranged[i] if self._arranged
+                            else self._rows[0][f["ell_hat"]])
         if self._rows[1] is None:
-            f.update(dict.fromkeys(("c_label_seq", "bar_z_seq", "ell2", "m23",
-                                    "ell_hat2", "ell_tilde2")),
+            f.update(dict.fromkeys(("c_label_seq", "ell2", "m23", "ell_hat2",
+                                    "ell_tilde2")),
                      joint_counts=f["joint_counts"][:, :, 0])
         else:
-            z = self._rows[1][f["ell_hat2"]]
-            f.update(c_label_seq=z, bar_z_seq=z, ell_tilde2=f["ell_hat2"])
+            f.update(c_label_seq=self._rows[1][f["ell_hat2"]],
+                     ell_tilde2=f["ell_hat2"])
         return SimulationTrace(avg_state=trusted_density(f.pop("avg_state")),
                                **f)
 
@@ -610,31 +611,32 @@ def _simulate(target, ext, n, rates, codeword_rates, trials, seed, delta,
                 "relay label (single Z symbol); use the explicit engine")
         outcomes = lambda chunk: _sampled_chunk(p_xyz, params_y, params_z,
                                                 radii, chunk)
-        # b_label_seq is a column of arrangements; the relay label is 0
-        rows = (None, None if two_node else np.zeros((1, n), dtype=np.int8))
+        # b_label_seq is arranged per trial; the relay label is 0
+        rows = (None, None if two_node
+                else np.broadcast_to(np.int8(0), (1, n)))
     else:
         raise ProtocolError(f"unknown engine {engine!r}")
     run = dict(n=n, seed=seed, engine=engine, rate=rate12,
                codeword_rate=rate_y, rate23=None if two_node else rate23,
-               gamma_radius=schedule.gamma,
-               index_match=None if two_node else True)
+               gamma_radius=schedule.gamma)
     step = max(1, CHUNK_CELLS // cells)
-    columns = {}   # each filled chunk by chunk, preallocated for the run
+    columns, generators = {}, []   # each column allocated once for the run
     for first in range(0, trials, step):
         chunk = range(first, min(first + step, trials))
-        for name, values in _finish(*outcomes(chunk), tables, n,
+        counts, fields, chunk_generators = outcomes(chunk)
+        generators += chunk_generators
+        for name, values in _finish(counts, fields, tables, n,
                                     schedule.gamma).items():
             if name not in columns:
-                columns[name] = ([None] * trials if isinstance(values, list)
-                                 else np.empty((trials, *values.shape[1:]),
-                                               values.dtype))
+                columns[name] = np.empty((trials, *values.shape[1:]),
+                                         values.dtype)
             columns[name][chunk.start:chunk.stop] = values
-    return SimulationTraces(columns, run, rows)
+    return SimulationTraces(columns, run, rows, generators)
 
 
 def _explicit_chunk(cb_y: Codebook, cb_z: Codebook, p_xyz, radii, chunk):
-    """Label counts (T, X, Y, Z) and trace columns of a chunk of explicit
-    trials, every scan shared by the chunk."""
+    """Label counts (T, X, Y, Z), trace columns and (no) generators of a
+    chunk of explicit trials, every scan shared by the chunk."""
     source_radius, encode_radius, decode_radius = radii
     num_x, num_y, num_z = p_xyz.shape
     n, seed, size = cb_y.params.n, cb_y.params.seed, len(chunk)
@@ -670,40 +672,37 @@ def _explicit_chunk(cb_y: Codebook, cb_z: Codebook, p_xyz, radii, chunk):
     return counts.reshape((size,) + p_xyz.shape).astype(float), dict(
         x_seq=x, ell=ell, m12=m12, ell_hat=ell_hat, x_typical=x_typical,
         encoder_fallback=enc_fb, decoder_fallback=dec_fb, ell2=ell2,
-        m23=m23, ell_hat2=ell_hat2)
+        m23=m23, ell_hat2=ell_hat2), ()
 
 
 def _sampled_chunk(p_xyz, params_y, params_z, radii, chunk):
-    """Label counts (T, X, Y, Z) and trace columns of a chunk of sampled
-    trials: key 0 seeds each trial's generator, keys 1 and 3 its bin and
-    relay messages."""
+    """Label counts (T, X, Y, Z), trace columns and generators of a chunk
+    of sampled trials.  The Z label is constant, so the Y side is exactly
+    the two-node trial; key 0 seeds each trial's generator, which is left
+    where the arrangement of ``b_label_seq`` starts, and keys 1 and 3 its
+    bin and relay ``random.Random``s."""
     trial, seed = np.arange(chunk.start, chunk.stop), params_y.seed
-    rng_words = _stream_words(seed, (_KEY_TRIAL, trial, 0), 4, np.uint64)
+    generators = [_generator(w) for w in
+                  _stream_words(seed, (_KEY_TRIAL, trial, 0), 4, np.uint64)]
     bin_words = _stream_words(
         seed, (_KEY_TRIAL, trial[:, None], np.array([1, 3])), 2)
     # read once: each read of a codebook size recomputes it
     code = (p_xyz[:, :, 0], params_y.n, radii, params_y.num_codewords,
-            params_y.num_bins, params_z.num_bins)
-    done = [_sampled_trial(*code, *words)
-            for words in zip(rng_words, bin_words)]
-    return (np.stack([counts for counts, _ in done]),
-            {key: [f[key] for _, f in done] for key in done[0][1]})
-
-
-def _sampled_trial(p_xy, n, radii, num_codewords, num_bins, relay_bins,
-                   rng_words, bin_words):
-    """Trivial relay: the Z label is constant, so the Y side is exactly
-    the two-node trial; the relay bin message lives on its own stream.
-    ``rng_words`` seed the trial's generator, ``bin_words`` its bin and
-    relay ``random.Random``s."""
-    counts, fields = sampling.sample_two_node_trial(
-        _generator(rng_words), _bigint_random(bin_words[0]), p_xy, n, radii,
-        num_codewords, num_bins)
+            params_y.num_bins)
+    relay_bins = params_z.num_bins
+    x, counts, ell, m12, ell_hat, x_typical, enc_fb, dec_fb = zip(*(
+        sampling.sample_two_node_trial(rng, _bigint_random(words[0]), *code)
+        for rng, words in zip(generators, bin_words)))
     # a one-bin relay message is always 0, so its stream is not drawn
-    m23 = (_bigint_random(bin_words[1]).randrange(relay_bins)
-           if fields["x_typical"] and relay_bins > 1 else 0)
-    return counts.astype(float)[:, :, None], dict(fields, ell2=0, m23=m23,
-                                                  ell_hat2=0)
+    m23 = [_bigint_random(words[1]).randrange(relay_bins)
+           if typical and relay_bins > 1 else 0
+           for typical, words in zip(x_typical, bin_words)]
+    zero = np.zeros(len(chunk), dtype=np.int64)
+    return np.stack(counts).astype(float)[..., None], dict(
+        x_seq=np.stack(x), ell=np.array(ell, object), m12=np.array(m12, object),
+        ell_hat=np.array(ell_hat, object), x_typical=np.array(x_typical),
+        encoder_fallback=np.array(enc_fb), decoder_fallback=np.array(dec_fb),
+        ell2=zero, m23=np.array(m23, object), ell_hat2=zero), generators
 
 
 def _finish(counts, fields, tables: _Tables, n: int, gamma: float) -> dict:

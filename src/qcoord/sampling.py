@@ -447,9 +447,9 @@ _DRAW_LOCK = threading.Lock()
 
 class Arrangement:
     """``arrange_within_rows(rng, x_seq, counts)``, drawn on the first read
-    of ``value`` and then kept.  It is the last draw of a trial, so nothing
-    else draws from ``rng`` and the draw is the one an eager call makes;
-    the generator goes once it is drawn."""
+    of ``value`` and then kept read-only.  It is the last draw of a trial,
+    so nothing else draws from ``rng`` and the draw is the one an eager
+    call makes; the generator goes once it is drawn."""
 
     def __init__(self, rng: np.random.Generator, x_seq: np.ndarray,
                  counts: np.ndarray):
@@ -460,6 +460,7 @@ class Arrangement:
         with _DRAW_LOCK:    # reads that race still draw once
             if self._args is not None:
                 self._value = arrange_within_rows(*self._args)
+                self._value.setflags(write=False)
                 self._args = None
         return self._value
 
@@ -473,16 +474,16 @@ def sample_two_node_trial(rng: np.random.Generator, bin_rng,
     that ``protocol`` builds once per run.  ``rng`` drives all continuous
     draws; ``bin_rng`` (a ``random.Random``) supplies uniform bin indices,
     which may exceed 2^64.  The draw order is fixed so that a given seed
-    reproduces the trial bit for bit.  Returns ``(counts, fields)``: the
-    (|X|, |U|) joint counts and the Y-side trace fields keyed by their
-    names.  The sent codeword's joint type is drawn from one class of the
-    cached ``TypeGrid``: ``e``, ``ne_d``, ``ne_nd``, ``d`` or ``nd``.  Its
-    arrangement, ``b_label_seq``, is an ``Arrangement``: it is drawn from
-    ``rng`` on first read, bit for bit as an eager draw would be.
+    reproduces the trial bit for bit.  Returns ``x_seq``, the (|X|, |U|)
+    joint counts, ``ell``, ``m12``, ``ell_hat``, ``x_typical``,
+    ``encoder_fallback`` and ``decoder_fallback``.  The sent codeword's
+    joint type is drawn from one class of the cached ``TypeGrid``: ``e``,
+    ``ne_d``, ``ne_nd``, ``d`` or ``nd``.  Its arrangement, ``b_label_seq``,
+    is the trial's last draw, ``arrange_within_rows(rng, x_seq, counts)``,
+    which an ``Arrangement`` defers to its first read.
     """
     px = p_joint.sum(axis=1)
     x_seq = sample_iid(rng, px, n)
-    x_seq.setflags(write=False)     # the arrangement reads it when drawn
     x_counts = np.bincount(x_seq, minlength=p_joint.shape[0]).astype(np.int64)
     source_radius, *grid_radii = radii
     x_typical = bool(0.5 * np.abs(x_counts / n - px).sum() < source_radius)
@@ -491,12 +492,8 @@ def sample_two_node_trial(rng: np.random.Generator, bin_rng,
     log_m = math.log(num_bins)
 
     def finish(ell, m12, ell_hat, enc_fb, dec_fb, cls):
-        counts = grid.sample_counts(rng, cls)
-        return counts, dict(
-            x_seq=x_seq, b_label_seq=Arrangement(rng, x_seq, counts),
-            ell=int(ell), m12=int(m12), ell_hat=int(ell_hat),
-            x_typical=x_typical, encoder_fallback=bool(enc_fb),
-            decoder_fallback=bool(dec_fb))
+        return (x_seq, grid.sample_counts(rng, cls), int(ell), int(m12),
+                int(ell_hat), x_typical, bool(enc_fb), bool(dec_fb))
 
     if x_typical:
         log_ne, log_ne_d = grid.log_ne, grid.log_ne_d

@@ -447,7 +447,7 @@ class TestCascadeSimulation:
             assert a.distance_to_tau == b.distance_to_tau
             assert np.array_equal(a.x_seq, b.x_seq)
             assert np.array_equal(a.b_label_seq, b.b_label_seq)
-            assert b.index_match
+            assert b.ell_hat2 == 0 and not b.c_label_seq.any()
 
     def test_degenerate_relay_bit_for_bit_explicit(self, example1_pair):
         ens3, ext3 = degenerate_z_cascade(example1_pair)
@@ -499,7 +499,13 @@ class TestCascadeSimulation:
                                   trials=10, seed=2, delta=0.1,
                                   engine="explicit", codeword_rate_y=0.35,
                                   codeword_rate_z=0.3)
-        assert all(t.index_match for t in traces)
+        params_z = CodebookParams(n=32, bin_rate=0.9, codeword_rate=0.3,
+                                  delta=0.1, seed=2)
+        cb_z = build_codebook(params_z, ext.joint.table.sum(axis=(0, 1)),
+                              role=1)
+        # Charlie's label is the relay codeword of the one relay decode
+        for t in traces:
+            assert np.array_equal(t.c_label_seq, cb_z.codewords[t.ell_hat2])
 
     def test_rate_split_validation(self, example1_pair):
         ens3, ext3 = degenerate_z_cascade(example1_pair)

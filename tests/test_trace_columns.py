@@ -183,15 +183,14 @@ def test_fields_are_python_values(example1_pair, engine):
             assert t.block_bound_ok is None or type(t.block_bound_ok) is bool
             if kind == "two-node":
                 assert t.joint_counts.ndim == 2
-                assert t.rate23 is t.index_match is None
-                for field in RELAY_INT_FIELDS + ("c_label_seq", "bar_z_seq"):
+                assert t.rate23 is None
+                for field in RELAY_INT_FIELDS + ("c_label_seq",):
                     assert getattr(t, field) is None, field
             else:
                 assert t.joint_counts.ndim == 3
-                assert type(t.rate23) is float and t.index_match is True
+                assert type(t.rate23) is float
                 for field in RELAY_INT_FIELDS:
                     assert type(getattr(t, field)) is int, (kind, field)
-                assert t.c_label_seq is t.bar_z_seq
                 assert t.c_label_seq.dtype == np.int8
             assert t.x_seq.dtype == t.b_label_seq.dtype == np.int8
 
@@ -200,17 +199,29 @@ def test_fields_are_python_values(example1_pair, engine):
 def test_trace_arrays_are_read_only(example1_pair, engine):
     for kind, traces in _runs(example1_pair, engine):
         t = traces[0]
-        arrays = [t.x_seq, t.joint_counts, t.avg_state.matrix]
-        if engine == "explicit":
-            # a codebook row, and the run's (T, n) source block
-            arrays += [t.b_label_seq, traces.column("x_seq")]
-            assert traces.column("x_seq").shape == (6, traces.run["n"])
+        arrays = [t.x_seq, t.b_label_seq, t.joint_counts, t.avg_state.matrix]
         if kind == "cascade":
             arrays += [t.c_label_seq]
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = a[0]
+
+
+def test_both_engines_store_one_column_layout(example1_pair):
+    layouts = {}
+    for engine in ("explicit", "sampled"):
+        for kind, traces in _runs(example1_pair, engine):
+            names = sorted(traces._columns)
+            for name in names:
+                column = traces.column(name)
+                assert traces.column(name) is column, (engine, kind, name)
+                assert isinstance(column, np.ndarray) and len(column) == 6
+                assert not column.flags.writeable, (engine, kind, name)
+            x = traces.column("x_seq")
+            assert (x.shape, x.dtype) == ((6, traces.run["n"]), np.int8)
+            layouts[engine, kind] = names
+    assert len(set(map(tuple, layouts.values()))) == 1, layouts
 
 
 # ----------------------------------------------------------------------
