@@ -17,6 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .quantum import _Immutable
+
 PMF_TOL = 1e-12
 MAX_TABLE_ENTRIES = 1_000_000
 
@@ -52,7 +54,7 @@ class Alphabet:
             raise PmfError(f"symbol {symbol!r} not in alphabet {self.name!r}")
 
 
-class JointPmf:
+class JointPmf(_Immutable):
     """Dense joint distribution over one or more named variables."""
 
     __slots__ = ("variables", "table")
@@ -80,9 +82,6 @@ class JointPmf:
         t.setflags(write=False)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "table", t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JointPmf is immutable")
 
     @property
     def names(self) -> tuple:

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,8 @@ from qcoord.coordination import (
     two_node_rate,
     validate_extension,
 )
+from qcoord.optimizer import optimize
+from qcoord.protocol import converse_check, simulate_two_node
 from qcoord.quantum import (
     DensityOperator,
     HermitianObservable,
@@ -34,6 +39,9 @@ from conftest import (
     phase_flip_pair,
 )
 from oracles import binary_entropy, random_density, reference_kron_table
+
+COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+          "pickle": lambda r: pickle.loads(pickle.dumps(r))}
 
 PAULI_Z = HermitianObservable(np.diag([1.0, -1.0]).astype(complex))
 PAULI_X = HermitianObservable(np.array([[0, 1], [1, 0]], dtype=complex))
@@ -361,3 +369,32 @@ class TestMeasurementStatistics:
             emp = np.mean([observable_expectation(s, obs) for s in slots])
             assert emp == pytest.approx(observable_expectation(
                 self.mean_state(slots), obs), abs=1e-10)
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_library_results_copy_and_pickle(example1_pair, how):
+    ens, ext = example1_pair
+    traces = simulate_two_node(ens, ext, n=6, rate=2.0 / 6, trials=5, seed=1,
+                               delta=0.2, engine="explicit",
+                               codeword_rate=0.5)
+    # each result with what a copy must keep of it
+    results = {
+        "JointPmf": (ext.joint, lambda p: (p.names, p.table.tobytes())),
+        "CqEnsemble": (ens, lambda e: (e.source.table.tobytes(),
+                                       [s.matrix.tobytes() for s in e.states],
+                                       e.register_dims)),
+        "Extension": (ext, two_node_rate),
+        "ConverseReport": (converse_check(traces, ens, ext, rate=2.0 / 6),
+                           lambda r: (r.passed, r.eps_n,
+                                      r.measured.table.tobytes())),
+        "OptimizerResult": (optimize(ens, "two-node"),
+                            lambda r: (r.value, r.gap,
+                                       r.extension.joint.table.tobytes())),
+    }
+    for name, (obj, kept) in results.items():
+        twin = COPIES[how](obj)
+        assert type(twin) is type(obj) and kept(twin) == kept(obj), name
+    twin = COPIES[how](ext.joint)
+    assert not twin.table.flags.writeable
+    with pytest.raises(AttributeError, match="JointPmf is immutable"):
+        twin.table = None
