@@ -36,9 +36,9 @@ for rate in (0.46, 0.16):
     for n in (200, 400, 800):
         traces = simulate_two_node(ens, ext, n=n, rate=rate, trials=120,
                                    seed=5, delta=0.02)
-        med = np.median([t.distance_to_target for t in traces])
-        fb = np.mean([t.encoder_fallback for t in traces])
-        typ = np.mean([t.x_typical for t in traces])
+        med = np.median(traces.column("distance_to_target"))
+        fb = np.mean(traces.column("encoder_fallback"))
+        typ = np.mean(traces.column("x_typical"))
         print(f"{rate:>6} {n:>5} {med:>12.4f} {fb:>13.2f} {typ:>10.2f}")
 
 print("\nper-trial record (first trial at rate 0.46, n = 800):")

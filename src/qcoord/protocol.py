@@ -635,8 +635,8 @@ def _simulate(target, ext, n, rates, codeword_rates, trials, seed, delta,
 
 
 def _explicit_chunk(cb_y: Codebook, cb_z: Codebook, p_xyz, radii, chunk):
-    """Label counts (T, X, Y, Z), trace columns and (no) generators of a
-    chunk of explicit trials, every scan shared by the chunk."""
+    """Label counts (T, X, Y, Z) and trace columns of a chunk of explicit
+    trials, every scan shared by the chunk, and no generator to keep."""
     source_radius, encode_radius, decode_radius = radii
     num_x, num_y, num_z = p_xyz.shape
     n, seed, size = cb_y.params.n, cb_y.params.seed, len(chunk)

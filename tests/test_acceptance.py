@@ -178,11 +178,11 @@ def test_criterion_4_optimizer_with_grid_oracle(example1):
 
 
 def test_criterion_5_simulation_trend(achievable_runs):
-    meds = [float(np.median([t.distance_to_target
-                             for t in achievable_runs[(ACHIEVABLE_RATE, n)]]))
+    meds = [float(np.median(achievable_runs[(ACHIEVABLE_RATE, n)]
+                            .column("distance_to_target")))
             for n in N_GRID]
     med_starved = float(np.median(
-        [t.distance_to_target for t in achievable_runs[(STARVED_RATE, 800)]]))
+        achievable_runs[(STARVED_RATE, 800)].column("distance_to_target")))
     elapsed = achievable_runs["wall_time"]
     ok = (meds[0] > meds[1] > meds[2]
           and meds[2] < 0.1
@@ -200,11 +200,10 @@ def test_criterion_6_block_average_bound(achievable_runs):
     for key, traces in achievable_runs.items():
         if key == "wall_time":
             continue
-        for t in traces:
-            if t.gamma_typical:
-                checked += 1
-                if not t.block_bound_ok:
-                    violations += 1
+        typical = traces.column("gamma_typical")
+        checked += int(typical.sum())
+        violations += sum(not ok for ok in
+                          traces.column("block_bound_ok")[typical])
     ok = violations == 0 and checked > 0
     report(6, ok, f"{checked} typical-decode trials checked, "
                   f"{violations} violations of (1/2)||rho - tau||_1 <= gamma")
@@ -271,7 +270,7 @@ def test_criterion_9_oracle_equivalence(example1):
         oracle_fixed = expected_state_fixed_codebook(
             np.asarray(cb.codewords), np.asarray(cb.bins), p_joint, n,
             delta, a_mats, b_mats)
-        mc_fixed = np.mean([t.avg_state.matrix for t in traces], axis=0)
+        mc_fixed = traces.column("avg_state").mean(axis=0)
         worst_fixed = max(worst_fixed,
                           trace_norm_distance(mc_fixed, oracle_fixed))
         # route 2: codebook randomness integrated analytically
@@ -281,7 +280,7 @@ def test_criterion_9_oracle_equivalence(example1):
         oracle_avg = expected_state_codebook_average(
             p_joint, n, delta, num_codewords=8, num_bins=params.num_bins,
             a_mats=a_mats, b_mats=b_mats)
-        mc_avg = np.mean([t.avg_state.matrix for t in traces2], axis=0)
+        mc_avg = traces2.column("avg_state").mean(axis=0)
         worst_avg = max(worst_avg, trace_norm_distance(mc_avg, oracle_avg))
     elapsed = time.time() - start
     ok = worst_fixed <= 1e-2 and worst_avg <= 1e-2 and elapsed < 120.0
