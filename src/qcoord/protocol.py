@@ -14,10 +14,12 @@ Two interchangeable engines produce statistically identical trials:
   bin index per codeword) and runs the literal typicality scans.  Capped:
   ``2^ceil(n*R0) * n`` stored symbols must stay below ``MEMORY_CAP``.
   Each trial t draws its source from its own seed stream,
-  ``SeedSequence(seed, spawn_key=(3, t, 0))``; a chunk's streams are
-  hashed in one vectorized pass (``_stream_words``, bit-identical to
-  building them one by one), and the chunk then shares every scan (exact
-  0/1 matrix-product joint types) and one stacked finish.  Trial chunks
+  ``default_rng(SeedSequence(seed, spawn_key=(3, t, 0)))``; a chunk's
+  streams are hashed in one vectorized pass (``_stream_words``), and its
+  source uniforms come from one vectorized PCG64 pass
+  (``_pcg64_uniforms``), both bit-identical to building each trial's
+  generator.  The chunk then shares every scan (exact 0/1
+  matrix-product joint types) and one stacked finish.  Trial chunks
   and codeword blocks are sized by ``CHUNK_CELLS``; the traces do not
   depend on it.
 * ``sampled`` — draws each trial from the exact outcome distribution of
@@ -186,6 +188,83 @@ def _bigint_random(words: np.ndarray) -> _pyrandom.Random:
     return _pyrandom.Random(int(words[0]) << 32 | int(words[1]))
 
 
+# NumPy's PCG64 (O'Neill 2014): a 128-bit LCG with this multiplier and
+# XSL-RR output; here a 128-bit value is a (high, low) pair of uint64 arrays
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M64, _M128 = 2 ** 64 - 1, 2 ** 128 - 1
+
+
+def _mul_add(hi, lo, mult: int, add_hi, add_lo, out_hi, out_lo, tmp):
+    """``(hi, lo) * mult + (add_hi, add_lo)`` mod 2^128 into ``out_hi`` and
+    ``out_lo``, which must not overlap the inputs; ``tmp`` holds 3 scratch
+    arrays of the output's shape."""
+    a, b, c = tmp
+    m_lo, m_hi = np.uint64(mult & _M64), np.uint64(mult >> 64)
+    m0, m1 = np.uint64(mult & _M32), np.uint64(mult >> 32 & _M32)
+    # the high word of lo * m_lo from 32-bit halves (lo1 lo0, m1 m0):
+    # lo1 m1, the high halves of a = lo0 m1 and b = lo1 m0, and the carry
+    # c out of the middle word
+    np.bitwise_and(lo, _M32, out=a)
+    np.right_shift(lo, 32, out=b)
+    np.multiply(b, m1, out=out_hi)
+    b *= m0
+    np.multiply(a, m0, out=c)
+    c >>= 32
+    a *= m1
+    c += np.bitwise_and(a, _M32, out=out_lo)
+    c += np.bitwise_and(b, _M32, out=out_lo)
+    for part in (a, b, c):
+        part >>= 32
+        out_hi += part
+    out_hi += np.multiply(hi, m_lo, out=a)
+    out_hi += np.multiply(lo, m_hi, out=a)
+    out_hi += add_hi
+    np.multiply(lo, m_lo, out=out_lo)
+    out_lo += add_lo
+    out_hi += np.less(out_lo, add_lo, out=a)
+
+
+def _pcg64_uniforms(words: np.ndarray, n: int) -> np.ndarray:
+    """(T, n): ``_generator(w).random(n)`` for each row ``w`` of (T, 4)
+    uint64 stream words, bit for bit, in one array pass.
+
+    PCG64 seeds by ``srandom``: the increment is ``w[2:] << 1 | 1``, and
+    the state steps from 0, adds ``w[:2]`` and steps again; each draw
+    steps it once more.  The k-th state from there is ``A_k s + C_k inc``
+    (Brown 1994), with A_k = M^k and C_k = 1 + M + ... + M^(k-1), so the
+    states fill by doubling: rows m..2m-1 from rows 0..m-1 with A_m, C_m.
+    A draw is the top 53 bits of its state's XSL-RR output over 2^53.
+    """
+    w = words.T[:, None]   # (4, 1, T): seed high and low, then increment
+    inc_hi = w[2] << 1 | w[3] >> 63
+    inc_lo = w[3] << 1 | 1
+    start_lo = inc_lo + w[1]
+    start_hi = inc_hi + w[0] + (start_lo < inc_lo)
+    # row 0 is the seeded state, rows 1..n those of the n draws
+    hi, lo = np.empty((2, n + 1, len(words)), np.uint64)
+    tmp = np.empty((3, max(1, (n + 1) // 2), len(words)), np.uint64)
+    _mul_add(start_hi, start_lo, _PCG_MULT, inc_hi, inc_lo, hi[:1], lo[:1],
+             tmp[:, :1])
+    a_m, c_m, m = _PCG_MULT, 1, 1
+    while m <= n:
+        k = min(m, n + 1 - m)
+        _mul_add(inc_hi, inc_lo, c_m, 0, 0, start_hi, start_lo, tmp[:, :1])
+        _mul_add(hi[:k], lo[:k], a_m, start_hi, start_lo, hi[m:m + k],
+                 lo[m:m + k], tmp[:, :k])
+        a_m, c_m, m = a_m * a_m & _M128, c_m * (a_m + 1) & _M128, 2 * m
+    del tmp   # freed before the output arrays are made
+    x, rot = lo[1:], hi[1:]
+    x ^= rot
+    rot >>= 58
+    out = x >> rot
+    np.subtract(64, rot, out=rot)
+    rot &= 63
+    out |= np.left_shift(x, rot, out=x)
+    out >>= 11
+    del hi, lo, x, rot
+    return (out * 2.0 ** -53).T
+
+
 @dataclass(frozen=True)
 class CodebookParams:
     """Block length, bin rate R, codeword rate R0, typicality delta, seed."""
@@ -268,18 +347,49 @@ def build_codebook(params: CodebookParams, p_u: np.ndarray,
     return Codebook(params, codewords, bins, params.num_bins)
 
 
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """The sum over the first axis of ``terms``, in place, in the order
+    numpy's float ``sum`` takes over a contiguous run of that many terms:
+    sequential below 8, eight accumulators and a pairwise tree from 8 to
+    128, and above 128 two halves split at a multiple of 8."""
+    m = len(terms)
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        total = _pairwise_sum(terms[:half])
+        total += _pairwise_sum(terms[half:])
+        return total
+    rest = 1
+    if m >= 8:
+        acc, rest = terms[:8], m - m % 8
+        for i in range(8, rest, 8):
+            acc += terms[i:i + 8]
+        acc[0::2] += acc[1::2]
+        acc[0::4] += acc[2::4]
+        acc[0] += acc[4]
+    total = terms[0]
+    for term in terms[rest:]:
+        total += term
+    return total
+
+
 def _type_distance(ctx: np.ndarray, rows: np.ndarray, target) -> np.ndarray:
     """(S, R) TV between the joint type of each (ctx[s], rows[r]) and
-    ``target`` (C, U): exact 0/1 matrix-product counts, each pair's
-    distance summed over its own C-ordered (C, U) block."""
+    ``target`` (C, U).
+
+    The counts are exact 0/1 matrix products, one contiguous (S, R) slice
+    per (c, u) cell, so a symbol outside the alphabet lands in no cell.
+    Each pair's C U terms |k/n - p| are added in the order numpy's ``sum``
+    takes over a C-ordered (C, U) block (``_pairwise_sum``), so a distance
+    is that sum bit for bit and a tie at a radius falls the same way."""
     (num_s, n), (num_c, num_u) = ctx.shape, target.shape
-    a = (ctx[:, None] == np.arange(num_c)[:, None]).reshape(-1, n)
-    b = (rows[:, None] == np.arange(num_u)[:, None]).reshape(-1, n)
-    counts = (a.astype(float) @ b.T.astype(float)).reshape(
-        num_s, num_c, len(rows), num_u).transpose(0, 2, 1, 3).copy()
+    a = ctx == np.arange(num_c)[:, None, None]
+    b = rows == np.arange(num_u)[:, None, None]
+    counts = np.matmul(a[:, None].astype(float),
+                       b.astype(float).transpose(0, 2, 1))
     counts /= n
-    counts -= target
-    return 0.5 * np.abs(counts, out=counts).sum(axis=(2, 3))
+    counts -= target[:, :, None, None]
+    np.abs(counts, out=counts)
+    return 0.5 * _pairwise_sum(counts.reshape(-1, num_s, len(rows)))
 
 
 def _block_end(start: int, contexts: int, target, n: int) -> int:
@@ -644,8 +754,7 @@ def _explicit_chunk(cb_y: Codebook, cb_z: Codebook, p_xyz, radii, chunk):
                                                        chunk.stop), 0),
                           4, np.uint64)
     px = p_xyz.sum(axis=(1, 2))
-    x = sampling.symbols(px, np.stack([_generator(w).random(n)
-                                       for w in words]))
+    x = sampling.symbols(px, _pcg64_uniforms(words, n))
     zero = np.zeros((size, n), dtype=np.int8)
     x_typical = _type_distance(zero[:1], x, px[None])[0] < source_radius
     ell, ell2 = np.full((2, size), -1)

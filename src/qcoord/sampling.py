@@ -413,10 +413,13 @@ def geometric_failures(u: float, log_p: float) -> int | None:
 
 
 def symbols(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The int8 symbol indices of ``probs`` that uniforms ``u`` select."""
-    c = np.cumsum(probs)
-    c[-1] = 1.0
-    return np.searchsorted(c, u, side="right").astype(np.int8)
+    """The int8 symbol indices of ``probs`` that uniforms ``u`` in [0, 1)
+    select: the number of cumulative sums at or below each uniform, the
+    last sum counted as 1 (``searchsorted(..., side="right")``)."""
+    out = np.zeros(np.shape(u), dtype=np.int8)
+    for edge in np.cumsum(probs)[:-1]:
+        out += u >= edge
+    return out
 
 
 def sample_iid(rng: np.random.Generator, probs: np.ndarray, n: int) -> np.ndarray:

@@ -131,6 +131,21 @@ def _tv(a, b) -> float:
                               - np.asarray(b, dtype=float)).sum())
 
 
+def reference_type_distance(ctx, rows, target) -> np.ndarray:
+    """(S, R) TV between the joint type of each (ctx[s], rows[r]) and
+    ``target`` (C, U), by numpy's own ``sum`` over each pair's C-ordered
+    (C, U) block of |k/n - p|: ``protocol._type_distance`` must match it
+    bit for bit."""
+    (num_s, n), (num_c, num_u) = ctx.shape, target.shape
+    a = (ctx[:, None] == np.arange(num_c)[:, None]).reshape(-1, n)
+    b = (rows[:, None] == np.arange(num_u)[:, None]).reshape(-1, n)
+    counts = (a.astype(float) @ b.T.astype(float)).reshape(
+        num_s, num_c, len(rows), num_u).transpose(0, 2, 1, 3).copy()
+    counts /= n
+    counts -= target
+    return 0.5 * np.abs(counts, out=counts).sum(axis=(2, 3))
+
+
 def joint_type(x_seq, u_seq, num_x, num_u) -> np.ndarray:
     t = np.zeros((num_x, num_u))
     for a, b in zip(x_seq, u_seq):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qcoord.classical import (
     Alphabet,
@@ -20,7 +21,7 @@ from qcoord.classical import (
 from qcoord.protocol import _first_rows, _type_distance
 from qcoord.sampling import TypeGrid
 
-from oracles import binary_entropy
+from oracles import binary_entropy, reference_type_distance
 
 BIT = Alphabet("X", [0, 1])
 TRIT = Alphabet("X", [0, 1, 2])
@@ -190,6 +191,40 @@ class TestTotalVariation:
         with pytest.raises(ValueError):
             _type_distance(np.zeros((1, 2), dtype=int), np.array([[0, 1]]),
                            np.array([0.5, 0.5]))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_bit_for_bit(self, data):
+        # C U runs from 1 to 16 terms, so both the sequential (< 8) and the
+        # eight-accumulator (>= 8) sums are taken; a symbol one past its
+        # alphabet lands in no cell, and a target on the 1/n lattice puts
+        # distances exactly on the radii a scan compares them with
+        num_c, num_u, num_s, num_r, n = (
+            data.draw(st.integers(1, hi)) for hi in (4, 4, 40, 40, 40))
+        ctx = data.draw(hnp.arrays(np.int64, (num_s, n),
+                                   elements=st.integers(0, num_c)))
+        rows = data.draw(hnp.arrays(np.int8, (num_r, n),
+                                    elements=st.integers(0, num_u)))
+        if data.draw(st.booleans()):
+            target = data.draw(hnp.arrays(
+                np.int64, (num_c, num_u), elements=st.integers(0, n))) / n
+        else:
+            target = data.draw(hnp.arrays(float, (num_c, num_u),
+                                          elements=st.floats(0.0, 1.0)))
+        assert np.array_equal(_type_distance(ctx, rows, target),
+                              reference_type_distance(ctx, rows, target))
+
+    @pytest.mark.parametrize("num_c, num_u", [(12, 12), (16, 17), (40, 8)])
+    def test_matches_reference_past_128_cells(self, num_c, num_u):
+        # above 128 terms numpy splits the run in two halves
+        rng = np.random.default_rng(num_c * num_u)
+        ctx = rng.integers(0, num_c + 1, size=(7, 30))
+        rows = rng.integers(0, num_u + 1, size=(9, 30))
+        for target in (rng.integers(0, 31, size=(num_c, num_u)) / 30,
+                       rng.dirichlet(np.ones(num_c * num_u)).reshape(
+                           num_c, num_u)):
+            assert np.array_equal(_type_distance(ctx, rows, target),
+                                  reference_type_distance(ctx, rows, target))
 
     @given(st.lists(st.integers(0, 3), min_size=8, max_size=8),
            st.lists(st.integers(0, 3), min_size=8, max_size=8),

@@ -58,6 +58,16 @@ def test_many_trials_transient_memory_is_bounded(example1_pair):
     assert _transient_bytes(run) <= TRANSIENT_CAP
 
 
+def test_long_source_transient_memory_is_bounded(example1_pair):
+    # n = 256: a chunk of 256 trials holds 65,536 source cells, whose
+    # uniforms are computed from 128-bit PCG64 states as uint64 words
+    ens, ext = example1_pair
+    run = lambda: simulate_two_node(ens, ext, n=256, rate=4 / 256,
+                                    trials=600, seed=3, delta=0.1,
+                                    engine="explicit", codeword_rate=8 / 256)
+    assert _transient_bytes(run) <= TRANSIENT_CAP
+
+
 def test_scan_blocks_do_not_grow_with_the_codebook(example1_pair):
     # one source against 32,768 codewords of length 48: a scan block is
     # sized by its one-hot codeword rows as well as by its counts

@@ -66,6 +66,21 @@ class TestStreamContract:
                     assert (protocol._bigint_random(w32[i]).getrandbits(200)
                             == want.getrandbits(200))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32,
+                                      2 ** 64 + 3, 2 ** 200 + 1])
+    def test_chunk_uniforms_match_default_rng(self, seed):
+        # the explicit engine's one-pass PCG64 against numpy's own
+        from qcoord import protocol
+        words = protocol._stream_words(
+            seed, (protocol._KEY_TRIAL, self.TRIALS, 0), 4, np.uint64)
+        for n in (1, 2, 6, 32, 257):
+            got = protocol._pcg64_uniforms(words, n)
+            assert got.shape == (len(self.TRIALS), n)
+            for i, t in enumerate(self.TRIALS.tolist()):
+                want = np.random.default_rng(np.random.SeedSequence(
+                    seed, spawn_key=(protocol._KEY_TRIAL, t, 0))).random(n)
+                assert got[i].tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("trial", [2 ** 32, -1])
     def test_index_outside_one_word_is_refused(self, trial):
         # SeedSequence would hash 2^32 as two words: no trial is started
@@ -161,6 +176,25 @@ class TestBuildCodebook:
                            delta=0.02, seed=1)
         with pytest.raises(MemoryCapError):
             build_codebook(p, np.array([0.75, 0.25]))
+
+    @pytest.mark.parametrize("probs", [[1.0], [0.75, 0.25], [0.5, 0.0, 0.5],
+                                       [0.0, 1.0], [0.1, 0.2, 0.3, 0.4],
+                                       [0.25, 0.25, 0.25, 0.25, 0.0]])
+    def test_symbols_match_searchsorted(self, probs):
+        # the reference is numpy's search of the cumulative sums, the last
+        # set to 1; uniforms sit on and just below each edge
+        probs = np.array(probs)
+        edges = np.cumsum(probs)
+        u = np.concatenate([
+            np.random.default_rng(len(probs)).random(200), [0.0],
+            [np.nextafter(1.0, 0.0)], edges[:-1],
+            np.nextafter(edges[:-1], 0.0)])
+        u = u[u < 1.0][None]   # uniforms lie in [0, 1)
+        edges[-1] = 1.0
+        want = np.searchsorted(edges, u, side="right").astype(np.int8)
+        got = sampling.symbols(probs, u)
+        assert got.dtype == np.int8 and got.shape == u.shape
+        assert np.array_equal(got, want)
 
     def test_symbol_frequencies_concentrate(self):
         # oracle: pooled symbol count is Binomial(L0*n, p); the exact tail
