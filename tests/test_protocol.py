@@ -29,8 +29,9 @@ from oracles import average_state, enumerate_sequences
 
 class TestStreamContract:
     """Batched stream words are NumPy's ``SeedSequence`` words (NEP 19
-    keeps its algorithm stable), and the generators built from them draw
-    what ``default_rng`` and ``random.Random`` of those words draw."""
+    keeps its algorithm stable), and the generators built from them, like
+    the explicit engine's one-pass PCG64, draw what ``default_rng`` and
+    ``random.Random`` of those words draw."""
 
     TRIALS = np.array([0, 1, 1000, 2 ** 32 - 1])
 
