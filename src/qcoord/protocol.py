@@ -12,25 +12,25 @@ Two interchangeable engines produce statistically identical trials:
 
 * ``explicit`` — materializes the codebooks (i.i.d. codewords, one uniform
   bin index per codeword) and runs the literal typicality scans.  Capped:
-  ``2^ceil(n*R0) * n`` stored symbols must stay below ``MEMORY_CAP``.
-  Each trial t draws its source from its own seed stream,
-  ``default_rng(SeedSequence(seed, spawn_key=(3, t, 0)))``; a chunk's
-  streams are hashed in one vectorized pass (``_stream_words``), and its
-  source uniforms come from one vectorized PCG64 pass
-  (``_pcg64_uniforms``), both bit-identical to building each trial's
-  generator.  The chunk then shares every scan (exact 0/1
-  matrix-product joint types) and one stacked finish.  Trial chunks
-  and codeword blocks are sized by ``CHUNK_CELLS``; the traces do not
-  depend on it.
+  ``2^ceil(n*R0) * n`` stored symbols must stay below ``MEMORY_CAP``.  A
+  chunk of trials shares every scan (exact 0/1 matrix-product joint
+  types) and one stacked finish; chunks and codeword blocks are sized by
+  ``CHUNK_CELLS``, on which the traces do not depend.
 * ``sampled`` — draws each trial from the exact outcome distribution of
-  the scheme (see ``sampling``); this is what makes achievable-rate
-  blocklengths (where the codebook is astronomically large) tractable.
-  A fresh codebook is implicitly drawn per trial, which matches the
-  shared-randomness average the derandomization argument operates on.
-  It supports the trivial relay (single Z symbol) only.  A chunk hashes
-  the words of its trials' streams (keys 0, 1 and 3) in one pass, and
-  each trial builds its generators from them when it is drawn.  A trace
-  arranges its codeword, ``b_label_seq``, when it is first read.
+  the scheme (see ``sampling``), with a fresh codebook implicitly drawn
+  per trial, the shared-randomness average that derandomization takes;
+  so achievable-rate blocklengths, whose codebooks are astronomically
+  large, are tractable.  Trivial relay (single Z symbol) only.
+
+Every draw comes from a ``SeedSequence`` stream of the seed and a key,
+whose words a chunk hashes in one pass (``_stream_words``): codebooks
+draw from keys (1, role) and (2, role), ``derandomize``'s seeds from
+(7, s), and trial t's source from (3, t, 0), through the sampled trial's
+generator or one PCG64 pass per explicit chunk (``_pcg64_raw``), bit for
+bit what ``default_rng`` draws.  A sampled bin index m12 (m23) of k bits
+is the first ceil(k/64) PCG64 outputs of key (3, t, 1) ((3, t, 3)), read
+little-endian and cut to k bits.  A sampled trace arranges
+``b_label_seq`` on its first read.
 
 Both engines run one serial loop: a chunk of trials is drawn, then
 finished (``_finish``) into the same columns of one ``SimulationTraces``,
@@ -44,14 +44,13 @@ as ``radii``.  The
 encoder picks the lexicographically smallest jointly typical codeword
 index pair at the encode radius, falling back to (0, 0); each decoder
 picks the smallest in-bin index typical at the decode radius, falling
-back to 0.  An atypical source sequence triggers an arbitrary
-transmission, fixed to bin 0 for reproducibility.  Indices are 0-based.
+back to 0.  An atypical source triggers an arbitrary transmission, fixed
+to bin 0 on both engines for reproducibility.  Indices are 0-based.
 """
 
 from __future__ import annotations
 
 import math
-import random as _pyrandom
 from collections import abc
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -72,7 +71,7 @@ EXPLICIT_AUTO_BUDGET = 2 ** 22
 # float64 cells one block of the explicit engine may hold: a scan block's
 # joint-type counts, or a trial chunk's source draws and stacked states
 CHUNK_CELLS = 2 ** 16
-_KEY_CODEBOOK, _KEY_BINS, _KEY_TRIAL = 1, 2, 3
+_KEY_CODEBOOK, _KEY_BINS, _KEY_TRIAL, _KEY_SEEDS = 1, 2, 3, 7
 
 
 class MemoryCapError(ValueError):
@@ -88,10 +87,6 @@ def _ceil_rate(n: int, rate: float) -> int:
         raise ProtocolError(f"rates must be nonnegative and finite at "
                             f"n={n}, not {rate!r}")
     return max(0, math.ceil(n * rate - 1e-9))
-
-
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 # NumPy's SeedSequence, which NEP 19 keeps stable: its entropy words are
@@ -132,9 +127,10 @@ def _mix(x, y):
 
 def _stream_words(seed: int, key: tuple, n_words: int,
                   dtype=np.uint32) -> np.ndarray:
-    """``SeedSequence(seed, spawn_key=key).generate_state(n_words, dtype)``
-    in one pass for every key the key's int arrays broadcast to: the
-    result has their broadcast shape plus an axis of ``n_words``."""
+    """``generate_state(n_words, dtype)`` of the ``SeedSequence`` of ``seed``
+    and ``spawn_key=key``, in one pass for every key the key's int arrays
+    broadcast to: the result has their broadcast shape plus an axis of
+    ``n_words``."""
     entropy = _int_words(int(seed))
     entropy += [0] * (_POOL - len(entropy))
     for item in key:
@@ -183,11 +179,6 @@ def _generator(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_Words(words)))
 
 
-def _bigint_random(words: np.ndarray) -> _pyrandom.Random:
-    """The ``random.Random`` seeded by 2 uint32 stream words."""
-    return _pyrandom.Random(int(words[0]) << 32 | int(words[1]))
-
-
 # NumPy's PCG64 (O'Neill 2014): a 128-bit LCG with this multiplier and
 # XSL-RR output; here a 128-bit value is a (high, low) pair of uint64 arrays
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -224,16 +215,17 @@ def _mul_add(hi, lo, mult: int, add_hi, add_lo, out_hi, out_lo, tmp):
     out_hi += np.less(out_lo, add_lo, out=a)
 
 
-def _pcg64_uniforms(words: np.ndarray, n: int) -> np.ndarray:
-    """(T, n): ``_generator(w).random(n)`` for each row ``w`` of (T, 4)
-    uint64 stream words, bit for bit, in one array pass.
+def _pcg64_raw(words: np.ndarray, n: int) -> np.ndarray:
+    """(T, n): the first n outputs (``random_raw``) of the PCG64 of each
+    row ``w`` of (T, 4) uint64 stream words, in one array pass; a
+    ``random()`` draw is an output shifted right by 11 bits, times 2^-53.
 
     PCG64 seeds by ``srandom``: the increment is ``w[2:] << 1 | 1``, and
     the state steps from 0, adds ``w[:2]`` and steps again; each draw
     steps it once more.  The k-th state from there is ``A_k s + C_k inc``
     (Brown 1994), with A_k = M^k and C_k = 1 + M + ... + M^(k-1), so the
     states fill by doubling: rows m..2m-1 from rows 0..m-1 with A_m, C_m.
-    A draw is the top 53 bits of its state's XSL-RR output over 2^53.
+    An output is its state's XSL-RR.
     """
     w = words.T[:, None]   # (4, 1, T): seed high and low, then increment
     inc_hi = w[2] << 1 | w[3] >> 63
@@ -260,9 +252,7 @@ def _pcg64_uniforms(words: np.ndarray, n: int) -> np.ndarray:
     np.subtract(64, rot, out=rot)
     rot &= 63
     out |= np.left_shift(x, rot, out=x)
-    out >>= 11
-    del hi, lo, x, rot
-    return (out * 2.0 ** -53).T
+    return out.T
 
 
 @dataclass(frozen=True)
@@ -331,7 +321,8 @@ def build_codebook(params: CodebookParams, p_u: np.ndarray,
             "lower n or the codeword rate, or use the sampled engine")
     if params.num_bins > 2 ** 62:
         raise MemoryCapError("bin indices exceed 63 bits; lower n or R")
-    cw_rng = _rng(params.seed, _KEY_CODEBOOK, role)
+    cw_rng, bin_rng = map(_generator, _stream_words(
+        params.seed, ([_KEY_CODEBOOK, _KEY_BINS], role), 4, np.uint64))
     codewords = np.empty((l0, params.n), dtype=np.int8)
     # row-chunked generation keeps peak memory bounded while preserving the
     # stream order (so a larger codebook extends a smaller one row for row)
@@ -340,7 +331,6 @@ def build_codebook(params: CodebookParams, p_u: np.ndarray,
         stop = min(start + chunk, l0)
         codewords[start:stop] = sampling.symbols(
             p_u, cw_rng.random((stop - start, params.n)))
-    bin_rng = _rng(params.seed, _KEY_BINS, role)
     bins = bin_rng.integers(0, params.num_bins, size=l0, dtype=np.int64)
     codewords.setflags(write=False)
     bins.setflags(write=False)
@@ -724,6 +714,9 @@ def _simulate(target, ext, n, rates, codeword_rates, trials, seed, delta,
         # b_label_seq is arranged per trial; the relay label is 0
         rows = (None, None if two_node
                 else np.broadcast_to(np.int8(0), (1, n)))
+        # a bin index pass holds ~4 uint64 cells per PCG64 output; it gets a
+        # quarter of a chunk, so at the index cap the indices set the peak
+        cells = max(cells, *(16 * _bin_words(p) for p in (params_y, params_z)))
     else:
         raise ProtocolError(f"unknown engine {engine!r}")
     run = dict(n=n, seed=seed, engine=engine, rate=rate12,
@@ -754,7 +747,7 @@ def _explicit_chunk(cb_y: Codebook, cb_z: Codebook, p_xyz, radii, chunk):
                                                        chunk.stop), 0),
                           4, np.uint64)
     px = p_xyz.sum(axis=(1, 2))
-    x = sampling.symbols(px, _pcg64_uniforms(words, n))
+    x = sampling.symbols(px, (_pcg64_raw(words, n) >> 11) * 2.0 ** -53)
     zero = np.zeros((size, n), dtype=np.int8)
     x_typical = _type_distance(zero[:1], x, px[None])[0] < source_radius
     ell, ell2 = np.full((2, size), -1)
@@ -788,30 +781,39 @@ def _sampled_chunk(p_xyz, params_y, params_z, radii, chunk):
     """Label counts (T, X, Y, Z), trace columns and generators of a chunk
     of sampled trials.  The Z label is constant, so the Y side is exactly
     the two-node trial; key 0 seeds each trial's generator, which is left
-    where the arrangement of ``b_label_seq`` starts, and keys 1 and 3 its
-    bin and relay ``random.Random``s."""
-    trial, seed = np.arange(chunk.start, chunk.stop), params_y.seed
-    generators = [_generator(w) for w in
-                  _stream_words(seed, (_KEY_TRIAL, trial, 0), 4, np.uint64)]
-    bin_words = _stream_words(
-        seed, (_KEY_TRIAL, trial[:, None], np.array([1, 3])), 2)
+    where the arrangement of ``b_label_seq`` starts.  The bin indices come
+    from keys 1 and 3 (``_bin_indices``), 0 on an atypical source."""
+    words = _stream_words(params_y.seed, (_KEY_TRIAL, np.arange(
+        chunk.start, chunk.stop), np.array([[0], [1], [3]])), 4, np.uint64)
+    generators = [_generator(w) for w in words[0]]
     # read once: each read of a codebook size recomputes it
     code = (p_xyz[:, :, 0], params_y.n, radii, params_y.num_codewords,
             params_y.num_bins)
-    relay_bins = params_z.num_bins
-    x, counts, ell, m12, ell_hat, x_typical, enc_fb, dec_fb = zip(*(
-        sampling.sample_two_node_trial(rng, _bigint_random(words[0]), *code)
-        for rng, words in zip(generators, bin_words)))
-    # a one-bin relay message is always 0, so its stream is not drawn
-    m23 = [_bigint_random(words[1]).randrange(relay_bins)
-           if typical and relay_bins > 1 else 0
-           for typical, words in zip(x_typical, bin_words)]
+    x, counts, ell, ell_hat, x_typical, enc_fb, dec_fb = zip(*(
+        sampling.sample_two_node_trial(rng, *code) for rng in generators))
+    m12, m23 = (np.where(x_typical, _bin_indices(w, params), 0)
+                for w, params in zip(words[1:], (params_y, params_z)))
     zero = np.zeros(len(chunk), dtype=np.int64)
     return np.stack(counts).astype(float)[..., None], dict(
-        x_seq=np.stack(x), ell=np.array(ell, object), m12=np.array(m12, object),
+        x_seq=np.stack(x), ell=np.array(ell, object), m12=m12,
         ell_hat=np.array(ell_hat, object), x_typical=np.array(x_typical),
         encoder_fallback=np.array(enc_fb), decoder_fallback=np.array(dec_fb),
-        ell2=zero, m23=np.array(m23, object), ell_hat2=zero), generators
+        ell2=zero, m23=m23, ell_hat2=zero), generators
+
+
+def _bin_words(params: CodebookParams) -> int:
+    """The PCG64 outputs a sampled bin index draws: one per 64 bits."""
+    return -(-_ceil_rate(params.n, params.bin_rate) // 64)
+
+
+def _bin_indices(words: np.ndarray, params: CodebookParams) -> np.ndarray:
+    """A uniform bin index of ``params`` per row of (T, 4) uint64 stream
+    words: of k bits, the first ceil(k/64) outputs of the row's PCG64, read
+    little-endian and cut to k bits; 0 at k = 0, where no output is drawn.
+    Python ints in an object array, as an index may pass 2^64."""
+    raw, mask = _pcg64_raw(words, _bin_words(params)), params.num_bins - 1
+    return np.array([int.from_bytes(r.astype("<u8").tobytes(), "little")
+                     & mask for r in raw], object)
 
 
 def _finish(counts, fields, tables: _Tables, n: int, gamma: float) -> dict:
@@ -867,17 +869,16 @@ def derandomize(target: CqEnsemble, ext: Extension, n: int, rate: float,
     minimum over sampled seeds cannot exceed the sample mean, and a seed
     meeting ``epsilon`` yields a deterministic code at that distance.
     """
-    if num_seeds < 1:
-        raise ProtocolError("need at least one seed")
+    if not 1 <= num_seeds <= 2 ** 32:
+        raise ProtocolError(f"need 1 to 2^32 seeds, not {num_seeds}")
     if seed < 0:
         raise ProtocolError(f"seed must be nonnegative, not {seed}")
-    seeds, dists, kept = [], [], []
-    for s in range(num_seeds):
-        seed_s = int(np.random.SeedSequence(seed, spawn_key=(7, s))
-                     .generate_state(1)[0])
+    seeds = _stream_words(seed, (_KEY_SEEDS, np.arange(num_seeds)),
+                          1)[:, 0].tolist()
+    dists, kept = [], []
+    for seed_s in seeds:
         traces = simulate_two_node(target, ext, n, rate, trials,
                                    seed=seed_s, **sim_kwargs)
-        seeds.append(seed_s)
         dists.append(float(np.mean(traces.column("distance_to_target"))))
         if keep_traces:
             kept.append(traces)

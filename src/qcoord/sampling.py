@@ -468,17 +468,17 @@ class Arrangement:
         return self._value
 
 
-def sample_two_node_trial(rng: np.random.Generator, bin_rng,
-                          p_joint: np.ndarray, n: int, radii: tuple,
-                          num_codewords: int, num_bins: int):
+def sample_two_node_trial(rng: np.random.Generator, p_joint: np.ndarray,
+                          n: int, radii: tuple, num_codewords: int,
+                          num_bins: int):
     """One trial of the two-node scheme, sampled from its exact distribution.
 
     ``radii`` is the (source, encode, decode) triple of the schedule
-    that ``protocol`` builds once per run.  ``rng`` drives all continuous
-    draws; ``bin_rng`` (a ``random.Random``) supplies uniform bin indices,
-    which may exceed 2^64.  The draw order is fixed so that a given seed
-    reproduces the trial bit for bit.  Returns ``x_seq``, the (|X|, |U|)
-    joint counts, ``ell``, ``m12``, ``ell_hat``, ``x_typical``,
+    that ``protocol`` builds once per run.  ``rng`` makes every draw, in a
+    fixed order, so that a given seed reproduces the trial bit for bit.
+    None depends on the sent bin index, which ``protocol`` draws: uniform
+    on a typical source, 0 on an atypical one.  Returns ``x_seq``, the
+    (|X|, |U|) joint counts, ``ell``, ``ell_hat``, ``x_typical``,
     ``encoder_fallback`` and ``decoder_fallback``.  The sent codeword's
     joint type is drawn from one class of the cached ``TypeGrid``: ``e``,
     ``ne_d``, ``ne_nd``, ``d`` or ``nd``.  Its arrangement, ``b_label_seq``,
@@ -494,27 +494,25 @@ def sample_two_node_trial(rng: np.random.Generator, bin_rng,
     grid = class_summary(x_counts, p_joint, *grid_radii)
     log_m = math.log(num_bins)
 
-    def finish(ell, m12, ell_hat, enc_fb, dec_fb, cls):
-        return (x_seq, grid.sample_counts(rng, cls), int(ell), int(m12),
-                int(ell_hat), x_typical, bool(enc_fb), bool(dec_fb))
+    def finish(ell, ell_hat, enc_fb, dec_fb, cls):
+        return (x_seq, grid.sample_counts(rng, cls), int(ell), int(ell_hat),
+                x_typical, bool(enc_fb), bool(dec_fb))
 
     if x_typical:
         log_ne, log_ne_d = grid.log_ne, grid.log_ne_d
         fails = geometric_failures(rng.random(), grid.log_e)
         if fails is None or fails >= num_codewords:
             # no jointly typical codeword: send the first one
-            m12 = bin_rng.randrange(num_bins)
             p_d_given_ne = (math.exp(log_ne_d - log_ne)
                             if math.isfinite(log_ne_d) else 0.0)
             if rng.random() < p_d_given_ne:
-                return finish(0, m12, 0, True, False, "ne_d")
+                return finish(0, 0, True, False, "ne_d")
             log_r = log_ne_d - log_ne - log_m
             g = geometric_failures(rng.random(), log_r)
             if g is not None and g < num_codewords - 1:
-                return finish(0, m12, 1 + g, True, False, "ne_d")
-            return finish(0, m12, 0, True, True, "ne_nd")
+                return finish(0, 1 + g, True, False, "ne_d")
+            return finish(0, 0, True, True, "ne_nd")
         ell = fails
-        m12 = bin_rng.randrange(num_bins)
         if ell > 0 and math.isfinite(log_ne_d):
             log_r = log_ne_d - log_ne - log_m
             g = geometric_failures(rng.random(), log_r)
@@ -522,15 +520,15 @@ def sample_two_node_trial(rng: np.random.Generator, bin_rng,
             g = None
         if g is not None and g < ell:
             # an earlier codeword in the same bin looked typical first
-            return finish(ell, m12, g, False, False, "ne_d")
-        return finish(ell, m12, ell, False, False, "e")
+            return finish(ell, g, False, False, "ne_d")
+        return finish(ell, ell, False, False, "e")
 
     # atypical source sequence: arbitrary transmission on bin 0
     log_d = grid.log_d
     g = geometric_failures(rng.random(), log_d - log_m)
     if g is not None and g < num_codewords:
-        return finish(0, 0, g, True, False, "d")
+        return finish(0, g, True, False, "d")
     p_d = math.exp(log_d) if math.isfinite(log_d) else 0.0
     inv_m = 1.0 / num_bins if num_bins < 2 ** 52 else 0.0
     p_d0 = p_d * (1 - inv_m) / (1 - p_d * inv_m) if p_d * inv_m < 1 else 1.0
-    return finish(0, 0, 0, True, True, "d" if rng.random() < p_d0 else "nd")
+    return finish(0, 0, True, True, "d" if rng.random() < p_d0 else "nd")

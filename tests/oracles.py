@@ -305,6 +305,13 @@ def expected_state_codebook_average(p_joint, n, delta, num_codewords,
 # plain-python reference scans (no vectorization) for engine cross-checks
 # ----------------------------------------------------------------------
 
+def trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """The generator of a trial's source stream, spawn key (3, trial, 0),
+    built by NumPy itself."""
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(3, trial, 0)))
+
+
 def reference_encode(codewords, bins, x_seq, p_joint, radius):
     """Smallest jointly typical codeword index, double loop, 0-based."""
     p_joint = np.asarray(p_joint, dtype=float)

@@ -30,15 +30,15 @@ from oracles import average_state, enumerate_sequences
 class TestStreamContract:
     """Batched stream words are NumPy's ``SeedSequence`` words (NEP 19
     keeps its algorithm stable), and the generators built from them, like
-    the explicit engine's one-pass PCG64, draw what ``default_rng`` and
-    ``random.Random`` of those words draw."""
+    the one-pass PCG64 of the explicit engine's source draws and of the
+    sampled engine's bin indices, draw what NumPy's ``PCG64`` and
+    ``default_rng`` of those words draw."""
 
     TRIALS = np.array([0, 1, 1000, 2 ** 32 - 1])
+    SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 200 + 1]
 
-    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32,
-                                      2 ** 64 + 3, 2 ** 200 + 1])
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_words_match_seed_sequence(self, seed):
-        import random
         import warnings
         from qcoord import protocol
         lasts = np.array([0, 1, 3])
@@ -62,25 +62,88 @@ class TestStreamContract:
                     assert np.array_equal(
                         protocol._generator(w64[i]).random(5),
                         np.random.default_rng(ss).random(5))
-                    words = ss.generate_state(2)
-                    want = random.Random(int(words[0]) << 32 | int(words[1]))
-                    assert (protocol._bigint_random(w32[i]).getrandbits(200)
-                            == want.getrandbits(200))
 
-    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32,
-                                      2 ** 64 + 3, 2 ** 200 + 1])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_raw_outputs_match_pcg64(self, seed):
+        # the one-pass PCG64 against numpy's own, output for output
+        from qcoord import protocol
+        words = protocol._stream_words(
+            seed, (protocol._KEY_TRIAL, self.TRIALS, 1), 4, np.uint64)
+        for m in (0, 1, 2, 6, 32, 257):
+            got = protocol._pcg64_raw(words, m)
+            assert got.shape == (len(self.TRIALS), m)
+            for i, t in enumerate(self.TRIALS.tolist()):
+                want = np.random.PCG64(np.random.SeedSequence(
+                    seed, spawn_key=(protocol._KEY_TRIAL, t, 1))).random_raw(m)
+                assert got[i].dtype == want.dtype
+                assert got[i].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_chunk_uniforms_match_default_rng(self, seed):
-        # the explicit engine's one-pass PCG64 against numpy's own
+        # the explicit engine's source uniforms: raw outputs >> 11, / 2^53
         from qcoord import protocol
         words = protocol._stream_words(
             seed, (protocol._KEY_TRIAL, self.TRIALS, 0), 4, np.uint64)
         for n in (1, 2, 6, 32, 257):
-            got = protocol._pcg64_uniforms(words, n)
+            got = (protocol._pcg64_raw(words, n) >> 11) * 2.0 ** -53
             assert got.shape == (len(self.TRIALS), n)
             for i, t in enumerate(self.TRIALS.tolist()):
                 want = np.random.default_rng(np.random.SeedSequence(
                     seed, spawn_key=(protocol._KEY_TRIAL, t, 0))).random(n)
                 assert got[i].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bits", [0, 1, 63, 64, 65, 368, MAX_INDEX_BITS])
+    @pytest.mark.parametrize("last", [1, 3])
+    def test_bin_index_rule(self, bits, last):
+        # an index of k bits is the first ceil(k/64) raw outputs of its
+        # stream, read little-endian and cut to k bits; 0 bits draw nothing
+        from qcoord import protocol
+        seed = 2 ** 64 + 3
+        params = CodebookParams(n=1, bin_rate=bits, codeword_rate=0.0,
+                                delta=0.02, seed=seed)
+        assert params.num_bins == 2 ** bits
+        words = protocol._stream_words(
+            seed, (protocol._KEY_TRIAL, self.TRIALS, last), 4, np.uint64)
+        got = protocol._bin_indices(words, params)
+        assert got.dtype == object and got.shape == self.TRIALS.shape
+        for i, t in enumerate(self.TRIALS.tolist()):
+            raw = np.random.PCG64(np.random.SeedSequence(
+                seed, spawn_key=(protocol._KEY_TRIAL, t, last))).random_raw(
+                    -(-bits // 64))
+            want = sum(int(r) << 64 * j for j, r in enumerate(raw))
+            assert type(got[i]) is int
+            assert got[i] == want % 2 ** bits
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_codebook_streams_match_default_rng(self, seed):
+        # codewords from key (1, role) and bins from key (2, role)
+        from qcoord import protocol
+        params = CodebookParams(n=5, bin_rate=0.6, codeword_rate=0.8,
+                                delta=0.02, seed=seed)
+        p_u = np.array([0.25, 0.75])
+        for role in (0, 1):
+            cb = build_codebook(params, p_u, role=role)
+            rng = np.random.default_rng(np.random.SeedSequence(
+                seed, spawn_key=(protocol._KEY_CODEBOOK, role)))
+            want = sampling.symbols(p_u, rng.random((16, 5)))
+            assert np.array_equal(cb.codewords, want)
+            rng = np.random.default_rng(np.random.SeedSequence(
+                seed, spawn_key=(protocol._KEY_BINS, role)))
+            assert np.array_equal(cb.bins, rng.integers(0, 8, size=16,
+                                                        dtype=np.int64))
+
+    @pytest.mark.parametrize("seed", [0, 3, 2 ** 64 + 3])
+    def test_derandomize_seeds_match_seed_sequence(self, example1_pair,
+                                                   seed):
+        from qcoord import protocol
+        ens, ext = example1_pair
+        rep = derandomize(ens, ext, n=8, rate=0.5, trials=1, num_seeds=3,
+                          epsilon=1.0, seed=seed, engine="explicit")
+        want = [int(np.random.SeedSequence(
+            seed, spawn_key=(protocol._KEY_SEEDS, s)).generate_state(1)[0])
+                for s in range(3)]
+        assert rep.seeds == want
+        assert all(type(v) is int for v in rep.seeds)
 
     @pytest.mark.parametrize("trial", [2 ** 32, -1])
     def test_index_outside_one_word_is_refused(self, trial):
@@ -142,6 +205,68 @@ class TestCodebookParams:
         with pytest.raises(ProtocolError):
             CodebookParams(n=200, bin_rate=1e308, codeword_rate=0.5,
                            delta=0.02, seed=1)
+
+
+class TestSampledBinIndices:
+    """The sampled engine's bin indices: uniform over 2^k on a typical
+    source, independent of each other, and 0 on an atypical source, as on
+    the explicit engine."""
+
+    # the tracemalloc peak of the run at the index cap below when each trial
+    # drew its index from a seeded MT19937 (2,067,344 to 2,155,903 bytes
+    # over 5 runs, Python 3.11.7, numpy 2.4.6)
+    CAP_PEAK_BYTES = 2_067_000
+
+    @staticmethod
+    def _indices(traces, name):
+        m, typical = traces.column(name), traces.column("x_typical")
+        assert m.dtype == object and typical.any() and not typical.all()
+        assert all(type(v) is int and v == 0 for v in m[~typical])
+        return m[typical].astype(np.int64)
+
+    @staticmethod
+    def _assert_uniform(cells, size):
+        from scipy.stats import chisquare
+        counts = np.bincount(cells, minlength=size)
+        assert counts.size == size and counts.sum() == len(cells)
+        assert chisquare(counts).pvalue > 1e-3
+
+    def test_two_node_m12_is_uniform(self, example1_pair):
+        ens, ext = example1_pair
+        traces = simulate_two_node(ens, ext, n=60, rate=3 / 60, trials=1600,
+                                   seed=11, delta=0.05, engine="sampled")
+        self._assert_uniform(self._indices(traces, "m12"), 8)
+
+    def test_relay_m23_is_uniform(self, example1_pair):
+        # a degenerate relay at rate23 > 0: 8 relay bins and 8 Y bins
+        ens, ext = degenerate_z_cascade(example1_pair)
+        traces = simulate_cascade(ens, ext, n=60, rate12=6 / 60,
+                                  rate23=3 / 60, trials=1600, seed=12,
+                                  delta=0.05, engine="sampled",
+                                  codeword_rate_z=0.0)
+        m12, m23 = self._indices(traces, "m12"), self._indices(traces, "m23")
+        self._assert_uniform(m23, 8)
+        self._assert_uniform(m12, 8)
+        self._assert_uniform(8 * m12 + m23, 64)
+
+    def test_run_at_the_index_cap(self, example1_pair):
+        # a 2^16-bit index is 1,024 PCG64 outputs per trial: the chunk step
+        # counts them, so the run holds no more than its bins need
+        import tracemalloc
+        ens, ext = example1_pair
+        sampling.clear_summary_cache()
+        tracemalloc.start()
+        try:
+            traces = simulate_two_node(ens, ext, n=200,
+                                       rate=MAX_INDEX_BITS / 200, trials=300,
+                                       seed=0, engine="sampled")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m12 = traces.column("m12")
+        assert all(0 <= v < 2 ** MAX_INDEX_BITS for v in m12)
+        assert max(m12).bit_length() > MAX_INDEX_BITS - 16
+        assert peak <= self.CAP_PEAK_BYTES, peak
 
 
 class TestBuildCodebook:
@@ -645,7 +770,7 @@ class TestVectorizedScansMatchReference:
     with a plain double-loop implementation on shared random inputs."""
 
     def test_two_node_encode_decode(self, example1_pair):
-        from oracles import reference_decode, reference_encode
+        from oracles import reference_decode, reference_encode, trial_rng
         ens, ext = example1_pair
         p_joint = ext.joint.table
         p_u = p_joint.sum(axis=0)
@@ -717,11 +842,12 @@ class TestCascadeTrialMatchesReference:
 
     def test_trialwise_equality(self):
         from conftest import cascade_flip_pair
-        from qcoord import protocol, sampling
+        from qcoord import sampling
         from oracles import (
             reference_context_decode,
             reference_decode,
             reference_pair_encode,
+            trial_rng,
         )
         ens, ext = cascade_flip_pair(0.1)
         n, delta, seed = 14, 0.22, 77
@@ -740,7 +866,7 @@ class TestCascadeTrialMatchesReference:
         cb_y = build_codebook(py_params, p_xyz.sum(axis=(0, 2)), role=0)
         cb_z = build_codebook(pz_params, p_xyz.sum(axis=(0, 1)), role=1)
         for t_idx, trace in enumerate(traces):
-            rng = protocol._rng(seed, protocol._KEY_TRIAL, t_idx, 0)
+            rng = trial_rng(seed, t_idx)
             x_seq = sampling.sample_iid(rng, px, n)
             assert np.array_equal(x_seq, trace.x_seq)
             tv_x = 0.5 * np.abs(np.bincount(x_seq, minlength=2) / n
@@ -789,8 +915,7 @@ class TestCascadeTrialMatchesReference:
 
     @staticmethod
     def _check_two_node(pair, run, traces):
-        from qcoord import protocol
-        from oracles import reference_decode, reference_encode
+        from oracles import reference_decode, reference_encode, trial_rng
         ens, ext = pair
         n, delta, seed = run["n"], run["delta"], run["seed"]
         source_r, encode_r, decode_r = (m * delta for m in run["multipliers"])
@@ -804,7 +929,7 @@ class TestCascadeTrialMatchesReference:
         b_mats = [b.matrix for b in ext.atoms_b]
         assert len(traces) == run["trials"]
         for t_idx, trace in enumerate(traces):
-            rng = protocol._rng(seed, protocol._KEY_TRIAL, t_idx, 0)
+            rng = trial_rng(seed, t_idx)
             x_seq = sampling.sample_iid(rng, px, n)
             assert np.array_equal(x_seq, trace.x_seq)
             typical = bool(0.5 * np.abs(np.bincount(x_seq, minlength=px.size)
