@@ -17,10 +17,12 @@ Two interchangeable engines produce statistically identical trials:
   types) and one stacked finish; chunks and codeword blocks are sized by
   ``CHUNK_CELLS``, on which the traces do not depend.
 * ``sampled`` — draws each trial from the exact outcome distribution of
-  the scheme (see ``sampling``), with a fresh codebook implicitly drawn
-  per trial, the shared-randomness average that derandomization takes;
-  so achievable-rate blocklengths, whose codebooks are astronomically
-  large, are tractable.  Trivial relay (single Z symbol) only.
+  the scheme (see ``sampling``); this is what makes achievable-rate
+  blocklengths (where the codebook is astronomically large) tractable.
+  A fresh codebook is implicitly drawn per trial, which matches the
+  shared-randomness average the derandomization argument operates on.
+  It supports the trivial relay (single Z symbol) only.  A trace
+  arranges its codeword, ``b_label_seq``, when it is first read.
 
 Every draw comes from a ``SeedSequence`` stream of the seed and a key,
 whose words a chunk hashes in one pass (``_stream_words``): codebooks
@@ -29,8 +31,7 @@ draw from keys (1, role) and (2, role), ``derandomize``'s seeds from
 generator or one PCG64 pass per explicit chunk (``_pcg64_raw``), bit for
 bit what ``default_rng`` draws.  A sampled bin index m12 (m23) of k bits
 is the first ceil(k/64) PCG64 outputs of key (3, t, 1) ((3, t, 3)), read
-little-endian and cut to k bits.  A sampled trace arranges
-``b_label_seq`` on its first read.
+little-endian and cut to k bits.
 
 Both engines run one serial loop: a chunk of trials is drawn, then
 finished (``_finish``) into the same columns of one ``SimulationTraces``,
@@ -714,9 +715,10 @@ def _simulate(target, ext, n, rates, codeword_rates, trials, seed, delta,
         # b_label_seq is arranged per trial; the relay label is 0
         rows = (None, None if two_node
                 else np.broadcast_to(np.int8(0), (1, n)))
-        # a bin index pass holds ~4 uint64 cells per PCG64 output; it gets a
-        # quarter of a chunk, so at the index cap the indices set the peak
-        cells = max(cells, *(16 * _bin_words(p) for p in (params_y, params_z)))
+        # a bin index pass holds ~4 uint64 cells per 64 index bits; charged 4x
+        # that, at the index cap the indices, not the pass, set the peak
+        cells = max(cells, *(_ceil_rate(n, p.bin_rate) // 4
+                             for p in (params_y, params_z)))
     else:
         raise ProtocolError(f"unknown engine {engine!r}")
     run = dict(n=n, seed=seed, engine=engine, rate=rate12,
@@ -801,17 +803,13 @@ def _sampled_chunk(p_xyz, params_y, params_z, radii, chunk):
         ell2=zero, m23=m23, ell_hat2=zero), generators
 
 
-def _bin_words(params: CodebookParams) -> int:
-    """The PCG64 outputs a sampled bin index draws: one per 64 bits."""
-    return -(-_ceil_rate(params.n, params.bin_rate) // 64)
-
-
 def _bin_indices(words: np.ndarray, params: CodebookParams) -> np.ndarray:
     """A uniform bin index of ``params`` per row of (T, 4) uint64 stream
     words: of k bits, the first ceil(k/64) outputs of the row's PCG64, read
     little-endian and cut to k bits; 0 at k = 0, where no output is drawn.
     Python ints in an object array, as an index may pass 2^64."""
-    raw, mask = _pcg64_raw(words, _bin_words(params)), params.num_bins - 1
+    mask = params.num_bins - 1   # k one bits
+    raw = _pcg64_raw(words, -(-mask.bit_length() // 64))
     return np.array([int.from_bytes(r.astype("<u8").tobytes(), "little")
                      & mask for r in raw], object)
 

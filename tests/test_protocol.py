@@ -706,6 +706,16 @@ class TestDerandomize:
         assert rep.best_distance <= rep.quantiles[25] + 1e-15
         assert rep.meets_epsilon
 
+    @pytest.mark.parametrize("num_seeds", [0, 2 ** 32 + 1])
+    def test_seed_counts_outside_one_word_are_refused(self, example1_pair,
+                                                      num_seeds):
+        # a seed index keys its stream as one uint32 word: refused before
+        # any seed is derived
+        ens, ext = example1_pair
+        with pytest.raises(ProtocolError, match="seeds"):
+            derandomize(ens, ext, n=8, rate=0.5, trials=1,
+                        num_seeds=num_seeds, epsilon=1.0, engine="explicit")
+
 
 class TestConverse:
     def test_zero_rate_information_is_tiny(self, example1_pair):
