@@ -25,22 +25,23 @@ Two interchangeable engines produce statistically identical trials:
   arranges its codeword, ``b_label_seq``, when it is first read.
 
 Every draw comes from a ``SeedSequence`` stream of the seed and a key,
-whose words a chunk hashes in one pass (``_stream_words``): codebooks
-draw from keys (1, role) and (2, role), ``derandomize``'s seeds from
-(7, s), and trial t's source from (3, t, 0), through the sampled trial's
-generator or one PCG64 pass per explicit chunk (``_pcg64_raw``), bit for
-bit what ``default_rng`` draws.  A sampled bin index m12 (m23) of k bits
-is the first ceil(k/64) PCG64 outputs of key (3, t, 1) ((3, t, 3)), read
-little-endian and cut to k bits.
+bit for bit what ``default_rng`` draws: codebooks draw from keys
+(1, role) and (2, role), ``derandomize``'s seeds from (7, s), and trial
+t from (3, t, ...).  The core hashes a chunk's trial words in one pass
+(``_stream_words``) and draws and tests its sources, for both engines:
+trial t's source is n uniforms of key (3, t, 0), from one PCG64 pass per
+explicit chunk (``_pcg64_raw``) or from the sampled trial's generator.
+A sampled bin index m12 (m23) of k bits is the first ceil(k/64) PCG64
+outputs of key (3, t, 1) ((3, t, 3)), read little-endian and cut to k bits.
 
 Both engines run one serial loop: a chunk of trials is drawn, then
 finished (``_finish``) into the same columns of one ``SimulationTraces``,
 and then the next chunk is drawn; a trace is built only when it is read.
 
 The core builds one ``ToleranceSchedule`` per run from the ``delta``,
-``multipliers`` and ``gamma_coeff`` keywords.  Both engines read its
-radius triple (source, encode, decode), by default (delta, 2 delta,
-8 delta); the sampled one passes it to ``sampling.sample_two_node_trial``
+``multipliers`` and ``gamma_coeff`` keywords.  Its radius triple is
+(source, encode, decode), by default (delta, 2 delta, 8 delta); the
+sampled engine passes the last two to ``sampling.sample_two_node_trial``
 as ``radii``.  The
 encoder picks the lexicographically smallest jointly typical codeword
 index pair at the encode radius, falling back to (0, 0); each decoder
@@ -291,6 +292,10 @@ class CodebookParams:
     def within_memory_cap(self) -> bool:
         return self.num_codewords * self.n <= MEMORY_CAP
 
+    @property
+    def int64_bins(self) -> bool:   # as ``build_codebook`` stores them
+        return self.num_bins <= 2 ** 62
+
 
 @dataclass(frozen=True)
 class Codebook:
@@ -320,7 +325,7 @@ def build_codebook(params: CodebookParams, p_u: np.ndarray,
         raise MemoryCapError(
             f"codebook needs {l0 * params.n} symbols (cap {MEMORY_CAP}); "
             "lower n or the codeword rate, or use the sampled engine")
-    if params.num_bins > 2 ** 62:
+    if not params.int64_bins:
         raise MemoryCapError("bin indices exceed 63 bits; lower n or R")
     cw_rng, bin_rng = map(_generator, _stream_words(
         params.seed, ([_KEY_CODEBOOK, _KEY_BINS], role), 4, np.uint64))
@@ -688,30 +693,31 @@ def _simulate(target, ext, n, rates, codeword_rates, trials, seed, delta,
     params_z = CodebookParams(n=n, bin_rate=rate23, codeword_rate=rate_z,
                               delta=delta, seed=seed)
     two_node = ext.kind == "two-node"
-    if engine == "auto":
-        # explicit when the codebooks hold few enough symbols; the two-node
-        # run's one-codeword relay is not charged
-        relay = 0 if two_node else params_z.num_codewords
-        engine = ("explicit" if (params_y.num_codewords + relay) * n
-                  <= EXPLICIT_AUTO_BUDGET else "sampled")
     tables = _tables(target, ext)
     p_xyz = tables.p_xyz
-    # a trial stacks ~16 dim^2 cells of states in the finish
-    cells = 16 * tables.k.shape[-1] ** 2
+    if engine == "auto":
+        # explicit for few codebook symbols (the two-node relay's codeword
+        # uncharged) and int64 bins, unless a relay label rules sampling out
+        relay = 0 if two_node else params_z.num_codewords
+        engine = ("explicit" if (params_y.num_codewords + relay) * n
+                  <= EXPLICIT_AUTO_BUDGET and (p_xyz.shape[2] > 1 or (
+                      params_y.int64_bins and params_z.int64_bins))
+                  else "sampled")
+    # a trial stacks ~16 dim^2 cells of states in the finish, n of sources
+    cells = max(16 * tables.k.shape[-1] ** 2, n)
     if engine == "explicit":
         cb_y = build_codebook(params_y, p_xyz.sum(axis=(0, 2)), role=0)
         cb_z = build_codebook(params_z, p_xyz.sum(axis=(0, 1)), role=1)
-        outcomes = lambda chunk: _explicit_chunk(cb_y, cb_z, p_xyz, radii,
-                                                 chunk)
+        outcomes = lambda rngs, words, x, x_typical: _explicit_chunk(
+            cb_y, cb_z, p_xyz, radii, x, x_typical)
         rows = (cb_y.codewords, None if two_node else cb_z.codewords)
-        cells = max(cells, n)  # and n cells of stacked source draws
     elif engine == "sampled":
         if p_xyz.shape[2] != 1:
             raise ProtocolError(
                 "the sampled engine supports cascade only with a degenerate "
                 "relay label (single Z symbol); use the explicit engine")
-        outcomes = lambda chunk: _sampled_chunk(p_xyz, params_y, params_z,
-                                                radii, chunk)
+        outcomes = lambda rngs, words, x, x_typical: _sampled_chunk(
+            p_xyz, params_y, params_z, radii, rngs, words, x, x_typical)
         # b_label_seq is arranged per trial; the relay label is 0
         rows = (None, None if two_node
                 else np.broadcast_to(np.int8(0), (1, n)))
@@ -724,34 +730,39 @@ def _simulate(target, ext, n, rates, codeword_rates, trials, seed, delta,
     run = dict(n=n, seed=seed, engine=engine, rate=rate12,
                codeword_rate=rate_y, rate23=None if two_node else rate23,
                gamma_radius=schedule.gamma)
+    px, zero = p_xyz.sum(axis=(1, 2)), np.zeros((1, n), dtype=np.int8)
     step = max(1, CHUNK_CELLS // cells)
     columns, generators = {}, []   # each column allocated once for the run
     for first in range(0, trials, step):
-        chunk = range(first, min(first + step, trials))
-        counts, fields, chunk_generators = outcomes(chunk)
-        generators += chunk_generators
-        for name, values in _finish(counts, fields, tables, n,
-                                    schedule.gamma).items():
+        chunk = np.arange(first, min(first + step, trials))
+        # key 0's n uniforms are the sources: from the generators sampled
+        # trials draw on from, or one PCG64 pass; keys 1, 3 draw bin indices
+        words = _stream_words(seed, (_KEY_TRIAL, chunk, [[0], [1], [3]]), 4,
+                              np.uint64)
+        rngs = list(map(_generator, words[0])) if engine == "sampled" else []
+        x = sampling.symbols(px, np.stack([g.random(n) for g in rngs])
+                             if rngs else
+                             (_pcg64_raw(words[0], n) >> 11) * 2.0 ** -53)
+        x_typical = _type_distance(zero, x, px[None])[0] < radii[0]
+        generators += rngs
+        counts, fields = outcomes(rngs, words[1:], x, x_typical)
+        for name, values in _finish(counts, dict(fields, x_seq=x,
+                                                 x_typical=x_typical),
+                                    tables, n, schedule.gamma).items():
             if name not in columns:
                 columns[name] = np.empty((trials, *values.shape[1:]),
                                          values.dtype)
-            columns[name][chunk.start:chunk.stop] = values
+            columns[name][first:first + len(chunk)] = values
     return SimulationTraces(columns, run, rows, generators)
 
 
-def _explicit_chunk(cb_y: Codebook, cb_z: Codebook, p_xyz, radii, chunk):
+def _explicit_chunk(cb_y: Codebook, cb_z: Codebook, p_xyz, radii, x,
+                    x_typical):
     """Label counts (T, X, Y, Z) and trace columns of a chunk of explicit
-    trials, every scan shared by the chunk, and no generator to keep."""
-    source_radius, encode_radius, decode_radius = radii
+    trials with sources ``x`` (T, n), every scan shared by the chunk."""
+    _, encode_radius, decode_radius = radii
     num_x, num_y, num_z = p_xyz.shape
-    n, seed, size = cb_y.params.n, cb_y.params.seed, len(chunk)
-    words = _stream_words(seed, (_KEY_TRIAL, np.arange(chunk.start,
-                                                       chunk.stop), 0),
-                          4, np.uint64)
-    px = p_xyz.sum(axis=(1, 2))
-    x = sampling.symbols(px, (_pcg64_raw(words, n) >> 11) * 2.0 ** -53)
-    zero = np.zeros((size, n), dtype=np.int8)
-    x_typical = _type_distance(zero[:1], x, px[None])[0] < source_radius
+    size = len(x)
     ell, ell2 = np.full((2, size), -1)
     src = np.flatnonzero(x_typical)
     ell[src], ell2[src] = _pair_search(cb_y.codewords, cb_z.codewords,
@@ -760,9 +771,9 @@ def _explicit_chunk(cb_y: Codebook, cb_z: Codebook, p_xyz, radii, chunk):
     ell[enc_fb] = ell2[enc_fb] = 0
     m12 = np.where(x_typical, cb_y.bins[ell], 0)
     m23 = np.where(x_typical, cb_z.bins[ell2], 0)
-    # Bob's stage (i) recovers the relay codeword from its bin alone, and
-    # Charlie runs the same rule on the forwarded message
-    ell_hat2 = _first_rows(cb_z.codewords, zero, p_xyz.sum(axis=(0, 1))[None],
+    # Bob's stage (i) recovers the relay codeword from its bin alone (a zero
+    # context), and Charlie runs the same rule on the forwarded message
+    ell_hat2 = _first_rows(cb_z.codewords, 0 * x, p_xyz.sum(axis=(0, 1))[None],
                            decode_radius, cb_z.bins, m23)
     z = cb_z.codewords[np.maximum(ell_hat2, 0)]
     # Bob's stage (ii): his own codeword against the relay context
@@ -774,33 +785,31 @@ def _explicit_chunk(cb_y: Codebook, cb_z: Codebook, p_xyz, radii, chunk):
         + z + p_xyz.size * np.arange(size)[:, None]
     counts = np.bincount(cells.ravel(), minlength=size * p_xyz.size)
     return counts.reshape((size,) + p_xyz.shape).astype(float), dict(
-        x_seq=x, ell=ell, m12=m12, ell_hat=ell_hat, x_typical=x_typical,
-        encoder_fallback=enc_fb, decoder_fallback=dec_fb, ell2=ell2,
-        m23=m23, ell_hat2=ell_hat2), ()
+        ell=ell, m12=m12, ell_hat=ell_hat, encoder_fallback=enc_fb,
+        decoder_fallback=dec_fb, ell2=ell2, m23=m23, ell_hat2=ell_hat2)
 
 
-def _sampled_chunk(p_xyz, params_y, params_z, radii, chunk):
-    """Label counts (T, X, Y, Z), trace columns and generators of a chunk
-    of sampled trials.  The Z label is constant, so the Y side is exactly
-    the two-node trial; key 0 seeds each trial's generator, which is left
-    where the arrangement of ``b_label_seq`` starts.  The bin indices come
-    from keys 1 and 3 (``_bin_indices``), 0 on an atypical source."""
-    words = _stream_words(params_y.seed, (_KEY_TRIAL, np.arange(
-        chunk.start, chunk.stop), np.array([[0], [1], [3]])), 4, np.uint64)
-    generators = [_generator(w) for w in words[0]]
+def _sampled_chunk(p_xyz, params_y, params_z, radii, generators, words, x,
+                   x_typical):
+    """Label counts (T, X, Y, Z) and trace columns of a chunk of sampled
+    trials with sources ``x`` (T, n), drawn by their ``generators``.  The
+    Z label is constant, so the Y side is exactly the two-node trial, which
+    leaves the generator where the arrangement of ``b_label_seq`` starts.
+    Bin indices come from ``words`` (``_bin_indices``), 0 if x is atypical."""
+    x_counts = (x == np.arange(p_xyz.shape[0])[:, None, None]).sum(axis=2).T
     # read once: each read of a codebook size recomputes it
-    code = (p_xyz[:, :, 0], params_y.n, radii, params_y.num_codewords,
+    code = (p_xyz[:, :, 0], radii[1:], params_y.num_codewords,
             params_y.num_bins)
-    x, counts, ell, ell_hat, x_typical, enc_fb, dec_fb = zip(*(
-        sampling.sample_two_node_trial(rng, *code) for rng in generators))
+    counts, ell, ell_hat, enc_fb, dec_fb = zip(*(
+        sampling.sample_two_node_trial(rng, c, typical, *code)
+        for rng, c, typical in zip(generators, x_counts.tolist(), x_typical)))
     m12, m23 = (np.where(x_typical, _bin_indices(w, params), 0)
-                for w, params in zip(words[1:], (params_y, params_z)))
-    zero = np.zeros(len(chunk), dtype=np.int64)
+                for w, params in zip(words, (params_y, params_z)))
+    zero = np.zeros(len(x), dtype=np.int64)
     return np.stack(counts).astype(float)[..., None], dict(
-        x_seq=np.stack(x), ell=np.array(ell, object), m12=m12,
-        ell_hat=np.array(ell_hat, object), x_typical=np.array(x_typical),
+        ell=np.array(ell, object), m12=m12, ell_hat=np.array(ell_hat, object),
         encoder_fallback=np.array(enc_fb), decoder_fallback=np.array(dec_fb),
-        ell2=zero, m23=m23, ell_hat2=zero), generators
+        ell2=zero, m23=m23, ell_hat2=zero)
 
 
 def _bin_indices(words: np.ndarray, params: CodebookParams) -> np.ndarray:

@@ -422,11 +422,6 @@ def symbols(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_iid(rng: np.random.Generator, probs: np.ndarray, n: int) -> np.ndarray:
-    """n i.i.d. draws from ``probs`` as int8 symbol indices."""
-    return symbols(probs, rng.random(n))
-
-
 def arrange_within_rows(rng: np.random.Generator, x_seq: np.ndarray,
                         counts: np.ndarray) -> np.ndarray:
     """A uniformly random codeword consistent with the joint counts."""
@@ -468,35 +463,30 @@ class Arrangement:
         return self._value
 
 
-def sample_two_node_trial(rng: np.random.Generator, p_joint: np.ndarray,
-                          n: int, radii: tuple, num_codewords: int,
-                          num_bins: int):
+def sample_two_node_trial(rng: np.random.Generator, x_counts: list,
+                          x_typical: bool, p_joint: np.ndarray, radii: tuple,
+                          num_codewords: int, num_bins: int):
     """One trial of the two-node scheme, sampled from its exact distribution.
 
-    ``radii`` is the (source, encode, decode) triple of the schedule
-    that ``protocol`` builds once per run.  ``rng`` makes every draw, in a
-    fixed order, so that a given seed reproduces the trial bit for bit.
-    None depends on the sent bin index, which ``protocol`` draws: uniform
-    on a typical source, 0 on an atypical one.  Returns ``x_seq``, the
-    (|X|, |U|) joint counts, ``ell``, ``ell_hat``, ``x_typical``,
-    ``encoder_fallback`` and ``decoder_fallback``.  The sent codeword's
-    joint type is drawn from one class of the cached ``TypeGrid``: ``e``,
-    ``ne_d``, ``ne_nd``, ``d`` or ``nd``.  Its arrangement, ``b_label_seq``,
-    is the trial's last draw, ``arrange_within_rows(rng, x_seq, counts)``,
-    which an ``Arrangement`` defers to its first read.
+    ``protocol`` draws the source x^n from the first n uniforms of ``rng``
+    and counts (``x_counts``) and tests (``x_typical``) it, for a chunk of
+    trials at once.  ``radii`` is the schedule's (encode, decode) pair.
+    ``rng`` makes every later draw in a fixed order, so a seed reproduces
+    the trial bit for bit; none depends on the sent bin index, which
+    ``protocol`` draws.  Returns the (|X|, |U|) joint counts, ``ell``,
+    ``ell_hat``, ``encoder_fallback`` and ``decoder_fallback``.  The sent
+    codeword's joint type is drawn from one class of the cached
+    ``TypeGrid``: ``e``, ``ne_d``, ``ne_nd``, ``d`` or ``nd``.  Its
+    arrangement, ``b_label_seq``, is the trial's last draw,
+    ``arrange_within_rows(rng, x_seq, counts)``, deferred to its first
+    read by an ``Arrangement``.
     """
-    px = p_joint.sum(axis=1)
-    x_seq = sample_iid(rng, px, n)
-    x_counts = np.bincount(x_seq, minlength=p_joint.shape[0]).astype(np.int64)
-    source_radius, *grid_radii = radii
-    x_typical = bool(0.5 * np.abs(x_counts / n - px).sum() < source_radius)
-
-    grid = class_summary(x_counts, p_joint, *grid_radii)
+    grid = class_summary(x_counts, p_joint, *radii)
     log_m = math.log(num_bins)
 
     def finish(ell, ell_hat, enc_fb, dec_fb, cls):
-        return (x_seq, grid.sample_counts(rng, cls), int(ell), int(ell_hat),
-                x_typical, bool(enc_fb), bool(dec_fb))
+        return (grid.sample_counts(rng, cls), int(ell), int(ell_hat),
+                bool(enc_fb), bool(dec_fb))
 
     if x_typical:
         log_ne, log_ne_d = grid.log_ne, grid.log_ne_d

@@ -58,13 +58,18 @@ def test_many_trials_transient_memory_is_bounded(example1_pair):
     assert _transient_bytes(run) <= TRANSIENT_CAP
 
 
-def test_long_source_transient_memory_is_bounded(example1_pair):
+@pytest.mark.parametrize("code", [
     # n = 256: a chunk of 256 trials holds 65,536 source cells, whose
     # uniforms are computed from 128-bit PCG64 states as uint64 words
+    dict(n=256, rate=4 / 256, delta=0.1, engine="explicit",
+         codeword_rate=8 / 256),
+    # n = 800: the sampled engine's sources, drawn by the trial generators
+    # and tested in one pass per chunk, are charged n cells per trial too
+    dict(n=800, rate=0.46, delta=0.02, engine="sampled"),
+], ids=["explicit", "sampled"])
+def test_long_source_transient_memory_is_bounded(example1_pair, code):
     ens, ext = example1_pair
-    run = lambda: simulate_two_node(ens, ext, n=256, rate=4 / 256,
-                                    trials=600, seed=3, delta=0.1,
-                                    engine="explicit", codeword_rate=8 / 256)
+    run = lambda: simulate_two_node(ens, ext, trials=600, seed=3, **code)
     assert _transient_bytes(run) <= TRANSIENT_CAP
 
 

@@ -418,15 +418,39 @@ class TestTwoNodeSimulation:
                 assert np.array_equal(a.avg_state.matrix, b.avg_state.matrix)
 
     def test_engines_share_source_streams(self, example1_pair):
+        # the same sources, and the same typicality flags, on both sides of
+        # the source radius
         ens, ext = example1_pair
-        te = simulate_two_node(ens, ext, n=40, rate=0.5, trials=4, seed=8,
+        te = simulate_two_node(ens, ext, n=40, rate=0.5, trials=40, seed=8,
                                delta=0.05, engine="explicit",
                                codeword_rate=0.3)
-        ts = simulate_two_node(ens, ext, n=40, rate=0.5, trials=4, seed=8,
+        ts = simulate_two_node(ens, ext, n=40, rate=0.5, trials=40, seed=8,
                                delta=0.05, engine="sampled",
                                codeword_rate=0.3)
-        for a, b in zip(te, ts):
-            assert np.array_equal(a.x_seq, b.x_seq)
+        for name in ("x_seq", "x_typical"):
+            assert np.array_equal(te.column(name), ts.column(name))
+        assert 0 < ts.column("x_typical").sum() < 40
+
+    def test_auto_engine_samples_bins_past_int64(self, example1_pair):
+        # 1,024 codewords of length 100 are few enough to scan, but their
+        # 70-bit bins are more than build_codebook stores
+        ens, ext = example1_pair
+        run = dict(n=100, rate=0.7, codeword_rate=0.1, trials=3, seed=1)
+        auto = simulate_two_node(ens, ext, **run)
+        sampled = simulate_two_node(ens, ext, engine="sampled", **run)
+        assert auto.run["engine"] == "sampled"
+        assert auto.column("m12").tolist() == sampled.column("m12").tolist()
+        ens3, ext3 = degenerate_z_cascade(example1_pair)
+        assert simulate_cascade(ens3, ext3, n=100, rate12=0.7, rate23=0.0,
+                                trials=2, seed=1, codeword_rate_y=0.1,
+                                codeword_rate_z=0.0).run["engine"] == "sampled"
+        # a relay label runs on the explicit engine only: still exit 5
+        from conftest import cascade_flip_pair
+        ens_c, ext_c = cascade_flip_pair(0.1)
+        with pytest.raises(MemoryCapError, match="63 bits"):
+            simulate_cascade(ens_c, ext_c, n=100, rate12=1.4, rate23=0.7,
+                             trials=1, seed=1, codeword_rate_y=0.1,
+                             codeword_rate_z=0.1)
 
     @pytest.mark.parametrize("rate,cw_rate", [
         (0.8, 0.6),    # ample bins, covering succeeds: clean decoding
@@ -877,7 +901,7 @@ class TestCascadeTrialMatchesReference:
         cb_z = build_codebook(pz_params, p_xyz.sum(axis=(0, 1)), role=1)
         for t_idx, trace in enumerate(traces):
             rng = trial_rng(seed, t_idx)
-            x_seq = sampling.sample_iid(rng, px, n)
+            x_seq = sampling.symbols(px, rng.random(n))
             assert np.array_equal(x_seq, trace.x_seq)
             tv_x = 0.5 * np.abs(np.bincount(x_seq, minlength=2) / n
                                 - px).sum()
@@ -940,7 +964,7 @@ class TestCascadeTrialMatchesReference:
         assert len(traces) == run["trials"]
         for t_idx, trace in enumerate(traces):
             rng = trial_rng(seed, t_idx)
-            x_seq = sampling.sample_iid(rng, px, n)
+            x_seq = sampling.symbols(px, rng.random(n))
             assert np.array_equal(x_seq, trace.x_seq)
             typical = bool(0.5 * np.abs(np.bincount(x_seq, minlength=px.size)
                                         / n - px).sum() < source_r)
