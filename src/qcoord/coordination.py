@@ -205,10 +205,6 @@ class Extension:
         self.kind = kind
         self._validated = False
 
-    @property
-    def validated(self) -> bool:
-        return self._validated
-
     def require_validated(self):
         if not self._validated:
             raise ExtensionNotValidated(

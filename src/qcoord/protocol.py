@@ -26,11 +26,13 @@ Two interchangeable engines produce statistically identical trials:
 
 Every draw comes from a ``SeedSequence`` stream of the seed and a key,
 bit for bit what ``default_rng`` draws: codebooks draw from keys
-(1, role) and (2, role), ``derandomize``'s seeds from (7, s), and trial
-t from (3, t, ...).  The core hashes a chunk's trial words in one pass
-(``_stream_words``) and draws and tests its sources, for both engines:
-trial t's source is n uniforms of key (3, t, 0), from one PCG64 pass per
-explicit chunk (``_pcg64_raw``) or from the sampled trial's generator.
+(1, role) and (2, role) and ``derandomize``'s seeds from (7, s), each
+through NumPy's own ``SeedSequence``, and trial t from (3, t, ...).  Only
+trial chunks use the hand-written hash: the core hashes a chunk's trial
+words in one pass (``_trial_words``) and draws and tests its sources,
+for both engines: trial t's source is n uniforms of key (3, t, 0), from
+one PCG64 pass per explicit chunk (``_pcg64_raw``) or from the sampled
+trial's generator.
 A sampled bin index m12 (m23) of k bits is the first ceil(k/64) PCG64
 outputs of key (3, t, 1) ((3, t, 3)), read little-endian and cut to k bits.
 
@@ -127,23 +129,14 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _stream_words(seed: int, key: tuple, n_words: int,
-                  dtype=np.uint32) -> np.ndarray:
-    """``generate_state(n_words, dtype)`` of the ``SeedSequence`` of ``seed``
-    and ``spawn_key=key``, in one pass for every key the key's int arrays
-    broadcast to: the result has their broadcast shape plus an axis of
-    ``n_words``."""
+def _trial_words(seed: int, trials: np.ndarray) -> np.ndarray:
+    """(3, T, 4) uint64: ``generate_state(4, np.uint64)`` of the
+    ``SeedSequence`` of ``seed`` and ``spawn_key=(3, t, k)`` for each trial
+    t < 2^32 of ``trials`` and k = 0, 1, 3, hashed in one pass."""
     entropy = _int_words(int(seed))
     entropy += [0] * (_POOL - len(entropy))
-    for item in key:
-        if np.ndim(item) == 0:
-            entropy += _int_words(int(item))
-            continue
-        item = np.asarray(item)
-        # SeedSequence would hash an index of 2^32 or more as two words
-        if item.size and not (item.min() >= 0 and item.max() <= _M32):
-            raise ProtocolError("stream key indices must lie in [0, 2^32)")
-        entropy.append(item.astype(np.uint32))
+    entropy += [_KEY_TRIAL, np.asarray(trials, np.uint32),
+                np.array([[0], [1], [3]], np.uint32)]
     const = [_INIT_A]
     pool = [_hashmix(word, const, _MULT_A) for word in entropy[:_POOL]]
     for src in range(_POOL):
@@ -154,13 +147,10 @@ def _stream_words(seed: int, key: tuple, n_words: int,
     for word in entropy[_POOL:]:
         for dst in range(_POOL):
             pool[dst] = _mix(pool[dst], _hashmix(word, const, _MULT_A))
-    wide = np.dtype(dtype) == np.uint64
     const = [_INIT_B]
-    words = [_hashmix(pool[i % _POOL], const, _MULT_B)
-             for i in range(n_words * (2 if wide else 1))]
-    out = np.stack(np.broadcast_arrays(*(np.asarray(w, np.uint32)
-                                         for w in words)), axis=-1)
-    return out.astype("<u4").view("<u8").astype(np.uint64) if wide else out
+    words = [_hashmix(pool[i % _POOL], const, _MULT_B) for i in range(8)]
+    return np.stack(words, axis=-1).astype("<u4").view("<u8").astype(
+        np.uint64)
 
 
 class _Words(np.random.bit_generator.ISeedSequence):
@@ -327,8 +317,9 @@ def build_codebook(params: CodebookParams, p_u: np.ndarray,
             "lower n or the codeword rate, or use the sampled engine")
     if not params.int64_bins:
         raise MemoryCapError("bin indices exceed 63 bits; lower n or R")
-    cw_rng, bin_rng = map(_generator, _stream_words(
-        params.seed, ([_KEY_CODEBOOK, _KEY_BINS], role), 4, np.uint64))
+    cw_rng, bin_rng = (np.random.default_rng(np.random.SeedSequence(
+        params.seed, spawn_key=(key, role)))
+        for key in (_KEY_CODEBOOK, _KEY_BINS))
     codewords = np.empty((l0, params.n), dtype=np.int8)
     # row-chunked generation keeps peak memory bounded while preserving the
     # stream order (so a larger codebook extends a smaller one row for row)
@@ -737,8 +728,7 @@ def _simulate(target, ext, n, rates, codeword_rates, trials, seed, delta,
         chunk = np.arange(first, min(first + step, trials))
         # key 0's n uniforms are the sources: from the generators sampled
         # trials draw on from, or one PCG64 pass; keys 1, 3 draw bin indices
-        words = _stream_words(seed, (_KEY_TRIAL, chunk, [[0], [1], [3]]), 4,
-                              np.uint64)
+        words = _trial_words(seed, chunk)
         rngs = list(map(_generator, words[0])) if engine == "sampled" else []
         x = sampling.symbols(px, np.stack([g.random(n) for g in rngs])
                              if rngs else
@@ -880,12 +870,12 @@ def derandomize(target: CqEnsemble, ext: Extension, n: int, rate: float,
         raise ProtocolError(f"need 1 to 2^32 seeds, not {num_seeds}")
     if seed < 0:
         raise ProtocolError(f"seed must be nonnegative, not {seed}")
-    seeds = _stream_words(seed, (_KEY_SEEDS, np.arange(num_seeds)),
-                          1)[:, 0].tolist()
-    dists, kept = [], []
-    for seed_s in seeds:
+    seeds, dists, kept = [], [], []
+    for s in range(num_seeds):
+        seeds.append(int(np.random.SeedSequence(
+            seed, spawn_key=(_KEY_SEEDS, s)).generate_state(1)[0]))
         traces = simulate_two_node(target, ext, n, rate, trials,
-                                   seed=seed_s, **sim_kwargs)
+                                   seed=seeds[-1], **sim_kwargs)
         dists.append(float(np.mean(traces.column("distance_to_target"))))
         if keep_traces:
             kept.append(traces)

@@ -235,15 +235,11 @@ class _CodewordTypes:
         num_u = len(pu_key)
         _budget(math.comb(n + num_u - 1, num_u - 1), "codeword types")
         self.types, self.logp = _row_cache(n, pu_key)
-        # types ascend in lexicographic order, and so do their keys
+        # types ascend in lexicographic order, and so do their keys; the
+        # marginal total variation is half the row table's deviation
         self.radix = _radix(n, num_u)
-        self.keys = self.types @ self.radix
-        # marginal total variation, from per-symbol |s/n - p_u| tables
-        dev = np.zeros(self.keys.size)
-        for u, p in enumerate(pu_key):
-            dev += np.abs(np.arange(n + 1) / n - p)[self.types[:, u]]
-        dev *= 0.5
-        self.mask_d = mask = dev < decode_radius
+        dev, self.keys = _row_arrays(n, n, pu_key, pu_key)
+        self.mask_d = mask = 0.5 * dev < decode_radius
         self.log_d = _logsumexp(self.logp[mask])
         self.log_nd = _logsumexp(self.logp[~mask])
         _check_mass(float(np.logaddexp(self.log_d, self.log_nd)),
@@ -252,8 +248,8 @@ class _CodewordTypes:
             _class_table(np.flatnonzero(m), self.logp[m])
             if math.isfinite(log) else None
             for m, log in ((mask, self.log_d), (~mask, self.log_nd)))
-        # types and logp are the row table's, charged there
-        self.nbytes = _charge((self.radix, self.keys, mask,
+        # types, logp and keys are the row tables', charged there
+        self.nbytes = _charge((self.radix, mask,
                                *(self.d or ()), *(self.nd or ())))
 
 

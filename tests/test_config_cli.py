@@ -171,6 +171,29 @@ class TestCli:
         last = lines[-1].split(",")
         assert float(last[1]) == 0.5 and float(last[2]) == 0.0
 
+    def test_sweep_of_simulate_is_a_config_error(self, tmp_path, capsys):
+        cfg = read_config("phase_flip_sweep.json")
+        cfg["sweep"]["command"] = "simulate"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert self.run(["--config", str(path), "--out", str(out),
+                         "--quiet"]) == EXIT_PARSE
+        assert "sweep supports the rate and optimize commands" in \
+            capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    def test_cascade_rate_prints_the_region_corner(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self.run(["--config", config_path("cascade_flip.json"),
+                         "--out", str(out)]) == EXIT_OK
+        header, row = read_csv(out / "rate.csv").strip().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert (cells["kind"], cells["rate"]) == ("cascade", "")
+        corner = f"({float(cells['r12']):.6f}, {float(cells['r23']):.6f})"
+        assert f"rate region corner: {corner} bits/symbol" in \
+            capsys.readouterr().out
+
     def test_empty_sweep_grid_is_noop_success(self, tmp_path):
         cfg = read_config("phase_flip_sweep.json")
         cfg["sweep"]["values"] = []

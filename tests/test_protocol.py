@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from qcoord.classical import Alphabet, JointPmf
-from qcoord.coordination import CqEnsemble, Extension, validate_extension
+from qcoord.classical import Alphabet, JointPmf, mutual_information
+from qcoord.coordination import (CoordinationError, CqEnsemble, Extension,
+                                 validate_extension)
 from qcoord.protocol import (
     MAX_INDEX_BITS,
     Codebook,
@@ -28,47 +29,41 @@ from oracles import average_state, enumerate_sequences
 
 
 class TestStreamContract:
-    """Batched stream words are NumPy's ``SeedSequence`` words (NEP 19
+    """Batched trial words are NumPy's ``SeedSequence`` words (NEP 19
     keeps its algorithm stable), and the generators built from them, like
     the one-pass PCG64 of the explicit engine's source draws and of the
     sampled engine's bin indices, draw what NumPy's ``PCG64`` and
-    ``default_rng`` of those words draw."""
+    ``default_rng`` of those words draw.  Codebooks and derandomize seeds
+    take NumPy's ``SeedSequence`` itself."""
 
     TRIALS = np.array([0, 1, 1000, 2 ** 32 - 1])
     SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 200 + 1]
+    LASTS = [0, 1, 3]   # the trial keys (3, t, k), in _trial_words' order
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_words_match_seed_sequence(self, seed):
         import warnings
         from qcoord import protocol
-        lasts = np.array([0, 1, 3])
         with warnings.catch_warnings():
             warnings.simplefilter("error")   # no uint32 overflow warning
-            every = protocol._stream_words(
-                seed, (protocol._KEY_TRIAL, self.TRIALS[:, None], lasts), 2)
-            for j, last in enumerate(lasts.tolist()):
-                key = (protocol._KEY_TRIAL, self.TRIALS, last)
-                w32 = protocol._stream_words(seed, key, 2)
-                w64 = protocol._stream_words(seed, key, 4, np.uint64)
-                assert np.array_equal(every[:, j], w32)
-                for i, t in enumerate(self.TRIALS.tolist()):
-                    ss = np.random.SeedSequence(
-                        seed, spawn_key=(protocol._KEY_TRIAL, t, last))
-                    for got, want in ((w32[i], ss.generate_state(2)),
-                                      (w64[i], ss.generate_state(
-                                          4, np.uint64))):
-                        assert got.dtype == want.dtype
-                        assert got.tobytes() == want.tobytes()
-                    assert np.array_equal(
-                        protocol._generator(w64[i]).random(5),
-                        np.random.default_rng(ss).random(5))
+            words = protocol._trial_words(seed, self.TRIALS)
+        assert words.shape == (len(self.LASTS), len(self.TRIALS), 4)
+        for j, last in enumerate(self.LASTS):
+            for i, t in enumerate(self.TRIALS.tolist()):
+                ss = np.random.SeedSequence(
+                    seed, spawn_key=(protocol._KEY_TRIAL, t, last))
+                want = ss.generate_state(4, np.uint64)
+                assert words[j, i].dtype == want.dtype
+                assert words[j, i].tobytes() == want.tobytes()
+                assert np.array_equal(
+                    protocol._generator(words[j, i]).random(5),
+                    np.random.default_rng(ss).random(5))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_raw_outputs_match_pcg64(self, seed):
         # the one-pass PCG64 against numpy's own, output for output
         from qcoord import protocol
-        words = protocol._stream_words(
-            seed, (protocol._KEY_TRIAL, self.TRIALS, 1), 4, np.uint64)
+        words = protocol._trial_words(seed, self.TRIALS)[1]
         for m in (0, 1, 2, 6, 32, 257):
             got = protocol._pcg64_raw(words, m)
             assert got.shape == (len(self.TRIALS), m)
@@ -82,8 +77,7 @@ class TestStreamContract:
     def test_chunk_uniforms_match_default_rng(self, seed):
         # the explicit engine's source uniforms: raw outputs >> 11, / 2^53
         from qcoord import protocol
-        words = protocol._stream_words(
-            seed, (protocol._KEY_TRIAL, self.TRIALS, 0), 4, np.uint64)
+        words = protocol._trial_words(seed, self.TRIALS)[0]
         for n in (1, 2, 6, 32, 257):
             got = (protocol._pcg64_raw(words, n) >> 11) * 2.0 ** -53
             assert got.shape == (len(self.TRIALS), n)
@@ -102,8 +96,8 @@ class TestStreamContract:
         params = CodebookParams(n=1, bin_rate=bits, codeword_rate=0.0,
                                 delta=0.02, seed=seed)
         assert params.num_bins == 2 ** bits
-        words = protocol._stream_words(
-            seed, (protocol._KEY_TRIAL, self.TRIALS, last), 4, np.uint64)
+        words = protocol._trial_words(seed, self.TRIALS)[
+            self.LASTS.index(last)]
         got = protocol._bin_indices(words, params)
         assert got.dtype == object and got.shape == self.TRIALS.shape
         for i, t in enumerate(self.TRIALS.tolist()):
@@ -144,14 +138,6 @@ class TestStreamContract:
                 for s in range(3)]
         assert rep.seeds == want
         assert all(type(v) is int for v in rep.seeds)
-
-    @pytest.mark.parametrize("trial", [2 ** 32, -1])
-    def test_index_outside_one_word_is_refused(self, trial):
-        # SeedSequence would hash 2^32 as two words: no trial is started
-        from qcoord import protocol
-        with pytest.raises(ProtocolError):
-            protocol._stream_words(0, (protocol._KEY_TRIAL,
-                                       np.array([0, trial]), 0), 2)
 
     @pytest.mark.parametrize("engine", ["explicit", "sampled"])
     def test_trial_counts_past_one_word_are_refused(self, example1_pair,
@@ -691,6 +677,56 @@ class TestCascadeSimulation:
         for t in traces:
             assert np.array_equal(t.c_label_seq, cb_z.codewords[t.ell_hat2])
 
+    def test_sampled_engine_refuses_a_relay_label(self):
+        from conftest import cascade_flip_pair
+        ens, ext = cascade_flip_pair(0.1)
+        with pytest.raises(ProtocolError, match="degenerate relay"):
+            simulate_cascade(ens, ext, n=8, rate12=1.9, rate23=0.9,
+                             trials=1, seed=0, engine="sampled")
+
+    def test_unknown_engine_is_refused(self, example1_pair):
+        ens, ext = example1_pair
+        with pytest.raises(ProtocolError, match="unknown engine"):
+            simulate_two_node(ens, ext, n=8, rate=0.5, trials=1, seed=0,
+                              engine="exact")
+
+    def test_wrappers_refuse_the_other_kind(self, example1_pair):
+        from conftest import cascade_flip_pair
+        ens2, ext2 = example1_pair
+        ens3, ext3 = cascade_flip_pair(0.1)
+        with pytest.raises(CoordinationError, match="two-node"):
+            simulate_two_node(ens3, ext3, n=8, rate=1.9, trials=1, seed=0)
+        with pytest.raises(CoordinationError, match="cascade"):
+            simulate_cascade(ens2, ext2, n=8, rate12=0.5, rate23=0.0,
+                             trials=1, seed=0)
+
+    def test_default_relay_codeword_rate(self):
+        # no codeword_rate_z is I(X;Z) + 2 gamma, column for column
+        from conftest import cascade_flip_pair
+        ens, ext = cascade_flip_pair(0.1)
+        run = dict(n=8, rate12=1.9, rate23=0.9, trials=6, seed=4,
+                   delta=0.02, engine="explicit", codeword_rate_y=0.35)
+        default = simulate_cascade(ens, ext, **run)
+        gamma = default.run["gamma_radius"]
+        rate_z = mutual_information(ext.joint, ["X"], ["Z"]) + 2.0 * gamma
+        explicit = simulate_cascade(ens, ext, codeword_rate_z=rate_z, **run)
+        assert default.run == explicit.run
+        assert default._columns.keys() == explicit._columns.keys()
+        for name in default._columns:
+            assert np.array_equal(default.column(name),
+                                  explicit.column(name))
+
+    def test_cascade_slot_states_average_to_the_state(self):
+        from conftest import cascade_flip_pair
+        ens, ext = cascade_flip_pair(0.1)
+        t = simulate_cascade(ens, ext, n=8, rate12=1.9, rate23=0.9,
+                             trials=1, seed=2, delta=0.1, engine="explicit",
+                             codeword_rate_y=0.35, codeword_rate_z=0.3)[0]
+        slots = t.slot_states(ext.atoms_a, ext.atoms_b, ext.as_cascade()[1])
+        assert len(slots) == 8
+        mean = sum(s.matrix for s in slots) / 8
+        assert np.allclose(mean, t.avg_state.matrix, atol=1e-12)
+
     def test_rate_split_validation(self, example1_pair):
         ens3, ext3 = degenerate_z_cascade(example1_pair)
         with pytest.raises(ProtocolError):
@@ -741,6 +777,36 @@ class TestDerandomize:
                         num_seeds=num_seeds, epsilon=1.0, engine="explicit")
 
 
+    def test_seeds_are_derived_one_simulation_at_a_time(self, example1_pair,
+                                                        monkeypatch):
+        # seed s is derived when its simulation starts, so a run of 2^20
+        # seeds holds nothing per seed before the first one is simulated
+        import tracemalloc
+        from qcoord import protocol
+        calls = []
+
+        class FirstCall(Exception):
+            pass
+
+        def first_call(*args, seed, **kwargs):
+            calls.append(seed)
+            raise FirstCall
+        monkeypatch.setattr(protocol, "simulate_two_node", first_call)
+        ens, ext = example1_pair
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstCall):
+                derandomize(ens, ext, n=8, rate=0.5, trials=1,
+                            num_seeds=2 ** 20, epsilon=1.0, seed=3,
+                            engine="explicit")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [int(np.random.SeedSequence(
+            3, spawn_key=(protocol._KEY_SEEDS, 0)).generate_state(1)[0])]
+        assert peak < 2 ** 20
+
+
 class TestConverse:
     def test_zero_rate_information_is_tiny(self, example1_pair):
         ens, ext = example1_pair
@@ -770,6 +836,19 @@ class TestConverse:
         rep = converse_check(traces, ens, ext, rate=1.9, rate23=0.9)
         assert len(rep.inequalities) == 2
         assert rep.passed
+
+
+    def test_refuses_no_traces_and_a_cascade_without_rate23(self):
+        from conftest import cascade_flip_pair
+        ens, ext = cascade_flip_pair(0.1)
+        traces = simulate_cascade(ens, ext, n=8, rate12=1.9, rate23=0.9,
+                                  trials=2, seed=2, delta=0.1,
+                                  engine="explicit", codeword_rate_y=0.35,
+                                  codeword_rate_z=0.3)
+        with pytest.raises(ProtocolError, match="at least one trace"):
+            converse_check(traces[:0], ens, ext, rate=1.9, rate23=0.9)
+        with pytest.raises(ProtocolError, match="rate23"):
+            converse_check(traces, ens, ext, rate=1.9)
 
 
 class TestSampledEngineExactness:
