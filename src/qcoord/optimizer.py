@@ -29,7 +29,8 @@ the one pool at ``max_merge_order``: its minimum is at most every lower
 order's.  The face (label matrices, feasibility systems, support, null
 spaces) does not depend on the weight lam of the cascade objective, so a
 lam sweep (``optimize_lambdas``) prepares it once and runs one certified
-solve per weight.
+solve per weight.  scipy (``linprog``, ``lsq_linear``, ``block_diag``)
+loads on the first solve, not when this module is imported.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import linprog, lsq_linear
 
 from .classical import Alphabet, JointPmf
 from .coordination import (
@@ -234,8 +233,15 @@ def _feasibility_system(atom_mats, eta: np.ndarray):
     return a, b
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first solve."""
+    from scipy import optimize
+    return optimize.linprog(*args, **kwargs)
+
+
 def _feasible_point(a: np.ndarray, b: np.ndarray):
     """Nonnegative least-squares point and its residual (2-norm)."""
+    from scipy.optimize import lsq_linear
     res = lsq_linear(a, b, bounds=(0.0, np.inf), method="bvls")
     p = np.clip(res.x, 0.0, None)
     return p, float(np.linalg.norm(a @ p - b))
@@ -254,6 +260,7 @@ def _max_support_points(systems):
     unless that move leaves the open orthant (an ill-conditioned support);
     then the HiGHS point, whose entries are at least 1/s, is kept.
     """
+    from scipy.linalg import block_diag
     cost, ub, eq, bounds = [], [], [], []
     for a, b in systems:
         r, m = a.shape
@@ -322,6 +329,7 @@ class _Face:
     """
 
     def __init__(self, weights, systems, nz, pz=None, pz_residual=0.0):
+        from scipy.linalg import block_diag
         w = np.asarray(weights, dtype=float)
         self.systems, self.nz, self.pz = systems, nz, pz
         self.pz_residual = pz_residual

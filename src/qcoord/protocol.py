@@ -805,9 +805,11 @@ def _sampled_chunk(p_xyz, params_y, params_z, radii, generators, words, x,
 def _bin_indices(words: np.ndarray, params: CodebookParams) -> np.ndarray:
     """A uniform bin index of ``params`` per row of (T, 4) uint64 stream
     words: of k bits, the first ceil(k/64) outputs of the row's PCG64, read
-    little-endian and cut to k bits; 0 at k = 0, where no output is drawn.
+    little-endian and cut to k bits; 0 at k = 0, where no kernel runs.
     Python ints in an object array, as an index may pass 2^64."""
     mask = params.num_bins - 1   # k one bits
+    if not mask:
+        return np.zeros(len(words), object)
     raw = _pcg64_raw(words, -(-mask.bit_length() // 64))
     return np.array([int.from_bytes(r.astype("<u8").tobytes(), "little")
                      & mask for r in raw], object)

@@ -27,6 +27,7 @@ holds leaves before the grid, so ``SUMMARY_CACHE_BYTES`` bounds all that
 the cache keeps alive.  A grid miss checks the grid's log-mass; a hit
 rebuilds nothing.  Every draw sees the same floats in the same order, so
 a fixed seed reproduces its trial bit for bit whatever the cache holds.
+``scipy.special`` (``gammaln``) loads when the first row table is built.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import threading
 from collections import OrderedDict, namedtuple
 
 import numpy as np
-from scipy.special import gammaln
 
 GRID_BUDGET = 4_000_000
 SUMMARY_CACHE_BYTES = 8 * 2 ** 20
@@ -156,6 +156,7 @@ def _compositions(total: int, parts: int) -> np.ndarray:
 
 @_cached
 def _row_cache(n_a: int, pu_key: tuple):
+    from scipy.special import gammaln
     pu = np.array(pu_key)
     comps = _compositions(n_a, pu.size)
     logp = np.full(comps.shape[0], gammaln(n_a + 1))

@@ -9,6 +9,7 @@ from qcoord.coordination import (CoordinationError, CqEnsemble, Extension,
                                  validate_extension)
 from qcoord.protocol import (
     MAX_INDEX_BITS,
+    MEMORY_CAP,
     Codebook,
     CodebookParams,
     MemoryCapError,
@@ -170,6 +171,24 @@ class TestCodebookParams:
                              delta=0.02, seed=1)
         assert small.within_memory_cap
         assert not big.within_memory_cap
+
+    def test_memory_cap_boundary(self):
+        # a codebook of exactly MEMORY_CAP symbols is within the cap
+        def params(rate):
+            return CodebookParams(n=1, bin_rate=0.0, codeword_rate=rate,
+                                  delta=0.02, seed=1)
+        assert params(30).num_codewords * 1 == MEMORY_CAP
+        assert params(30).within_memory_cap
+        assert not params(31).within_memory_cap
+
+    def test_int64_bins_boundary(self):
+        # 2^62 bins are stored as int64; one bit more is not
+        def params(n):
+            return CodebookParams(n=n, bin_rate=1.0, codeword_rate=0.0,
+                                  delta=0.02, seed=1)
+        assert params(62).num_bins == 2 ** 62
+        assert params(62).int64_bins
+        assert not params(63).int64_bins
 
     def test_index_bits_are_capped(self, example1_pair):
         # a finite but huge rate is refused before any index is built
@@ -727,6 +746,18 @@ class TestCascadeSimulation:
         mean = sum(s.matrix for s in slots) / 8
         assert np.allclose(mean, t.avg_state.matrix, atol=1e-12)
 
+    def test_equal_rates_send_one_bin(self):
+        # rate12 == rate23 is a valid split: the label codebook has R' = 0,
+        # one bin, so every m12 is 0
+        from conftest import cascade_flip_pair
+        ens, ext = cascade_flip_pair(0.1)
+        traces = simulate_cascade(ens, ext, n=8, rate12=0.9, rate23=0.9,
+                                  trials=4, seed=2, delta=0.1,
+                                  engine="explicit", codeword_rate_y=0.35,
+                                  codeword_rate_z=0.3)
+        assert len(traces) == 4
+        assert all(t.m12 == 0 for t in traces)
+
     def test_rate_split_validation(self, example1_pair):
         ens3, ext3 = degenerate_z_cascade(example1_pair)
         with pytest.raises(ProtocolError):
@@ -947,6 +978,20 @@ class TestVectorizedScansMatchReference:
                 np.asarray(cb_y.codewords), np.asarray(cb_y.bins), m,
                 z_fixed, p_zy, 8.0 * delta)
             assert got_d == want_d
+
+
+class TestPairwiseSum:
+    """``_pairwise_sum`` adds in the order numpy's ``sum`` takes over a
+    contiguous run: at exactly 128 terms still one pairwise tree, from 129
+    on two halves."""
+
+    @pytest.mark.parametrize("m", [127, 128, 129])
+    def test_matches_numpy_sum_at_the_split(self, m):
+        from qcoord.protocol import _pairwise_sum
+        rng = np.random.default_rng(m)
+        runs = rng.random((200, m)) * 10.0 ** rng.integers(-6, 7, (200, m))
+        want = runs.sum(axis=1)   # each row a contiguous run
+        assert _pairwise_sum(runs.T.copy()).tobytes() == want.tobytes()
 
 
 class TestCascadeTrialMatchesReference:
