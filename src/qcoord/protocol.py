@@ -22,17 +22,19 @@ Two interchangeable engines produce statistically identical trials:
   A fresh codebook is implicitly drawn per trial, which matches the
   shared-randomness average the derandomization argument operates on.
   It supports the trivial relay (single Z symbol) only.  A trace
-  arranges its codeword, ``b_label_seq``, when it is first read.
+  arranges its codeword, ``b_label_seq``, each time it is read.
 
 Every draw comes from a ``SeedSequence`` stream of the seed and a key,
 bit for bit what ``default_rng`` draws: codebooks draw from keys
-(1, role) and (2, role) and ``derandomize``'s seeds from (7, s), each
-through NumPy's own ``SeedSequence``, and trial t from (3, t, ...).  Only
-trial chunks use the hand-written hash: the core hashes a chunk's trial
-words in one pass (``_trial_words``) and draws and tests its sources,
-for both engines: trial t's source is n uniforms of key (3, t, 0), from
-one PCG64 pass per explicit chunk (``_pcg64_raw``) or from the sampled
-trial's generator.
+(1, role) and (2, role), ``derandomize``'s seeds from (7, s) and a
+sampled trace's arrangement from (3, t, 2), each through NumPy's own
+``SeedSequence``; the rest of trial t draws from (3, t, 0), (3, t, 1)
+and (3, t, 3).  Only trial chunks use the hand-written hash: the core
+hashes a chunk's trial words in one pass (``_trial_words``) and draws and
+tests its sources, for both engines: trial t's source is n uniforms of
+key (3, t, 0), from one PCG64 pass per explicit chunk (``_pcg64_raw``) or
+from the sampled trial's generator, which then draws the trial's classes
+and lives only for its chunk.
 A sampled bin index m12 (m23) of k bits is the first ceil(k/64) PCG64
 outputs of key (3, t, 1) ((3, t, 3)), read little-endian and cut to k bits.
 
@@ -473,29 +475,15 @@ def decode_generic(cb: Codebook, target_joint: np.ndarray, radius: float,
     return ell, False
 
 
-class _Drawn:
-    """The ``b_label_seq`` field, which may hold a ``sampling.Arrangement``:
-    a read returns the arrangement's value."""
-
-    def __get__(self, trace, owner=None):
-        if trace is None:   # no class-level default: the field is required
-            raise AttributeError("b_label_seq")
-        value = trace._b_label_seq
-        return (value.value if isinstance(value, sampling.Arrangement)
-                else value)
-
-    def __set__(self, trace, value):
-        trace._b_label_seq = value
-
-
 @dataclass
 class SimulationTrace:
     """One protocol run: sequences, indices, averaged state, distances.
 
     Built on each read of ``SimulationTraces``: Python scalars and
-    read-only arrays.  A sampled trace draws ``b_label_seq`` on its first
-    read, from the trial's own generator, bit for bit as the eager draw
-    did; no rate, distance or converse check reads it.
+    read-only arrays.  A sampled trace's ``b_label_seq`` is arranged on
+    each read from stream key (3, t, 2), a function of the seed, t,
+    ``x_seq`` and ``joint_counts`` alone; no rate, distance or converse
+    check reads it.
     """
 
     n: int
@@ -503,7 +491,7 @@ class SimulationTrace:
     trial: int
     engine: str
     x_seq: np.ndarray
-    b_label_seq: np.ndarray = _Drawn()  # Bob's decoded label sequence
+    b_label_seq: np.ndarray            # Bob's decoded label sequence
     ell: int
     m12: int
     ell_hat: int
@@ -548,19 +536,17 @@ class SimulationTraces(abc.Sequence):
     alike on both engines: ``x_seq`` (T, n) int8, ``joint_counts``
     (T, X, Y, Z), sampled indices as Python ints.  ``run`` holds the
     fields all trials share.  Label sequences are codebook rows, or, on
-    the sampled engine, ``b_label_seq`` is arranged from the trial's
-    ``generators`` on first read.  After ``traces[i] = t``, index i reads
-    the stand-in ``t``; no column sees it.
+    the sampled engine, ``b_label_seq`` is arranged within the source
+    symbols' positions on each read, by ``default_rng`` of key (3, i, 2).
+    After ``traces[i] = t``, index i reads the stand-in ``t``; no column
+    sees it.
     """
 
-    def __init__(self, columns, run, rows, generators):
+    def __init__(self, columns, run, rows):
         for a in columns.values():
             a.setflags(write=False)
         # the read-only Y and Z label tables; a sampled run has no Y table
         self._columns, self.run, self._rows = columns, run, rows
-        self._arranged = [sampling.Arrangement(g, x, c[:, :, 0]) for g, x, c
-                          in zip(generators, columns["x_seq"],
-                                 columns["joint_counts"])]
         self._stand_ins = {}
 
     def __len__(self) -> int:
@@ -581,8 +567,14 @@ class SimulationTraces(abc.Sequence):
                                        self._columns.items()})
         f = {k: v.item() if isinstance(v, np.generic) else v
              for k, v in f.items()}
-        f["b_label_seq"] = (self._arranged[i] if self._arranged
-                            else self._rows[0][f["ell_hat"]])
+        if self._rows[0] is None:
+            f["b_label_seq"] = b = sampling.arrange_within_rows(
+                np.random.default_rng(np.random.SeedSequence(
+                    f["seed"], spawn_key=(_KEY_TRIAL, i, 2))),
+                f["x_seq"], f["joint_counts"][:, :, 0])
+            b.setflags(write=False)
+        else:
+            f["b_label_seq"] = self._rows[0][f["ell_hat"]]
         if self._rows[1] is None:
             f.update(dict.fromkeys(("c_label_seq", "ell2", "m23", "ell_hat2",
                                     "ell_tilde2")),
@@ -723,18 +715,17 @@ def _simulate(target, ext, n, rates, codeword_rates, trials, seed, delta,
                gamma_radius=schedule.gamma)
     px, zero = p_xyz.sum(axis=(1, 2)), np.zeros((1, n), dtype=np.int8)
     step = max(1, CHUNK_CELLS // cells)
-    columns, generators = {}, []   # each column allocated once for the run
+    columns = {}   # each column allocated once for the run
     for first in range(0, trials, step):
         chunk = np.arange(first, min(first + step, trials))
-        # key 0's n uniforms are the sources: from the generators sampled
-        # trials draw on from, or one PCG64 pass; keys 1, 3 draw bin indices
+        # key 0's n uniforms are the sources: from the generator a sampled
+        # trial draws on from, or one PCG64 pass; keys 1, 3 draw bin indices
         words = _trial_words(seed, chunk)
         rngs = list(map(_generator, words[0])) if engine == "sampled" else []
         x = sampling.symbols(px, np.stack([g.random(n) for g in rngs])
                              if rngs else
                              (_pcg64_raw(words[0], n) >> 11) * 2.0 ** -53)
         x_typical = _type_distance(zero, x, px[None])[0] < radii[0]
-        generators += rngs
         counts, fields = outcomes(rngs, words[1:], x, x_typical)
         for name, values in _finish(counts, dict(fields, x_seq=x,
                                                  x_typical=x_typical),
@@ -743,7 +734,7 @@ def _simulate(target, ext, n, rates, codeword_rates, trials, seed, delta,
                 columns[name] = np.empty((trials, *values.shape[1:]),
                                          values.dtype)
             columns[name][first:first + len(chunk)] = values
-    return SimulationTraces(columns, run, rows, generators)
+    return SimulationTraces(columns, run, rows)
 
 
 def _explicit_chunk(cb_y: Codebook, cb_z: Codebook, p_xyz, radii, x,
@@ -779,20 +770,21 @@ def _explicit_chunk(cb_y: Codebook, cb_z: Codebook, p_xyz, radii, x,
         decoder_fallback=dec_fb, ell2=ell2, m23=m23, ell_hat2=ell_hat2)
 
 
-def _sampled_chunk(p_xyz, params_y, params_z, radii, generators, words, x,
+def _sampled_chunk(p_xyz, params_y, params_z, radii, rngs, words, x,
                    x_typical):
     """Label counts (T, X, Y, Z) and trace columns of a chunk of sampled
-    trials with sources ``x`` (T, n), drawn by their ``generators``.  The
-    Z label is constant, so the Y side is exactly the two-node trial, which
-    leaves the generator where the arrangement of ``b_label_seq`` starts.
-    Bin indices come from ``words`` (``_bin_indices``), 0 if x is atypical."""
+    trials with sources ``x`` (T, n), drawn by the trials' ``rngs``, which
+    go on to draw their classes.  The Z label is constant, so the Y side
+    is exactly the two-node trial; ``b_label_seq`` is arranged when a trace
+    is read.  Bin indices come from ``words`` (``_bin_indices``), 0 if x is
+    atypical."""
     x_counts = (x == np.arange(p_xyz.shape[0])[:, None, None]).sum(axis=2).T
     # read once: each read of a codebook size recomputes it
     code = (p_xyz[:, :, 0], radii[1:], params_y.num_codewords,
             params_y.num_bins)
     counts, ell, ell_hat, enc_fb, dec_fb = zip(*(
         sampling.sample_two_node_trial(rng, c, typical, *code)
-        for rng, c, typical in zip(generators, x_counts.tolist(), x_typical)))
+        for rng, c, typical in zip(rngs, x_counts.tolist(), x_typical)))
     m12, m23 = (np.where(x_typical, _bin_indices(w, params), 0)
                 for w, params in zip(words, (params_y, params_z)))
     zero = np.zeros(len(x), dtype=np.int64)

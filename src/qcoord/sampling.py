@@ -437,29 +437,6 @@ def arrange_within_rows(rng: np.random.Generator, x_seq: np.ndarray,
     return u_seq
 
 
-_DRAW_LOCK = threading.Lock()
-
-
-class Arrangement:
-    """``arrange_within_rows(rng, x_seq, counts)``, drawn on the first read
-    of ``value`` and then kept read-only.  It is the last draw of a trial,
-    so nothing else draws from ``rng`` and the draw is the one an eager
-    call makes; the generator goes once it is drawn."""
-
-    def __init__(self, rng: np.random.Generator, x_seq: np.ndarray,
-                 counts: np.ndarray):
-        self._args = (rng, x_seq, counts)
-
-    @property
-    def value(self) -> np.ndarray:
-        with _DRAW_LOCK:    # reads that race still draw once
-            if self._args is not None:
-                self._value = arrange_within_rows(*self._args)
-                self._value.setflags(write=False)
-                self._args = None
-        return self._value
-
-
 def sample_two_node_trial(rng: np.random.Generator, x_counts: list,
                           x_typical: bool, p_joint: np.ndarray, radii: tuple,
                           num_codewords: int, num_bins: int):
@@ -474,9 +451,9 @@ def sample_two_node_trial(rng: np.random.Generator, x_counts: list,
     ``ell_hat``, ``encoder_fallback`` and ``decoder_fallback``.  The sent
     codeword's joint type is drawn from one class of the cached
     ``TypeGrid``: ``e``, ``ne_d``, ``ne_nd``, ``d`` or ``nd``.  Its
-    arrangement, ``b_label_seq``, is the trial's last draw,
-    ``arrange_within_rows(rng, x_seq, counts)``, deferred to its first
-    read by an ``Arrangement``.
+    arrangement, ``b_label_seq``, is not drawn here: ``protocol`` calls
+    ``arrange_within_rows`` on its own stream, key (3, t, 2), each time
+    the trace is read.
     """
     grid = class_summary(x_counts, p_joint, *radii)
     log_m = math.log(num_bins)
