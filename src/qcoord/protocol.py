@@ -701,7 +701,7 @@ def _simulate(target, ext, n, rates, codeword_rates, trials, seed, delta,
                 "relay label (single Z symbol); use the explicit engine")
         outcomes = lambda rngs, words, x, x_typical: _sampled_chunk(
             p_xyz, params_y, params_z, radii, rngs, words, x, x_typical)
-        # b_label_seq is arranged per trial; the relay label is 0
+        # b_label_seq is arranged when a trace is read; the relay label is 0
         rows = (None, None if two_node
                 else np.broadcast_to(np.int8(0), (1, n)))
         # a bin index pass holds ~4 uint64 cells per 64 index bits; charged 4x

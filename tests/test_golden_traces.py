@@ -10,9 +10,10 @@ target, plus ``converse_check`` on each.  The explicit pins include runs
 long enough to cross the engine's trial and codeword chunks: the
 benchmark's cascade at 60 trials and two-node n=6 at 1,000 trials (the
 ``..._threads3`` pin, named for the thread pool it was first run on).
-A sampled trace draws ``b_label_seq`` on its first read: the pinned
-sequences must come out in any read order, once per trace, and from
-copies and pickles of an unread trace too.
+A sampled trace arranges ``b_label_seq`` from stream key (3, t, 2) each
+time it is read: the pinned sequences must come out in any read order,
+with one arrangement per read and none before, and from copies and
+pickles of a run and of its traces too.
 
 Regenerate only for an intended change of behaviour, and record why;
 name the pins that change (file names without ``.json``), so that float
@@ -338,20 +339,20 @@ def test_run_matches_golden(name):
 
 
 # ----------------------------------------------------------------------
-# a sampled trace draws b_label_seq on its first read
+# a sampled trace arranges b_label_seq when it is read
 # ----------------------------------------------------------------------
 
-DEFERRED_RUNS = ("two_node_sampled_fallbacks_n30", "three_symbol_sampled_n40",
+ARRANGED_RUNS = ("two_node_sampled_fallbacks_n30", "three_symbol_sampled_n40",
                  "isolated_sampled_n400")
 
 
-def _traces_and_labels(name):
-    """The run's traces, unread, and their pinned ``b_label_seq``s."""
+def _runs_and_labels(name):
+    """The run's trace sequences, unread, and their pinned
+    ``b_label_seq``s."""
     with open(golden_path(name)) as fh:
         want = json.load(fh)
-    traces = [t for group in RUNS[name]()["traces"] for t in group]
-    return traces, [r["b_label_seq"] for group in want["traces"]
-                    for r in group]
+    return RUNS[name]()["traces"], [r["b_label_seq"] for group in
+                                    want["traces"] for r in group]
 
 
 def _count_arrangements(monkeypatch):
@@ -365,29 +366,33 @@ def _count_arrangements(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name", DEFERRED_RUNS)
+@pytest.mark.parametrize("name", ARRANGED_RUNS)
 def test_sampled_runs_arrange_each_codeword_on_its_first_read(
         name, monkeypatch):
     calls = _count_arrangements(monkeypatch)
-    traces, want = _traces_and_labels(name)
+    groups, want = _runs_and_labels(name)
     assert calls == []      # no rate, distance or converse check reads it
-    for t in reversed(traces):
-        t.b_label_seq
-    assert len(calls) == len(traces)
-    for _ in range(2):
-        assert [_seq(t.b_label_seq) for t in traces] == want
-    assert len(calls) == len(traces)
+    reads = [(group, i) for group in groups for i in range(len(group))]
+    for _ in range(2):      # every read arranges once, in any read order
+        got = []
+        for group, i in reversed(reads):
+            before = len(calls)
+            got.append(_seq(group[i].b_label_seq))
+            assert len(calls) == before + 1
+        assert got[::-1] == want
+    assert len(calls) == 2 * len(reads)
 
 
-@pytest.mark.parametrize("name", DEFERRED_RUNS)
+@pytest.mark.parametrize("name", ARRANGED_RUNS)
 def test_copies_of_unread_traces_arrange_the_pinned_codewords(name):
-    traces, want = _traces_and_labels(name)
+    groups, want = _runs_and_labels(name)
     copies = {"deepcopy": copy.deepcopy,
               "pickle": lambda t: pickle.loads(pickle.dumps(t))}
+    traces = [t for group in groups for t in group]
     for how, make in copies.items():
+        assert [_seq(t.b_label_seq) for group in groups
+                for t in make(group)] == want, how
         assert [_seq(make(t).b_label_seq) for t in traces] == want, how
-    # replace reads each original, whose generator the copies left as it
-    # was
     replaced = [dataclasses.replace(t, ell=-1) for t in traces]
     assert [_seq(t.b_label_seq) for t in replaced] == want
     assert [_seq(t.b_label_seq) for t in traces] == want

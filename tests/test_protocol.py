@@ -34,8 +34,8 @@ class TestStreamContract:
     keeps its algorithm stable), and the generators built from them, like
     the one-pass PCG64 of the explicit engine's source draws and of the
     sampled engine's bin indices, draw what NumPy's ``PCG64`` and
-    ``default_rng`` of those words draw.  Codebooks and derandomize seeds
-    take NumPy's ``SeedSequence`` itself."""
+    ``default_rng`` of those words draw.  Codebooks, derandomize seeds and
+    sampled arrangements take NumPy's ``SeedSequence`` itself."""
 
     TRIALS = np.array([0, 1, 1000, 2 ** 32 - 1])
     SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 200 + 1]
@@ -139,6 +139,34 @@ class TestStreamContract:
                 for s in range(3)]
         assert rep.seeds == want
         assert all(type(v) is int for v in rep.seeds)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2 ** 64 + 3])
+    def test_arrangements_match_default_rng(self, example1_pair, seed,
+                                            monkeypatch):
+        # a sampled b_label_seq is arranged by default_rng of key
+        # (3, t, 2), in the first chunk and in later ones, and from each
+        # seed derandomize derives
+        from qcoord import protocol
+        ens, ext = example1_pair
+        chunks, words = [], protocol._trial_words
+        monkeypatch.setattr(protocol, "_trial_words", lambda s, trials: (
+            chunks.append(trials.tolist()) or words(s, trials)))
+        monkeypatch.setattr(protocol, "CHUNK_CELLS", 512)
+        run = dict(n=40, rate=0.5, trials=5, delta=0.05, engine="sampled")
+        rep = derandomize(ens, ext, num_seeds=2, epsilon=1.0, seed=seed,
+                          keep_traces=True, **run)
+        runs = [simulate_two_node(ens, ext, seed=seed, **run),
+                *rep.traces_by_seed]
+        assert chunks == [[0, 1], [2, 3], [4]] * 3
+        assert [r.run["seed"] for r in runs] == [seed, *rep.seeds]
+        for traces in runs:
+            for t in traces:
+                rng = np.random.default_rng(np.random.SeedSequence(
+                    t.seed, spawn_key=(protocol._KEY_TRIAL, t.trial, 2)))
+                want = sampling.arrange_within_rows(rng, t.x_seq,
+                                                    t.joint_counts)
+                assert t.b_label_seq.dtype == want.dtype
+                assert t.b_label_seq.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("engine", ["explicit", "sampled"])
     def test_trial_counts_past_one_word_are_refused(self, example1_pair,
@@ -457,6 +485,19 @@ class TestTwoNodeSimulation:
                              trials=1, seed=1, codeword_rate_y=0.1,
                              codeword_rate_z=0.1)
 
+    def test_auto_engine_scans_up_to_its_budget(self, example1_pair,
+                                                monkeypatch):
+        # 16 codewords of length 8: 128 symbols fit a budget of 128
+        from qcoord import protocol
+        ens, ext = example1_pair
+        run = dict(n=8, rate=0.5, codeword_rate=0.5, trials=2, seed=1)
+        symbols = CodebookParams(n=8, bin_rate=0.5, codeword_rate=0.5,
+                                 delta=0.02, seed=1).num_codewords * 8
+        for budget, engine in ((symbols, "explicit"),
+                               (symbols - 1, "sampled")):
+            monkeypatch.setattr(protocol, "EXPLICIT_AUTO_BUDGET", budget)
+            assert simulate_two_node(ens, ext, **run).run["engine"] == engine
+
     @pytest.mark.parametrize("rate,cw_rate", [
         (0.8, 0.6),    # ample bins, covering succeeds: clean decoding
         (0.5, 0.12),   # starved codebook: encoder fallbacks dominate
@@ -559,6 +600,21 @@ class TestTwoNodeSimulation:
         checked = [t for t in traces if t.gamma_typical]
         assert checked, "no typical-decode trials to check"
         assert all(t.block_bound_ok for t in checked)
+
+    def test_block_bound_holds_at_gamma(self, example1_pair):
+        # n = 8 with one x0 slot decoded as y+ and one x1 slot moved from
+        # y0 to it: total variation 1/8 to p, below distance_to_tau, so
+        # the trial stays gamma-typical at gamma = distance_to_tau
+        from qcoord import protocol
+        tables = protocol._tables(*example1_pair)
+        counts = np.array([[4.0, 1.0], [1.0, 2.0]]).reshape(1, 2, 2, 1)
+        d_tau = protocol._finish(counts, {}, tables, 8,
+                                 1.0)["distance_to_tau"][0]
+        for gamma, ok in ((d_tau, True), (np.nextafter(d_tau, 0), False)):
+            out = protocol._finish(counts, {}, tables, 8, gamma)
+            assert out["distance_to_tau"][0] == d_tau
+            assert out["gamma_typical"].tolist() == [True]
+            assert out["block_bound_ok"].tolist() == [ok]
 
     def test_unsupported_grid_raises(self):
         x = Alphabet("X", [f"x{i}" for i in range(5)])

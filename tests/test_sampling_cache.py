@@ -327,6 +327,18 @@ def test_grid_too_large_raises_on_first_trial_and_caches_nothing(
     assert sampling.summary_cache_info().entries == entries
 
 
+def test_grid_budget_admits_a_grid_of_its_size(monkeypatch):
+    # one source row of 30 symbols: 31 codeword types, and 31 candidates
+    # in the encode class's enumeration
+    key = (np.array([30]), np.array([[0.5, 0.5]]), 0.1, 0.3)
+    monkeypatch.setattr(sampling, "GRID_BUDGET", 31)
+    sampling.TypeGrid(*key)
+    sampling.clear_summary_cache()
+    monkeypatch.setattr(sampling, "GRID_BUDGET", 30)
+    with pytest.raises(sampling.GridTooLarge, match="needs 31 "):
+        sampling.TypeGrid(*key)
+
+
 def test_grid_mass_is_checked_once_per_key(monkeypatch):
     built = _spy_grids(monkeypatch)
     grid = sampling.class_summary(np.array([100, 100]), P_EXAMPLE1, 0.04,
@@ -448,16 +460,29 @@ def test_warm_rerun_builds_no_grid(name, monkeypatch):
     assert built == []
 
 
+def _half_deviation(cell, p_joint):
+    """Half a cell's joint deviation from ``p_joint``, its rows added in
+    the grid's order: as an encode radius, the cell is just outside e."""
+    n, dev = np.sum(cell), 0.0
+    for row, p_row in zip(np.asarray(cell), p_joint):
+        dev = dev + np.abs(row / n - p_row).sum()
+    return 0.5 * dev
+
+
 # (x_counts, p_joint, encode radius, decode radius): every class is
-# non-empty on the first key; the second has an empty nd
+# non-empty on the first key; the second has an empty nd; the third's
+# encode radius is half a cell's deviation, which leaves that cell and
+# three of equal deviation, over a third of ne_d's mass, just outside e
 CLASS_KEYS = {"two_rows": (np.array([8, 6]), P_EXAMPLE1, 0.15, 0.3),
               "empty_nd": (np.array([3, 2, 2]), np.diag([0.5, 0.25, 0.25]),
-                           0.3, 1.0)}
+                           0.3, 1.0),
+              "radius_edge": (np.array([8, 6]), P_EXAMPLE1, _half_deviation(
+                  [[6, 2], [1, 5]], P_EXAMPLE1), 0.3)}
 
 
 @pytest.mark.parametrize("key, cls", [
     ("two_rows", "ne_d"), ("two_rows", "d"), ("two_rows", "nd"),
-    ("two_rows", "ne_nd"), ("empty_nd", "ne_nd")])
+    ("two_rows", "ne_nd"), ("empty_nd", "ne_nd"), ("radius_edge", "ne_d")])
 def test_class_draws_follow_the_whole_grid_law(key, cls):
     draws = 100_000
     logp, mask_e, mask_d, counts = reference_grid(*CLASS_KEYS[key])

@@ -208,6 +208,17 @@ def test_trace_arrays_are_read_only(example1_pair, engine):
                 a[0] = a[0]
 
 
+@pytest.mark.parametrize("engine", ["explicit", "sampled"])
+def test_label_sequences_have_the_joint_counts(example1_pair, engine):
+    for kind, traces in _runs(example1_pair, engine):
+        for t in traces:
+            labels = (t.x_seq, t.b_label_seq) + (
+                (t.c_label_seq,) if kind == "cascade" else ())
+            counts = np.zeros(t.joint_counts.shape)
+            np.add.at(counts, labels, 1)
+            assert np.array_equal(counts, t.joint_counts), (kind, t.trial)
+
+
 def test_both_engines_store_one_column_layout(example1_pair):
     layouts = {}
     for engine in ("explicit", "sampled"):
@@ -256,8 +267,7 @@ def test_views_and_sequences_copy_and_pickle(example1_pair, engine):
               "pickle": lambda x: pickle.loads(pickle.dumps(x))}
     for kind, traces in _runs(example1_pair, engine):
         for how, make in copies.items():
-            # the first copies are of unread traces, so a sampled copy
-            # draws its arrangements from its own copies of the generators
+            # a sampled copy arranges its traces from the copied seed
             twin, view = make(traces), make(traces[0])
             assert isinstance(twin, SimulationTraces) and len(twin) == 6
             assert _record(view) == _record(traces[0]), (kind, how)
@@ -269,6 +279,8 @@ def test_views_and_sequences_copy_and_pickle(example1_pair, engine):
 
 
 def test_sampled_reads_share_one_arrangement(example1_pair):
+    # each read arranges from the trial's own stream, to the same array
     traces = _two_node(example1_pair, "sampled")
-    first = traces[0].b_label_seq
-    assert traces[0].b_label_seq is first
+    first, second = traces[0].b_label_seq, traces[0].b_label_seq
+    assert (first.dtype, first.tobytes()) == (second.dtype, second.tobytes())
+    assert not first.flags.writeable and not second.flags.writeable
