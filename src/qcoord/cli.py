@@ -181,25 +181,37 @@ _SIM_DEFAULTS = {"n_grid": [200], "rates": [0.5], "trials": 100, "seed": 0,
                  "num_seeds": 10, "epsilon": 0.1}
 
 
-def _sim_args(cfg: dict, opts, codeword_keys):
+def _sim_args(cfg: dict, opts, ext):
     """(settings, keywords shared by every simulate call); the command's
     own ``derandomize`` or ``converse`` block overrides ``simulate`` key by
-    key, and ``--seed`` overrides both."""
-    s = {**_SIM_DEFAULTS, **settings(cfg, "simulate", cfg["command"])}
+    key, and ``--seed`` overrides both.  A grid setting that the command
+    would drop, in whole or in part, is a ``ConfigError``."""
+    command = cfg["command"]
+    s = {**_SIM_DEFAULTS, **settings(cfg, "simulate", command)}
+    if not s["n_grid"] or not s["rates"]:
+        raise ConfigError(f"{command} needs a nonempty n_grid and rates")
+    if command == "derandomize" and len(s["n_grid"]) * len(s["rates"]) > 1:
+        raise ConfigError("derandomize takes one n_grid entry and one rate")
+    two_node = ext.kind == "two-node"
+    if s.get("rates23") is not None:
+        if two_node:
+            raise ConfigError("rates23 is for a three-node extension, not "
+                              "a two-node one")
+        if len(s["rates23"]) != len(s["rates"]):
+            raise ConfigError("rates23 needs one entry per rate")
     if opts.seed is not None:
         s["seed"] = opts.seed
-    keys = ["trials", "seed", "delta", "engine", "gamma_coeff", *codeword_keys]
+    keys = ["trials", "seed", "delta", "engine", "gamma_coeff",
+            *(["codeword_rate"] if two_node
+              else ["codeword_rate_y", "codeword_rate_z"])]
     return s, {k: s[k] for k in keys if s.get(k) is not None}
 
 
 def _run_cells(cfg, opts):
     ens, ext = _built(cfg)
     two_node = ext.kind == "two-node"
-    s, kwargs = _sim_args(cfg, opts, ["codeword_rate"] if two_node
-                          else ["codeword_rate_y", "codeword_rate_z"])
-    rates23 = None if two_node else s.get("rates23")
-    if rates23 and len(rates23) < len(s["rates"]):
-        raise ConfigError("rates23 needs one entry per rate")
+    s, kwargs = _sim_args(cfg, opts, ext)
+    rates23 = s.get("rates23")
     cells = []
     for n in s["n_grid"]:
         for idx, rate in enumerate(s["rates"]):
@@ -244,9 +256,7 @@ def cmd_simulate(cfg, opts) -> dict:
 
 def cmd_derandomize(cfg, opts) -> dict:
     ens, ext = _built(cfg)
-    s, kwargs = _sim_args(cfg, opts, ["codeword_rate"])
-    if not s["n_grid"] or not s["rates"]:
-        raise ConfigError("derandomize needs a nonempty n_grid and rates")
+    s, kwargs = _sim_args(cfg, opts, ext)
     n, rate = s["n_grid"][0], s["rates"][0]
     report = derandomize(ens, ext, n=n, rate=rate, num_seeds=s["num_seeds"],
                          epsilon=s["epsilon"], **kwargs)

@@ -21,12 +21,13 @@ resource error (CLI exit 5): pick ``engine="explicit"`` or smaller
 alphabets or blocklengths instead.  Every table the sampler builds (the
 grid of a ``(x_counts, p_joint, encode_radius, decode_radius)`` key and
 the row and codeword-type tables that grids share) is an entry of one
-process-wide, thread-safe LRU cache: ``clear_summary_cache()`` empties
-it, ``summary_cache_info()`` reports on it.  No table that a cached grid
-holds leaves before the grid, so ``SUMMARY_CACHE_BYTES`` bounds all that
-the cache keeps alive.  A grid miss checks the grid's log-mass; a hit
-rebuilds nothing.  Every draw sees the same floats in the same order, so
-a fixed seed reproduces its trial bit for bit whatever the cache holds.
+process-wide, thread-safe cache: ``clear_summary_cache()`` empties it,
+``summary_cache_info()`` reports on it.  A grid lookup that leaves the
+cache above ``SUMMARY_CACHE_BYTES`` empties all of it; a table leaves
+only then, with every other, so the budget bounds all that the cache
+keeps alive.  A grid miss checks the grid's log-mass; a hit rebuilds
+nothing.  Every draw sees the same floats in the same order, so a fixed
+seed reproduces its trial bit for bit whatever the cache holds.
 ``scipy.special`` (``gammaln``) loads when the first row table is built.
 """
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -62,63 +63,52 @@ def _charge(table) -> int:
 
 
 class _SummaryCache:
-    """Least-recently-used sampler tables, bounded by their total bytes.
+    """Sampler tables by key, bounded by their total bytes.
 
-    A use moves a table, then the tables its build looked up (a grid's
-    rows) and theirs, to the recent end: none of those goes before the
-    table does.  ``_deps`` holds each key's tables in the order of the
-    walk that visits every lookup after the table that made it, each at
-    its last visit.
+    ``trim()`` empties the whole cache once it holds more than the budget.
+    A table whose miss began before an emptying (a trim or a clear) is
+    returned but not kept: a grid's row and codeword-type tables are
+    looked up during its build, so a kept grid's tables are all cached.
     """
 
     def __init__(self, budget: int):
         self.budget = budget
         self._lock = threading.Lock()
-        self._entries, self._deps = OrderedDict(), {}
-        self._building = threading.local()  # .deps: this build's lookups
-        self._bytes = self._hits = self._misses = 0
-
-    def _use(self, key) -> None:
-        self._entries.move_to_end(key)
-        for dep in self._deps[key]:
-            self._entries.move_to_end(dep)
+        self._entries = {}
+        self._bytes = self._hits = self._misses = self._emptyings = 0
 
     def get(self, key, build):
         """The table of ``key``, built outside the lock on a miss."""
-        if (outer := getattr(self._building, "deps", None)) is not None:
-            outer.append(key)
         with self._lock:
-            if key in self._entries:
+            if (table := self._entries.get(key)) is not None:
                 self._hits += 1
-                self._use(key)
-                return self._entries[key]
+                return table
             self._misses += 1
-        self._building.deps = deps = []
-        try:
-            table = build()
-        finally:
-            self._building.deps = outer
+            emptyings = self._emptyings
+        table = build()
         with self._lock:
+            if emptyings != self._emptyings:    # emptied while building
+                return table
             if key not in self._entries:    # unless another thread built it
                 self._entries[key] = table
-                # unless evicted while building, these stay while it does
-                walk = [k for d in dict.fromkeys(deps) if d in self._entries
-                        for k in (d, *self._deps[d])]
-                self._deps[key] = list(reversed(dict.fromkeys(reversed(walk))))
                 self._bytes += _charge(table)
-            table = self._entries[key]
-            self._use(key)
-            while self._bytes > self.budget and len(self._entries) > 1:
-                old, evicted = self._entries.popitem(last=False)
-                del self._deps[old]
-                self._bytes -= _charge(evicted)
-            return table
+            return self._entries[key]
+
+    def _empty(self) -> None:
+        self._entries, self._bytes = {}, 0
+        self._emptyings += 1
+
+    def trim(self) -> None:
+        """Empty the cache if it holds more bytes than the budget."""
+        with self._lock:
+            if self._bytes > self.budget:
+                self._empty()
 
     def clear(self) -> None:
         """Drop every table and zero the counts."""
         with self._lock:
-            self._entries, self._deps = OrderedDict(), {}
-            self._bytes = self._hits = self._misses = 0
+            self._empty()
+            self._hits = self._misses = 0
 
     def info(self) -> CacheInfo:
         """Hits and misses since the last clear, live tables and bytes."""
@@ -383,8 +373,10 @@ def class_summary(x_counts, p_joint: np.ndarray, encode_radius: float,
     p_joint = np.asarray(p_joint, dtype=float)
     key = ("TypeGrid", tuple(int(v) for v in x_counts), p_joint.shape,
            p_joint.tobytes(), float(encode_radius), float(decode_radius))
-    return _SUMMARIES.get(key, lambda: TypeGrid(x_counts, p_joint,
+    grid = _SUMMARIES.get(key, lambda: TypeGrid(x_counts, p_joint,
                                                 encode_radius, decode_radius))
+    _SUMMARIES.trim()   # never mid-build: a kept grid's tables stay
+    return grid
 
 
 def geometric_failures(u: float, log_p: float) -> int | None:

@@ -524,6 +524,25 @@ def test_wrong_typed_config_value_is_a_config_error(tmp_path, capsys, name,
     ("example1_derandomize.json", "derandomize",
      {"simulate": {"n_grid": [], "trials": 1}},
      "derandomize needs a nonempty n_grid and rates"),
+    # each grid setting below was dropped, in whole or in part, silently
+    ("example1_simulate.json", "simulate",
+     {"simulate": {"n_grid": [], "rates": [0.46], "trials": 1}},
+     "simulate needs a nonempty n_grid and rates"),
+    ("example1_converse.json", "converse",
+     {"simulate": {"n_grid": [200], "rates": [], "trials": 1}},
+     "converse needs a nonempty n_grid and rates"),
+    ("example1_derandomize.json", "derandomize",
+     {"simulate": {"n_grid": [200, 400], "rates": [0.46, 0.6],
+                   "trials": 1}},
+     "derandomize takes one n_grid entry and one rate"),
+    ("cascade_flip.json", "simulate",
+     {"simulate": {"n_grid": [8], "rates": [1.9], "rates23": [0.9, 0.5],
+                   "trials": 1}},
+     "rates23 needs one entry per rate"),
+    ("example1_simulate.json", "simulate",
+     {"simulate": {"n_grid": [200], "rates": [0.46], "rates23": [0.1, 0.2],
+                   "trials": 1}},
+     "rates23 is for a three-node extension, not a two-node one"),
     ("phase_flip_sweep.json", "sweep",
      {"sweep": {"path": ["family", "q", "r"], "values": [0.1]}},
      "does not name a config entry"),
@@ -539,7 +558,9 @@ def test_wrong_typed_config_value_is_a_config_error(tmp_path, capsys, name,
      {"extension": {"labels": {"Y": ["y0", "y+"]}, "atoms_b": [],
                     "joint": [["a", "b"], ["c", "d"]]}},
      "extension.joint is not a nested list of probabilities"),
-], ids=["rates23", "derandomize_n_grid", "sweep_path", "sparse_joint_p",
+], ids=["rates23", "derandomize_n_grid", "simulate_empty_n_grid",
+        "converse_empty_rates", "derandomize_two_cells", "rates23_longer",
+        "rates23_two_node", "sweep_path", "sparse_joint_p",
         "sparse_joint_symbols", "joint_strings"])
 def test_unusable_config_value_is_a_config_error(tmp_path, capsys, name,
                                                  command, block, message):

@@ -46,7 +46,7 @@ def cold_cache():
 
 
 def _grids():
-    """The cached type grids, least recently used first."""
+    """The cached type grids, in the order they were kept."""
     return [t for t in sampling._SUMMARIES._entries.values()
             if isinstance(t, TYPE_GRID)]
 
@@ -155,7 +155,8 @@ def test_byte_bound_evicts_without_changing_traces(monkeypatch):
     monkeypatch.setattr(sampling._SUMMARIES, "budget", 1)
     assert _records("three_symbol_n40") == want
     info = sampling.summary_cache_info()
-    assert info.misses > 1 and info.entries == 1   # one table stays
+    # each grid lookup leaves the cache over its 1 byte and empties it
+    assert info.misses > 1 and info.entries == 0
 
 
 def test_grids_share_their_rows_arrays():
@@ -197,81 +198,34 @@ def test_clear_empties_the_row_tables_too(monkeypatch):
     assert sampling.summary_cache_info().entries > 1
 
 
-def _check_lru_order(keys, monkeypatch):
-    """Two of ``keys`` fill the cache; a third evicts the least recently
-    used grid.  A key is (x counts, encode radius, decode radius)."""
-    def lookup(i):
-        misses = sampling.summary_cache_info().misses
-        counts, *radii = keys[i]
-        sampling.class_summary(np.array(counts), P_EXAMPLE1, *radii)
-        return ("miss" if sampling.summary_cache_info().misses > misses
-                else "hit")
-
-    assert [lookup(0), lookup(1)] == ["miss", "miss"]
-    # room for exactly these two grids and the tables they hold; key 2's
-    # tables fit where key 1's were
-    monkeypatch.setattr(sampling._SUMMARIES, "budget",
-                        sampling.summary_cache_info().nbytes)
-    assert lookup(0) == "hit"        # key 1 is now the oldest grid
-    assert lookup(2) == "miss"       # evicts key 1
-    assert ([(g.x_counts.tolist(), g.encode_radius) for g in _grids()]
-            == [(keys[i][0], keys[i][1]) for i in (0, 2)])
-    assert [lookup(0), lookup(1)] == ["hit", "miss"]
+def _grid_key(counts):
+    """Example 1's grid key for source counts ``counts``."""
+    return np.array(counts), P_EXAMPLE1, 0.04, 0.16
 
 
-def test_least_recently_used_summary_is_evicted_first(monkeypatch):
-    # three source types, each with its own rows
-    _check_lru_order([([k, 200 - k], 0.04, 0.16) for k in (100, 101, 102)],
-                     monkeypatch)
+def test_a_lookup_empties_the_cache_only_above_the_budget(monkeypatch):
+    for counts in ([100, 100], [101, 99]):
+        sampling.class_summary(*_grid_key(counts))
+    warm = sampling.summary_cache_info()
+    monkeypatch.setattr(sampling._SUMMARIES, "budget", warm.nbytes)
+    sampling.class_summary(*_grid_key([100, 100]))
+    assert sampling.summary_cache_info() == warm._replace(
+        hits=warm.hits + 1, budget=warm.nbytes)
+    monkeypatch.setattr(sampling._SUMMARIES, "budget", warm.nbytes - 1)
+    sampling.class_summary(*_grid_key([100, 100]))
+    info = sampling.summary_cache_info()
+    assert (info.hits, info.misses) == (warm.hits + 2, warm.misses)
+    assert (info.entries, info.nbytes) == (0, 0)
 
 
-def test_least_recently_used_grid_on_shared_rows_is_evicted_first(
-        monkeypatch):
-    # three encode radii of one source type: the keys share their rows
-    # and codeword types, so after the first a miss adds one grid only
-    _check_lru_order([([100, 100], r, 0.4) for r in (0.12, 0.11, 0.10)],
-                     monkeypatch)
-
-
-def test_a_hit_moves_tables_in_the_order_of_the_recursive_walk(
-        monkeypatch):
-    # record each build's lookups, as the cache records them
-    direct, building, get = {}, [], sampling._SUMMARIES.get
-
-    def spy(key, build):
-        if building:
-            building[-1].append(key)
-
-        def recorded():
-            building.append([])
-            try:
-                return build()
-            finally:
-                direct[key] = list(dict.fromkeys(building.pop()))
-        return get(key, recorded)
-
-    monkeypatch.setattr(sampling._SUMMARIES, "get", spy)
-    # Example 1 at n = 800: the grid's codeword types hold the row table
-    # of n = 800, and both of its rows and their arrays that of n_a = 400,
-    # which the walk visits three times; a second grid moves other rows
-    grids = [sampling.class_summary(np.array(c), P_EXAMPLE1, 0.04, 0.16)
-             for c in ([400, 400], [390, 410])]
-    order = list(sampling._SUMMARIES._entries)
-    before = order.copy()
-
-    def walk(key):
-        order.remove(key)
-        order.append(key)
-        for dep in direct[key]:
-            walk(dep)
-
-    walk(next(k for k in direct if k[0] == "TypeGrid"))
-    hits = sampling.summary_cache_info().hits
-    assert sampling.class_summary(np.array([400, 400]), P_EXAMPLE1, 0.04,
-                                  0.16) is grids[0]
-    assert sampling.summary_cache_info().hits == hits + 1
-    assert order != before
-    assert list(sampling._SUMMARIES._entries) == order
+def _same_grid(grid, want):
+    """Whether two grids hold the same e cells and class log-probs, bit
+    for bit."""
+    arrays = [(g.logp, *(g.encode_table or ())) for g in (grid, want)]
+    return ([a.tobytes() for a in arrays[0]]
+            == [a.tobytes() for a in arrays[1]]
+            and all(grid.log_prob(c) == want.log_prob(c)
+                    for c in ("e", "ne", "ne_d", "d", "nd")))
 
 
 def _cached_arrays():
@@ -284,6 +238,39 @@ def _cached_arrays():
                   else [])
         held.update(map(id, arrays))
     return held
+
+
+def _check_cached_grids_hold_cached_tables():
+    held, entries = _cached_arrays(), sampling._SUMMARIES._entries.values()
+    for grid in _grids():
+        assert any(grid.types is t for t in entries)
+        for a in (*(a for row in grid.rows for a in row), *grid.dev,
+                  *grid.keys, grid.types.types, grid.types.logp):
+            assert id(a) in held
+
+
+def test_a_build_that_spans_an_emptying_is_not_kept(monkeypatch):
+    # a grid builds its codeword types (the row table of 201 symbols),
+    # then its rows of 100 and 101 symbols: the cache empties while the
+    # second row is built, after the grid's first tables were kept
+    key = _grid_key([100, 101])
+    want = TYPE_GRID(*key)
+    sampling.clear_summary_cache()
+    compositions = sampling._compositions
+
+    def emptying(total, parts):
+        if total == 101:
+            sampling.clear_summary_cache()
+        return compositions(total, parts)
+
+    monkeypatch.setattr(sampling, "_compositions", emptying)
+    assert _same_grid(sampling.class_summary(*key), want)
+    assert _grids() == []
+    _check_cached_grids_hold_cached_tables()
+    monkeypatch.setattr(sampling, "_compositions", compositions)
+    assert _same_grid(sampling.class_summary(*key), want)
+    assert len(_grids()) == 1
+    _check_cached_grids_hold_cached_tables()
 
 
 @pytest.mark.parametrize("budget", [2 ** 20, 2 * 2 ** 20])
@@ -448,6 +435,40 @@ def test_concurrent_lookups_lose_no_update():
     assert len(_grids()) == len(keys)
     assert info.nbytes == sum(map(sampling._charge,
                                   sampling._SUMMARIES._entries.values()))
+
+
+def test_concurrent_lookups_with_trims_return_exact_grids(monkeypatch):
+    # a budget of half the warm bytes: the threads' lookups keep emptying
+    # the cache, also while other threads build
+    keys = [np.array([k, 60 - k]) for k in range(24, 36)]
+    want = [TYPE_GRID(k, P_EXAMPLE1, 0.1, 0.4) for k in keys]
+    sampling.clear_summary_cache()
+    for k in keys:
+        sampling.class_summary(k, P_EXAMPLE1, 0.1, 0.4)
+    budget = sampling.summary_cache_info().nbytes // 2
+    monkeypatch.setattr(sampling._SUMMARIES, "budget", budget)
+    emptyings = sampling._SUMMARIES._emptyings
+
+    def lookups(rounds):
+        return [_same_grid(sampling.class_summary(k, P_EXAMPLE1, 0.1, 0.4),
+                           w)
+                for _ in range(rounds) for k, w in zip(keys, want)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lookups, 10) for _ in range(8)]
+            same = [s for f in futures for s in f.result(timeout=120)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(same) == 8 * 10 * len(keys) and all(same)
+    assert sampling._SUMMARIES._emptyings > emptyings
+    info = sampling.summary_cache_info()
+    assert info.nbytes == sum(map(sampling._charge,
+                                  sampling._SUMMARIES._entries.values()))
+    assert info.nbytes <= budget    # each insert is followed by a trim
+    _check_cached_grids_hold_cached_tables()
 
 
 @pytest.mark.parametrize("name", ["fallback_n200", "three_symbol_n40"])
