@@ -29,36 +29,37 @@ bit for bit what ``default_rng`` draws: codebooks draw from keys
 (1, role) and (2, role), ``derandomize``'s seeds from (7, s) and a
 sampled trace's arrangement from (3, t, 2), each through NumPy's own
 ``SeedSequence``; the rest of trial t draws from (3, t, 0), (3, t, 1)
-and (3, t, 3).  Only trial chunks use the hand-written hash: the core
-hashes a chunk's trial words in one pass (``_trial_words``) and draws and
-tests its sources, for both engines: trial t's source is n uniforms of
-key (3, t, 0), from one PCG64 pass per explicit chunk (``_pcg64_raw``) or
-from the sampled trial's generator, which then draws the trial's classes
-and lives only for its chunk.
-A sampled bin index m12 (m23) of k bits is the first ceil(k/64) PCG64
-outputs of key (3, t, 1) ((3, t, 3)), read little-endian and cut to k bits.
+and (3, t, 3).  Only trial chunks use the hand-written hash: a chunk
+hashes the keys it draws from for all its (seed, t) pairs in one pass
+(``_trial_words``).  Trial t's source is n uniforms of key (3, t, 0), from
+one PCG64 pass per explicit chunk (``_pcg64_raw``) or from the sampled
+trial's generator, which then draws the trial's classes.  A sampled bin
+index m12 (m23) of k bits is the first ceil(k/64) PCG64 outputs of key
+(3, t, 1) ((3, t, 3), hashed only if k > 0), little-endian, cut to k bits.
 
-Both engines run one serial loop: a chunk of trials is drawn, then
-finished (``_finish``) into the same columns of one ``SimulationTraces``,
-and then the next chunk is drawn; a trace is built only when it is read.
+The core (``_Code``) sets a code up once, then draws it at a list of
+seeds in one serial loop: a chunk of (seed, trial) pairs is drawn, then
+finished (``_finish``) into the same columns, and then the next chunk is
+drawn.  Each seed's ``SimulationTraces`` views its rows; a trace is built
+only when it is read.  A sampled chunk may hold several seeds; an
+explicit draw takes one seed, whose codebooks depend on it.
 
-The core builds one ``ToleranceSchedule`` per run from the ``delta``,
+The core builds one ``ToleranceSchedule`` per code from the ``delta``,
 ``multipliers`` and ``gamma_coeff`` keywords.  Its radius triple is
-(source, encode, decode), by default (delta, 2 delta, 8 delta); the
-sampled engine passes the last two to ``sampling.sample_two_node_trial``
-as ``radii``.  The
-encoder picks the lexicographically smallest jointly typical codeword
-index pair at the encode radius, falling back to (0, 0); each decoder
-picks the smallest in-bin index typical at the decode radius, falling
-back to 0.  An atypical source triggers an arbitrary transmission, fixed
-to bin 0 on both engines for reproducibility.  Indices are 0-based.
+(source, encode, decode), by default (delta, 2 delta, 8 delta); the sampled
+engine passes the last two to ``sampling.sample_two_node_trial`` as
+``radii``.  The encoder picks the lexicographically smallest jointly
+typical codeword index pair at the encode radius, falling back to (0, 0);
+each decoder picks the smallest in-bin index typical at the decode radius,
+falling back to 0.  An atypical source triggers an arbitrary transmission,
+fixed to bin 0 on both engines for reproducibility.  Indices are 0-based.
 """
 
 from __future__ import annotations
 
 import math
 from collections import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -103,15 +104,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def _int_words(value: int) -> list:
-    """The little-endian uint32 words SeedSequence makes of an int."""
-    words = [value & _M32]
-    while value >> 32:
-        value >>= 32
-        words.append(value & _M32)
-    return words
-
-
 def _u32(value):
     """A Python int wrapped to 32 bits; a uint32 array wraps by itself."""
     return value & _M32 if isinstance(value, int) else value
@@ -131,14 +123,20 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _trial_words(seed: int, trials: np.ndarray) -> np.ndarray:
-    """(3, T, 4) uint64: ``generate_state(4, np.uint64)`` of the
-    ``SeedSequence`` of ``seed`` and ``spawn_key=(3, t, k)`` for each trial
-    t < 2^32 of ``trials`` and k = 0, 1, 3, hashed in one pass."""
-    entropy = _int_words(int(seed))
+def _trial_words(seed, trials: np.ndarray, lasts=(0, 1, 3)) -> np.ndarray:
+    """(K, T, 4) uint64: ``generate_state(4, np.uint64)`` of the
+    ``SeedSequence`` of the seed and ``spawn_key=(3, t, k)`` for each trial
+    t < 2^32 of ``trials`` and each k of ``lasts``, hashed in one pass.
+    ``seed`` is one int, or a uint32 array of one seed per trial."""
+    entropy = [seed]
+    if not np.ndim(seed):   # one int: its little-endian words
+        entropy, seed = [int(seed) & _M32], int(seed) >> 32
+        while seed:
+            entropy.append(seed & _M32)
+            seed >>= 32
     entropy += [0] * (_POOL - len(entropy))
     entropy += [_KEY_TRIAL, np.asarray(trials, np.uint32),
-                np.array([[0], [1], [3]], np.uint32)]
+                np.array(lasts, np.uint32)[:, None]]
     const = [_INIT_A]
     pool = [_hashmix(word, const, _MULT_A) for word in entropy[:_POOL]]
     for src in range(_POOL):
@@ -534,12 +532,12 @@ class SimulationTraces(abc.Sequence):
     changed field writes nothing back); a slice is a list of traces.
     ``column(name)`` is a field of every trial, one read-only array named
     alike on both engines: ``x_seq`` (T, n) int8, ``joint_counts``
-    (T, X, Y, Z), sampled indices as Python ints.  ``run`` holds the
-    fields all trials share.  Label sequences are codebook rows, or, on
-    the sampled engine, ``b_label_seq`` is arranged within the source
-    symbols' positions on each read, by ``default_rng`` of key (3, i, 2).
-    After ``traces[i] = t``, index i reads the stand-in ``t``; no column
-    sees it.
+    (T, X, Y, Z), sampled indices as Python ints; a draw of several seeds
+    gives each seed views of its rows.  ``run`` holds the fields all
+    trials share.  Label sequences are codebook rows, or, on the sampled
+    engine, ``b_label_seq`` is arranged within the source symbols'
+    positions on each read, by ``default_rng`` of key (3, i, 2).  After
+    ``traces[i] = t``, index i reads the stand-in ``t``; no column sees it.
     """
 
     def __init__(self, columns, run, rows):
@@ -618,10 +616,17 @@ def simulate_two_node(target: CqEnsemble, ext: Extension, n: int,
     make the run's ``ToleranceSchedule``.  Identical (seed, params)
     reproduce identical traces bit for bit.
     """
+    return _two_node(target, ext, n, rate, trials, delta, codeword_rate,
+                     engine, gamma_coeff, multipliers).draw([seed])[0]
+
+
+def _two_node(target, ext, n, rate, trials, delta=0.02, codeword_rate=None,
+              engine="auto", gamma_coeff=None, multipliers=(1.0, 2.0, 8.0)):
+    """The set-up of a two-node code: the cascade's, with a trivial relay."""
     if ext.kind != "two-node":
         raise CoordinationError("simulate_two_node needs a two-node extension")
-    return _simulate(target, ext, n, (rate, 0.0), (codeword_rate, 0.0),
-                     trials, seed, delta, gamma_coeff, multipliers, engine)
+    return _Code(target, ext, n, (rate, 0.0), (codeword_rate, 0.0), trials,
+                 delta, gamma_coeff, multipliers, engine)
 
 
 def simulate_cascade(target: CqEnsemble, ext: Extension, n: int,
@@ -643,98 +648,124 @@ def simulate_cascade(target: CqEnsemble, ext: Extension, n: int,
         raise CoordinationError("simulate_cascade needs a cascade extension")
     if rate12 < rate23:
         raise ProtocolError("rate12 must be at least rate23 (rate splitting)")
-    return _simulate(target, ext, n, (rate12, rate23),
-                     (codeword_rate_y, codeword_rate_z), trials, seed, delta,
-                     gamma_coeff, multipliers, engine)
+    return _Code(target, ext, n, (rate12, rate23),
+                 (codeword_rate_y, codeword_rate_z), trials, delta,
+                 gamma_coeff, multipliers, engine).draw([seed])[0]
 
 
-def _simulate(target, ext, n, rates, codeword_rates, trials, seed, delta,
-              gamma_coeff, multipliers, engine) -> SimulationTraces:
-    """The one simulation core: ``trials`` traces of one code, drawn and
-    finished chunk by chunk.  ``gamma_coeff`` defaults to the label
-    alphabet-size product, and a codeword rate to I + 2 gamma."""
-    ext.require_validated()
-    if trials < 1:
-        raise ProtocolError("trials must be positive")
-    if trials > 2 ** 32:
-        # a trial index keys its seed streams as one uint32 word
-        raise ProtocolError(f"trials must be at most 2^32, not {trials}")
-    if gamma_coeff is None:
-        gamma_coeff = float(math.prod(v.size for v in ext.joint.variables))
-    schedule = ToleranceSchedule(delta, multipliers, gamma_coeff)
-    radii = schedule.radii
-    x, y, *z = ext.joint.names
-    rate_y, rate_z = codeword_rates
-    if rate_y is None:
-        rate_y = (mutual_information(ext.joint, [x, *z], [y])
-                  + 2.0 * schedule.gamma)
-    if rate_z is None:
-        rate_z = mutual_information(ext.joint, [x], z) + 2.0 * schedule.gamma
-    rate12, rate23 = rates
-    params_y = CodebookParams(n=n, bin_rate=rate12 - rate23,
-                              codeword_rate=rate_y, delta=delta, seed=seed)
-    params_z = CodebookParams(n=n, bin_rate=rate23, codeword_rate=rate_z,
-                              delta=delta, seed=seed)
-    two_node = ext.kind == "two-node"
-    tables = _tables(target, ext)
-    p_xyz = tables.p_xyz
-    if engine == "auto":
-        # explicit for few codebook symbols (the two-node relay's codeword
-        # uncharged) and int64 bins, unless a relay label rules sampling out
-        relay = 0 if two_node else params_z.num_codewords
-        engine = ("explicit" if (params_y.num_codewords + relay) * n
-                  <= EXPLICIT_AUTO_BUDGET and (p_xyz.shape[2] > 1 or (
-                      params_y.int64_bins and params_z.int64_bins))
-                  else "sampled")
-    # a trial stacks ~16 dim^2 cells of states in the finish, n of sources
-    cells = max(16 * tables.k.shape[-1] ** 2, n)
-    if engine == "explicit":
-        cb_y = build_codebook(params_y, p_xyz.sum(axis=(0, 2)), role=0)
-        cb_z = build_codebook(params_z, p_xyz.sum(axis=(0, 1)), role=1)
-        outcomes = lambda rngs, words, x, x_typical: _explicit_chunk(
-            cb_y, cb_z, p_xyz, radii, x, x_typical)
-        rows = (cb_y.codewords, None if two_node else cb_z.codewords)
-    elif engine == "sampled":
-        if p_xyz.shape[2] != 1:
-            raise ProtocolError(
-                "the sampled engine supports cascade only with a degenerate "
-                "relay label (single Z symbol); use the explicit engine")
-        outcomes = lambda rngs, words, x, x_typical: _sampled_chunk(
-            p_xyz, params_y, params_z, radii, rngs, words, x, x_typical)
-        # b_label_seq is arranged when a trace is read; the relay label is 0
-        rows = (None, None if two_node
-                else np.broadcast_to(np.int8(0), (1, n)))
-        # a bin index pass holds ~4 uint64 cells per 64 index bits; charged 4x
-        # that, at the index cap the indices, not the pass, set the peak
-        cells = max(cells, *(_ceil_rate(n, p.bin_rate) // 4
-                             for p in (params_y, params_z)))
-    else:
-        raise ProtocolError(f"unknown engine {engine!r}")
-    run = dict(n=n, seed=seed, engine=engine, rate=rate12,
-               codeword_rate=rate_y, rate23=None if two_node else rate23,
-               gamma_radius=schedule.gamma)
-    px, zero = p_xyz.sum(axis=(1, 2)), np.zeros((1, n), dtype=np.int8)
-    step = max(1, CHUNK_CELLS // cells)
-    columns = {}   # each column allocated once for the run
-    for first in range(0, trials, step):
-        chunk = np.arange(first, min(first + step, trials))
-        # key 0's n uniforms are the sources: from the generator a sampled
-        # trial draws on from, or one PCG64 pass; keys 1, 3 draw bin indices
-        words = _trial_words(seed, chunk)
-        rngs = list(map(_generator, words[0])) if engine == "sampled" else []
-        x = sampling.symbols(px, np.stack([g.random(n) for g in rngs])
-                             if rngs else
-                             (_pcg64_raw(words[0], n) >> 11) * 2.0 ** -53)
-        x_typical = _type_distance(zero, x, px[None])[0] < radii[0]
-        counts, fields = outcomes(rngs, words[1:], x, x_typical)
-        for name, values in _finish(counts, dict(fields, x_seq=x,
-                                                 x_typical=x_typical),
-                                    tables, n, schedule.gamma).items():
-            if name not in columns:
-                columns[name] = np.empty((trials, *values.shape[1:]),
-                                         values.dtype)
-            columns[name][first:first + len(chunk)] = values
-    return SimulationTraces(columns, run, rows)
+class _Code:
+    """The simulation core's set-up, once per code: the schedule and radii,
+    the codeword rates (by default I + 2 gamma, gamma_coeff by default the
+    label alphabet-size product), the codebook sizes, the tables, the
+    engine and the chunk ``step`` of (seed, trial) pairs."""
+
+    def __init__(self, target, ext, n, rates, codeword_rates, trials, delta,
+                 gamma_coeff, multipliers, engine):
+        ext.require_validated()
+        if trials < 1:
+            raise ProtocolError("trials must be positive")
+        if trials > 2 ** 32:
+            # a trial index keys its seed streams as one uint32 word
+            raise ProtocolError(f"trials must be at most 2^32, not {trials}")
+        if gamma_coeff is None:
+            gamma_coeff = float(math.prod(v.size for v in ext.joint.variables))
+        schedule = ToleranceSchedule(delta, multipliers, gamma_coeff)
+        x, y, *z = ext.joint.names
+        (rate_y, rate_z), slack = codeword_rates, 2.0 * schedule.gamma
+        if rate_y is None:
+            rate_y = mutual_information(ext.joint, [x, *z], [y]) + slack
+        if rate_z is None:
+            rate_z = mutual_information(ext.joint, [x], z) + slack
+        rate12, rate23 = rates
+        # at seed 0; each seed's are made when it is drawn
+        self.params = params_y, params_z = (
+            CodebookParams(n=n, bin_rate=rate12 - rate23,
+                           codeword_rate=rate_y, delta=delta, seed=0),
+            CodebookParams(n=n, bin_rate=rate23, codeword_rate=rate_z,
+                           delta=delta, seed=0))
+        two_node = ext.kind == "two-node"
+        self.tables = _tables(target, ext)
+        p_xyz = self.tables.p_xyz
+        if engine == "auto":
+            # explicit for few codebook symbols (a two-node relay's uncharged)
+            # and int64 bins, unless a relay label rules sampling out
+            relay = 0 if two_node else params_z.num_codewords
+            engine = ("explicit" if (params_y.num_codewords + relay) * n
+                      <= EXPLICIT_AUTO_BUDGET and (p_xyz.shape[2] > 1 or (
+                          params_y.int64_bins and params_z.int64_bins))
+                      else "sampled")
+        # a trial stacks ~16 dim^2 cells of states in the finish, n of sources
+        cells = max(16 * self.tables.k.shape[-1] ** 2, n)
+        # the keys (3, t, k) a chunk draws: 0 sources, 1 and 3 bin indices
+        self.rows, self.lasts = None, (0,)
+        if engine == "sampled":
+            if p_xyz.shape[2] != 1:
+                raise ProtocolError("the sampled engine supports cascade only "
+                                    "with a degenerate relay label (single Z "
+                                    "symbol); use the explicit engine")
+            # b_label_seq is arranged on each read; the relay label is 0
+            self.rows = (None, None if two_node
+                         else np.broadcast_to(np.int8(0), (1, n)))
+            # a bin index pass holds ~4 uint64 cells per 64 bits, charged 4x:
+            # at the index cap the indices, not the pass, set the peak
+            cells = max(cells, *(_ceil_rate(n, p.bin_rate) // 4
+                                 for p in self.params))
+            self.lasts = (0, 1, 3) if params_z.num_bins > 1 else (0, 1)
+        elif engine != "explicit":
+            raise ProtocolError(f"unknown engine {engine!r}")
+        self.n, self.trials, self.engine = n, trials, engine
+        self.radii, self.step = schedule.radii, max(1, CHUNK_CELLS // cells)
+        self.run = dict(engine=engine, rate=rate12, codeword_rate=rate_y,
+                        rate23=None if two_node else rate23,
+                        gamma_radius=schedule.gamma)
+
+    def draw(self, seeds: list) -> list:
+        """The ``SimulationTraces`` of each of ``seeds``, their (seed, trial)
+        pairs drawn ``step`` a chunk.  A sampled chunk may span seeds, as a
+        trial's draws depend only on (seed, t); an explicit draw takes one
+        seed, whose codebooks it builds."""
+        n, trials, p_xyz = self.n, self.trials, self.tables.p_xyz
+        # each seed's codebook parameters; a negative seed is refused here
+        params = [[replace(p, seed=s) for p in self.params] for s in seeds]
+        rows, sampled = self.rows, self.engine == "sampled"
+        if not sampled:
+            (params_y, params_z), = params
+            cb_y = build_codebook(params_y, p_xyz.sum(axis=(0, 2)), role=0)
+            cb_z = build_codebook(params_z, p_xyz.sum(axis=(0, 1)), role=1)
+            rows = (cb_y.codewords,
+                    None if self.run["rate23"] is None else cb_z.codewords)
+        px, total, columns = p_xyz.sum(axis=(1, 2)), len(seeds) * trials, {}
+        for first in range(0, total, self.step):
+            who, t = np.divmod(np.arange(first, min(first + self.step, total)),
+                               trials)
+            words = _trial_words(seeds[0] if len(seeds) == 1 else np.array(
+                seeds, np.uint32)[who], t, self.lasts)
+            if sampled:
+                rngs, u = [*map(_generator, words[0])], np.empty((t.size, n))
+                for rng, row in zip(rngs, u):
+                    rng.random(out=row)
+            else:
+                u = (_pcg64_raw(words[0], n) >> 11) * 2.0 ** -53
+            x = sampling.symbols(px, u)
+            # (X, T) counts; the TV adds _type_distance's terms in its order
+            x_counts = (x == np.arange(px.size)[:, None, None]).sum(axis=2)
+            x_typical = 0.5 * _pairwise_sum(
+                np.abs(x_counts / n - px[:, None])) < self.radii[0]
+            counts, fields = (
+                _sampled_chunk(p_xyz, *self.params, self.radii, rngs,
+                               words[1:], x_counts, x_typical) if sampled
+                else _explicit_chunk(cb_y, cb_z, p_xyz, self.radii, x,
+                                     x_typical))
+            for name, values in _finish(counts, dict(
+                    fields, x_seq=x, x_typical=x_typical), self.tables, n,
+                    self.run["gamma_radius"]).items():
+                if name not in columns:
+                    columns[name] = np.empty((total, *values.shape[1:]),
+                                             values.dtype)
+                columns[name][first:first + t.size] = values
+        return [SimulationTraces(
+            {k: c[i * trials:(i + 1) * trials] for k, c in columns.items()},
+            dict(n=n, seed=s, **self.run), rows) for i, s in enumerate(seeds)]
 
 
 def _explicit_chunk(cb_y: Codebook, cb_z: Codebook, p_xyz, radii, x,
@@ -770,24 +801,23 @@ def _explicit_chunk(cb_y: Codebook, cb_z: Codebook, p_xyz, radii, x,
         decoder_fallback=dec_fb, ell2=ell2, m23=m23, ell_hat2=ell_hat2)
 
 
-def _sampled_chunk(p_xyz, params_y, params_z, radii, rngs, words, x,
+def _sampled_chunk(p_xyz, params_y, params_z, radii, rngs, words, x_counts,
                    x_typical):
     """Label counts (T, X, Y, Z) and trace columns of a chunk of sampled
-    trials with sources ``x`` (T, n), drawn by the trials' ``rngs``, which
-    go on to draw their classes.  The Z label is constant, so the Y side
-    is exactly the two-node trial; ``b_label_seq`` is arranged when a trace
-    is read.  Bin indices come from ``words`` (``_bin_indices``), 0 if x is
-    atypical."""
-    x_counts = (x == np.arange(p_xyz.shape[0])[:, None, None]).sum(axis=2).T
+    trials with (X, T) source counts ``x_counts``, drawn by the trials'
+    ``rngs``, which go on to draw their classes.  The Z label is constant,
+    so the Y side is exactly the two-node trial.  Bin indices come from
+    ``words`` of keys 1 and 3 (``_bin_indices``), 0 if x is atypical."""
     # read once: each read of a codebook size recomputes it
     code = (p_xyz[:, :, 0], radii[1:], params_y.num_codewords,
             params_y.num_bins)
     counts, ell, ell_hat, enc_fb, dec_fb = zip(*(
         sampling.sample_two_node_trial(rng, c, typical, *code)
-        for rng, c, typical in zip(rngs, x_counts.tolist(), x_typical)))
+        for rng, c, typical in zip(rngs, x_counts.T.tolist(), x_typical)))
+    # key 3 is hashed only for a relay index with bits; a 0-bit one reads none
     m12, m23 = (np.where(x_typical, _bin_indices(w, params), 0)
-                for w, params in zip(words, (params_y, params_z)))
-    zero = np.zeros(len(x), dtype=np.int64)
+                for w, params in ((words[0], params_y), (words[-1], params_z)))
+    zero = np.zeros(len(x_typical), dtype=np.int64)
     return np.stack(counts).astype(float)[..., None], dict(
         ell=np.array(ell, object), m12=m12, ell_hat=np.array(ell_hat, object),
         encoder_fallback=np.array(enc_fb), decoder_fallback=np.array(dec_fb),
@@ -858,29 +888,35 @@ def derandomize(target: CqEnsemble, ext: Extension, n: int, rate: float,
 
     The selection mirrors the shared-randomness removal argument: the
     minimum over sampled seeds cannot exceed the sample mean, and a seed
-    meeting ``epsilon`` yields a deterministic code at that distance.
+    meeting ``epsilon`` yields a deterministic code at that distance.  The
+    code is set up once, and its seeds are derived and drawn a group at a
+    time (the whole seeds one sampled chunk holds, or one explicit seed),
+    each exactly as by its own ``simulate_two_node`` run.
     """
     if not 1 <= num_seeds <= 2 ** 32:
         raise ProtocolError(f"need 1 to 2^32 seeds, not {num_seeds}")
     if seed < 0:
         raise ProtocolError(f"seed must be nonnegative, not {seed}")
+    code = _two_node(target, ext, n, rate, trials, **sim_kwargs)
+    group = max(1, code.step // trials) if code.engine == "sampled" else 1
     seeds, dists, kept = [], [], []
-    for s in range(num_seeds):
-        seeds.append(int(np.random.SeedSequence(
-            seed, spawn_key=(_KEY_SEEDS, s)).generate_state(1)[0]))
-        traces = simulate_two_node(target, ext, n, rate, trials,
-                                   seed=seeds[-1], **sim_kwargs)
-        dists.append(float(np.mean(traces.column("distance_to_target"))))
-        if keep_traces:
-            kept.append(traces)
+    for first in range(0, num_seeds, group):
+        batch = [int(np.random.SeedSequence(
+            seed, spawn_key=(_KEY_SEEDS, s)).generate_state(1)[0])
+                 for s in range(first, min(first + group, num_seeds))]
+        for traces in code.draw(batch):
+            dists.append(float(np.mean(traces.column("distance_to_target"))))
+            if keep_traces:
+                kept.append(traces)
+        seeds += batch
     dists = np.array(dists)
     best = int(np.argmin(dists))
-    qs = {q: float(np.percentile(dists, q)) for q in (25, 50, 75)}
     return DerandomizationReport(
         seeds=seeds, distances=dists, best_index=best,
         best_seed=seeds[best], best_distance=float(dists[best]),
-        mean_distance=float(dists.mean()), quantiles=qs, epsilon=epsilon,
-        traces_by_seed=kept if keep_traces else None)
+        mean_distance=float(dists.mean()), quantiles=dict(zip(
+            (25, 50, 75), np.percentile(dists, (25, 50, 75)).tolist())),
+        epsilon=epsilon, traces_by_seed=kept if keep_traces else None)
 
 
 @dataclass

@@ -145,20 +145,27 @@ class TestStreamContract:
                                             monkeypatch):
         # a sampled b_label_seq is arranged by default_rng of key
         # (3, t, 2), in the first chunk and in later ones, and from each
-        # seed derandomize derives
+        # seed derandomize derives, whose chunks hold whole seeds and hash
+        # keys (3, t, 0) and (3, t, 1) only
         from qcoord import protocol
         ens, ext = example1_pair
         chunks, words = [], protocol._trial_words
-        monkeypatch.setattr(protocol, "_trial_words", lambda s, trials: (
-            chunks.append(trials.tolist()) or words(s, trials)))
-        monkeypatch.setattr(protocol, "CHUNK_CELLS", 512)
-        run = dict(n=40, rate=0.5, trials=5, delta=0.05, engine="sampled")
-        rep = derandomize(ens, ext, num_seeds=2, epsilon=1.0, seed=seed,
-                          keep_traces=True, **run)
-        runs = [simulate_two_node(ens, ext, seed=seed, **run),
-                *rep.traces_by_seed]
-        assert chunks == [[0, 1], [2, 3], [4]] * 3
-        assert [r.run["seed"] for r in runs] == [seed, *rep.seeds]
+        monkeypatch.setattr(protocol, "_trial_words", lambda s, t, lasts: (
+            chunks.append((np.broadcast_to(np.asarray(s, object),
+                                           t.shape).tolist(), t.tolist(),
+                           lasts)) or words(s, t, lasts)))
+        monkeypatch.setattr(protocol, "CHUNK_CELLS", 12 * 256)   # 12 trials
+        run = dict(n=40, rate=0.5, delta=0.05, engine="sampled")
+        rep = derandomize(ens, ext, trials=5, num_seeds=3, epsilon=1.0,
+                          seed=seed, keep_traces=True, **run)
+        runs = [*rep.traces_by_seed,
+                simulate_two_node(ens, ext, trials=13, seed=seed, **run)]
+        a, b, c = rep.seeds
+        assert chunks == [([a] * 5 + [b] * 5, [0, 1, 2, 3, 4] * 2, (0, 1)),
+                          ([c] * 5, [0, 1, 2, 3, 4], (0, 1)),
+                          ([seed] * 12, list(range(12)), (0, 1)),
+                          ([seed], [12], (0, 1))]
+        assert [r.run["seed"] for r in runs] == [*rep.seeds, seed]
         for traces in runs:
             for t in traces:
                 rng = np.random.default_rng(np.random.SeedSequence(
@@ -864,10 +871,64 @@ class TestDerandomize:
                         num_seeds=num_seeds, epsilon=1.0, engine="explicit")
 
 
+    # a trial stacks 256 cells at n <= 256: 3 trials a chunk (one seed
+    # spans two), 5 (a chunk holds exactly one seed), 12 (two seeds, and
+    # the last group one) or the default 256 (every sampled seed in one)
+    @pytest.mark.parametrize("chunk_cells", [3 * 256, 5 * 256, 12 * 256, None])
+    @pytest.mark.parametrize("engine", ["explicit", "sampled"])
+    def test_each_seed_matches_its_own_simulation(self, example1_pair, engine,
+                                                  chunk_cells, monkeypatch):
+        from qcoord import protocol
+        if chunk_cells:
+            monkeypatch.setattr(protocol, "CHUNK_CELLS", chunk_cells)
+        ens, ext = example1_pair
+        run = dict(n=40 if engine == "sampled" else 8, rate=0.5, trials=5,
+                   delta=0.05, engine=engine)
+        rep = derandomize(ens, ext, num_seeds=5, epsilon=1.0, seed=9,
+                          keep_traces=True, **run)
+        groups = [rep.traces_by_seed]
+        if engine == "sampled":
+            # a draw handed more seeds than a chunk holds splits a seed
+            monkeypatch.setattr(protocol, "CHUNK_CELLS", 7 * 256)
+            groups.append(protocol._two_node(ens, ext, **run).draw(rep.seeds))
+        for group in groups:
+            assert [g.run["seed"] for g in group] == rep.seeds
+            for seed, got in zip(rep.seeds, group):
+                want = simulate_two_node(ens, ext, seed=seed, **run)
+                assert got.run == want.run
+                assert got._columns.keys() == want._columns.keys()
+                for name, column in want._columns.items():
+                    assert _column_bytes(got.column(name)) == \
+                        _column_bytes(column)
+                for a, b in zip(got, want):
+                    assert a.b_label_seq.tobytes() == b.b_label_seq.tobytes()
+
+    def test_memory_does_not_grow_with_the_seeds(self, example1_pair,
+                                                 monkeypatch):
+        # without kept traces each group's columns are dropped after its
+        # draw, so 64 seeds peak as 4 do: 20 trials a chunk, 4 seeds a group
+        import tracemalloc
+        from qcoord import protocol
+        monkeypatch.setattr(protocol, "CHUNK_CELLS", 20 * 800)
+        ens, ext = example1_pair
+        run = dict(n=800, rate=0.46, trials=5, epsilon=1.0, seed=2,
+                   delta=0.02, engine="sampled")
+        derandomize(ens, ext, num_seeds=64, **run)   # warms the grid cache
+        peaks = []
+        for num_seeds in (4, 64):
+            tracemalloc.start()
+            try:
+                derandomize(ens, ext, num_seeds=num_seeds, **run)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
     def test_seeds_are_derived_one_simulation_at_a_time(self, example1_pair,
                                                         monkeypatch):
-        # seed s is derived when its simulation starts, so a run of 2^20
-        # seeds holds nothing per seed before the first one is simulated
+        # seeds are derived one draw at a time (an explicit draw takes one
+        # seed), so a run of 2^20 seeds holds nothing per seed before the
+        # first one is simulated
         import tracemalloc
         from qcoord import protocol
         calls = []
@@ -875,10 +936,10 @@ class TestDerandomize:
         class FirstCall(Exception):
             pass
 
-        def first_call(*args, seed, **kwargs):
-            calls.append(seed)
+        def first_call(code, seeds):
+            calls.append(list(seeds))
             raise FirstCall
-        monkeypatch.setattr(protocol, "simulate_two_node", first_call)
+        monkeypatch.setattr(protocol._Code, "draw", first_call)
         ens, ext = example1_pair
         tracemalloc.start()
         try:
@@ -889,8 +950,8 @@ class TestDerandomize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert calls == [int(np.random.SeedSequence(
-            3, spawn_key=(protocol._KEY_SEEDS, 0)).generate_state(1)[0])]
+        assert calls == [[int(np.random.SeedSequence(
+            3, spawn_key=(protocol._KEY_SEEDS, 0)).generate_state(1)[0])]]
         assert peak < 2 ** 20
 
 
@@ -1217,6 +1278,14 @@ class TestCascadeTrialMatchesReference:
             assert len(traces) == len(reference)
             for a, b in zip(reference, traces):
                 assert _trace_bytes(a) == _trace_bytes(b)
+
+
+def _column_bytes(column: np.ndarray):
+    """A column's dtype, shape and raw bytes, or its values and their types
+    where it holds Python objects."""
+    if column.dtype == object:
+        return column.shape, [(type(v), v) for v in column.tolist()]
+    return column.dtype.str, column.shape, column.tobytes()
 
 
 def _trace_bytes(t) -> dict:
